@@ -15,7 +15,6 @@ from .characters import (
     CharacterTable,
     build_table,
     character_sum,
-    chi_value,
     dft_all_characters,
     diagonal_decomposition_check,
     is_prime,
@@ -23,24 +22,18 @@ from .characters import (
     parity_restricted_sum,
 )
 from .contours import (
-    ContourPath,
-    QuadratureResult,
     eta_stability,
     hankel_recip_gamma,
     paired_shift_check,
     perron_weight,
     quarter_power_final_check,
-    vertical_quadrature,
     zeta_frac_power,
 )
 from .errors import ConvergenceError, DomainError
 from .lvalues import (
-    LValueRecord,
     WWeightSpec,
     hurwitz_zeta,
-    l_half_oracle,
-    l_half_smoothed,
-    l_square_afe,
+    lvalue_table,
     w_weight,
 )
 from .moments import (

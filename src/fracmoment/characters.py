@@ -121,10 +121,6 @@ def build_table(q: int) -> CharacterTable:
     return CharacterTable(q=q, g=g, dlog=dlog, powers=powers, parity=parity, roots=roots)
 
 
-def chi_value(table: CharacterTable, j: int, a: int) -> complex:
-    return table.chi(j, a)
-
-
 def _csum(values: np.ndarray) -> complex:
     """Compensated complex sum (fsum on real and imaginary parts)."""
     return complex(math.fsum(values.real), math.fsum(values.imag))

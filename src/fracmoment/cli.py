@@ -43,12 +43,19 @@ def parse_k(text: str) -> Fraction:
     return k
 
 
+def _numbers(text: str, kind) -> list:
+    try:
+        return [kind(tok) for tok in text.split(",") if tok]
+    except ValueError as exc:
+        raise DomainError(f"cannot parse a comma list of {kind.__name__}s from {text!r}") from exc
+
+
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    return _numbers(text, float)
 
 
 def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    return _numbers(text, int)
 
 
 def _check(name: str, value, tol=None, ok=None) -> dict:
@@ -221,10 +228,11 @@ def _verify_zetapow(args) -> dict:
 
 def _verify_pairshift(args) -> dict:
     checks = []
+    ys = _floats(args.sweep)
     rep = contours.paired_shift_check(args.m, args.alpha, args.beta, args.y)
     if rep.numeric is not None:
         checks.append(_check(f"numeric vs oracle at y={args.y:g}", rep.rel_err, args.tol))
-    sweep = contours.paired_shift_ratio_sweep(args.m, args.alpha, args.beta, _floats(args.sweep))
+    sweep = contours.paired_shift_ratio_sweep(args.m, args.alpha, args.beta, ys)
     ratios = [row[2] for row in sweep]
     band = max(ratios) / min(ratios) if ratios else 1.0
     checks.append(_check("oracle ratio stays in a factor-3 band over the sweep", band, 3.0))
@@ -241,9 +249,10 @@ def _verify_pairshift(args) -> dict:
 
 def _verify_quarter(args) -> dict:
     checks = []
+    ys = _floats(args.sweep)
     rep = contours.quarter_power_final_check(args.y)
     checks.append(_check(f"numeric vs oracle at y={args.y:g}", rep.rel_err, args.tol))
-    sweep = contours.paired_shift_ratio_sweep(1, 2.5, 0.25, _floats(args.sweep))
+    sweep = contours.paired_shift_ratio_sweep(1, 2.5, 0.25, ys)
     ratios = [row[2] for row in sweep]
     checks.append(_check("oracle positive over sweep", min(r[1] for r in sweep), ok=min(r[1] for r in sweep) > 0))
     band = max(ratios) / min(ratios) if ratios else 1.0
@@ -345,20 +354,13 @@ def cmd_moments(args) -> int:
 def _lvalue_rows(table, method: str):
     """Per-character L-value export: q, j, parity, ReL, ImL, Lsq, method, err."""
     header = ["q", "j", "parity", "ReL", "ImL", "Lsq", "method", "err"]
-    rows = []
-    for j in range(1, table.order):
-        if method == "afe":
-            rec = lvalues.l_square_afe(table, j)
-            re = im = math.nan
-        elif method == "smoothed":
-            rec = lvalues.l_half_smoothed(table, j)
-            re, im = rec.value.real, rec.value.imag
-        else:
-            rec = lvalues.l_half_oracle(table, j)
-            re, im = rec.value.real, rec.value.imag
-        rows.append(
-            [table.q, j, int(table.parity[j]), re, im, rec.square, rec.method, rec.error_estimate]
-        )
+    values, squares, err = lvalues.lvalue_table(table, method)
+    if values is None:
+        values = np.full(table.order, complex(math.nan, math.nan))
+    rows = [
+        [table.q, j, int(table.parity[j]), L.real, L.imag, sq, method, err]
+        for j, L, sq in zip(range(1, table.order), values[1:].tolist(), squares[1:].tolist())
+    ]
     return header, rows
 
 
@@ -446,6 +448,8 @@ def cmd_contour(args) -> int:
 
 
 def cmd_dump_coeffs(args) -> int:
+    if args.nmax < 1:
+        raise DomainError(f"--nmax must be at least 1, got {args.nmax}")
     fs = sieve.FactorSieve.build(max(args.nmax, 2))
     kind = args.series
     if kind == "dalpha":

@@ -3,7 +3,6 @@
 Checks implemented here, each against an independent closed form or
 divisor-sum oracle:
 
-* vertical-line quadrature with refinement (shared kernel),
 * the Perron weights (1/2 pi i) int x^w w^{-m} dw for m = 2, 3,
 * the truncated Hankel loop for 1/Gamma(alpha),
 * fractional powers of zeta on the principal branch, with continuity
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -32,76 +31,6 @@ from scipy.signal import fftconvolve
 from .errors import ConvergenceError, DomainError
 from .lvalues import zeta_values
 from .sieve import FactorSieve, ShiftVector, divisor_series, shifted_series
-
-# ---------------------------------------------------------------------------
-# Paths and the shared vertical-line kernel
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContourPath:
-    """A truncated vertical line or a truncated Hankel loop.
-
-    kind "vertical": the segment c - iT .. c + iT.
-    kind "hankel":   lower arm (-arm - i rho .. -i rho), semicircle of radius
-                     rho through +rho, upper arm back out to -arm + i rho.
-    """
-
-    kind: str = "vertical"
-    c: float = 0.25
-    T: float = 40.0
-    rho: float = 1.0
-    arm: float = 25.0
-    nodes_per_unit: int = 20
-
-    def __post_init__(self):
-        if self.kind not in ("vertical", "hankel"):
-            raise DomainError(f"unknown path kind {self.kind!r}")
-        if self.T <= 0 or self.rho <= 0:
-            raise DomainError("path extents must be positive")
-        if self.nodes_per_unit < 10:
-            raise DomainError("need at least 10 nodes per unit length")
-
-
-@dataclass
-class QuadratureResult:
-    value: complex
-    error_estimate: float
-    nodes: int
-    converged: bool
-
-
-def vertical_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    path: ContourPath,
-    tol: float = 1e-9,
-    max_nodes: int = 2_000_000,
-) -> QuadratureResult:
-    """(1/2 pi i) int f(w) dw along the truncated line, refined until two
-    successive trapezoid levels differ by less than tol.
-
-    The integrand handle receives the whole complex node array.  A budget hit
-    leaves converged False and reports the last refinement gap.
-    """
-    if path.kind != "vertical":
-        raise DomainError("vertical_quadrature requires a vertical path")
-    nodes = max(int(2 * path.T * path.nodes_per_unit) + 1, 33)
-    prev = None
-    while True:
-        t = np.linspace(-path.T, path.T, nodes)
-        w = path.c + 1j * t
-        vals = np.asarray(f(w), dtype=complex)
-        wts = np.ones(nodes)
-        wts[0] = wts[-1] = 0.5
-        cur = complex(np.sum(vals * wts)) * (t[1] - t[0]) / (2 * math.pi)
-        if prev is not None and abs(cur - prev) < tol:
-            return QuadratureResult(cur, abs(cur - prev), nodes, True)
-        if 2 * nodes - 1 > max_nodes:
-            gap = abs(cur - prev) if prev is not None else math.inf
-            return QuadratureResult(cur, gap, nodes, False)
-        prev = cur
-        nodes = 2 * nodes - 1
-
 
 # ---------------------------------------------------------------------------
 # Perron weights and the Hankel loop

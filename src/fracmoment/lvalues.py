@@ -15,7 +15,8 @@ valid for primitive chi, with the smooth cutoff W_par evaluated by
 vertical-line quadrature of its squared-Gamma Mellin integrand.
 
 All-character batches ride on the group DFT from the character engine and are
-memoized per modulus behind read-mostly caches.
+memoized per modulus in one cache of read-only arrays; lvalue_table hands out
+one route's values, squares and error estimate together.
 """
 
 from __future__ import annotations
@@ -60,19 +61,15 @@ def _em_terms(im_s: float) -> int:
     return int(max(28, 1.3 * abs(im_s) + 24))
 
 
-def hurwitz_zeta_over_a(s: complex, a: np.ndarray) -> np.ndarray:
-    """zeta(s, a) for one complex s != 1 and an array of a in (0, 1]."""
-    s = complex(s)
-    if s == 1:
-        raise DomainError("zeta(s, a) has a pole at s = 1")
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0) or np.any(a > 1):
-        raise DomainError("a must lie in (0, 1]")
-    N = _em_terms(s.imag)
-    out = np.zeros(a.shape, dtype=complex)
-    for n in range(N):
+def _euler_maclaurin(s, a, terms: int) -> np.ndarray:
+    """sum_{n < terms} (n + a)^{-s} plus the Euler-Maclaurin tail from N = terms + a.
+
+    s and a broadcast against each other; this is zeta(s, a) for s != 1.
+    """
+    out = np.zeros(np.broadcast(s, a).shape, dtype=complex)
+    for n in range(terms):
         out += np.exp(-s * np.log(n + a))
-    Na = N + a
+    Na = terms + a
     ln = np.log(Na)
     out += np.exp((1 - s) * ln) / (s - 1) + 0.5 * np.exp(-s * ln)
     fac = np.exp(-s * ln) / Na
@@ -84,25 +81,25 @@ def hurwitz_zeta_over_a(s: complex, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def hurwitz_zeta_over_a(s: complex, a: np.ndarray) -> np.ndarray:
+    """zeta(s, a) for one complex s != 1 and an array of a in (0, 1]."""
+    s = complex(s)
+    if s == 1:
+        raise DomainError("zeta(s, a) has a pole at s = 1")
+    a = np.asarray(a, dtype=float)
+    if np.any(a <= 0) or np.any(a > 1):
+        raise DomainError("a must lie in (0, 1]")
+    return _euler_maclaurin(s, a, _em_terms(s.imag))
+
+
 def zeta_values(s: np.ndarray) -> np.ndarray:
     """Riemann zeta for an array of complex s (no entry equal to 1)."""
     s = np.asarray(s, dtype=complex)
     if np.any(s == 1):
         raise DomainError("zeta(s) has a pole at s = 1")
     im_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    N = _em_terms(im_max)
-    out = np.zeros(s.shape, dtype=complex)
-    for n in range(1, N):
-        out += np.exp(-s * math.log(n))
-    lnN = math.log(N)
-    out += np.exp((1 - s) * lnN) / (s - 1) + 0.5 * np.exp(-s * lnN)
-    fac = np.exp(-s * lnN) / N
-    poch = s.copy()
-    for k, bf in enumerate(_BERN_FACT, start=1):
-        out += bf * poch * fac
-        fac = fac / (N * N)
-        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
-    return out
+    # at a = 1 the tail starts at N = terms + 1, so N itself follows _em_terms
+    return _euler_maclaurin(s, 1.0, _em_terms(im_max) - 1)
 
 
 def hurwitz_zeta(s: complex, a: float = 1.0) -> complex:
@@ -198,73 +195,59 @@ def _w_bulk(x: np.ndarray, parity: int, spec: WWeightSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# L-value records and the three routes
+# The three routes, batched over all characters
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LValueRecord:
-    """One character's central L-value data with provenance.
-
-    value is None for the afe route, which produces only the square.
-    """
-
-    j: int
-    value: Optional[complex]
-    square: float
-    method: str
-    error_estimate: float
-
-
-_ORACLE_CACHE: dict = {}
-_SMOOTHED_CACHE: dict = {}
-_AFE_CACHE: dict = {}
+_CACHE: dict = {}
 
 
 def clear_caches() -> None:
-    _ORACLE_CACHE.clear()
-    _SMOOTHED_CACHE.clear()
-    _AFE_CACHE.clear()
+    _CACHE.clear()
+
+
+def _memo(key: tuple, build, *args):
+    """build(*args) computed once per key; every array it returns is stored read-only."""
+    if key not in _CACHE:
+        value = build(*args)
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        _CACHE[key] = value
+    return _CACHE[key]
+
+
+def _oracle_batch(table: CharacterTable) -> np.ndarray:
+    q = table.q
+    hz = hurwitz_zeta_over_a(0.5, np.arange(1, q) / q)
+    return dft_all_characters(table, hz / math.sqrt(q))
 
 
 def oracle_values(table: CharacterTable) -> np.ndarray:
     """L(1/2, chi_j) for every j via the Hurwitz decomposition and one DFT.
 
-    Slot 0 carries the principal-character value zeta(1/2)(1 - q^{-1/2});
-    the per-character accessor refuses j = 0, but the batch keeps the slot.
+    Slot 0 carries the principal-character value zeta(1/2)(1 - q^{-1/2}).
     """
-    key = table.q
-    if key not in _ORACLE_CACHE:
-        q = table.q
-        hz = hurwitz_zeta_over_a(0.5, np.arange(1, q) / q)
-        _ORACLE_CACHE[key] = dft_all_characters(table, hz / math.sqrt(q))
-    return _ORACLE_CACHE[key]
+    return _memo(("oracle", table.q), _oracle_batch, table)
 
 
-def l_half_oracle(table: CharacterTable, j: int) -> LValueRecord:
-    """Reference L(1/2, chi_j) from the exact Hurwitz-zeta decomposition."""
-    if j % table.order == 0:
-        raise DomainError("the principal character is excluded")
-    v = complex(oracle_values(table)[j % table.order])
-    err = max(1e-12, math.sqrt(table.q) * 1e-13)
-    return LValueRecord(j=j, value=v, square=abs(v) ** 2, method="oracle", error_estimate=err)
+def _smoothed_batch(table: CharacterTable, tail_multiplier: float) -> np.ndarray:
+    q = table.q
+    X = q**1.25
+    M = int(tail_multiplier * X)
+    acc = np.zeros(q)
+    block = 1 << 22
+    for lo in range(1, M + 1, block):
+        m = np.arange(lo, min(lo + block, M + 1), dtype=np.int64)
+        terms = np.exp(-m / X) / np.sqrt(m)
+        keep = m % q != 0
+        np.add.at(acc, m[keep] % q, terms[keep])
+    return dft_all_characters(table, acc[1:].astype(complex))
 
 
 def smoothed_values(table: CharacterTable, tail_multiplier: float = 40.0) -> np.ndarray:
     """Smoothed sums sum_{m <= tail_multiplier * X} chi_j(m) m^{-1/2} e^{-m/X} for all j."""
-    key = (table.q, float(tail_multiplier))
-    if key not in _SMOOTHED_CACHE:
-        q = table.q
-        X = q**1.25
-        M = int(tail_multiplier * X)
-        acc = np.zeros(q)
-        block = 1 << 22
-        for lo in range(1, M + 1, block):
-            m = np.arange(lo, min(lo + block, M + 1), dtype=np.int64)
-            terms = np.exp(-m / X) / np.sqrt(m)
-            keep = m % q != 0
-            np.add.at(acc, m[keep] % q, terms[keep])
-        _SMOOTHED_CACHE[key] = dft_all_characters(table, acc[1:].astype(complex))
-    return _SMOOTHED_CACHE[key]
+    key = ("smoothed", table.q, float(tail_multiplier))
+    return _memo(key, _smoothed_batch, table, tail_multiplier)
 
 
 def smoothed_tail_bound(q: int, tail_multiplier: float) -> float:
@@ -272,18 +255,6 @@ def smoothed_tail_bound(q: int, tail_multiplier: float) -> float:
     X = q**1.25
     tm = max(tail_multiplier, 1e-9)
     return math.sqrt(X) * math.exp(-tm) / math.sqrt(tm)
-
-
-def l_half_smoothed(
-    table: CharacterTable, j: int, tail_multiplier: float = 40.0
-) -> LValueRecord:
-    """Smoothed-sum approximation to L(1/2, chi_j); error O(q^{-1/8} log q)."""
-    if j % table.order == 0:
-        raise DomainError("the principal character is excluded")
-    q = table.q
-    v = complex(smoothed_values(table, tail_multiplier)[j % table.order])
-    err = 10.0 * q ** (-0.125) * math.log(q) + smoothed_tail_bound(q, tail_multiplier)
-    return LValueRecord(j=j, value=v, square=abs(v) ** 2, method="smoothed", error_estimate=err)
 
 
 def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -326,43 +297,30 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     return outs[0], outs[1], err
 
 
+def _afe_memo(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarray, float]:
+    return _memo(("afe", table.q, float(xmin)), _afe_batch, table, xmin)
+
+
 def afe_squares(table: CharacterTable, xmin: float = 1e-3) -> np.ndarray:
     """|L(1/2, chi_j)|^2 for every j from the AFE route, parity-matched."""
-    key = (table.q, float(xmin))
-    if key not in _AFE_CACHE:
-        _AFE_CACHE[key] = _afe_batch(table, xmin)
-    even, odd, _ = _AFE_CACHE[key]
+    even, odd, _ = _afe_memo(table, xmin)
     return np.where(table.parity == 0, even, odd)
 
 
-def l_square_afe(
-    table: CharacterTable,
-    j: int,
-    xmin: float = 1e-3,
-    parity_override: Optional[int] = None,
-) -> LValueRecord:
-    """|L(1/2, chi_j)|^2 from the exact AFE identity (primitive chi only).
+def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarray], np.ndarray, float]:
+    """(L(1/2, chi_j), |L(1/2, chi_j)|^2, error estimate) for every j by one route.
 
-    parity_override forces the wrong Gamma-factor parity; it exists so tests
-    can demonstrate that mismatched parity breaks the identity.
+    method is 'oracle', 'smoothed' or 'afe'; the afe route yields squares
+    only, so its values are None.  Slot 0 is the principal character.
     """
-    if j % table.order == 0:
-        raise DomainError("the principal character is excluded")
-    key = (table.q, float(xmin))
-    if key not in _AFE_CACHE:
-        _AFE_CACHE[key] = _afe_batch(table, xmin)
-    even, odd, err = _AFE_CACHE[key]
-    par = table.parity[j % table.order] if parity_override is None else parity_override
-    sq = float((even if par == 0 else odd)[j % table.order])
-    return LValueRecord(j=j, value=None, square=sq, method="afe", error_estimate=err)
-
-
-def squares_by_method(table: CharacterTable, method: str) -> np.ndarray:
-    """|L(1/2, chi_j)|^2 for all j by the named route ('oracle', 'smoothed', 'afe')."""
+    q = table.q
     if method == "oracle":
-        return np.abs(oracle_values(table)) ** 2
-    if method == "smoothed":
-        return np.abs(smoothed_values(table)) ** 2
-    if method == "afe":
-        return afe_squares(table)
-    raise DomainError(f"unknown L-value method {method!r}")
+        values, err = oracle_values(table), max(1e-12, math.sqrt(q) * 1e-13)
+    elif method == "smoothed":
+        values = smoothed_values(table)
+        err = 10.0 * q ** (-0.125) * math.log(q) + smoothed_tail_bound(q, 40.0)
+    elif method == "afe":
+        return None, afe_squares(table), _afe_memo(table, 1e-3)[2]
+    else:
+        raise DomainError(f"unknown L-value method {method!r}")
+    return values, np.abs(values) ** 2, err

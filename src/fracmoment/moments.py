@@ -31,7 +31,7 @@ import numpy as np
 
 from .characters import CharacterTable, build_table, dft_all_characters, fold_residues, is_prime
 from .errors import DomainError
-from .lvalues import oracle_values, smoothed_values, squares_by_method
+from .lvalues import lvalue_table
 from .sieve import CoefficientSeries, FactorSieve, mollifier_coeffs, weighted_poly_coeffs
 from .util import parallel_map
 
@@ -140,7 +140,7 @@ def moment_sum(
     k = Fraction(k)
     if not (0 < k <= 1):
         raise DomainError(f"k must lie in (0, 1], got {k}")
-    sq = squares_by_method(table, method)[1:]
+    sq = lvalue_table(table, method)[1][1:]
     floored = [int(j) for j in (np.nonzero(sq < SQUARE_FLOOR)[0] + 1)]
     contrib = np.exp(float(k) * np.log(np.maximum(sq, SQUARE_FLOOR)))
     return float(math.fsum(contrib)), contrib, floored
@@ -167,10 +167,10 @@ def _char_values(
     """(L, |L|^2, P, M) arrays over all characters, consistent across uses."""
     if method not in ("oracle", "smoothed"):
         raise DomainError("twisted sums need complex L-values: method 'oracle' or 'smoothed'")
-    L = oracle_values(table) if method == "oracle" else smoothed_values(table)
+    L, sq, _ = lvalue_table(table, method)
     P = evaluate_polynomial_all(table, polynomial_series(params, sieve))
     M = evaluate_polynomial_all(table, mollifier_series(params, sieve))
-    return L, np.abs(L) ** 2, P, M
+    return L, sq, P, M
 
 
 def s_lower(

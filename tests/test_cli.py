@@ -173,3 +173,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["no-such-command"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "eta", "--levels", "abc"],
+        ["verify", "eta", "--shifts", "abc"],
+        ["verify", "smoothed", "--primes", "1x1"],
+        ["verify", "hankel", "--alphas", "x"],
+        ["verify", "pairshift", "--sweep", "1e3,zz"],
+        ["dump-coeffs", "--series", "sigma", "--shifts", "abc"],
+        ["dump-coeffs", "--series", "dalpha", "--nmax", "0"],
+        ["dump-coeffs", "--series", "dalpha", "--nmax", "-5"],
+    ])
+    def test_malformed_input_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")

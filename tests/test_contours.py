@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fracmoment.contours import (
-    ContourPath,
     eta_stability,
     hankel_recip_gamma,
     paired_shift_check,
@@ -13,48 +12,11 @@ from fracmoment.contours import (
     perron_weight,
     perron_weight_closed_form,
     quarter_power_final_check,
-    vertical_quadrature,
     zeta_frac_power,
 )
 from fracmoment.errors import ConvergenceError, DomainError
 from fracmoment.lvalues import hurwitz_zeta
 from fracmoment.sieve import ShiftVector, divisor_series
-
-
-class TestVerticalQuadrature:
-    def test_gaussian_against_closed_form(self):
-        # (1/2 pi i) int e^{w^2} dw on Re w = 0 equals 1/(2 sqrt(pi))
-        path = ContourPath(kind="vertical", c=0.0, T=8.0, nodes_per_unit=20)
-        res = vertical_quadrature(lambda w: np.exp(w**2), path)
-        assert res.converged
-        assert res.value.real == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-10)
-
-    def test_conjugate_symmetric_integrand_is_real(self):
-        path = ContourPath(kind="vertical", c=0.5, T=8.0, nodes_per_unit=20)
-        res = vertical_quadrature(lambda w: np.exp(w**2), path)
-        assert abs(res.value.imag) < 1e-10
-
-    def test_doubling_T_stable(self):
-        f = lambda w: np.exp(w**2)
-        a = vertical_quadrature(f, ContourPath(c=0.0, T=8.0, nodes_per_unit=40))
-        b = vertical_quadrature(f, ContourPath(c=0.0, T=16.0, nodes_per_unit=40))
-        assert abs(a.value - b.value) < 1e-9
-
-    def test_budget_flag_on_slow_decay(self):
-        # |t|^{-1.05} decay cannot meet 1e-9 within a tiny node budget
-        f = lambda w: (1 + np.abs(w.imag)) ** -1.05
-        res = vertical_quadrature(f, ContourPath(c=0.0, T=50.0, nodes_per_unit=10),
-                                  tol=1e-12, max_nodes=4000)
-        assert not res.converged
-        assert res.error_estimate > 0
-
-    def test_path_validation(self):
-        with pytest.raises(DomainError):
-            ContourPath(kind="spiral")
-        with pytest.raises(DomainError):
-            ContourPath(T=-1.0)
-        with pytest.raises(DomainError):
-            ContourPath(nodes_per_unit=2)
 
 
 class TestPerronWeight:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -8,17 +9,18 @@ from conftest import table_for
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import (
     WWeightSpec,
+    _afe_batch,
     afe_squares,
     hurwitz_zeta,
-    l_half_oracle,
-    l_half_smoothed,
-    l_square_afe,
+    lvalue_table,
     oracle_values,
+    smoothed_tail_bound,
     smoothed_values,
     w_weight,
     w_weight_many,
     zeta_values,
 )
+from fracmoment.moments import moment_sum
 
 mp.mp.dps = 30
 
@@ -50,7 +52,9 @@ class TestHurwitzZeta:
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
     def test_zeta_values_line(self):
-        s = 1.1 + 1j * np.linspace(-30, 30, 7)
+        # the second line is the one the contour checks use at y = 1e4, up to |Im s| = 87
+        s = np.concatenate([1.1 + 1j * np.linspace(-30, 30, 7),
+                            1 + (2 + 1j * np.linspace(-800, 800, 17)) / math.log(1e4)])
         got = zeta_values(s)
         for sv, gv in zip(s, got):
             assert abs(gv - complex(mp.zeta(complex(sv)))) < 1e-11
@@ -90,28 +94,47 @@ class TestWWeight:
             w_weight(-1.0, 1)
 
 
+class TestLValueTable:
+    def test_squares_are_abs_values_squared(self):
+        t = table_for(31)
+        for method in ("oracle", "smoothed"):
+            values, squares, _ = lvalue_table(t, method)
+            assert np.array_equal(squares, np.abs(values) ** 2)
+        values, squares, _ = lvalue_table(t, "afe")
+        assert values is None
+        assert np.array_equal(squares, afe_squares(t))
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError):
+            lvalue_table(table_for(5), "hurwitz")
+
+    def test_cached_arrays_are_read_only(self):
+        t = table_for(101)
+        before, _, _ = moment_sum(t, Fraction(1, 2))
+        for arr in (oracle_values(t), smoothed_values(t)):
+            with pytest.raises(ValueError):
+                arr[1:] *= 2
+        after, _, _ = moment_sum(t, Fraction(1, 2))
+        assert after == before
+
+
 class TestOracle:
     def test_quadratic_q5_real_and_frozen(self):
         t = table_for(5)
-        rec = l_half_oracle(t, 2)
-        assert abs(rec.value.imag) < 1e-9
+        values, squares, err = lvalue_table(t, "oracle")
+        v = values[2]
+        assert abs(v.imag) < 1e-9
         # independent: L(1/2, chi) = 5^{-1/2} sum chi(a) zeta(1/2, a/5) with
         # the Legendre-symbol character, evaluated in mpmath
         want = (mp.zeta(0.5, mp.mpf(1) / 5) - mp.zeta(0.5, mp.mpf(2) / 5)
                 - mp.zeta(0.5, mp.mpf(3) / 5) + mp.zeta(0.5, mp.mpf(4) / 5)) / mp.sqrt(5)
-        assert rec.value.real == pytest.approx(float(want), abs=1e-10)
-        assert rec.square == pytest.approx(abs(rec.value) ** 2, abs=1e-12)
-        assert rec.error_estimate < 1e-9
+        assert v.real == pytest.approx(float(want), abs=1e-10)
+        assert squares[2] == pytest.approx(abs(v) ** 2, abs=1e-12)
+        assert err < 1e-9
 
     def test_conjugate_pair_q7(self):
-        t = table_for(7)
-        a = l_half_oracle(t, 1).value
-        b = l_half_oracle(t, 5).value
-        assert a == pytest.approx(np.conj(b), abs=1e-9)
-
-    def test_principal_rejected(self):
-        with pytest.raises(DomainError):
-            l_half_oracle(table_for(5), 0)
+        values, _, _ = lvalue_table(table_for(7), "oracle")
+        assert values[1] == pytest.approx(np.conj(values[5]), abs=1e-9)
 
 
 class TestSmoothed:
@@ -124,24 +147,20 @@ class TestSmoothed:
 
     def test_tail_multiplier_sensitivity(self):
         t = table_for(101)
-        short = l_half_smoothed(t, 1, tail_multiplier=1.0)
-        full = l_half_smoothed(t, 1, tail_multiplier=40.0)
-        assert abs(short.value - full.value) > 1e-12
-        assert short.error_estimate > full.error_estimate
-
-    def test_principal_rejected(self):
-        with pytest.raises(DomainError):
-            l_half_smoothed(table_for(101), 0)
+        short = smoothed_values(t, tail_multiplier=1.0)[1]
+        full = smoothed_values(t, tail_multiplier=40.0)[1]
+        assert abs(short - full) > 1e-12
+        assert smoothed_tail_bound(101, 1.0) > smoothed_tail_bound(101, 40.0)
+        err = lvalue_table(t, "smoothed")[2]
+        assert err == 10.0 * 101 ** (-0.125) * math.log(101) + smoothed_tail_bound(101, 40.0)
 
 
 class TestAfe:
     def test_q5_matches_oracle(self):
         t = table_for(5)
-        rec = l_square_afe(t, 2)
-        want = l_half_oracle(t, 2).square
-        assert rec.square == pytest.approx(want, abs=1e-6)
-        assert rec.value is None
-        assert rec.method == "afe"
+        values, squares, _ = lvalue_table(t, "afe")
+        assert values is None
+        assert squares[2] == pytest.approx(lvalue_table(t, "oracle")[1][2], abs=1e-6)
 
     def test_q61_full_sweep(self):
         t = table_for(61)
@@ -157,9 +176,10 @@ class TestAfe:
         t = table_for(31)
         j = 3  # odd character
         assert t.parity[j] == 1
-        good = l_square_afe(t, j).square
-        bad = l_square_afe(t, j, parity_override=0).square
-        want = l_half_oracle(t, j).square
+        good = lvalue_table(t, "afe")[1][j]
+        even, _, _ = _afe_batch(t, 1e-3)
+        bad = even[j]
+        want = lvalue_table(t, "oracle")[1][j]
         assert abs(good - want) < 1e-6
         assert abs(bad - want) > 1e-3
 

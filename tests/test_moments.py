@@ -6,7 +6,7 @@ import pytest
 
 from conftest import table_for
 from fracmoment.errors import DomainError
-from fracmoment.lvalues import l_half_oracle, oracle_values
+from fracmoment.lvalues import lvalue_table, oracle_values
 from fracmoment.moments import (
     MomentParams,
     evaluate_polynomial_all,
@@ -89,7 +89,8 @@ class TestMomentK:
         t = table_for(5)
         p = MomentParams.make(5)
         rep = moment_k(p, t)
-        want = math.fsum(math.sqrt(l_half_oracle(t, j).square) for j in (1, 2, 3))
+        sq = lvalue_table(t, "oracle")[1]
+        want = math.fsum(math.sqrt(sq[j]) for j in (1, 2, 3))
         assert rep.value == pytest.approx(want, rel=1e-12)
         # q - 2 non-principal characters contribute
         assert rep.contributions.size == 3
