@@ -50,7 +50,6 @@ from .moments import (
     scaling_survey,
 )
 from .sieve import (
-    CoefficientSeries,
     FactorSieve,
     ShiftVector,
     dirichlet_convolve,

@@ -45,9 +45,12 @@ def parse_k(text: str) -> Fraction:
 
 def _numbers(text: str, kind) -> list:
     try:
-        return [kind(tok) for tok in text.split(",") if tok]
+        out = [kind(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise DomainError(f"cannot parse a comma list of {kind.__name__}s from {text!r}") from exc
+    if not out:
+        raise DomainError(f"empty comma list {text!r}")
+    return out
 
 
 def _floats(text: str) -> list[float]:
@@ -92,13 +95,16 @@ def _finish(report: dict, args) -> int:
 
 def _verify_convolution(args) -> dict:
     checks = []
+    ss = _ints(args.s)
+    if min(ss) < 1:
+        raise DomainError(f"--s values must be positive integers, got {args.s!r}")
     fs = sieve.FactorSieve.build(args.nmax)
-    for s in _ints(args.s):
+    for s in ss:
         d = sieve.divisor_series(Fraction(1, s), args.nmax, fs)
         acc = d
         for _ in range(s - 1):
             acc = sieve.dirichlet_convolve(acc, d, args.nmax)
-        dev = float(np.max(np.abs(acc.values[1:] - 1.0)))
+        dev = float(np.max(np.abs(acc[1:] - 1.0)))
         checks.append(_check(f"s={s} s-fold self-convolution of d_1/s is all-ones", dev, args.tol))
     return {"command": "verify convolution", "params": {"s": args.s, "nmax": args.nmax, "tol": args.tol}, "checks": checks}
 
@@ -296,6 +302,13 @@ def _verify_dft(args) -> dict:
     return {"command": "verify dft", "params": {"q": args.q, "seed": args.seed, "tol": args.tol}, "checks": checks}
 
 
+def _run_verify(target: str, args) -> int:
+    report = VERIFY_TARGETS[target](args)
+    if not report["checks"]:
+        raise DomainError(f"verify {target}: these parameters select no check")
+    return _finish(report, args)
+
+
 VERIFY_TARGETS = {
     "convolution": _verify_convolution,
     "exponents": _verify_exponents,
@@ -443,8 +456,7 @@ def cmd_contour(args) -> int:
             print(f"error: cannot write sweep table: {exc}", file=sys.stderr)
             return EXIT_IO
         print(f"wrote {args.sweep_out}")
-    sub = VERIFY_TARGETS[args.check]
-    return _finish(sub(args), args)
+    return _run_verify(args.check, args)
 
 
 def cmd_dump_coeffs(args) -> int:
@@ -469,7 +481,7 @@ def cmd_dump_coeffs(args) -> int:
         ser = sieve.shifted_series("psi", (w, z), args.s, args.nmax, fs)
     else:
         raise DomainError(f"unknown series {kind!r}")
-    vals = ser.values[1:]
+    vals = ser[1:]
     if np.iscomplexobj(vals):
         header = ["n", "re", "im"]
         rows = [[n + 1, float(v.real), float(v.imag)] for n, v in enumerate(vals)]
@@ -510,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a gated verification target")
     pv.add_argument("target", choices=sorted(VERIFY_TARGETS))
     _common_verify_args(pv)
-    pv.set_defaults(func=lambda a: _finish(VERIFY_TARGETS[a.target](a), a))
+    pv.set_defaults(func=lambda a: _run_verify(a.target, a))
 
     pm = sub.add_parser("moments", help="compute the fractional moment M_k(q)")
     _moment_args(pm)

@@ -31,6 +31,7 @@ from scipy.signal import fftconvolve
 from .errors import ConvergenceError, DomainError
 from .lvalues import zeta_values
 from .sieve import FactorSieve, ShiftVector, divisor_series, shifted_series
+from .util import trapezoid_weights
 
 # ---------------------------------------------------------------------------
 # Perron weights and the Hankel loop
@@ -57,9 +58,7 @@ def perron_weight(order: int, x: float, T: float = 4000.0, h: float = 0.05) -> f
     c = 1.0 / aL
     u = np.arange(0.0, T + h / 2, h)
     phi = (c + 1j * u / aL) ** (-order)
-    wts = np.ones(u.size)
-    wts[0] = wts[-1] = 0.5
-    integral = complex(np.sum(np.exp(1j * sgn * u) * phi * wts)) * h
+    integral = complex(np.sum(np.exp(1j * sgn * u) * phi * trapezoid_weights(u.size))) * h
     # by parts: int_T^inf e^{i sgn u} phi du = -e^{i sgn T} phi(T)/(i sgn) + smaller
     integral += -np.exp(1j * sgn * T) * phi[-1] / (1j * sgn)
     return float((math.e * integral / (math.pi * aL)).real)
@@ -84,10 +83,7 @@ def _hankel_level(alpha: float, arm: float, npu: int) -> float:
     pieces.append((sig + 1j, np.full(n1, sig[1] - sig[0], dtype=complex)))
     total = 0j
     for w, dw in pieces:
-        f = np.exp(w) * w ** (-alpha) * dw
-        f[0] *= 0.5
-        f[-1] *= 0.5
-        total += np.sum(f)
+        total += np.sum(np.exp(w) * w ** (-alpha) * dw * trapezoid_weights(w.size))
     return float((total / (2j * math.pi)).real)
 
 
@@ -162,21 +158,18 @@ def zeta_frac_power(alpha: float, s: complex) -> complex:
     return complex(np.exp(alpha * _log_zeta_walk(points)))
 
 
-def zeta_power_line(beta: float, s_grid: np.ndarray, anchor_index: Optional[int] = None) -> np.ndarray:
-    """zeta^beta along a contiguous grid of s values, branch-tracked from an
-    anchor point where zeta is (nearly) real positive."""
+def zeta_power_line(beta: float, s_grid: np.ndarray) -> np.ndarray:
+    """zeta^beta along a contiguous grid of s values, branch-tracked from the
+    midpoint, where zeta is (nearly) real positive on the symmetric grids used."""
     s_grid = np.asarray(s_grid, dtype=complex)
     zv = zeta_values(s_grid)
-    if anchor_index is None:
-        anchor_index = s_grid.size // 2
+    mid = s_grid.size // 2
     logs = np.empty(s_grid.shape, dtype=complex)
-    logs[anchor_index] = np.log(zv[anchor_index])
-    if anchor_index + 1 < s_grid.size:
-        inc = np.log(zv[anchor_index + 1 :] / zv[anchor_index : -1])
-        logs[anchor_index + 1 :] = logs[anchor_index] + np.cumsum(inc)
-    if anchor_index > 0:
-        inc = np.log(zv[: anchor_index] / zv[1 : anchor_index + 1])[::-1]
-        logs[:anchor_index] = (logs[anchor_index] + np.cumsum(inc))[::-1]
+    logs[mid] = np.log(zv[mid])
+    inc = np.log(zv[mid + 1 :] / zv[mid : -1])
+    logs[mid + 1 :] = logs[mid] + np.cumsum(inc)
+    inc = np.log(zv[: mid] / zv[1 : mid + 1])[::-1]
+    logs[:mid] = (logs[mid] + np.cumsum(inc))[::-1]
     return np.exp(beta * logs)
 
 
@@ -213,10 +206,8 @@ def _double_line_numeric(alpha: float, beta: float, y: float, T: float, h: float
     L = math.log(y)
     t = np.arange(-T, T + h / 2, h)
     n = t.size
-    phi = np.exp(1j * t) * (1 + 1j * t) ** (-alpha)
-    wts = np.ones(n)
-    wts[0] = wts[-1] = 0.5
-    conv = fftconvolve(phi * wts, phi * wts)
+    phi = np.exp(1j * t) * (1 + 1j * t) ** (-alpha) * trapezoid_weights(n)
+    conv = fftconvolve(phi, phi)
     tau = (np.arange(2 * n - 1) - (n - 1)) * h
     zb = zeta_power_line(beta, 1 + (2 + 1j * tau) / L)
     total = complex(np.sum(zb * conv)) * h * h
@@ -236,7 +227,7 @@ def paired_shift_oracle(
     N = int(math.ceil(y)) - 1 if float(y).is_integer() else int(math.floor(y))
     if sieve is None or sieve.limit < N:
         sieve = FactorSieve.build(max(N, 2))
-    d = divisor_series(beta, N, sieve).values
+    d = divisor_series(beta, N, sieve)
     if m == 1:
         n = np.arange(1, N + 1)
         w = np.log(y / n) ** (alpha - 1) / math.gamma(alpha)
@@ -388,7 +379,7 @@ def eta_stability(
         sieve = FactorSieve.build(Nmax)
     series = shifted_series("sigma", shifts, s_param, Nmax, sieve)
     n = np.arange(1, Nmax + 1)
-    weighted = series.values[1:] * np.exp(-(1 + w0) * np.log(n))
+    weighted = series[1:] * np.exp(-(1 + w0) * np.log(n))
     partial = np.cumsum(weighted)
     denom = 1 + 0j
     for w in shifts.shifts:

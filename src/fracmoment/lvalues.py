@@ -31,6 +31,7 @@ from scipy.special import loggamma
 
 from .characters import CharacterTable, dft_all_characters
 from .errors import DomainError
+from .util import trapezoid_weights
 
 # B_2, B_4, ..., B_26 as floats; 13 correction terms push the Euler-Maclaurin
 # remainder far below double precision for the |Im s| ranges used here.
@@ -144,9 +145,7 @@ def _w_line_values(x: np.ndarray, parity: int, c: float, T: float, nodes: int) -
     w = c + 1j * t
     kernel = np.exp(2 * loggamma(0.25 + (w + parity) / 2) - 2 * loggamma(0.25 + parity / 2)) / w
     h = t[1] - t[0]
-    wts = np.ones(nodes)
-    wts[0] = wts[-1] = 0.5
-    kw = kernel * wts
+    kw = kernel * trapezoid_weights(nodes)
     lx = np.log(x)
     osc = np.exp(np.outer(1j * lx, t))
     return (osc @ kw).real * (h / (2 * math.pi)) * np.exp(c * lx)

@@ -32,7 +32,7 @@ import numpy as np
 from .characters import CharacterTable, build_table, dft_all_characters, fold_residues, is_prime
 from .errors import DomainError
 from .lvalues import lvalue_table
-from .sieve import CoefficientSeries, FactorSieve, mollifier_coeffs, weighted_poly_coeffs
+from .sieve import FactorSieve, mollifier_coeffs, weighted_poly_coeffs
 from .util import parallel_map
 
 SQUARE_FLOOR = 1e-30  # |L|^2 floor before taking fractional powers
@@ -80,32 +80,31 @@ class MomentParams:
         return self.x ** (4 * self.s) <= self.q ** (1 / 20)
 
 
-def polynomial_series(params: MomentParams, sieve: FactorSieve) -> CoefficientSeries:
+def polynomial_series(params: MomentParams, sieve: FactorSieve) -> np.ndarray:
     """Coefficients of P: d_{1/2s}(n) log(x/n)/log(x) on n <= x."""
     cutoff = int(math.floor(params.x))
     return weighted_poly_coeffs(1, 2 * params.s, params.x, cutoff, sieve)
 
 
-def mollifier_series(params: MomentParams, sieve: FactorSieve) -> CoefficientSeries:
+def mollifier_series(params: MomentParams, sieve: FactorSieve) -> np.ndarray:
     """Coefficients of M: (1/2) d_{1/s}(n) mu(n) log^2(y/n)/log^2(y) on n <= y."""
     cutoff = int(math.floor(params.y))
     return mollifier_coeffs(1, params.s, params.y, cutoff, sieve)
 
 
 def evaluate_polynomial_all(
-    table: CharacterTable, coeffs: CoefficientSeries, conjugate: bool = False
+    table: CharacterTable, coeffs: np.ndarray, conjugate: bool = False
 ) -> np.ndarray:
     """sum_n c_n chi_j(n) n^{-1/2} (or with chibar_j) for every j at once.
 
     Coefficient support must stay below q so residues are distinct; the
     principal-character slot j = 0 is included in the output.
     """
-    vals = coeffs.values
-    nz = np.nonzero(vals[1:])[0]
+    nz = np.nonzero(coeffs[1:])[0]
     if nz.size and nz[-1] + 1 >= table.q:
         raise DomainError(f"coefficient support must be < q = {table.q}")
-    n = np.arange(1, vals.size)
-    weighted = vals[1:] / np.sqrt(n)
+    n = np.arange(1, coeffs.size)
+    weighted = coeffs[1:] / np.sqrt(n)
     folded = fold_residues(table.q, weighted)
     out = dft_all_characters(table, folded.astype(complex))
     if conjugate:
@@ -223,7 +222,7 @@ def p4_bound_check(params: MomentParams, table: CharacterTable, sieve: FactorSie
     cutoff = int(math.floor(xpow))
     d2 = weighted_poly_coeffs(2 * params.r, 2 * params.s, params.x, cutoff, sieve)
     n = np.arange(1, cutoff + 1)
-    rhs = (params.q - 1) * float(np.sum(d2.values[1:] ** 2 / n))
+    rhs = (params.q - 1) * float(np.sum(d2[1:] ** 2 / n))
     return P4Report(lhs=lhs, rhs=rhs, ratio=lhs / rhs, holds=lhs <= rhs * (1 + 1e-9))
 
 

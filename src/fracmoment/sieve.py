@@ -1,17 +1,19 @@
 """Sieve-backed generation of multiplicative coefficient sequences.
 
-Everything here is dense up to a cutoff N: generalized divisor coefficients
-d_alpha(n) (the Dirichlet coefficients of zeta(s)^alpha), the Mobius function,
-log-weighted polynomial coefficients, mu-twisted mollifier coefficients with
-squared log weights, and complex-shifted convolution series.  All sequences are
-multiplicative (or built from multiplicative pieces by Dirichlet convolution),
-so a smallest-prime-factor sieve drives every generator.
+Everything here is dense up to a cutoff N, as a plain array of length N + 1
+whose slot n is the coefficient of n^{-s} (slot 0 is 0): generalized divisor
+coefficients d_alpha(n) (the Dirichlet coefficients of zeta(s)^alpha), the
+Mobius function, log-weighted polynomial coefficients, mu-twisted mollifier
+coefficients with squared log weights, and complex-shifted convolution series.
+The multiplicative sequences come from one generator fed their Euler factors
+f(p^e) over a smallest-prime-factor sieve; the rest are Dirichlet convolutions
+of such pieces.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -48,8 +50,7 @@ class FactorSieve:
                 block[block == 0] = p
         untouched = spf == 0
         spf[untouched] = np.arange(limit + 1, dtype=np.int64)[untouched]
-        if limit >= 1:
-            spf[1] = 1
+        spf[1] = 1
         spf.setflags(write=False)
         return cls(limit=limit, spf=spf)
 
@@ -67,26 +68,6 @@ class FactorSieve:
                 e += 1
             out.append((p, e))
         return out
-
-
-@dataclass
-class CoefficientSeries:
-    """Dense real or complex Dirichlet-series coefficients for 1 <= n <= cutoff.
-
-    values has length cutoff + 1 with values[0] unused (kept at 0) so that
-    values[n] is the coefficient of n^{-s}.  label and params identify which
-    sequence this is; they are advisory metadata, not used in arithmetic.
-    """
-
-    label: str
-    cutoff: int
-    values: np.ndarray
-    params: dict = field(default_factory=dict)
-
-    def value(self, n: int) -> complex:
-        if n < 1 or n > self.cutoff:
-            raise DomainError(f"series index must be in [1, {self.cutoff}], got {n}")
-        return self.values[n]
 
 
 @dataclass(frozen=True)
@@ -136,68 +117,89 @@ def divisor_coeff(alpha, n: int, sieve: FactorSieve) -> float:
     return float(acc)
 
 
-def divisor_series(alpha, cutoff: int, sieve: FactorSieve) -> CoefficientSeries:
-    """Dense d_alpha(n) for n <= cutoff via the smallest-prime-factor recursion."""
+def _multiplicative(local, cutoff: int, sieve: FactorSieve, dtype=float) -> np.ndarray:
+    """Dense f(n), n <= cutoff, of the multiplicative f with f(p^e) = local(p, e).
+
+    local(p, e) takes an int array of primes and one exponent e >= 1.  With
+    p = spf(n) and p^e || n, f(n) = f(p^e) f(n/p^e): prime powers come straight
+    from local, every other n in layers by its number of distinct prime
+    factors.  Slot 0 is 0.
+    """
     if cutoff > sieve.limit:
         raise DomainError(f"cutoff {cutoff} exceeds sieve limit {sieve.limit}")
-    a = float(alpha)
-    d = np.zeros(cutoff + 1)
-    if cutoff >= 1:
-        d[1] = 1.0
-    cnt = np.zeros(cutoff + 1, dtype=np.int32)
-    spf = sieve.spf
-    for n in range(2, cutoff + 1):
-        p = spf[n]
-        m = n // p
-        e = cnt[m] + 1 if m % p == 0 else 1
-        cnt[n] = e
-        # d(p^e)/d(p^{e-1}) = (alpha+e-1)/e, rest of n unchanged
-        d[n] = d[m] * (a + e - 1) / e
-    return CoefficientSeries("d_alpha", cutoff, d, {"alpha": alpha})
+    f = np.zeros(cutoff + 1, dtype=dtype)
+    f[1:2] = 1
+    n = np.arange(2, cutoff + 1, dtype=np.int32)
+    p = sieve.spf[2 : cutoff + 1].astype(np.int32)
+    primes = n[p == n].astype(np.int64)
+    pk, k = primes, 1
+    while pk.size:  # the prime powers p^k <= cutoff, one exponent at a time
+        f[pk] = local(primes[: pk.size], k)
+        pk = pk * primes[: pk.size]
+        pk, k = pk[pk <= cutoff], k + 1
+    pe = p.copy()  # grows to p^e || n
+    grow = np.nonzero(n // p % p == 0)[0]
+    while grow.size:
+        pe[grow] *= p[grow]
+        grow = grow[n[grow] // pe[grow] % p[grow] == 0]
+    # n = p^e m with f(p^e) = 0 stays 0; the others wait until f(m) is final
+    todo = np.nonzero(pe != n)[0]
+    todo = todo[f[pe[todo]] != 0]
+    n, pe = n[todo], pe[todo]
+    m = n // pe
+    final = np.ones(cutoff + 1, dtype=bool)
+    final[n] = False
+    while n.size:
+        ready = final[m]
+        f[n[ready]] = f[pe[ready]] * f[m[ready]]
+        final[n[ready]] = True
+        n, pe, m = n[~ready], pe[~ready], m[~ready]
+    return f
 
 
-def mobius_series(cutoff: int, sieve: FactorSieve) -> CoefficientSeries:
+def divisor_series(alpha, cutoff: int, sieve: FactorSieve) -> np.ndarray:
+    """Dense d_alpha(n) for n <= cutoff.
+
+    Each d_alpha(p^e) is rounded once from its exact value; a float alpha is
+    taken at its exact binary value.
+    """
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
+    exact = Fraction(alpha)
+    return _multiplicative(lambda p, e: float(prime_power_coeff(exact, e)), cutoff, sieve)
+
+
+def mobius_series(cutoff: int, sieve: FactorSieve) -> np.ndarray:
     """Dense Mobius function mu(n) for n <= cutoff."""
-    if cutoff > sieve.limit:
-        raise DomainError(f"cutoff {cutoff} exceeds sieve limit {sieve.limit}")
-    mu = np.zeros(cutoff + 1)
-    if cutoff >= 1:
-        mu[1] = 1.0
-    spf = sieve.spf
-    for n in range(2, cutoff + 1):
-        p = spf[n]
-        m = n // p
-        mu[n] = 0.0 if m % p == 0 else -mu[m]
-    return CoefficientSeries("mobius", cutoff, mu)
+    return _multiplicative(lambda p, e: -1.0 if e == 1 else 0.0, cutoff, sieve)
 
 
-def dirichlet_convolve(f: CoefficientSeries, g: CoefficientSeries, cutoff: int) -> CoefficientSeries:
-    """Dirichlet convolution out[n] = sum_{d|n} f[d] g[n/d] for n <= cutoff."""
-    if f.cutoff < cutoff or g.cutoff < cutoff:
-        raise DomainError(
-            f"convolution cutoff {cutoff} exceeds input cutoffs ({f.cutoff}, {g.cutoff})"
-        )
-    fv = f.values
-    gv = g.values
-    dtype = np.result_type(fv.dtype, gv.dtype)
-    out = np.zeros(cutoff + 1, dtype=dtype)
-    for d in range(1, cutoff + 1):
-        fd = fv[d]
-        if fd != 0:
-            out[d::d] += fd * gv[1 : cutoff // d + 1]
-    return CoefficientSeries(f"({f.label})*({g.label})", cutoff, out)
+def dirichlet_convolve(f: np.ndarray, g: np.ndarray, cutoff: int) -> np.ndarray:
+    """Dirichlet convolution out[n] = sum_{d|n} f[d] g[n/d] for n <= cutoff.
+
+    Hyperbola split at r = isqrt(cutoff): one slice update per d <= r, then one
+    per quotient e = r, ..., 1 for the divisors d > r, so every out[n] still
+    adds its terms in increasing d.
+    """
+    if f.size <= cutoff or g.size <= cutoff:
+        raise DomainError(f"convolution cutoff {cutoff} exceeds input cutoffs ({f.size - 1}, {g.size - 1})")
+    out = np.zeros(cutoff + 1, dtype=np.result_type(f, g))
+    r = math.isqrt(cutoff)
+    for d in range(1, r + 1):
+        out[d::d] += f[d] * g[1 : cutoff // d + 1]
+    for e in range(r, 0, -1):
+        out[(r + 1) * e :: e] += f[r + 1 : cutoff // e + 1] * g[e]
+    return out
 
 
-def _self_convolve(base: CoefficientSeries, times: int, cutoff: int) -> CoefficientSeries:
+def _self_convolve(base: np.ndarray, times: int, cutoff: int) -> np.ndarray:
     out = base
     for _ in range(times - 1):
         out = dirichlet_convolve(out, base, cutoff)
     return out
 
 
-def weighted_poly_coeffs(
-    A: int, B: int, x: float, cutoff: int, sieve: FactorSieve
-) -> CoefficientSeries:
+def weighted_poly_coeffs(A: int, B: int, x: float, cutoff: int, sieve: FactorSieve) -> np.ndarray:
     """Coefficients of the A-fold log-weighted short polynomial.
 
     out[n] = sum over ordered factorizations n_1 ... n_A = n with every
@@ -210,19 +212,13 @@ def weighted_poly_coeffs(
         raise DomainError(f"x must exceed 1, got {x}")
     support = min(cutoff, int(math.floor(x)))
     base_d = divisor_series(Fraction(1, B), max(support, 1), sieve)
-    vals = np.zeros(cutoff + 1)
+    base = np.zeros(cutoff + 1)
     n = np.arange(1, support + 1)
-    vals[1 : support + 1] = base_d.values[1 : support + 1] * (np.log(x / n) / math.log(x))
-    base = CoefficientSeries("weighted_base", cutoff, vals)
-    out = _self_convolve(base, A, cutoff)
-    out.label = "weighted"
-    out.params = {"A": A, "B": B, "x": x}
-    return out
+    base[1 : support + 1] = base_d[1 : support + 1] * (np.log(x / n) / math.log(x))
+    return _self_convolve(base, A, cutoff)
 
 
-def mollifier_coeffs(
-    A: int, B: int, y: float, cutoff: int, sieve: FactorSieve
-) -> CoefficientSeries:
+def mollifier_coeffs(A: int, B: int, y: float, cutoff: int, sieve: FactorSieve) -> np.ndarray:
     """Coefficients of the A-fold mu-twisted mollifier with squared log weights.
 
     out[n] = 2^{-A} * sum over ordered factorizations n_1 ... n_A = n with
@@ -235,25 +231,11 @@ def mollifier_coeffs(
     support = min(cutoff, int(math.floor(y)))
     base_d = divisor_series(Fraction(1, B), max(support, 1), sieve)
     mu = mobius_series(max(support, 1), sieve)
-    vals = np.zeros(cutoff + 1)
+    base = np.zeros(cutoff + 1)
     n = np.arange(1, support + 1)
     logs = np.log(y / n) / math.log(y)
-    vals[1 : support + 1] = base_d.values[1 : support + 1] * mu.values[1 : support + 1] * logs**2
-    base = CoefficientSeries("mollifier_base", cutoff, vals)
-    out = _self_convolve(base, A, cutoff)
-    out.values *= 0.5**A
-    out.label = "mollifier"
-    out.params = {"A": A, "B": B, "y": y}
-    return out
-
-
-def _shifted_factor(alpha, shift: complex, twist_mu: bool, cutoff: int, sieve: FactorSieve):
-    d = divisor_series(alpha, cutoff, sieve).values.astype(complex)
-    if twist_mu:
-        d *= mobius_series(cutoff, sieve).values
-    n = np.arange(1, cutoff + 1)
-    d[1:] *= np.exp(-complex(shift) * np.log(n))
-    return CoefficientSeries("shifted_factor", cutoff, d)
+    base[1 : support + 1] = base_d[1 : support + 1] * mu[1 : support + 1] * logs**2
+    return _self_convolve(base, A, cutoff) * 0.5**A
 
 
 def shifted_series(
@@ -262,35 +244,41 @@ def shifted_series(
     s_param: int,
     cutoff: int,
     sieve: FactorSieve,
-) -> CoefficientSeries:
+) -> np.ndarray:
     """Complex convolution series over ordered factorizations.
 
     mode "sigma": factors d_{1/2s}(n_i) n_i^{-w_i}.
     mode "rho":   factors d_{1/s}(n_i) mu(n_i) n_i^{-z_i}.
     mode "psi":   shifts is a pair (w_vec, z_vec); sigma-type factors for the
                   w shifts followed by rho-type factors for the z shifts.
+
+    Every factor is multiplicative, so the series is too: its local factor at
+    p^e is the Cauchy product in e of the factors' local factors.
     """
     if s_param < 1:
         raise DomainError("s parameter must be a positive integer")
+
+    def vector(sv):
+        return (sv if isinstance(sv, ShiftVector) else ShiftVector(tuple(sv))).shifts
+
     if mode == "psi":
         if not (isinstance(shifts, (tuple, list)) and len(shifts) == 2):
             raise DomainError("psi mode requires a pair of shift vectors")
-        wvec, zvec = (sv if isinstance(sv, ShiftVector) else ShiftVector(tuple(sv)) for sv in shifts)
-        specs = [(Fraction(1, 2 * s_param), w, False) for w in wvec.shifts]
-        specs += [(Fraction(1, s_param), z, True) for z in zvec.shifts]
+        ws, zs = (vector(sv) for sv in shifts)
     elif mode in ("sigma", "rho"):
-        vec = shifts if isinstance(shifts, ShiftVector) else ShiftVector(tuple(shifts))
-        if mode == "sigma":
-            specs = [(Fraction(1, 2 * s_param), w, False) for w in vec.shifts]
-        else:
-            specs = [(Fraction(1, s_param), z, True) for z in vec.shifts]
+        ws, zs = (vector(shifts), ()) if mode == "sigma" else ((), vector(shifts))
     else:
         raise DomainError(f"unknown shifted-series mode {mode!r}")
+    specs = [(Fraction(1, 2 * s_param), w, False) for w in ws] + [(Fraction(1, s_param), z, True) for z in zs]
 
-    alpha0, shift0, twist0 = specs[0]
-    out = _shifted_factor(alpha0, shift0, twist0, cutoff, sieve)
-    for alpha, shift, twist in specs[1:]:
-        out = dirichlet_convolve(out, _shifted_factor(alpha, shift, twist, cutoff, sieve), cutoff)
-    out.label = mode
-    out.params = {"s": s_param, "shifts": shifts}
-    return out
+    def local(p, e):
+        logp = np.log(p)
+        acc = [np.ones(p.size, dtype=complex)] + [0] * e  # coefficients of p^0 .. p^e
+        for alpha, shift, twist in specs:
+            coef = [float(prime_power_coeff(alpha, j)) for j in range(e + 1)]
+            coef = [1.0, -coef[1]] + [0.0] * (e - 1) if twist else coef  # times mu(p^j) = 1, -1, 0, ...
+            fac = [c * np.exp(-complex(shift) * j * logp) for j, c in enumerate(coef)]
+            acc = [sum(acc[i] * fac[j - i] for i in range(j + 1)) for j in range(e + 1)]
+        return acc[e]
+
+    return _multiplicative(local, cutoff, sieve, complex)

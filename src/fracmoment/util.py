@@ -1,4 +1,5 @@
-"""Small shared helpers: worker-count resolution and an order-preserving map."""
+"""Small shared helpers: trapezoid end weights, worker-count resolution and an
+order-preserving map."""
 
 from __future__ import annotations
 
@@ -6,8 +7,17 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+def trapezoid_weights(n: int) -> np.ndarray:
+    """Trapezoid-rule weights over n equally spaced nodes, in units of the step."""
+    wts = np.ones(n)
+    wts[0] = wts[-1] = 0.5
+    return wts
 
 
 def worker_count() -> int:

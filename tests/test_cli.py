@@ -183,6 +183,14 @@ class TestExitCodes:
         ["dump-coeffs", "--series", "sigma", "--shifts", "abc"],
         ["dump-coeffs", "--series", "dalpha", "--nmax", "0"],
         ["dump-coeffs", "--series", "dalpha", "--nmax", "-5"],
+        ["verify", "convolution", "--s", "0"],
+        ["verify", "convolution", "--s", "-1"],
+        ["verify", "eta", "--s", ","],
+        ["verify", "smoothed", "--primes", ","],
+        ["verify", "hankel", "--alphas", ","],
+        ["verify", "pairshift", "--sweep", ","],
+        ["survey", "--primes", ","],
+        ["verify", "afe", "--qmin", "5", "--qmax", "4"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2

@@ -162,7 +162,7 @@ class TestQuarterPower:
 
     def test_oracle_summands_nonnegative(self, sieve10k):
         d = divisor_series(0.25, 1000, sieve10k)
-        assert np.all(d.values[1:] >= 0)
+        assert np.all(d[1:] >= 0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

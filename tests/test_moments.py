@@ -21,7 +21,7 @@ from fracmoment.moments import (
     s_upper,
     scaling_survey,
 )
-from fracmoment.sieve import CoefficientSeries, FactorSieve
+from fracmoment.sieve import FactorSieve
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ class TestMomentParams:
 class TestEvaluatePolynomial:
     def test_delta_one_gives_all_ones(self):
         t = table_for(101)
-        coeffs = CoefficientSeries("delta", 1, np.array([0.0, 1.0]))
+        coeffs = np.array([0.0, 1.0])
         out = evaluate_polynomial_all(t, coeffs)
         np.testing.assert_allclose(out, np.ones(100), atol=1e-12)
 
@@ -61,7 +61,7 @@ class TestEvaluatePolynomial:
         coeffs = weighted_poly_coeffs(1, 2, 10.0, 10, fs)
         out = evaluate_polynomial_all(t, coeffs)
         direct = sum(
-            coeffs.values[n] / math.sqrt(n) for n in range(1, 11)
+            coeffs[n] / math.sqrt(n) for n in range(1, 11)
         )
         assert out[0].real == pytest.approx(direct, rel=1e-12)
         assert abs(out[0].imag) < 1e-12
@@ -69,8 +69,7 @@ class TestEvaluatePolynomial:
 
     def test_conjugate_flag_reindexes(self, fs, rng):
         t = table_for(101)
-        vals = np.concatenate([[0.0], rng.standard_normal(50)])
-        coeffs = CoefficientSeries("random", 50, vals)
+        coeffs = np.concatenate([[0.0], rng.standard_normal(50)])
         out = evaluate_polynomial_all(t, coeffs)
         outc = evaluate_polynomial_all(t, coeffs, conjugate=True)
         np.testing.assert_allclose(outc, np.conj(out), atol=1e-12)
@@ -81,7 +80,7 @@ class TestEvaluatePolynomial:
         vals = np.zeros(8)
         vals[7] = 1.0
         with pytest.raises(DomainError):
-            evaluate_polynomial_all(t, CoefficientSeries("bad", 7, vals))
+            evaluate_polynomial_all(t, vals)
 
 
 class TestMomentK:
@@ -124,9 +123,9 @@ def _naive_polys(table, coeffs):
     out = np.empty(table.order, dtype=complex)
     for j in range(table.order):
         out[j] = sum(
-            coeffs.values[n] * table.chi(j, n) / math.sqrt(n)
-            for n in range(1, coeffs.values.size)
-            if coeffs.values[n] != 0
+            coeffs[n] * table.chi(j, n) / math.sqrt(n)
+            for n in range(1, coeffs.size)
+            if coeffs[n] != 0
         )
     return out
 

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmoment.errors import DomainError
 from fracmoment.sieve import (
-    CoefficientSeries,
     ShiftVector,
     dirichlet_convolve,
     divisor_coeff,
     divisor_series,
+    mobius_series,
     mollifier_coeffs,
     shifted_series,
     weighted_poly_coeffs,
@@ -49,7 +51,7 @@ class TestDivisorCoeff:
     def test_series_matches_scalar(self, sieve10k):
         d = divisor_series(Fraction(1, 3), 500, sieve10k)
         for n in (1, 2, 8, 12, 60, 499):
-            assert d.values[n] == pytest.approx(divisor_coeff(Fraction(1, 3), n, sieve10k), abs=1e-14)
+            assert d[n] == pytest.approx(divisor_coeff(Fraction(1, 3), n, sieve10k), abs=1e-14)
 
     def test_multiplicativity(self, sieve10k, rng):
         d = divisor_series(Fraction(1, 2), 10**4, sieve10k)
@@ -60,7 +62,7 @@ class TestDivisorCoeff:
             if math.gcd(m, n) != 1:
                 continue
             pairs += 1
-            assert d.values[m * n] == pytest.approx(d.values[m] * d.values[n], rel=1e-12)
+            assert d[m * n] == pytest.approx(d[m] * d[n], rel=1e-12)
 
 
 class TestConvolution:
@@ -68,18 +70,18 @@ class TestConvolution:
         d = divisor_series(Fraction(1, 2), 10, sieve10k)
         c = dirichlet_convolve(d, d, 10)
         # 0.375 + 0.25 + 0.375
-        assert c.values[4] == pytest.approx(1.0, abs=1e-15)
+        assert c[4] == pytest.approx(1.0, abs=1e-15)
 
     def test_identity_element(self, sieve10k, rng):
-        g = CoefficientSeries("g", 50, np.concatenate([[0.0], rng.standard_normal(50)]))
-        delta = CoefficientSeries("delta", 50, np.concatenate([[0.0, 1.0], np.zeros(49)]))
+        g = np.concatenate([[0.0], rng.standard_normal(50)])
+        delta = np.concatenate([[0.0, 1.0], np.zeros(49)])
         out = dirichlet_convolve(delta, g, 50)
-        np.testing.assert_allclose(out.values, g.values, atol=0)
+        np.testing.assert_allclose(out, g, atol=0)
 
     def test_divisor_count(self, sieve10k):
         d1 = divisor_series(1, 10, sieve10k)
         c = dirichlet_convolve(d1, d1, 10)
-        assert c.values[6] == 4.0
+        assert c[6] == 4.0
 
     def test_cutoff_mismatch(self, sieve10k):
         d = divisor_series(1, 10, sieve10k)
@@ -93,7 +95,7 @@ class TestConvolution:
         acc = d
         for _ in range(s - 1):
             acc = dirichlet_convolve(acc, d, N)
-        assert np.max(np.abs(acc.values[1:] - 1.0)) < 1e-10
+        assert np.max(np.abs(acc[1:] - 1.0)) < 1e-10
 
     @pytest.mark.parametrize("a,b", [(Fraction(1, 2), Fraction(1, 2)),
                                      (Fraction(1, 3), Fraction(2, 3)),
@@ -104,20 +106,20 @@ class TestConvolution:
         db = divisor_series(b, N, sieve10k)
         dab = divisor_series(a + b, N, sieve10k)
         conv = dirichlet_convolve(da, db, N)
-        assert np.max(np.abs(conv.values[1:] - dab.values[1:])) < 1e-10
+        assert np.max(np.abs(conv[1:] - dab[1:])) < 1e-10
 
 
 class TestWeightedPoly:
     def test_single_factor_log_weight(self, sieve10k):
         w = weighted_poly_coeffs(1, 1, 10.0, 20, sieve10k)
-        assert w.values[5] == pytest.approx(math.log(2) / math.log(10), rel=1e-14)
-        assert w.values[11] == 0.0
-        assert w.values[1] == 1.0
+        assert w[5] == pytest.approx(math.log(2) / math.log(10), rel=1e-14)
+        assert w[11] == 0.0
+        assert w[1] == 1.0
 
     def test_two_factor_enumeration(self, sieve10k):
         # decompositions of 2 as (1,2) and (2,1), each d_{1/2}(2) * log(4/2)/log 4
         w = weighted_poly_coeffs(2, 2, 4.0, 8, sieve10k)
-        assert w.values[2] == pytest.approx(0.5, rel=1e-14)
+        assert w[2] == pytest.approx(0.5, rel=1e-14)
 
     def test_x_at_most_one_rejected(self, sieve10k):
         with pytest.raises(DomainError):
@@ -132,11 +134,11 @@ class TestWeightedPoly:
         acc = d
         for _ in range(A - 1):
             acc = dirichlet_convolve(acc, d, n)
-        limit = acc.values[n]
+        limit = acc[n]
         rel = {}
         for exp in (10, 20, 40):
             w = weighted_poly_coeffs(A, B, float(n) ** exp, n, sieve10k)
-            rel[exp] = abs(w.values[n] / limit - 1.0)
+            rel[exp] = abs(w[n] / limit - 1.0)
         assert rel[10] > rel[20] > rel[40]
         for exp in (10, 20, 40):
             assert rel[exp] == pytest.approx(1.0 / exp, rel=0.1)
@@ -145,25 +147,25 @@ class TestWeightedPoly:
         # n = 2 keeps x = 2^900 within float range, deep enough for 1e-3
         d = divisor_series(Fraction(1, 2), 2, sieve10k)
         w = weighted_poly_coeffs(1, 2, 2.0**900, 2, sieve10k)
-        assert w.values[2] == pytest.approx(d.values[2], rel=2e-3)
+        assert w[2] == pytest.approx(d[2], rel=2e-3)
 
 
 class TestMollifier:
     def test_prefactor_at_one(self, sieve10k):
         m = mollifier_coeffs(1, 1, 10.0, 10, sieve10k)
-        assert m.values[1] == 0.5
+        assert m[1] == 0.5
         m2 = mollifier_coeffs(2, 1, 10.0, 10, sieve10k)
-        assert m2.values[1] == 0.25
+        assert m2[1] == 0.25
 
     def test_direct_formula_value(self, sieve10k):
         m = mollifier_coeffs(1, 2, 10.0, 10, sieve10k)
         want = 0.5 * 0.5 * (-1.0) * (math.log(5) / math.log(10)) ** 2
-        assert m.values[2] == pytest.approx(want, rel=1e-14)
+        assert m[2] == pytest.approx(want, rel=1e-14)
         assert want == pytest.approx(-0.12213976674037352, rel=1e-12)
 
     def test_square_factor_killed_by_mu(self, sieve10k):
         m = mollifier_coeffs(1, 1, 10.0, 10, sieve10k)
-        assert m.values[4] == 0.0
+        assert m[4] == 0.0
 
     def test_y_at_most_one_rejected(self, sieve10k):
         with pytest.raises(DomainError):
@@ -174,28 +176,28 @@ class TestShiftedSeries:
     def test_sigma_zero_shift_is_plain(self, sieve10k):
         s = shifted_series("sigma", ShiftVector((0.0,)), 1, 50, sieve10k)
         d = divisor_series(Fraction(1, 2), 50, sieve10k)
-        np.testing.assert_allclose(s.values, d.values.astype(complex), atol=0)
-        assert s.values[7] == 0.5
+        np.testing.assert_allclose(s, d.astype(complex), atol=0)
+        assert s[7] == 0.5
 
     def test_rho_zero_shift(self, sieve10k):
         s = shifted_series("rho", ShiftVector((0.0,)), 1, 10, sieve10k)
-        assert s.values[2] == -1.0
+        assert s[2] == -1.0
 
     def test_sigma_two_shifts(self, sieve10k):
         # two ordered factorizations 2 = 2*1 = 1*2, each d_{1/2}(2) * 2^{-1}
         s = shifted_series("sigma", ShiftVector((1.0, 1.0)), 1, 10, sieve10k)
-        assert s.values[2] == pytest.approx(0.5, rel=1e-14)
+        assert s[2] == pytest.approx(0.5, rel=1e-14)
 
     def test_zero_shift_matches_unshifted_convolution(self, sieve10k):
         s = shifted_series("sigma", ShiftVector((0.0, 0.0)), 2, 200, sieve10k)
         d = divisor_series(Fraction(1, 4), 200, sieve10k)
         conv = dirichlet_convolve(d, d, 200)
-        np.testing.assert_allclose(s.values, conv.values.astype(complex), atol=1e-14)
+        np.testing.assert_allclose(s, conv.astype(complex), atol=1e-14)
 
     def test_multiplicative(self, sieve10k):
         s = shifted_series("sigma", ShiftVector((0.25 + 0.5j, 0.1)), 2, 100, sieve10k)
         for m, n in ((2, 3), (4, 9), (5, 12)):
-            assert s.values[m * n] == pytest.approx(s.values[m] * s.values[n], rel=1e-12)
+            assert s[m * n] == pytest.approx(s[m] * s[n], rel=1e-12)
 
     def test_psi_needs_two_vectors(self, sieve10k):
         with pytest.raises(DomainError):
@@ -208,10 +210,106 @@ class TestShiftedSeries:
         sig = shifted_series("sigma", w, 1, 50, sieve10k)
         rho = shifted_series("rho", z, 1, 50, sieve10k)
         conv = dirichlet_convolve(sig, rho, 50)
-        np.testing.assert_allclose(psi.values, conv.values, atol=1e-14)
+        np.testing.assert_allclose(psi, conv, atol=1e-14)
 
     def test_empty_and_out_of_domain_shifts(self, sieve10k):
         with pytest.raises(DomainError):
             ShiftVector(())
         with pytest.raises(DomainError):
             ShiftVector((-0.25,))
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+PROPS = settings(deadline=None, max_examples=40)
+alphas = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+shift_values = st.builds(complex, st.floats(-0.18, 1.0), st.floats(-5.0, 5.0))
+
+
+def coprime_pairs(limit):
+    """Lists of coprime (m, n) with m n <= limit."""
+    pairs = st.integers(1, limit).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, limit // m)))
+    return st.lists(pairs.filter(lambda mn: math.gcd(*mn) == 1), min_size=1, max_size=20)
+
+
+def _reference_factor(alpha, shift, twist, N, sieve):
+    """One factor d_alpha(n) [mu(n)] n^{-shift}, built term by term."""
+    d = divisor_series(alpha, N, sieve).astype(complex)
+    if twist:
+        d *= mobius_series(N, sieve)
+    d[1:] *= np.exp(-complex(shift) * np.log(np.arange(1, N + 1)))
+    return d
+
+
+def _reference_shifted(mode, shifts, s, N, sieve):
+    """The shifted series as a chain of Dirichlet convolutions of its factors."""
+    if mode == "psi":
+        specs = [(Fraction(1, 2 * s), w, False) for w in shifts[0]]
+        specs += [(Fraction(1, s), z, True) for z in shifts[1]]
+    else:
+        alpha = Fraction(1, 2 * s) if mode == "sigma" else Fraction(1, s)
+        specs = [(alpha, w, mode == "rho") for w in shifts]
+    out = _reference_factor(*specs[0], N, sieve)
+    for spec in specs[1:]:
+        out = dirichlet_convolve(out, _reference_factor(*spec, N, sieve), N)
+    return out
+
+
+@st.composite
+def shifted_args(draw):
+    mode = draw(st.sampled_from(["sigma", "rho", "psi"]))
+    s = draw(st.integers(1, 3))
+    if mode == "psi":
+        k = draw(st.integers(1, 3))
+        shifts = tuple(draw(st.lists(shift_values, min_size=n, max_size=n)) for n in (k, 4 - k))
+    else:
+        shifts = draw(st.lists(shift_values, min_size=1, max_size=4))
+    return mode, shifts, s
+
+
+class TestProperties:
+    @PROPS
+    @given(alpha=alphas, ns=st.lists(st.integers(1, 10**4), min_size=1, max_size=30))
+    def test_divisor_series_matches_exact_coefficients(self, sieve10k, alpha, ns):
+        d = divisor_series(alpha, 10**4, sieve10k)
+        for n in ns:
+            assert d[n] == pytest.approx(divisor_coeff(alpha, n, sieve10k), rel=1e-14, abs=0)
+
+    @PROPS
+    @given(alpha=alphas, pairs=coprime_pairs(2000))
+    def test_divisor_and_mobius_multiplicative(self, sieve10k, alpha, pairs):
+        d = divisor_series(alpha, 2000, sieve10k)
+        mu = mobius_series(2000, sieve10k)
+        for m, n in pairs:
+            assert d[m * n] == pytest.approx(d[m] * d[n], rel=1e-14, abs=0)
+            assert mu[m * n] == mu[m] * mu[n]
+
+    @PROPS
+    @given(args=shifted_args(), pairs=coprime_pairs(2000))
+    def test_shifted_series_multiplicative(self, sieve10k, args, pairs):
+        f = shifted_series(*args, 2000, sieve10k)
+        for m, n in pairs:
+            assert abs(f[m * n] - f[m] * f[n]) <= 1e-13 * max(1.0, abs(f[m] * f[n]))
+
+    @PROPS
+    @given(args=shifted_args(), N=st.integers(1, 2000))
+    def test_shifted_series_matches_convolution_chain(self, sieve10k, args, N):
+        got = shifted_series(*args, N, sieve10k)
+        want = _reference_shifted(*args, N, sieve10k)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
+
+    @PROPS
+    @given(N=st.integers(1, 600), seed=st.integers(0, 2**32 - 1), complex_f=st.booleans())
+    def test_convolution_commutes_and_matches_divisor_loop(self, N, seed, complex_f):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(N + 1) + (1j * rng.standard_normal(N + 1) if complex_f else 0)
+        g = rng.standard_normal(N + 1)
+        f[0] = g[0] = 0
+        fg = dirichlet_convolve(f, g, N)
+        naive = np.zeros(N + 1, dtype=fg.dtype)
+        for n in range(1, N + 1):
+            naive[n] = sum(f[d] * g[n // d] for d in range(1, n + 1) if n % d == 0)
+        np.testing.assert_allclose(fg, naive, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dirichlet_convolve(g, f, N), fg, rtol=1e-12, atol=1e-12)
