@@ -28,16 +28,20 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def parse_k(text: str) -> Fraction:
-    """Rational k from an 'r/s' literal, reduced, with 0 < k <= 1."""
+def _rational(text: str, kind=float):
+    """An 'r/s' literal as an exact reduced Fraction, anything else as kind(text)."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            k = Fraction(int(num), int(den))
-        else:
-            k = Fraction(text)
+            return Fraction(int(num), int(den))
+        return kind(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse k from {text!r}") from exc
+        raise DomainError(f"cannot parse a number from {text!r}") from exc
+
+
+def parse_k(text: str) -> Fraction:
+    """Rational k from an 'r/s' literal, reduced, with 0 < k <= 1."""
+    k = _rational(text, Fraction)
     if not (0 < k <= 1):
         raise DomainError(f"k must lie in (0, 1], got {k}")
     return k
@@ -70,62 +74,71 @@ def _check(name: str, value, tol=None, ok=None) -> dict:
     return entry
 
 
-def _finish(report: dict, args) -> int:
+def _write(content, fmt: str, path, what: str = "report") -> bool:
+    """Emit content to path (then say so) or to stdout; False once a write error is reported."""
+    try:
+        text = emit(content, fmt, path)
+    except OSError as exc:
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    if path:
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(text)
+    return True
+
+
+def _finish(report: dict, out) -> int:
     checks = report.get("checks", [])
     passed = all(c.get("pass", True) for c in checks)
     report["pass"] = passed
-    try:
-        text = emit(report, "json", args.out)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
+    if not _write(report, "json", out):
         return EXIT_IO
-    if not args.out:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {args.out}")
     for c in checks:
         print(f"[{'PASS' if c.get('pass', True) else 'FAIL'}] {c['name']}")
     return EXIT_PASS if passed else EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
-# verify targets
+# verify targets: each takes its flags as keywords and returns the report
+# fields that follow "command" and "params"
 # ---------------------------------------------------------------------------
 
 
-def _verify_convolution(args) -> dict:
+def _verify_convolution(s, nmax, tol) -> dict:
     checks = []
-    ss = _ints(args.s)
+    ss = _ints(s)
     if min(ss) < 1:
-        raise DomainError(f"--s values must be positive integers, got {args.s!r}")
-    fs = sieve.FactorSieve.build(args.nmax)
-    for s in ss:
-        d = sieve.divisor_series(Fraction(1, s), args.nmax, fs)
+        raise DomainError(f"--s values must be positive integers, got {s!r}")
+    fs = sieve.FactorSieve.build(nmax)
+    for si in ss:
+        d = sieve.divisor_series(Fraction(1, si), nmax, fs)
         acc = d
-        for _ in range(s - 1):
-            acc = sieve.dirichlet_convolve(acc, d, args.nmax)
+        for _ in range(si - 1):
+            acc = sieve.dirichlet_convolve(acc, d, nmax)
         dev = float(np.max(np.abs(acc[1:] - 1.0)))
-        checks.append(_check(f"s={s} s-fold self-convolution of d_1/s is all-ones", dev, args.tol))
-    return {"command": "verify convolution", "params": {"s": args.s, "nmax": args.nmax, "tol": args.tol}, "checks": checks}
+        checks.append(_check(f"s={si} s-fold self-convolution of d_1/s is all-ones", dev, tol))
+    return {"checks": checks}
 
 
-def _verify_exponents(args) -> dict:
-    rng = np.random.default_rng(args.seed)
+def _verify_exponents(trials, seed) -> dict:
+    rng = np.random.default_rng(seed)
     checks = []
-    for _ in range(args.trials):
+    for _ in range(trials):
         s = int(rng.integers(2, 60))
         r = int(rng.integers(1, s))
         e1, e2, e3 = moments.holder_exponents(Fraction(r, s))
         total = e1 + e2 + e3
         checks.append(_check(f"exponent identity at k={r}/{s}", 0 if total == 1 else 1, ok=total == 1))
-    return {"command": "verify exponents", "params": {"trials": args.trials, "seed": args.seed}, "checks": checks}
+    return {"checks": checks}
 
 
-def _verify_orthogonality(args) -> dict:
-    checks = []
+def _verify_orthogonality(qmax, tol) -> dict:
+    if qmax < 3:
+        raise DomainError(f"--qmax must be at least 3, the smallest odd prime; got {qmax}")
     worst_full = 0.0
     worst_parity = 0.0
-    for q in range(3, args.qmax + 1):
+    for q in range(3, qmax + 1):
         if not characters.is_prime(q):
             continue
         table = characters.build_table(q)
@@ -137,28 +150,29 @@ def _verify_orthogonality(args) -> dict:
                 got_p = characters.parity_restricted_sum(table, parity, a)
                 want_p = characters.parity_sum_expected(q, parity, a)
                 worst_parity = max(worst_parity, abs(got_p - want_p))
-    checks.append(_check(f"full-group orthogonality, primes q <= {args.qmax}", worst_full, args.tol))
-    checks.append(_check(f"even/odd primitive case table, primes q <= {args.qmax}", worst_parity, args.tol))
-    return {"command": "verify orthogonality", "params": {"qmax": args.qmax, "tol": args.tol}, "checks": checks}
+    return {"checks": [
+        _check(f"full-group orthogonality, primes q <= {qmax}", worst_full, tol),
+        _check(f"even/odd primitive case table, primes q <= {qmax}", worst_parity, tol),
+    ]}
 
 
-def _verify_afe(args) -> dict:
+def _verify_afe(qmin, qmax, tol) -> dict:
     checks = []
-    for q in range(max(args.qmin, 5), args.qmax + 1):
+    for q in range(max(qmin, 5), qmax + 1):
         if not characters.is_prime(q):
             continue
         table = characters.build_table(q)
         sq = np.abs(lvalues.oracle_values(table)) ** 2
         afe = lvalues.afe_squares(table)
         dev = float(np.max(np.abs(afe[1:] - sq[1:])))
-        checks.append(_check(f"q={q} AFE vs oracle squares", dev, args.tol))
-    return {"command": "verify afe", "params": {"qmin": args.qmin, "qmax": args.qmax, "tol": args.tol}, "checks": checks}
+        checks.append(_check(f"q={q} AFE vs oracle squares", dev, tol))
+    return {"checks": checks}
 
 
-def _verify_smoothed(args) -> dict:
+def _verify_smoothed(primes) -> dict:
     checks = []
     maxima = {}
-    for q in _ints(args.primes):
+    for q in _ints(primes):
         table = characters.build_table(q)
         d = np.abs(lvalues.smoothed_values(table)[1:] - lvalues.oracle_values(table)[1:])
         bound = 10.0 * q ** (-0.125) * math.log(q)
@@ -173,157 +187,173 @@ def _verify_smoothed(args) -> dict:
                 ok=maxima[qs[-1]] < maxima[qs[0]],
             )
         )
-    return {"command": "verify smoothed", "params": {"primes": args.primes}, "checks": checks}
+    return {"checks": checks}
 
 
-def _verify_diagonal(args) -> dict:
-    rng = np.random.default_rng(args.seed)
+def _verify_diagonal(primes, pairs, seed, tol) -> dict:
+    if pairs < 1:
+        raise DomainError(f"--pairs must be at least 1, got {pairs}")
+    rng = np.random.default_rng(seed)
     checks = []
-    for q in _ints(args.primes):
+    for q in _ints(primes):
         table = characters.build_table(q)
         worst = 0.0
-        for _ in range(args.pairs):
+        for _ in range(pairs):
             c = rng.standard_normal(q - 1)
             e = rng.standard_normal(q - 1)
             rep = characters.diagonal_decomposition_check(table, c, e)
             worst = max(worst, rep.diff / rep.scale)
-        checks.append(_check(f"q={q} diagonal decomposition over {args.pairs} random pairs", worst, args.tol))
-    return {
-        "command": "verify diagonal",
-        "params": {"primes": args.primes, "pairs": args.pairs, "seed": args.seed, "tol": args.tol},
-        "checks": checks,
-    }
+        checks.append(_check(f"q={q} diagonal decomposition over {pairs} random pairs", worst, tol))
+    return {"checks": checks}
 
 
-def _verify_perron(args) -> dict:
+def _verify_perron(tol) -> dict:
     checks = []
     for order in (2, 3):
         for x in (2.0, math.e, 10.0, 100.0):
             got = contours.perron_weight(order, x)
             want = contours.perron_weight_closed_form(order, x)
-            checks.append(_check(f"order {order} weight at x={x:g}", abs(got - want), args.tol))
+            checks.append(_check(f"order {order} weight at x={x:g}", abs(got - want), tol))
         for x in (1 / math.e, 0.5):
             got = contours.perron_weight(order, x)
-            checks.append(_check(f"order {order} vanishing at x={x:g}", abs(got), args.tol))
-    return {"command": "verify perron", "params": {"tol": args.tol}, "checks": checks}
+            checks.append(_check(f"order {order} vanishing at x={x:g}", abs(got), tol))
+    return {"checks": checks}
 
 
-def _verify_hankel(args) -> dict:
+def _verify_hankel(alphas, arm, tol) -> dict:
     checks = []
-    for alpha in _floats(args.alphas):
-        got = contours.hankel_recip_gamma(alpha, arm=args.arm)
+    for alpha in _floats(alphas):
+        got = contours.hankel_recip_gamma(alpha, arm=arm)
         want = 1.0 / math.gamma(alpha)
-        checks.append(_check(f"alpha={alpha:g} loop vs 1/Gamma", abs(got - want), args.tol + math.exp(-args.arm)))
-    return {"command": "verify hankel", "params": {"alphas": args.alphas, "arm": args.arm, "tol": args.tol}, "checks": checks}
+        checks.append(_check(f"alpha={alpha:g} loop vs 1/Gamma", abs(got - want), tol + math.exp(-arm)))
+    return {"checks": checks}
 
 
-def _verify_zetapow(args) -> dict:
+def _verify_zetapow(tol) -> dict:
     checks = []
     for a, b in ((0.5, 0.5), (1 / 3, 2 / 3), (0.25, 0.25)):
         for s in (2.0, 1.1, 1 + 0.01j):
             lhs = contours.zeta_frac_power(a, s) * contours.zeta_frac_power(b, s)
             rhs = contours.zeta_frac_power(a + b, s)
-            checks.append(_check(f"zeta^{a:g} * zeta^{b:g} = zeta^{a+b:g} at s={s}", abs(lhs - rhs), args.tol))
+            checks.append(_check(f"zeta^{a:g} * zeta^{b:g} = zeta^{a+b:g} at s={s}", abs(lhs - rhs), tol))
     z = 1e-3
     val = contours.zeta_frac_power(0.25, 1 + z)
     checks.append(
         _check("zeta^1/4(1+z) ~ z^-1/4 near the pole", abs(val * z**0.25 - 1), 1e-2)
     )
-    return {"command": "verify zetapow", "params": {"tol": args.tol}, "checks": checks}
+    return {"checks": checks}
 
 
-def _verify_pairshift(args) -> dict:
+def _verify_pairshift(m, alpha, beta, y, sweep, tol) -> dict:
     checks = []
-    ys = _floats(args.sweep)
-    rep = contours.paired_shift_check(args.m, args.alpha, args.beta, args.y)
+    ys = _floats(sweep)
+    rep = contours.paired_shift_check(m, alpha, beta, y)
     if rep.numeric is not None:
-        checks.append(_check(f"numeric vs oracle at y={args.y:g}", rep.rel_err, args.tol))
-    sweep = contours.paired_shift_ratio_sweep(args.m, args.alpha, args.beta, ys)
-    ratios = [row[2] for row in sweep]
+        checks.append(_check(f"numeric vs oracle at y={y:g}", rep.rel_err, tol))
+    rows = contours.paired_shift_ratio_sweep(m, alpha, beta, ys)
+    ratios = [row[2] for row in rows]
     band = max(ratios) / min(ratios) if ratios else 1.0
     checks.append(_check("oracle ratio stays in a factor-3 band over the sweep", band, 3.0))
     return {
-        "command": "verify pairshift",
-        "params": {"m": args.m, "alpha": args.alpha, "beta": args.beta, "y": args.y, "sweep": args.sweep, "tol": args.tol},
         "gamma": rep.gamma,
         "numeric": rep.numeric,
         "oracle": rep.oracle,
-        "sweep_rows": [{"y": r[0], "oracle": r[1], "ratio": r[2]} for r in sweep],
+        "sweep_rows": [{"y": r[0], "oracle": r[1], "ratio": r[2]} for r in rows],
         "checks": checks,
     }
 
 
-def _verify_quarter(args) -> dict:
+def _verify_quarter(y, sweep, tol) -> dict:
     checks = []
-    ys = _floats(args.sweep)
-    rep = contours.quarter_power_final_check(args.y)
-    checks.append(_check(f"numeric vs oracle at y={args.y:g}", rep.rel_err, args.tol))
-    sweep = contours.paired_shift_ratio_sweep(1, 2.5, 0.25, ys)
-    ratios = [row[2] for row in sweep]
-    checks.append(_check("oracle positive over sweep", min(r[1] for r in sweep), ok=min(r[1] for r in sweep) > 0))
+    ys = _floats(sweep)
+    rep = contours.quarter_power_final_check(y)
+    checks.append(_check(f"numeric vs oracle at y={y:g}", rep.rel_err, tol))
+    rows = contours.paired_shift_ratio_sweep(1, 2.5, 0.25, ys)
+    ratios = [row[2] for row in rows]
+    checks.append(_check("oracle positive over sweep", min(r[1] for r in rows), ok=min(r[1] for r in rows) > 0))
     band = max(ratios) / min(ratios) if ratios else 1.0
     checks.append(_check("ratio to (log y)^13/4 in a factor-3 band", band, 3.0))
     return {
-        "command": "verify quarter",
-        "params": {"y": args.y, "sweep": args.sweep, "tol": args.tol},
         "numeric": rep.numeric,
         "oracle": rep.oracle,
-        "sweep_rows": [{"y": r[0], "oracle": r[1], "ratio": r[2]} for r in sweep],
+        "sweep_rows": [{"y": r[0], "oracle": r[1], "ratio": r[2]} for r in rows],
         "checks": checks,
     }
 
 
-def _verify_eta(args) -> dict:
-    s_param = _ints(args.s)[0]  # --s is a comma list for other targets
-    shifts = sieve.ShiftVector(tuple(complex(v) for v in _floats(args.shifts)))
-    rep = contours.eta_stability(s_param, complex(args.w0), shifts, _ints(args.levels))
-    checks = [_check("drift between successive cutoffs", rep.drift, args.tol)]
+def _verify_eta(s, w0, shifts, levels, tol) -> dict:
+    s_param = _ints(s)[0]
+    shift_vec = sieve.ShiftVector(tuple(complex(v) for v in _floats(shifts)))
+    rep = contours.eta_stability(s_param, complex(w0), shift_vec, _ints(levels))
     return {
-        "command": "verify eta",
-        "params": {"s": s_param, "w0": args.w0, "shifts": args.shifts, "levels": args.levels, "tol": args.tol},
+        # echoes the parsed s, not the flag text
+        "params": {"s": s_param, "w0": w0, "shifts": shifts, "levels": levels, "tol": tol},
         "estimates": [complex(e) for e in rep.estimates],
-        "checks": checks,
+        "checks": [_check("drift between successive cutoffs", rep.drift, tol)],
     }
 
 
-def _verify_dft(args) -> dict:
-    rng = np.random.default_rng(args.seed)
-    table = characters.build_table(args.q)
-    coeffs = rng.standard_normal(args.q - 1) + 1j * rng.standard_normal(args.q - 1)
+def _verify_dft(q, seed, tol) -> dict:
+    rng = np.random.default_rng(seed)
+    table = characters.build_table(q)
+    coeffs = rng.standard_normal(q - 1) + 1j * rng.standard_normal(q - 1)
     fast = characters.dft_all_characters(table, coeffs)
     naive = characters.naive_character_sums(table, coeffs)
     dev = float(np.max(np.abs(fast - naive)))
     back = characters.inverse_dft_all_characters(table, fast)
     rt = float(np.max(np.abs(back - coeffs)))
-    checks = [
-        _check(f"q={args.q} DFT vs naive", dev, args.tol),
+    return {"checks": [
+        _check(f"q={q} DFT vs naive", dev, tol),
         _check("DFT round trip", rt, 1e-9),
-    ]
-    return {"command": "verify dft", "params": {"q": args.q, "seed": args.seed, "tol": args.tol}, "checks": checks}
+    ]}
+
+
+_SEED = 20240901
+_SWEEP = "1e3,1e4,1e5,1e6"
+
+# The check registry: target -> (function, {flag: default} for every flag the
+# function reads, "tol" included when it gates on one).  The parser registers
+# exactly these flags, typed by their defaults, for `verify TARGET` and
+# `contour --check TARGET`; verify_report fills in the defaults.
+VERIFY_TARGETS = {
+    "convolution": (_verify_convolution, {"s": "2,3,5", "nmax": 10000, "tol": 1e-10}),
+    "exponents": (_verify_exponents, {"trials": 10, "seed": _SEED}),
+    "orthogonality": (_verify_orthogonality, {"qmax": 101, "tol": 1e-9}),
+    "afe": (_verify_afe, {"qmin": 5, "qmax": 101, "tol": 1e-6}),
+    "smoothed": (_verify_smoothed, {"primes": "101,1009,10007"}),
+    "diagonal": (_verify_diagonal, {"primes": "101,1009,10007", "pairs": 20, "seed": _SEED, "tol": 1e-8}),
+    "perron": (_verify_perron, {"tol": 1e-6}),
+    "hankel": (_verify_hankel, {"alphas": "1,2,2.25,2.5", "arm": 25.0, "tol": 1e-5}),
+    "zetapow": (_verify_zetapow, {"tol": 1e-9}),
+    "pairshift": (_verify_pairshift, {"m": 1, "alpha": 3.0, "beta": 1.0, "y": 1e4, "sweep": _SWEEP, "tol": 1e-3}),
+    "quarter": (_verify_quarter, {"y": 1e4, "sweep": _SWEEP, "tol": 1e-2}),
+    "eta": (_verify_eta, {"s": "2", "w0": 0.5, "shifts": "0.3", "levels": "100000,1000000", "tol": 1e-3}),
+    "dft": (_verify_dft, {"q": 10007, "seed": _SEED, "tol": 1e-8}),
+}
+
+
+def verify_report(target: str, **params) -> dict:
+    """Run one verify target on its registry defaults overridden by params.
+
+    Returns the report: command, echoed params (which a target may replace,
+    as eta does), the target's own fields and its checks.  Raises
+    DomainError for a tol that is not finite and positive, or for
+    parameters that select no check.
+    """
+    func, defaults = VERIFY_TARGETS[target]
+    kw = {**defaults, **params}
+    if "tol" in kw and not (math.isfinite(kw["tol"]) and kw["tol"] > 0):
+        raise DomainError(f"--tol must be finite and positive, got {kw['tol']}")
+    report = {"command": f"verify {target}", "params": kw, **func(**kw)}
+    if not report["checks"]:
+        raise DomainError(f"verify {target}: these parameters select no check")
+    return report
 
 
 def _run_verify(target: str, args) -> int:
-    report = VERIFY_TARGETS[target](args)
-    if not report["checks"]:
-        raise DomainError(f"verify {target}: these parameters select no check")
-    return _finish(report, args)
-
-
-VERIFY_TARGETS = {
-    "convolution": _verify_convolution,
-    "exponents": _verify_exponents,
-    "orthogonality": _verify_orthogonality,
-    "afe": _verify_afe,
-    "smoothed": _verify_smoothed,
-    "diagonal": _verify_diagonal,
-    "perron": _verify_perron,
-    "hankel": _verify_hankel,
-    "zetapow": _verify_zetapow,
-    "pairshift": _verify_pairshift,
-    "quarter": _verify_quarter,
-    "eta": _verify_eta,
-    "dft": _verify_dft,
-}
+    _, flags = VERIFY_TARGETS[target]
+    params = {flag: getattr(args, flag) for flag in flags}
+    return _finish(verify_report(target, **params), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +372,8 @@ def cmd_moments(args) -> int:
     params = _params_from_args(args)
     table = characters.build_table(params.q)
     rep = moments.moment_k(params, table, args.method)
-    if args.lvalues_out:
-        try:
-            emit(_lvalue_rows(table, args.method), "csv", args.lvalues_out)
-        except OSError as exc:
-            print(f"error: cannot write L-value table: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"wrote {args.lvalues_out}")
+    if args.lvalues_out and not _write(_lvalue_rows(table, args.method), "csv", args.lvalues_out, "L-value table"):
+        return EXIT_IO
     report = {
         "command": "moments",
         "params": {
@@ -361,7 +386,7 @@ def cmd_moments(args) -> int:
         "regime_flag": params.regime_ok,
         "checks": [],
     }
-    return _finish(report, args)
+    return _finish(report, args.out)
 
 
 def _lvalue_rows(table, method: str):
@@ -400,40 +425,28 @@ def cmd_holder(args) -> int:
             _check("diagonal p4 bound", p4.ratio, ok=p4.holds),
         ],
     }
-    return _finish(report, args)
+    return _finish(report, args.out)
 
 
 def cmd_survey(args) -> int:
     k = parse_k(args.k)
     rows = moments.scaling_survey(k, _ints(args.primes), args.method)
-    header = ["q", "moment_over_phi", "logq_pow_k2", "ratio"]
-    table_rows = [[r.q, r.moment_over_phi, r.logq_pow_k2, r.ratio] for r in rows]
     all_ok = all(r.band_ok for r in rows)
-    try:
-        if args.format == "csv":
-            text = emit((header, table_rows), "csv", args.out)
-            if not args.out:
-                sys.stdout.write(text)
-            else:
-                print(f"wrote {args.out}")
-        else:
-            report = {
-                "command": "survey",
-                "params": {"k": k, "primes": args.primes, "method": args.method},
-                "rows": [
-                    {"q": r.q, "moment_over_phi": r.moment_over_phi,
-                     "logq_pow_k2": r.logq_pow_k2, "ratio": r.ratio, "band_ok": r.band_ok}
-                    for r in rows
-                ],
-                "pass": all_ok,
-            }
-            text = emit(report, "json", args.out)
-            if not args.out:
-                sys.stdout.write(text)
-            else:
-                print(f"wrote {args.out}")
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
+    if args.format == "csv":
+        content = (["q", "moment_over_phi", "logq_pow_k2", "ratio"],
+                   [[r.q, r.moment_over_phi, r.logq_pow_k2, r.ratio] for r in rows])
+    else:
+        content = {
+            "command": "survey",
+            "params": {"k": k, "primes": args.primes, "method": args.method},
+            "rows": [
+                {"q": r.q, "moment_over_phi": r.moment_over_phi,
+                 "logq_pow_k2": r.logq_pow_k2, "ratio": r.ratio, "band_ok": r.band_ok}
+                for r in rows
+            ],
+            "pass": all_ok,
+        }
+    if not _write(content, args.format, args.out):
         return EXIT_IO
     for r in rows:
         print(f"[{'PASS' if r.band_ok else 'FAIL'}] q={r.q} ratio={r.ratio:.4f}")
@@ -441,21 +454,16 @@ def cmd_survey(args) -> int:
 
 
 def cmd_contour(args) -> int:
-    if args.check not in ("pairshift", "quarter", "perron", "hankel"):
-        raise DomainError(f"unknown contour check {args.check!r}")
-    if args.sweep_out and args.check in ("pairshift", "quarter"):
-        alpha, beta = (args.alpha, args.beta) if args.check == "pairshift" else (2.5, 0.25)
+    sweep_out = getattr(args, "sweep_out", None)  # only pairshift and quarter have the flag
+    if sweep_out:
+        m, alpha, beta = (args.m, args.alpha, args.beta) if args.check == "pairshift" else (1, 2.5, 0.25)
         rows = []
         for y in _floats(args.sweep):
-            rep = contours.paired_shift_check(args.m, alpha, beta, y, refine=False)
+            rep = contours.paired_shift_check(m, alpha, beta, y, refine=False)
             rows.append([y, rep.numeric if rep.numeric is not None else math.nan,
                          rep.oracle, rep.ratio])
-        try:
-            emit((["y", "value", "oracle", "ratio"], rows), "csv", args.sweep_out)
-        except OSError as exc:
-            print(f"error: cannot write sweep table: {exc}", file=sys.stderr)
+        if not _write((["y", "value", "oracle", "ratio"], rows), "csv", sweep_out, "sweep table"):
             return EXIT_IO
-        print(f"wrote {args.sweep_out}")
     return _run_verify(args.check, args)
 
 
@@ -465,7 +473,7 @@ def cmd_dump_coeffs(args) -> int:
     fs = sieve.FactorSieve.build(max(args.nmax, 2))
     kind = args.series
     if kind == "dalpha":
-        ser = sieve.divisor_series(parse_alpha(args.alpha), args.nmax, fs)
+        ser = sieve.divisor_series(_rational(args.alpha), args.nmax, fs)
     elif kind == "mobius":
         ser = sieve.mobius_series(args.nmax, fs)
     elif kind == "weighted":
@@ -488,23 +496,7 @@ def cmd_dump_coeffs(args) -> int:
     else:
         header = ["n", "value"]
         rows = [[n + 1, float(v)] for n, v in enumerate(vals)]
-    try:
-        text = emit((header, rows), "csv", args.out)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if not args.out:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {args.out}")
-    return EXIT_PASS
-
-
-def parse_alpha(text: str):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return float(text)
+    return EXIT_PASS if _write((header, rows), "csv", args.out) else EXIT_IO
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a gated verification target")
-    pv.add_argument("target", choices=sorted(VERIFY_TARGETS))
-    _common_verify_args(pv)
+    targets = pv.add_subparsers(dest="target", required=True)
+    for name in sorted(VERIFY_TARGETS):
+        _target_parser(targets, name)
     pv.set_defaults(func=lambda a: _run_verify(a.target, a))
 
     pm = sub.add_parser("moments", help="compute the fractional moment M_k(q)")
@@ -541,8 +534,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_survey)
 
     pc = sub.add_parser("contour", help="run one contour computation with its oracle")
-    pc.add_argument("--check", required=True, choices=("pairshift", "quarter", "perron", "hankel"))
-    _common_verify_args(pc)
+    # `--check X` hands the rest of the line to X's own parser, as a subcommand
+    # would, so each check accepts only the flags it reads
+    checks = pc.add_argument("--check", action="parsers", required=True,
+                             prog=f"{pc.prog} --check", parser_class=argparse.ArgumentParser)
+    for name in ("pairshift", "quarter", "perron", "hankel"):
+        _target_parser(checks, name, sweep_out=True)
     pc.set_defaults(func=cmd_contour)
 
     pd = sub.add_parser("dump-coeffs", help="dump a coefficient series as CSV")
@@ -563,46 +560,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _common_verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s", default="2,3,5", help="comma list of s values (convolution)")
-    p.add_argument("--nmax", type=int, default=10000)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--qmin", type=int, default=5)
-    p.add_argument("--qmax", type=int, default=101)
-    p.add_argument("--q", type=int, default=10007)
-    p.add_argument("--primes", default="101,1009,10007")
-    p.add_argument("--pairs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=20240901)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--alphas", default="1,2,2.25,2.5")
-    p.add_argument("--arm", type=float, default=25.0)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=3.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--y", type=float, default=1e4)
-    p.add_argument("--sweep", default="1e3,1e4,1e5,1e6")
-    p.add_argument("--w0", type=float, default=0.5)
-    p.add_argument("--shifts", default="0.3")
-    p.add_argument("--levels", default="100000,1000000")
-    p.add_argument("--sweep-out", default=None, help="CSV of (y, value, oracle, ratio) sweep rows")
+def _target_parser(subparsers, name: str, sweep_out: bool = False) -> None:
+    """Register `name` with exactly the flags its registry entry lists, typed by their defaults."""
+    _, flags = VERIFY_TARGETS[name]
+    p = subparsers.add_parser(name)
+    for flag, default in flags.items():
+        p.add_argument(f"--{flag}", type=type(default), default=default)
     p.add_argument("--out", default=None)
-
-
-_DEFAULT_TOLS = {
-    "convolution": 1e-10,
-    "exponents": 0.0,
-    "orthogonality": 1e-9,
-    "afe": 1e-6,
-    "smoothed": 0.0,
-    "diagonal": 1e-8,
-    "perron": 1e-6,
-    "hankel": 1e-5,
-    "zetapow": 1e-9,
-    "pairshift": 1e-3,
-    "quarter": 1e-2,
-    "eta": 1e-3,
-    "dft": 1e-8,
-}
+    if sweep_out and "sweep" in flags:
+        p.add_argument("--sweep-out", default=None, help="CSV of (y, value, oracle, ratio) sweep rows")
 
 
 def _moment_args(p: argparse.ArgumentParser) -> None:
@@ -617,11 +583,7 @@ def _moment_args(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-        target = getattr(args, "target", getattr(args, "check", None))
-        args.tol = _DEFAULT_TOLS.get(target, 1e-9)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         code = args.func(args)

@@ -3,6 +3,13 @@
 The lines are echoed in a terminal-summary section after the run (pytest's
 fd-level capture would otherwise swallow them for passing tests); stated
 runtime budgets are asserted inside the tests.
+
+Criteria 1-4, 6-8 and the exponent half of 9 take their values from the
+checks of the matching `fracmoment verify` target (`verify_report`), so the
+gate and the CLI compute each quantity once.  Two criteria keep their own
+code: criterion 5 gates the absolute diff while `verify diagonal` gates
+diff/scale, and criterion 10 draws its accuracy and timing inputs from one
+shared rng.
 """
 
 import math
@@ -16,31 +23,13 @@ import conftest
 
 from conftest import table_for
 from fracmoment.characters import (
-    character_sum,
     dft_all_characters,
     diagonal_decomposition_check,
-    is_prime,
-    parity_sum_expected,
     naive_character_sums,
-    parity_restricted_sum,
 )
-from fracmoment.contours import (
-    hankel_recip_gamma,
-    paired_shift_check,
-    paired_shift_oracle,
-    paired_shift_ratio_sweep,
-    perron_weight,
-    perron_weight_closed_form,
-    quarter_power_final_check,
-)
-from fracmoment.lvalues import afe_squares, oracle_values, smoothed_values
-from fracmoment.moments import (
-    MomentParams,
-    holder_chain_check,
-    holder_exponents,
-    moment_sum,
-)
-from fracmoment.sieve import FactorSieve, dirichlet_convolve, divisor_series
+from fracmoment.cli import verify_report
+from fracmoment.moments import MomentParams, holder_chain_check, moment_sum
+from fracmoment.sieve import FactorSieve
 
 
 def report(line: str, ok: bool) -> None:
@@ -48,20 +37,14 @@ def report(line: str, ok: bool) -> None:
     assert ok, line
 
 
-def primes_in(lo: int, hi: int):
-    return [q for q in range(lo, hi + 1) if is_prime(q)]
+def values(target: str, **params) -> list:
+    """The check values of one verify target, in report order."""
+    return [c["value"] for c in verify_report(target, **params)["checks"]]
 
 
 def test_criterion_01_convolution_identity():
     t0 = time.perf_counter()
-    fs = FactorSieve.build(10**4)
-    worst = 0.0
-    for s in (2, 3, 5):
-        d = divisor_series(Fraction(1, s), 10**4, fs)
-        acc = d
-        for _ in range(s - 1):
-            acc = dirichlet_convolve(acc, d, 10**4)
-        worst = max(worst, float(np.max(np.abs(acc[1:] - 1.0))))
+    worst = max(values("convolution", s="2,3,5", nmax=10**4))
     elapsed = time.perf_counter() - t0
     report(
         f"criterion 1: s-fold self-convolution of d_1/s equals 1 for s in 2,3,5 "
@@ -72,15 +55,7 @@ def test_criterion_01_convolution_identity():
 
 def test_criterion_02_orthogonality_and_parity_case_tables():
     t0 = time.perf_counter()
-    worst = 0.0
-    for q in primes_in(3, 101):
-        table = table_for(q)
-        for a in range(1, q):
-            want = complex(q - 1) if a == 1 else 0j
-            worst = max(worst, abs(character_sum(table, a) - want))
-            for parity in ("even", "odd"):
-                got = parity_restricted_sum(table, parity, a)
-                worst = max(worst, abs(got - parity_sum_expected(q, parity, a)))
+    worst = max(values("orthogonality", qmax=101))
     elapsed = time.perf_counter() - t0
     report(
         f"criterion 2: orthogonality and even/odd case tables, primes q <= 101 "
@@ -91,12 +66,7 @@ def test_criterion_02_orthogonality_and_parity_case_tables():
 
 def test_criterion_03_afe_vs_oracle():
     t0 = time.perf_counter()
-    worst = 0.0
-    for q in primes_in(5, 61):
-        table = table_for(q)
-        sq = np.abs(oracle_values(table)[1:]) ** 2
-        afe = afe_squares(table)[1:]
-        worst = max(worst, float(np.max(np.abs(afe - sq))))
+    worst = max(values("afe", qmin=5, qmax=61))
     elapsed = time.perf_counter() - t0
     report(
         f"criterion 3: AFE squares vs oracle for all primes 5 <= q <= 61 "
@@ -106,15 +76,12 @@ def test_criterion_03_afe_vs_oracle():
 
 
 def test_criterion_04_smoothed_sum_bound():
-    maxima = {}
-    ok = True
-    for q in (101, 1009, 10007):
-        table = table_for(q)
-        d = np.abs(smoothed_values(table)[1:] - oracle_values(table)[1:])
-        maxima[q] = float(d.max())
-        bound = 10.0 * q ** (-0.125) * math.log(q)
-        ok = ok and maxima[q] <= bound
-    decreasing = maxima[10007] < maxima[101]
+    primes = (101, 1009, 10007)
+    checks = verify_report("smoothed", primes=",".join(map(str, primes)))["checks"]
+    # one bound check per prime, in order, then the decrease from the first to the last
+    maxima = {q: c["value"] for q, c in zip(primes, checks)}
+    ok = all(c["value"] <= c["tol"] for c in checks[: len(primes)])
+    decreasing = checks[len(primes)]["pass"]
     report(
         f"criterion 4: smoothed sums within 10 q^-1/8 log q at q=101,1009,10007 "
         f"and max discrepancy shrinks ({maxima[101]:.4f} -> {maxima[10007]:.4f})",
@@ -141,13 +108,9 @@ def test_criterion_05_diagonal_decomposition():
 
 def test_criterion_06_perron_and_hankel():
     t0 = time.perf_counter()
-    worst_p = 0.0
-    for order in (2, 3):
-        for x in (2.0, math.e, 10.0, 100.0):
-            worst_p = max(worst_p, abs(perron_weight(order, x) - perron_weight_closed_form(order, x)))
-    worst_h = 0.0
-    for alpha in (1.0, 2.0, 2.25, 2.5):
-        worst_h = max(worst_h, abs(hankel_recip_gamma(alpha) - 1.0 / math.gamma(alpha)))
+    perron = verify_report("perron")["checks"]
+    worst_p = max(c["value"] for c in perron if " weight at " in c["name"])
+    worst_h = max(values("hankel", alphas="1,2,2.25,2.5", arm=25.0))
     elapsed = time.perf_counter() - t0
     report(
         f"criterion 6: Perron weights within 1e-6 (max {worst_p:.2e}) and Hankel "
@@ -157,25 +120,24 @@ def test_criterion_06_perron_and_hankel():
 
 
 def test_criterion_07_paired_shift_integral():
-    rep = paired_shift_check(1, 3.0, 1.0, 1e4)
-    ratio6 = paired_shift_oracle(1, 3.0, 1.0, 1e6) / math.log(1e6) ** 5
+    rep = verify_report("pairshift", m=1, alpha=3.0, beta=1.0, y=1e4, sweep="1e6")
+    rel_err = rep["checks"][0]["value"]
+    ratio6 = rep["sweep_rows"][0]["ratio"]  # oracle / (log y)^5, gamma = 2*3 + 1 - 2
     report(
         f"criterion 7: paired-shift integral m=1 a=3 b=1: numeric/oracle rel err "
-        f"{rep.rel_err:.2e} < 1e-3 at y=1e4; oracle ratio {ratio6:.4f} in [0.03, 0.07] at y=1e6",
-        rep.rel_err < 1e-3 and 0.03 <= ratio6 <= 0.07,
+        f"{rel_err:.2e} < 1e-3 at y=1e4; oracle ratio {ratio6:.4f} in [0.03, 0.07] at y=1e6",
+        rel_err < 1e-3 and 0.03 <= ratio6 <= 0.07,
     )
 
 
 def test_criterion_08_quarter_power_final_integral():
-    rep = quarter_power_final_check(1e4)
-    rows = paired_shift_ratio_sweep(1, 2.5, 0.25, [1e3, 1e4, 1e5, 1e6])
-    ratios = [r[2] for r in rows]
-    positive = all(r[1] > 0 for r in rows)
-    band = max(ratios) / min(ratios)
+    # checks: rel err at y, the smallest oracle over the sweep, the ratio band
+    rel_err, min_oracle, band = values("quarter", y=1e4, sweep="1e3,1e4,1e5,1e6")
+    positive = min_oracle > 0
     report(
-        f"criterion 8: quarter-power integral rel err {rep.rel_err:.2e} < 1e-2 at y=1e4; "
+        f"criterion 8: quarter-power integral rel err {rel_err:.2e} < 1e-2 at y=1e4; "
         f"positive over sweep; ratio band {band:.3f} < 3",
-        rep.rel_err < 1e-2 and positive and band < 3.0,
+        rel_err < 1e-2 and positive and band < 3.0,
     )
 
 
@@ -188,12 +150,7 @@ def test_criterion_09_holder_chain():
         rep = holder_chain_check(params, table_for(q), fs)
         slacks[q] = rep.slack
         ok = ok and rep.slack >= -1e-9 * rep.f1 * rep.f2 * rep.f3
-    rng = np.random.default_rng(7)
-    exact = True
-    for _ in range(10):
-        s = int(rng.integers(2, 60))
-        r = int(rng.integers(1, s))
-        exact = exact and sum(holder_exponents(Fraction(r, s))) == 1
+    exact = all(c["pass"] for c in verify_report("exponents", trials=10, seed=7)["checks"])
     report(
         f"criterion 9: Holder chain slack nonnegative at q=1009 ({slacks[1009]:.3f}) and "
         f"q=10007 ({slacks[10007]:.3f}); exponent identity exact for 10 random k",

@@ -1,9 +1,17 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from fracmoment.cli import main, parse_k
+from fracmoment.cli import build_parser, main, parse_k
 from fracmoment.errors import DomainError
+
+README_EXAMPLES = [
+    shlex.split(line)[1:]
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    if line.startswith(("fracmoment verify ", "fracmoment contour "))
+]
 
 
 def run(args):
@@ -169,6 +177,19 @@ class TestExitCodes:
                     "--out", "/nonexistent-dir/report.json"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv, what", [
+        (["survey", "--primes", "101", "--out"], "report"),
+        (["survey", "--primes", "101", "--format", "json", "--out"], "report"),
+        (["dump-coeffs", "--series", "mobius", "--nmax", "10", "--out"], "report"),
+        (["moments", "--q", "101", "--lvalues-out"], "L-value table"),
+        (["contour", "--check", "quarter", "--y", "1e3", "--sweep", "1e3", "--sweep-out"], "sweep table"),
+    ])
+    def test_unwritable_output_exits_3(self, argv, what, tmp_path, capsys):
+        assert run([*argv, str(tmp_path / "missing" / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {what}: ")
+        assert "wrote" not in captured.out and "[PASS]" not in captured.out
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["no-such-command"])
@@ -191,7 +212,32 @@ class TestExitCodes:
         ["verify", "pairshift", "--sweep", ","],
         ["survey", "--primes", ","],
         ["verify", "afe", "--qmin", "5", "--qmax", "4"],
+        ["verify", "orthogonality", "--qmax", "2"],
+        ["verify", "diagonal", "--primes", "101", "--pairs", "0"],
+        ["dump-coeffs", "--series", "dalpha", "--alpha", "x"],
+        ["dump-coeffs", "--series", "dalpha", "--alpha", "1/0"],
+        ["verify", "zetapow", "--tol", "nan"],
+        ["verify", "zetapow", "--tol", "-1"],
+        ["verify", "afe", "--tol", "0"],
+        ["contour", "--check", "perron", "--tol", "inf"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "perron", "--primes", "5"],
+        ["verify", "quarter", "--sweep-out", "f.csv"],
+        ["verify", "smoothed", "--tol", "1"],
+        ["contour", "--check", "hankel", "--sweep-out", "f.csv"],
+    ])
+    def test_flag_the_target_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_readme_example_parses(argv):
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]
