@@ -22,11 +22,11 @@ from .characters import (
     parity_restricted_sum,
 )
 from .contours import (
+    QUARTER,
     eta_stability,
     hankel_recip_gamma,
     paired_shift_check,
     perron_weight,
-    quarter_power_final_check,
     zeta_frac_power,
 )
 from .errors import ConvergenceError, DomainError

@@ -244,45 +244,41 @@ def _verify_zetapow(tol) -> dict:
     return {"checks": checks}
 
 
-def _verify_pairshift(m, alpha, beta, y, sweep, tol) -> dict:
-    checks = []
-    ys = _floats(sweep)
-    rep = contours.paired_shift_check(m, alpha, beta, y)
-    if rep.numeric is not None:
-        checks.append(_check(f"numeric vs oracle at y={y:g}", rep.rel_err, tol))
-    rows = contours.paired_shift_ratio_sweep(m, alpha, beta, ys)
-    ratios = [row[2] for row in rows]
-    band = max(ratios) / min(ratios) if ratios else 1.0
-    checks.append(_check("oracle ratio stays in a factor-3 band over the sweep", band, 3.0))
-    return {
-        "gamma": rep.gamma,
+def _paired_shift(triple, y, sweep, tol):
+    """paired_shift_check at (m, alpha, beta) = triple over the sweep.
+
+    Returns the report, the fields both targets write (their checks start with
+    numeric vs oracle when there is a numeric value) and the ratio band.
+    """
+    rep = contours.paired_shift_check(*triple, y, sweep=_floats(sweep))
+    ratios = [r for _, _, r in rep.sweep_rows]
+    return rep, {
         "numeric": rep.numeric,
         "oracle": rep.oracle,
-        "sweep_rows": [{"y": r[0], "oracle": r[1], "ratio": r[2]} for r in rows],
-        "checks": checks,
-    }
+        "sweep_rows": [{"y": v, "oracle": o, "ratio": r} for v, o, r in rep.sweep_rows],
+        "checks": [] if rep.numeric is None else [_check(f"numeric vs oracle at y={y:g}", rep.rel_err, tol)],
+    }, max(ratios) / min(ratios)
+
+
+def _verify_pairshift(m, alpha, beta, y, sweep, tol) -> dict:
+    rep, fields, band = _paired_shift((m, alpha, beta), y, sweep, tol)
+    fields["checks"].append(_check("oracle ratio stays in a factor-3 band over the sweep", band, 3.0))
+    return {"gamma": rep.gamma, **fields}
 
 
 def _verify_quarter(y, sweep, tol) -> dict:
-    checks = []
-    ys = _floats(sweep)
-    rep = contours.quarter_power_final_check(y)
-    checks.append(_check(f"numeric vs oracle at y={y:g}", rep.rel_err, tol))
-    rows = contours.paired_shift_ratio_sweep(1, 2.5, 0.25, ys)
-    ratios = [row[2] for row in rows]
-    checks.append(_check("oracle positive over sweep", min(r[1] for r in rows), ok=min(r[1] for r in rows) > 0))
-    band = max(ratios) / min(ratios) if ratios else 1.0
-    checks.append(_check("ratio to (log y)^13/4 in a factor-3 band", band, 3.0))
-    return {
-        "numeric": rep.numeric,
-        "oracle": rep.oracle,
-        "sweep_rows": [{"y": r[0], "oracle": r[1], "ratio": r[2]} for r in rows],
-        "checks": checks,
-    }
+    rep, fields, band = _paired_shift(contours.QUARTER, y, sweep, tol)
+    low = min(o for _, o, _ in rep.sweep_rows)
+    fields["checks"].append(_check("oracle positive over sweep", low, ok=low > 0))
+    fields["checks"].append(_check("ratio to (log y)^13/4 in a factor-3 band", band, 3.0))
+    return fields
 
 
 def _verify_eta(s, w0, shifts, levels, tol) -> dict:
-    s_param = _ints(s)[0]
+    ss = _ints(s)
+    if len(ss) > 1:
+        raise DomainError(f"--s takes one value, got {s!r}")
+    s_param = ss[0]
     shift_vec = sieve.ShiftVector(tuple(complex(v) for v in _floats(shifts)))
     rep = contours.eta_stability(s_param, complex(w0), shift_vec, _ints(levels))
     return {
@@ -350,10 +346,9 @@ def verify_report(target: str, **params) -> dict:
     return report
 
 
-def _run_verify(target: str, args) -> int:
+def _report_from_args(target: str, args) -> dict:
     _, flags = VERIFY_TARGETS[target]
-    params = {flag: getattr(args, flag) for flag in flags}
-    return _finish(verify_report(target, **params), args.out)
+    return verify_report(target, **{flag: getattr(args, flag) for flag in flags})
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +449,16 @@ def cmd_survey(args) -> int:
 
 
 def cmd_contour(args) -> int:
+    report = _report_from_args(args.check, args)
     sweep_out = getattr(args, "sweep_out", None)  # only pairshift and quarter have the flag
     if sweep_out:
-        m, alpha, beta = (args.m, args.alpha, args.beta) if args.check == "pairshift" else (1, 2.5, 0.25)
-        rows = []
-        for y in _floats(args.sweep):
-            rep = contours.paired_shift_check(m, alpha, beta, y, refine=False)
-            rows.append([y, rep.numeric if rep.numeric is not None else math.nan,
-                         rep.oracle, rep.ratio])
+        m, alpha, beta = (args.m, args.alpha, args.beta) if args.check == "pairshift" else contours.QUARTER
+        # value: a quick look at a coarser step than the gated numeric (h = 0.01)
+        rows = [[r["y"], contours.paired_shift_numeric(alpha, beta, r["y"], h=0.02).real if m == 1 else math.nan,
+                 r["oracle"], r["ratio"]] for r in report["sweep_rows"]]
         if not _write((["y", "value", "oracle", "ratio"], rows), "csv", sweep_out, "sweep table"):
             return EXIT_IO
-    return _run_verify(args.check, args)
+    return _finish(report, args.out)
 
 
 def cmd_dump_coeffs(args) -> int:
@@ -515,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     targets = pv.add_subparsers(dest="target", required=True)
     for name in sorted(VERIFY_TARGETS):
         _target_parser(targets, name)
-    pv.set_defaults(func=lambda a: _run_verify(a.target, a))
+    pv.set_defaults(func=lambda a: _finish(_report_from_args(a.target, a), a.out))
 
     pm = sub.add_parser("moments", help="compute the fractional moment M_k(q)")
     _moment_args(pm)

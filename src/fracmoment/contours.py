@@ -22,7 +22,7 @@ decouple through one FFT convolution over t1 + t2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,6 +108,17 @@ def hankel_recip_gamma(alpha: float, arm: float = 25.0, nodes_per_unit: int = 40
 # ---------------------------------------------------------------------------
 
 
+def _step_logs(to: np.ndarray, frm: np.ndarray) -> np.ndarray:
+    """Principal log(to/frm) per step of a branch-tracked walk.  Summed step
+    logs follow the branch only while each step turns zeta well under pi, so a
+    step past pi/4 (a grid too coarse to see which way zeta wound) is refused."""
+    steps = np.log(to / frm)
+    turn = np.abs(steps.imag).max(initial=0.0)
+    if turn > math.pi / 4:
+        raise ConvergenceError(f"zeta turns by {turn:.3g} rad in one step (> pi/4): branch not tracked")
+    return steps
+
+
 def _log_zeta_walk(points: np.ndarray) -> complex:
     """log zeta tracked continuously along a contiguous point sequence,
     anchored at the principal value of the first point."""
@@ -115,8 +126,7 @@ def _log_zeta_walk(points: np.ndarray) -> complex:
     if np.any(zv == 0):
         raise DomainError("homotopy passes through a zero of zeta")
     logz = np.log(zv[0])
-    ratios = zv[1:] / zv[:-1]
-    logz += np.sum(np.log(ratios))
+    logz += np.sum(_step_logs(zv[1:], zv[:-1]))
     return complex(logz)
 
 
@@ -166,9 +176,9 @@ def zeta_power_line(beta: float, s_grid: np.ndarray) -> np.ndarray:
     mid = s_grid.size // 2
     logs = np.empty(s_grid.shape, dtype=complex)
     logs[mid] = np.log(zv[mid])
-    inc = np.log(zv[mid + 1 :] / zv[mid : -1])
+    inc = _step_logs(zv[mid + 1 :], zv[mid : -1])
     logs[mid + 1 :] = logs[mid] + np.cumsum(inc)
-    inc = np.log(zv[: mid] / zv[1 : mid + 1])[::-1]
+    inc = _step_logs(zv[: mid], zv[1 : mid + 1])[::-1]
     logs[:mid] = (logs[mid] + np.cumsum(inc))[::-1]
     return np.exp(beta * logs)
 
@@ -176,6 +186,12 @@ def zeta_power_line(beta: float, s_grid: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The paired-shift double integral and its divisor-sum oracle
 # ---------------------------------------------------------------------------
+
+
+# The quarter-power final integral as (m, alpha, beta): its oracle is
+# sum_{n<y} d_{1/4}(n)/n (log^{3/2}(y/n)/Gamma(5/2))^2 and it grows like
+# (log y)^gamma with gamma = 2*5/2 + 1/4 - 2 = 13/4.
+QUARTER = (1, 2.5, 0.25)
 
 
 @dataclass
@@ -188,16 +204,12 @@ class PairedShiftReport:
     oracle: float
     numeric: Optional[float] = None
     numeric_imag: float = 0.0
-    error_estimate: float = 0.0
     rel_err: Optional[float] = None
-
-    @property
-    def ratio(self) -> float:
-        """oracle / (log y)^gamma, the quantity the lower bound controls."""
-        return self.oracle / math.log(self.y) ** self.gamma
+    # (y, oracle, oracle/(log y)^gamma) per sweep point, the ratio the lower bound controls
+    sweep_rows: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def _double_line_numeric(alpha: float, beta: float, y: float, T: float, h: float) -> complex:
+def paired_shift_numeric(alpha: float, beta: float, y: float, T: float = 400.0, h: float = 0.01) -> complex:
     """The 2-D line integral after z = (1 + i t)/log y on both axes.
 
     The zeta factor depends only on t1 + t2, so the double sum collapses to
@@ -242,14 +254,9 @@ def paired_shift_oracle(
     f[1:] = np.log(y / u) ** (alpha - 1) / math.gamma(alpha)
     rows_a, rows_b, rows_c = [], [], []
     for a in range(1, N + 1):
-        bmax = N // a
-        if bmax < 1:
-            break
-        b = np.arange(1, bmax + 1)
-        keep = a * b <= N
-        b = b[keep]
+        b = np.arange(1, N // a + 1, dtype=np.int64)
         rows_a.append(np.full(b.size, a, dtype=np.int64))
-        rows_b.append(b.astype(np.int64))
+        rows_b.append(b)
         rows_c.append(d[a] * d[b] / (a * b) * f[a * b])
     ra = np.concatenate(rows_a)
     rb = np.concatenate(rows_b)
@@ -265,20 +272,14 @@ def paired_shift_oracle(
     return total
 
 
-def paired_shift_check(
-    m: int,
-    alpha: float,
-    beta: float,
-    y: float,
-    sieve: Optional[FactorSieve] = None,
-    T: float = 400.0,
-    h: float = 0.02,
-    refine: bool = True,
-) -> PairedShiftReport:
-    """Compare the 2m-fold contour integral with its divisor-sum oracle.
+def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Sequence[float] = (),
+                       T: float = 400.0, h: float = 0.01) -> PairedShiftReport:
+    """Compare the 2m-fold contour integral with its divisor-sum oracle at y,
+    and tabulate the oracle over the sweep.
 
-    The numeric path is run only for m = 1 (a genuine 2-D quadrature); for
-    m = 2 the 4-D grid is out of budget and the oracle alone is reported.
+    One sieve serves every oracle and each distinct y is expanded once.  The
+    numeric path is run only for m = 1 (a genuine 2-D quadrature); for m = 2
+    the 4-D grid is out of budget and the oracle alone is reported.
     gamma = 2 m alpha + m^2 beta - 2 m is the log-power the integral grows at.
     """
     if m not in (1, 2):
@@ -289,49 +290,20 @@ def paired_shift_check(
         raise DomainError("require beta > 0")
     if y <= 2:
         raise DomainError("require y > 2")
+    sweep = [float(v) for v in sweep]
+    if any(v <= 1 for v in sweep):
+        raise DomainError(f"sweep values must exceed 1, where (log y)^gamma vanishes; got {sweep}")
     gamma = 2 * m * alpha + m * m * beta - 2 * m
-    oracle = paired_shift_oracle(m, alpha, beta, y, sieve)
-    rep = PairedShiftReport(m=m, alpha=alpha, beta=beta, y=y, gamma=gamma, oracle=oracle)
+    sieve = FactorSieve.build(int(max([y, *sweep])))
+    oracle = {v: paired_shift_oracle(m, alpha, beta, v, sieve) for v in dict.fromkeys([y, *sweep])}
+    rep = PairedShiftReport(m=m, alpha=alpha, beta=beta, y=y, gamma=gamma, oracle=oracle[y],
+                            sweep_rows=[(v, oracle[v], oracle[v] / math.log(v) ** gamma) for v in sweep])
     if m == 1:
-        val = _double_line_numeric(alpha, beta, y, T, h)
+        val = paired_shift_numeric(alpha, beta, y, T, h)
         rep.numeric = float(val.real)
         rep.numeric_imag = float(val.imag)
-        if refine:
-            val2 = _double_line_numeric(alpha, beta, y, T, h / 2)
-            rep.error_estimate = abs(val2 - val)
-            rep.numeric = float(val2.real)
-        rep.rel_err = abs(rep.numeric - oracle) / abs(oracle)
+        rep.rel_err = abs(rep.numeric - rep.oracle) / abs(rep.oracle)
     return rep
-
-
-def quarter_power_final_check(
-    y: float,
-    sieve: Optional[FactorSieve] = None,
-    T: float = 400.0,
-    h: float = 0.02,
-    refine: bool = True,
-) -> PairedShiftReport:
-    """The two-variable zeta^{1/4} integral with z^{-5/2} kernels.
-
-    This is the paired-shift integral at m = 1, alpha = 5/2, beta = 1/4; its
-    oracle is sum_{n<y} d_{1/4}(n)/n (log^{3/2}(y/n)/Gamma(5/2))^2 and the
-    reference growth exponent is gamma = 13/4.
-    """
-    if y <= 1:
-        raise DomainError("require y > 1")
-    return paired_shift_check(1, 2.5, 0.25, y, sieve=sieve, T=T, h=h, refine=refine)
-
-
-def paired_shift_ratio_sweep(
-    m: int, alpha: float, beta: float, ys: Sequence[float], sieve: Optional[FactorSieve] = None
-) -> list[tuple[float, float, float]]:
-    """(y, oracle, oracle/(log y)^gamma) rows over a y sweep, oracle only."""
-    gamma = 2 * m * alpha + m * m * beta - 2 * m
-    out = []
-    for y in ys:
-        val = paired_shift_oracle(m, alpha, beta, y, sieve)
-        out.append((float(y), val, val / math.log(y) ** gamma))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fracmoment import contours
 from fracmoment.cli import build_parser, main, parse_k
 from fracmoment.errors import DomainError
 
@@ -160,6 +161,21 @@ class TestSweepExport:
         assert lines[0] == "y,value,oracle,ratio"
         assert len(lines) == 3
 
+    def test_pairshift_sweep_expands_each_y_once(self, tmp_path, monkeypatch):
+        expansions = []
+        oracle = contours.paired_shift_oracle
+        monkeypatch.setattr(contours, "paired_shift_oracle",
+                            lambda *a, **k: expansions.append(a[3]) or oracle(*a, **k))
+        sw = tmp_path / "sweep.csv"
+        out = tmp_path / "c.json"
+        assert run(["contour", "--check", "pairshift", "--m", "2", "--y", "100", "--sweep", "50,100",
+                    "--sweep-out", str(sw), "--out", str(out)]) == 0
+        assert len(expansions) == 2
+        rows = [line.split(",") for line in sw.read_text().splitlines()[1:]]
+        want = json.loads(out.read_text())["sweep_rows"]
+        assert [(float(r[0]), float(r[2]), float(r[3])) for r in rows] == [
+            (w["y"], w["oracle"], w["ratio"]) for w in want]
+
 
 class TestThreads:
     def test_worker_env_preserves_results(self, tmp_path, monkeypatch):
@@ -220,6 +236,9 @@ class TestExitCodes:
         ["verify", "zetapow", "--tol", "-1"],
         ["verify", "afe", "--tol", "0"],
         ["contour", "--check", "perron", "--tol", "inf"],
+        ["verify", "quarter", "--sweep", "1"],
+        ["verify", "pairshift", "--sweep", "1", "--y", "100"],
+        ["verify", "eta", "--s", "3,4", "--levels", "1000,10000"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2

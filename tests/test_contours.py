@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from fracmoment.contours import (
+    QUARTER,
     eta_stability,
     hankel_recip_gamma,
     paired_shift_check,
     paired_shift_oracle,
-    paired_shift_ratio_sweep,
     perron_weight,
     perron_weight_closed_form,
-    quarter_power_final_check,
     zeta_frac_power,
+    zeta_power_line,
 )
 from fracmoment.errors import ConvergenceError, DomainError
 from fracmoment.lvalues import hurwitz_zeta
@@ -92,6 +92,11 @@ class TestZetaFracPower:
         with pytest.raises(DomainError):
             zeta_frac_power(0.5, 0.8)  # real, left of the pole: ambiguous branch
 
+    def test_branch_jump_refused(self):
+        # zeta turns by 2.03 rad between t = 14 and 14.5, past its first zero
+        with pytest.raises(ConvergenceError):
+            zeta_power_line(0.25, 0.6 + 1j * np.array([13.5, 14.0, 14.5, 15.0]))
+
 
 class TestPairedShift:
     def test_tiny_y_numeric_matches_oracle(self):
@@ -110,7 +115,7 @@ class TestPairedShift:
         assert rep.rel_err < 1e-3
 
     def test_oracle_sweep_band(self):
-        rows = paired_shift_ratio_sweep(1, 3.0, 1.0, [1e3, 1e4, 1e5, 1e6])
+        rows = paired_shift_check(1, 3.0, 1.0, 1e3, sweep=[1e3, 1e4, 1e5, 1e6]).sweep_rows
         ratios = [r[2] for r in rows]
         assert max(ratios) / min(ratios) < 3.0
 
@@ -151,11 +156,13 @@ class TestPairedShift:
             paired_shift_check(1, 3.0, -1.0, 100.0)
         with pytest.raises(DomainError):
             paired_shift_check(3, 3.0, 1.0, 100.0)
+        with pytest.raises(DomainError):
+            paired_shift_check(1, 3.0, 1.0, 100.0, sweep=[1e3, 1.0])  # (log 1)^gamma = 0
 
 
 class TestQuarterPower:
     def test_y_1e4(self):
-        rep = quarter_power_final_check(1e4)
+        rep = paired_shift_check(*QUARTER, 1e4)
         assert rep.rel_err < 1e-2
         assert rep.numeric > 0 and rep.oracle > 0
         assert rep.gamma == pytest.approx(13.0 / 4.0)
@@ -166,7 +173,7 @@ class TestQuarterPower:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            quarter_power_final_check(0.5)
+            paired_shift_check(*QUARTER, 0.5)
 
 
 class TestEtaStability:
