@@ -31,7 +31,6 @@ from .contours import (
 )
 from .errors import ConvergenceError, DomainError
 from .lvalues import (
-    WWeightSpec,
     hurwitz_zeta,
     lvalue_table,
     w_weight,

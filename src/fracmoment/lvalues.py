@@ -11,12 +11,15 @@ L(1/2, chi) with an O(q^{-1/8} log q) error.
 
 Route 3 (afe): the exact approximate-functional-equation identity
 |L(1/2, chi)|^2 = 2 sum_{m,n} chi(m) chibar(n) (mn)^{-1/2} W_par(q/(pi m n)),
-valid for primitive chi, with the smooth cutoff W_par evaluated by
-vertical-line quadrature of its squared-Gamma Mellin integrand.
+valid for primitive chi.  The smooth cutoff W_par, the inverse Mellin
+transform of Gamma(s + w/2)^2/Gamma(s)^2 with s = 1/4 + par/2, equals the
+Bessel-K integral (2/Gamma(s)^2) int_{x^-2}^inf t^{s-1} K_0(2 sqrt t) dt; it
+is read from one q-independent cumulative table per parity.
 
 All-character batches ride on the group DFT from the character engine and are
-memoized per modulus in one cache of read-only arrays; lvalue_table hands out
-one route's values, squares and error estimate together.
+memoized per modulus, and the W tables once per parity, in one cache of
+read-only arrays; lvalue_table hands out one route's values, squares and
+error estimate together.
 """
 
 from __future__ import annotations
@@ -26,12 +29,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import loggamma
+from scipy.special import k0e
 
 from .characters import CharacterTable, dft_all_characters
 from .errors import DomainError
-from .util import trapezoid_weights
 
 # B_2, B_4, ..., B_26 as floats; 13 correction terms push the Euler-Maclaurin
 # remainder far below double precision for the |Im s| ranges used here.
@@ -88,7 +89,7 @@ def hurwitz_zeta_over_a(s: complex, a: np.ndarray) -> np.ndarray:
     if s == 1:
         raise DomainError("zeta(s, a) has a pole at s = 1")
     a = np.asarray(a, dtype=float)
-    if np.any(a <= 0) or np.any(a > 1):
+    if not np.all((a > 0) & (a <= 1)):
         raise DomainError("a must lie in (0, 1]")
     return _euler_maclaurin(s, a, _em_terms(s.imag))
 
@@ -109,92 +110,7 @@ def hurwitz_zeta(s: complex, a: float = 1.0) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# The smooth cutoff W
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WWeightSpec:
-    """Quadrature parameters for the Mellin integral defining W.
-
-    c is the nominal vertical line (any c > 0 gives the same value); T the
-    truncation height; nodes the trapezoid node count.  Evaluation shifts the
-    line internally for conditioning: for x >= 4 the residue at w = 0 is
-    extracted and the remainder integrated on Re w = -1/4, and for x < 1/4
-    the line moves right to c = 3 to capture the x^3 decay.
-    """
-
-    c: float = 0.25
-    T: float = 40.0
-    nodes: int = 4001
-
-    def __post_init__(self):
-        if not (0 < self.c < 0.5):
-            raise DomainError("W line must satisfy 0 < c < 1/2")
-        if self.T < 10:
-            raise DomainError("W truncation height must be >= 10")
-        if self.nodes < 101:
-            raise DomainError("W quadrature needs at least 101 nodes")
-
-
-_DEFAULT_WSPEC = WWeightSpec()
-
-
-def _w_line_values(x: np.ndarray, parity: int, c: float, T: float, nodes: int) -> np.ndarray:
-    """(1/2 pi) int_{-T}^{T} G(c+it) x^{c+it} dt for the normalized Gamma kernel."""
-    t = np.linspace(-T, T, nodes)
-    w = c + 1j * t
-    kernel = np.exp(2 * loggamma(0.25 + (w + parity) / 2) - 2 * loggamma(0.25 + parity / 2)) / w
-    h = t[1] - t[0]
-    kw = kernel * trapezoid_weights(nodes)
-    lx = np.log(x)
-    osc = np.exp(np.outer(1j * lx, t))
-    return (osc @ kw).real * (h / (2 * math.pi)) * np.exp(c * lx)
-
-
-def w_weight_many(
-    x: np.ndarray, parity: int, spec: WWeightSpec = _DEFAULT_WSPEC
-) -> np.ndarray:
-    """W_parity(x) for an array of x > 0, by regime-split line quadrature."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("W weight requires x > 0")
-    if parity not in (0, 1):
-        raise DomainError("parity must be 0 (even) or 1 (odd)")
-    out = np.empty(x.shape)
-    big = x >= 4.0
-    tiny = x < 0.25
-    mid = ~big & ~tiny
-    if np.any(big):
-        out[big] = 1.0 + _w_line_values(x[big], parity, -0.25, spec.T, spec.nodes)
-    if np.any(mid):
-        out[mid] = _w_line_values(x[mid], parity, spec.c, spec.T, spec.nodes)
-    if np.any(tiny):
-        out[tiny] = _w_line_values(x[tiny], parity, 3.0, spec.T, spec.nodes)
-    return out
-
-
-def w_weight(x: float, parity: int, spec: WWeightSpec = _DEFAULT_WSPEC) -> float:
-    """Smooth cutoff W_parity(x): ~1 for large x, power-small for x < 1."""
-    return float(w_weight_many(np.array([float(x)]), parity, spec)[0])
-
-
-def _w_bulk(x: np.ndarray, parity: int, spec: WWeightSpec) -> np.ndarray:
-    """W on a large batch of x: cubic spline in log x over exact anchors.
-
-    Anchor spacing 0.02 in log x keeps the interpolation error below ~1e-10,
-    negligible against the 1e-6 tolerances of the AFE consumers.
-    """
-    if x.size <= 4000:
-        return w_weight_many(x, parity, spec)
-    u = np.log(x)
-    ulo, uhi = float(u.min()) - 0.01, float(u.max()) + 0.01
-    anchors = np.linspace(ulo, uhi, max(801, int((uhi - ulo) / 0.02) + 2))
-    wa = w_weight_many(np.exp(anchors), parity, spec)
-    return CubicSpline(anchors, wa)(u)
-
-
-# ---------------------------------------------------------------------------
-# The three routes, batched over all characters
+# Memo cache and the smooth cutoff W
 # ---------------------------------------------------------------------------
 
 _CACHE: dict = {}
@@ -214,6 +130,79 @@ def _memo(key: tuple, build, *args):
         _CACHE[key] = value
     return _CACHE[key]
 
+
+@dataclass(frozen=True)
+class WWeightSpec:
+    """The grid the W table is built on: v = log t = -2 log x over [umin, umax]
+    in cells of width step, each integrated by a nodes-point Gauss-Legendre rule."""
+
+    umin: float = -40.0
+    umax: float = 12.0
+    step: float = 0.005
+    nodes: int = 8
+
+
+_WSPEC = WWeightSpec()
+
+
+def _w_density(v: np.ndarray, s: float) -> np.ndarray:
+    """(2/Gamma(s)^2) e^{sv} K_0(2 e^{v/2}), the v-density of W at v = -2 log x."""
+    z = 2.0 * np.exp(v / 2)
+    return 2.0 * np.exp(s * v - z - 2.0 * math.lgamma(s)) * k0e(z)
+
+
+def _w_build(parity: int) -> tuple[np.ndarray, float]:
+    """(C, residual): F(v) = int_v^inf f summed cell by cell down from umax
+    (f < 1e-340 there); C[:, k] = cell k's cubic in t from F and F' = -f at
+    both ends; residual = the largest gap of that cubic from the Gauss value
+    at a cell midpoint."""
+    s, h = 0.25 + parity / 2, _WSPEC.step
+    v = _WSPEC.umin + h * np.arange(round((_WSPEC.umax - _WSPEC.umin) / h) + 1)
+    g, gw = np.polynomial.legendre.leggauss(_WSPEC.nodes)
+    cells = _w_density(v[:-1, None] + h / 2 * (1 + g), s) @ gw * (h / 2)
+    F = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+    hf, dF = h * _w_density(v, s), np.diff(F)
+    C = np.stack([F[:-1], -hf[:-1], 3 * dF + 2 * hf[:-1] + hf[1:], -2 * dF - hf[:-1] - hf[1:]])
+    upper_half = _w_density(v[:-1, None] + h / 4 * (3 + g), s) @ gw * (h / 4)
+    mid = C[0] + (C[1] + (C[2] + C[3] / 2) / 2) / 2
+    return C, float(np.max(np.abs(mid - F[1:] - upper_half)))
+
+
+def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
+    """W_parity(x) = (1/2 pi i) int_(c) Gamma(s + w/2)^2/Gamma(s)^2 x^w dw/w, s = 1/4 + parity/2.
+
+    Since 2 K_0(2 sqrt t) has Mellin transform Gamma(u)^2, W(x) is
+    (2/Gamma(s)^2) int_{x^-2}^inf t^{s-1} K_0(2 sqrt t) dt, read from one
+    q-independent table per parity by cubic Hermite interpolation in
+    v = -2 log x.  Past the table W is 0 for small x (W < 1e-340) and, for
+    large x, 1 minus the integral of K_0's small-t series to order t^0 (the
+    next term is smaller by e^v < e^umin).
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise DomainError("W weight requires finite x > 0")
+    if parity not in (0, 1):
+        raise DomainError("parity must be 0 (even) or 1 (odd)")
+    C, _ = _memo(("w", parity), _w_build, parity)
+    v = -2.0 * np.log(x)
+    p = (v - _WSPEC.umin) / _WSPEC.step
+    k = np.clip(p.astype(np.int64), 0, C.shape[1] - 1)
+    t = p - k
+    out = np.where(v > _WSPEC.umax, 0.0, C[0][k] + t * (C[1][k] + t * (C[2][k] + t * C[3][k])))
+    big = v < _WSPEC.umin
+    s, vb = 0.25 + parity / 2, v[big]
+    out[big] = 1.0 - np.exp(s * vb - 2.0 * math.lgamma(s)) / s * (1 / s - 2 * np.euler_gamma - vb)
+    return out
+
+
+def w_weight(x: float, parity: int) -> float:
+    """Smooth cutoff W_parity(x): ~1 for large x, power-small for x < 1."""
+    return float(w_weight_many(np.array([float(x)]), parity)[0])
+
+
+# ---------------------------------------------------------------------------
+# The three routes, batched over all characters
+# ---------------------------------------------------------------------------
 
 def _oracle_batch(table: CharacterTable) -> np.ndarray:
     q = table.q
@@ -268,9 +257,8 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     Dmax = int(q / (math.pi * xmin))
     D = np.arange(1, Dmax + 1)
     x = q / (math.pi * D)
-    spec = _DEFAULT_WSPEC
     invsq = 1.0 / np.sqrt(D)
-    wD = [(_w_bulk(x, par, spec) * invsq) for par in (0, 1)]
+    wD = [w_weight_many(x, par) * invsq for par in (0, 1)]
     inv = np.zeros(q, dtype=np.int64)
     inv[1:] = [pow(int(a), q - 2, q) for a in range(1, q)]
     S = [np.zeros(q) for _ in (0, 1)]
@@ -290,9 +278,12 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
             w = wD[par][Dv - 1]
             np.add.at(S[par], v, w)
             np.add.at(S[par], vb[off], w[off])
-        pairsum += float(np.sum(np.abs(wD[0][Dv - 1])) + np.sum(np.abs(wD[0][Dv[off] - 1])))
+        pairsum += float(np.sum(invsq[Dv - 1]) + np.sum(invsq[Dv[off] - 1]))
     outs = [2.0 * dft_all_characters(table, s[1:].astype(complex)).real for s in S]
-    err = 2e-10 * pairsum + 1e-9
+    # each pair's W is off by at most the table residual and |chi| = 1, so the
+    # pair sum of 1/sqrt(mn) carries it to |L|^2; log2(q) eps covers the FFT
+    resid = max(_memo(("w", par), _w_build, par)[1] for par in (0, 1))
+    err = 2.0 * pairsum * (resid + math.log2(q) * np.finfo(float).eps)
     return outs[0], outs[1], err
 
 

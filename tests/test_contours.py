@@ -5,6 +5,7 @@ import pytest
 
 from fracmoment.contours import (
     QUARTER,
+    _self_convolve,
     eta_stability,
     hankel_recip_gamma,
     paired_shift_check,
@@ -17,6 +18,7 @@ from fracmoment.contours import (
 from fracmoment.errors import ConvergenceError, DomainError
 from fracmoment.lvalues import hurwitz_zeta
 from fracmoment.sieve import ShiftVector, divisor_series
+from fracmoment.util import trapezoid_weights
 
 
 class TestPerronWeight:
@@ -143,6 +145,16 @@ class TestPairedShift:
                             * w(y / (n11 * n21)) * w(y / (n12 * n22))
                         )
         assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5, 3.0, 3.7, 4.0])
+    @pytest.mark.parametrize("T,h", [(400, 0.01), (400, 0.02), (200, 0.01), (100, 0.05)])
+    def test_self_convolution_bit_identical_to_fftconvolve(self, alpha, T, h):
+        from scipy.signal import fftconvolve
+
+        # the weighted axis factor of paired_shift_numeric
+        t = np.arange(-T, T + h / 2, h)
+        phi = np.exp(1j * t) * (1 + 1j * t) ** (-alpha) * trapezoid_weights(t.size)
+        assert np.array_equal(_self_convolve(phi), fftconvolve(phi, phi))
 
     def test_m2_has_no_numeric_path(self):
         rep = paired_shift_check(2, 3.0, 1.0, 100.0)

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import table_for
+from fracmoment import lvalues
+from fracmoment.characters import is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import (
-    WWeightSpec,
     _afe_batch,
     afe_squares,
+    clear_caches,
     hurwitz_zeta,
+    hurwitz_zeta_over_a,
     lvalue_table,
     oracle_values,
     smoothed_tail_bound,
@@ -44,6 +47,9 @@ class TestHurwitzZeta:
     def test_bad_a_rejected(self):
         with pytest.raises(DomainError):
             hurwitz_zeta(0.5, 1.5)
+        for a in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                hurwitz_zeta_over_a(0.5, np.array([a]))
 
     @pytest.mark.parametrize("s,a", [(0.5, 0.2), (0.5 + 3j, 0.7), (2.0, 0.31), (-0.5, 0.9)])
     def test_against_mpmath(self, s, a):
@@ -80,18 +86,57 @@ class TestWWeight:
         assert w0 == pytest.approx(0.0126583230362, abs=1e-10)
         assert w1 == pytest.approx(0.1536671960362, abs=1e-10)
 
-    def test_node_refinement_stable(self):
-        xs = np.array([0.3, 1.7, 9.0, 1234.0])
+    @staticmethod
+    def _mpmath_w(x: float, parity: int):
+        # W(x) = (2/Gamma(s)^2) int_{x^-2}^inf t^{s-1} K_0(2 sqrt t) dt; t = r^{1/s}
+        # turns t^{s-1} dt into dr/s and leaves only K_0's log singularity
+        s = mp.mpf(1) / 4 + mp.mpf(parity) / 2
+        c = 2 / (s * mp.gamma(s) ** 2)
+        k = lambda r: mp.besselk(0, 2 * r ** (1 / (2 * s)))  # noqa: E731
+        b = mp.mpf(x) ** (-2 * s)
+        return 1 - c * mp.quad(k, [0, b]) if b < 1 else c * mp.quad(k, [b, mp.inf])
+
+    def test_against_mpmath_bessel_k0(self):
+        # 1e12 lies past the table's large-x end (x = e^20), where W comes from
+        # the small-t series of K_0
+        with mp.workdps(15):
+            for x in (1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e12):
+                for par in (0, 1):
+                    assert abs(w_weight(x, par) - float(self._mpmath_w(x, par))) < 1e-11, (x, par)
+
+    def test_batch_matches_scalar(self):
+        xs = np.exp(np.linspace(-8.0, 30.0, 301))
         for par in (0, 1):
-            a = w_weight_many(xs, par, WWeightSpec(nodes=2001))
-            b = w_weight_many(xs, par, WWeightSpec(nodes=4001))
-            assert np.max(np.abs(a - b)) < 1e-8
+            assert np.array_equal(w_weight_many(xs, par), [w_weight(x, par) for x in xs])
+
+    def test_table_built_once_per_parity_per_cache_lifetime(self, monkeypatch):
+        builds = []
+        real = lvalues._w_build
+
+        def counted(par):
+            builds.append(par)
+            return real(par)
+
+        monkeypatch.setattr(lvalues, "_w_build", counted)
+        clear_caches()
+        for _ in range(3):
+            for par in (0, 1):
+                w_weight_many(np.array([0.5, 2.0]), par)
+        afe_squares(table_for(7))
+        assert sorted(builds) == [0, 1]
+        clear_caches()
+        assert not any(key[0] == "w" for key in lvalues._CACHE)
+        w_weight(2.0, 1)
+        assert sorted(builds) == [0, 1, 1]
 
     def test_positive_x_required(self):
         with pytest.raises(DomainError):
             w_weight(0.0, 0)
         with pytest.raises(DomainError):
             w_weight(-1.0, 1)
+        for x in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                w_weight(x, 0)
 
 
 class TestLValueTable:
@@ -182,6 +227,13 @@ class TestAfe:
         want = lvalue_table(t, "oracle")[1][j]
         assert abs(good - want) < 1e-6
         assert abs(bad - want) > 1e-3
+
+    def test_error_estimate_bounds_observed(self):
+        for q in [q for q in range(5, 62) if is_prime(q)] + [1009]:
+            t = table_for(q)
+            _, squares, err = lvalue_table(t, "afe")
+            dev = np.max(np.abs(squares[1:] - np.abs(oracle_values(t)[1:]) ** 2))
+            assert dev <= err < 1e-8, q
 
     def test_truncation_insensitive(self):
         t = table_for(31)
