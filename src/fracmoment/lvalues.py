@@ -11,7 +11,9 @@ L(1/2, chi) with an O(q^{-1/8} log q) error.
 
 Route 3 (afe): the exact approximate-functional-equation identity
 |L(1/2, chi)|^2 = 2 sum_{m,n} chi(m) chibar(n) (mn)^{-1/2} W_par(q/(pi m n)),
-valid for primitive chi.  The smooth cutoff W_par, the inverse Mellin
+valid for primitive chi.  The pairs are binned by the exponent
+dlog m - dlog n of m/n in the cyclic group, with one bincount per block of
+pairs and no modular inverse.  The smooth cutoff W_par, the inverse Mellin
 transform of Gamma(s + w/2)^2/Gamma(s)^2 with s = 1/4 + par/2, equals the
 Bessel-K integral (2/Gamma(s)^2) int_{x^-2}^inf t^{s-1} K_0(2 sqrt t) dt; it
 is read from one q-independent cumulative table per parity.
@@ -219,17 +221,27 @@ def oracle_values(table: CharacterTable) -> np.ndarray:
 
 
 def _smoothed_batch(table: CharacterTable, tail_multiplier: float) -> np.ndarray:
+    """Residue sums of m^{-1/2} e^{-m/X} over m <= tail_multiplier * X, q not dividing m.
+
+    Blocks of rows * q consecutive m, starting at m = 1 mod q, fill rows 1..rows
+    of a (rows + 1, q) buffer, so column c holds m = c + 1 mod q and the last
+    column, m = 0 mod q, is dropped; row 0 carries the running sums, and
+    reducing over axis 0 adds each residue's terms in increasing m.
+    """
+    if not (math.isfinite(tail_multiplier) and tail_multiplier > 0):
+        raise DomainError("smoothed sums need a finite tail_multiplier > 0")
     q = table.q
     X = q**1.25
     M = int(tail_multiplier * X)
-    acc = np.zeros(q)
-    block = 1 << 22
-    for lo in range(1, M + 1, block):
-        m = np.arange(lo, min(lo + block, M + 1), dtype=np.int64)
-        terms = np.exp(-m / X) / np.sqrt(m)
-        keep = m % q != 0
-        np.add.at(acc, m[keep] % q, terms[keep])
-    return dft_all_characters(table, acc[1:].astype(complex))
+    rows = max(1, (1 << 20) // q)
+    buf = np.zeros((rows + 1, q))
+    flat = buf[1:].reshape(-1)
+    for lo in range(1, M + 1, rows * q):
+        m = np.arange(lo, min(lo + rows * q, M + 1), dtype=np.int64)
+        flat[: m.size] = np.exp(-m / X) / np.sqrt(m)
+        flat[m.size :] = 0.0
+        buf[0] = np.add.reduce(buf, axis=0)
+    return dft_all_characters(table, buf[0, : q - 1].astype(complex))
 
 
 def smoothed_values(table: CharacterTable, tail_multiplier: float = 40.0) -> np.ndarray:
@@ -248,42 +260,54 @@ def smoothed_tail_bound(q: int, tail_multiplier: float) -> float:
 def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarray, float]:
     """AFE double sums for both parities, all characters at once.
 
-    Pairs (m, n) with q/(pi m n) >= xmin are folded onto residues v = m/n mod q
-    once per parity; the two DFTs then give
+    Pairs (m, n) with q/(pi m n) >= xmin are folded onto the exponent group:
+    m > n lands at k = dlog m - dlog n + (q - 1) of one bincount, the reversed
+    pair at -k, the diagonal at exponent 0.  Mapped back to residues
+    v = g^k, the two DFTs then give
     2 sum_v S_v^{(par)} chi_j(v) = |L(1/2, chi_j)|^2 for chi_j of that parity.
     Returns (even_squares, odd_squares, error_estimate).
     """
     q = table.q
-    Dmax = int(q / (math.pi * xmin))
-    D = np.arange(1, Dmax + 1)
-    x = q / (math.pi * D)
-    invsq = 1.0 / np.sqrt(D)
-    wD = [w_weight_many(x, par) * invsq for par in (0, 1)]
-    inv = np.zeros(q, dtype=np.int64)
-    inv[1:] = [pow(int(a), q - 2, q) for a in range(1, q)]
-    S = [np.zeros(q) for _ in (0, 1)]
-    pairsum = 0.0
-    for nn in range(1, math.isqrt(Dmax) + 1):
-        if nn % q == 0:
-            continue
-        ms = np.arange(nn, Dmax // nn + 1, dtype=np.int64)
-        ms = ms[ms % q != 0]
-        if ms.size == 0:
-            continue
-        Dv = nn * ms
-        v = (ms % q) * inv[nn % q] % q
-        vb = nn % q * inv[ms % q] % q
-        off = ms > nn
+    Dmax = int(q / (math.pi * xmin)) if math.isfinite(xmin) and xmin > 0 else 0
+    if Dmax < 1:
+        raise DomainError("the AFE needs a finite xmin > 0 with q/(pi xmin) >= 1")
+    size = 2 * (q - 1)
+    # rows: W_0(D)/sqrt(D), W_1(D)/sqrt(D), 1/sqrt(D), built in cache-sized
+    # blocks; a pair with q | mn has q | D and weight 0
+    wD = np.empty((3, Dmax))
+    for lo in range(0, Dmax, 1 << 17):
+        D = np.arange(lo + 1, min(lo + (1 << 17), Dmax) + 1)
+        block = wD[:, lo : lo + D.size]
+        block[2] = 1.0 / np.sqrt(D)
         for par in (0, 1):
-            w = wD[par][Dv - 1]
-            np.add.at(S[par], v, w)
-            np.add.at(S[par], vb[off], w[off])
-        pairsum += float(np.sum(invsq[Dv - 1]) + np.sum(invsq[Dv[off] - 1]))
-    outs = [2.0 * dft_all_characters(table, s[1:].astype(complex)).real for s in S]
+            block[par] = w_weight_many(q / (math.pi * D), par) * block[2]
+    wD[:, q - 1 :: q] = 0.0
+    km = np.resize(table.dlog.astype(np.int32) + (q - 1), Dmax + 1)
+    # for fixed n the m > n are one slice of km and one stride-n slice of wD;
+    # short slices are pooled so each O(q) bincount covers at least 2(q - 1) pairs
+    A, pairsum, ks, ws, last = np.zeros((2, size)), 0.0, [], [], math.isqrt(Dmax)
+    for n in range(1, last + 1):
+        top = Dmax // n
+        if n % q and top > n:  # q | n: weights 0, and dlog n = -1 would overrun k
+            ks.append(km[n + 1 : top + 1] - int(table.dlog[n % q]))
+            ws.append(wD[:, n * (n + 1) - 1 : n * top : n])
+        if ks and (sum(map(len, ks)) >= size or n == last):
+            k, w = (ks[0], ws[0]) if len(ks) == 1 else (np.concatenate(ks), np.concatenate(ws, axis=1))
+            for par in (0, 1):
+                A[par] += np.bincount(k, weights=w[par], minlength=size)
+            pairsum += float(np.sum(w[2]))
+            ks, ws = [], []
+    diag = wD[:, np.arange(1, last + 1) ** 2 - 1].sum(axis=1)
+    S = A + np.roll(A[:, ::-1], 1, axis=1)
+    S = S[:, : q - 1] + S[:, q - 1 :]
+    S[:, 0] += diag[:2]
+    coeffs = np.empty((2, q - 1))
+    coeffs[:, table.powers - 1] = S
+    outs = [2.0 * dft_all_characters(table, c.astype(complex)).real for c in coeffs]
     # each pair's W is off by at most the table residual and |chi| = 1, so the
     # pair sum of 1/sqrt(mn) carries it to |L|^2; log2(q) eps covers the FFT
     resid = max(_memo(("w", par), _w_build, par)[1] for par in (0, 1))
-    err = 2.0 * pairsum * (resid + math.log2(q) * np.finfo(float).eps)
+    err = 2.0 * (2.0 * pairsum + diag[2]) * (resid + math.log2(q) * np.finfo(float).eps)
     return outs[0], outs[1], err
 
 

@@ -1,16 +1,24 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fracmoment
 from conftest import table_for
 from fracmoment import lvalues
-from fracmoment.characters import is_prime
+from fracmoment.characters import dft_all_characters, is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import (
     _afe_batch,
+    _smoothed_batch,
     afe_squares,
     clear_caches,
     hurwitz_zeta,
@@ -181,6 +189,15 @@ class TestOracle:
         values, _, _ = lvalue_table(table_for(7), "oracle")
         assert values[1] == pytest.approx(np.conj(values[5]), abs=1e-9)
 
+    @pytest.mark.parametrize("q", [5, 7, 11, 13])
+    def test_error_estimate_bounds_mpmath(self, q):
+        t = table_for(q)
+        values, _, err = lvalue_table(t, "oracle")
+        hz = [mp.zeta(0.5, mp.mpf(a) / q) for a in range(1, q)]
+        for j in range(q - 1):
+            want = sum(mp.mpc(t.chi(j, a)) * z for a, z in zip(range(1, q), hz)) / mp.sqrt(q)
+            assert abs(values[j] - complex(want)) <= err, (q, j)
+
 
 class TestSmoothed:
     def test_within_error_bound_q101(self):
@@ -198,6 +215,41 @@ class TestSmoothed:
         assert smoothed_tail_bound(101, 1.0) > smoothed_tail_bound(101, 40.0)
         err = lvalue_table(t, "smoothed")[2]
         assert err == 10.0 * 101 ** (-0.125) * math.log(101) + smoothed_tail_bound(101, 40.0)
+
+    def test_error_estimate_bounds_observed(self):
+        for q in [q for q in range(5, 62) if is_prime(q)] + [1009]:
+            t = table_for(q)
+            values, _, err = lvalue_table(t, "smoothed")
+            assert np.max(np.abs(values[1:] - oracle_values(t)[1:])) <= err, q
+
+    @staticmethod
+    def _add_at_reference(q: int, tail_multiplier: float) -> np.ndarray:
+        X = q**1.25
+        m = np.arange(1, int(tail_multiplier * X) + 1, dtype=np.int64)
+        terms = np.exp(-m / X) / np.sqrt(m)
+        keep = m % q != 0
+        acc = np.zeros(q)
+        np.add.at(acc, m[keep] % q, terms[keep])
+        return acc[1:]
+
+    # with blocks of rows * q terms, rows = 2^20 // q: 4999 at 40 spans two
+    # blocks, the second partial; 4999 at 0.05 has M < q; 101 at 40 fills
+    # part of one block
+    @given(q=st.sampled_from([p for p in range(3, 5001) if is_prime(p)]),
+           tail_multiplier=st.floats(0.05, 40.0))
+    @example(q=4999, tail_multiplier=40.0)
+    @example(q=4999, tail_multiplier=0.05)
+    @example(q=101, tail_multiplier=40.0)
+    @settings(max_examples=25, deadline=None)
+    def test_fold_bit_identical_to_add_at(self, q, tail_multiplier):
+        t = table_for(q)
+        want = dft_all_characters(t, self._add_at_reference(q, tail_multiplier).astype(complex))
+        assert np.array_equal(_smoothed_batch(t, tail_multiplier), want)
+
+    @pytest.mark.parametrize("tail_multiplier", [math.nan, math.inf, -1.0, 0.0])
+    def test_malformed_tail_multiplier_rejected(self, tail_multiplier):
+        with pytest.raises(DomainError):
+            smoothed_values(table_for(7), tail_multiplier)
 
 
 class TestAfe:
@@ -255,3 +307,59 @@ class TestAfe:
         afe = afe_squares(table_for(31))
         total = float(np.sum(afe[1:]))
         assert total > 0
+
+    @pytest.mark.parametrize("xmin", [0.0, -1e-3, math.nan, math.inf, 5.0])
+    def test_malformed_xmin_rejected(self, xmin):
+        # at q = 7, xmin = 5 leaves no pair: q/(pi xmin) < 1
+        with pytest.raises(DomainError):
+            afe_squares(table_for(7), xmin)
+
+    @staticmethod
+    def _pair_loop(t, xmin):
+        """2 sum_{mn <= Dmax} chi_j(m) chibar_j(n) W_par(q/(pi mn))/sqrt(mn) for every
+        j and both parities, and sum 1/sqrt(mn) over the pairs with q not dividing mn."""
+        q = t.q
+        Dmax = int(q / (math.pi * xmin))
+        chi = np.array([[t.chi(j, a) for a in range(q)] for j in range(q - 1)])
+        W = [[w_weight(q / (math.pi * D), par) / math.sqrt(D) if D else 0.0 for D in range(Dmax + 1)]
+             for par in (0, 1)]
+        sums = np.zeros((2, q - 1), dtype=complex)
+        pairsum = 0.0
+        for m in range(1, Dmax + 1):
+            for n in range(1, Dmax // m + 1):
+                c = chi[:, m % q] * np.conj(chi[:, n % q])
+                for par in (0, 1):
+                    sums[par] += 2.0 * W[par][m * n] * c
+                if (m * n) % q:
+                    pairsum += 1.0 / math.sqrt(m * n)
+        return sums, pairsum
+
+    @pytest.mark.parametrize("xmin", [1e-3, 0.05])
+    @pytest.mark.parametrize("q", [5, 7, 11, 13])
+    def test_pair_fold_matches_double_loop(self, q, xmin):
+        t = table_for(q)
+        even, odd, err = _afe_batch(t, xmin)
+        sums, pairsum = self._pair_loop(t, xmin)
+        assert np.max(np.abs(sums.imag)) < 1e-12
+        for par, got in ((0, even), (1, odd)):
+            assert np.max(np.abs(got - sums[par].real)) < 1e-12, par
+        resid = max(lvalues._CACHE[("w", par)][1] for par in (0, 1))
+        got_pairsum = err / (2.0 * (resid + math.log2(q) * np.finfo(float).eps))
+        assert got_pairsum == pytest.approx(pairsum, rel=1e-12)
+
+    def test_peak_memory_q5003(self):
+        # one process of its own, so ru_maxrss is this call's peak and no other test's
+        src = str(Path(fracmoment.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import resource\n"
+            "from fracmoment.characters import build_table\n"
+            "from fracmoment.lvalues import afe_squares\n"
+            "t = build_table(5003)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "afe_squares(t)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        # ru_maxrss is in KiB on Linux
+        assert int(out.stdout) < 130 * 1024
