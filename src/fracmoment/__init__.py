@@ -5,7 +5,8 @@ Submodules:
                 polynomial and mollifier coefficients, shifted series)
     characters  character tables mod prime q, orthogonality, group DFT
     lvalues     central L-values by Hurwitz oracle, smoothed sum, and AFE
-    moments     fractional moments, twisted sums, the Holder chain
+    moments     fractional moments; one per-character bundle of L, P and M
+                behind the twisted sums, the Holder chain and the P4 check
     contours    Perron/Hankel weights, fractional zeta powers, the paired-shift
                 double integral and its divisor-sum oracle
     cli         the `fracmoment` command-line front door
@@ -36,16 +37,15 @@ from .lvalues import (
     w_weight,
 )
 from .moments import (
+    CharacterValues,
     HolderReport,
     MomentParams,
-    MomentReport,
+    character_values,
     evaluate_polynomial_all,
     holder_chain_check,
     holder_exponents,
-    moment_k,
+    moment_sum,
     p4_bound_check,
-    s_lower,
-    s_upper,
     scaling_survey,
 )
 from .sieve import (

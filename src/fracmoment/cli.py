@@ -366,7 +366,7 @@ def _params_from_args(args) -> moments.MomentParams:
 def cmd_moments(args) -> int:
     params = _params_from_args(args)
     table = characters.build_table(params.q)
-    rep = moments.moment_k(params, table, args.method)
+    value, _, floored = moments.moment_sum(table, params.k, args.method)
     if args.lvalues_out and not _write(_lvalue_rows(table, args.method), "csv", args.lvalues_out, "L-value table"):
         return EXIT_IO
     report = {
@@ -375,9 +375,9 @@ def cmd_moments(args) -> int:
             "q": params.q, "r": params.r, "s": params.s,
             "x": params.x, "y": params.y, "a": params.a, "method": args.method,
         },
-        "moment": rep.value,
-        "moment_over_phi": rep.per_phi,
-        "floored_characters": rep.floored_characters,
+        "moment": value,
+        "moment_over_phi": value / (params.q - 1),
+        "floored_characters": floored,
         "regime_flag": params.regime_ok,
         "checks": [],
     }
@@ -399,10 +399,11 @@ def _lvalue_rows(table, method: str):
 
 def cmd_holder(args) -> int:
     params = _params_from_args(args)
-    table = characters.build_table(params.q)
-    fs = sieve.FactorSieve.build(max(int(params.x ** (2 * params.r)), int(params.x), 2))
-    rep = moments.holder_chain_check(params, table, fs, args.method)
-    p4 = moments.p4_bound_check(params, table, fs)
+    # diagonal_length() refuses x^{2r} >= q, so nothing is built outside the P4 check's regime
+    fs = sieve.FactorSieve.build(max(int(params.diagonal_length()), 2))
+    values = moments.character_values(params, characters.build_table(params.q), fs, args.method)
+    rep = moments.holder_chain_check(values)
+    p4 = moments.p4_bound_check(values, fs)
     report = {
         "command": "holder",
         "params": {

@@ -15,9 +15,12 @@ the diagonal bound for sum |P|^{4r}, and the Holder/Cauchy chain
 
     |S_l| <= M_k(q)^{1/(2(2-k))} (sum |P|^{4r})^{1/(2(2-k))} S_u^{(1-k)/(2-k)}.
 
-Per-character powers are taken on the evaluated polynomial values (never by
-expanding coefficient convolutions), and all-character evaluation rides on
-the group DFT.
+`character_values` evaluates L, |L|^2, P and M for all characters once (one
+`lvalue_table` call, one group DFT each for P and M) into a frozen
+`CharacterValues`; `holder_chain_check` and `p4_bound_check` are plain
+functions of it, and `moment_sum` is the moment alone.  Per-character powers
+are taken on the evaluated polynomial values, never by expanding coefficient
+convolutions.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .characters import CharacterTable, build_table, dft_all_characters, fold_re
 from .errors import DomainError
 from .lvalues import lvalue_table
 from .sieve import FactorSieve, mollifier_coeffs, weighted_poly_coeffs
-from .util import parallel_map
 
 SQUARE_FLOOR = 1e-30  # |L|^2 floor before taking fractional powers
 
@@ -52,24 +54,31 @@ class MomentParams:
     s: int
     y: float
     a: float
-    x: float
 
     def __post_init__(self):
         if not is_prime(self.q):
             raise DomainError(f"q must be prime, got {self.q}")
         if self.r < 1 or self.s < 1 or math.gcd(self.r, self.s) != 1 or self.r >= self.s:
             raise DomainError("need k = r/s in lowest terms with 0 < r < s")
+        if not (math.isfinite(self.y) and math.isfinite(self.a)):
+            raise DomainError(f"y and a must be finite, got y = {self.y}, a = {self.a}")
         if self.y <= 1 or self.a < 1:
             raise DomainError("need y > 1 and a >= 1")
-        if abs(self.x - self.y**self.a) > 1e-12 * self.y**self.a:
-            raise DomainError("x must equal y^a")
+        try:
+            self.x ** (4 * self.s)  # regime_ok's power; the largest one any check takes
+        except OverflowError:
+            raise DomainError(f"x^(4s) = (y^a)^{4 * self.s} overflows at y = {self.y}, a = {self.a}") from None
 
     @classmethod
     def make(cls, q: int, r: int = 1, s: int = 2, a: float = 4.0, y: Optional[float] = None):
-        """Default bundle: y = q^{1/(4 a s)} clamped to >= 2, x = y^a."""
+        """Default bundle: y = q^{1/(4 a s)} clamped to >= 2 (y = 2 when a < 1, which is refused)."""
         if y is None:
-            y = max(2.0, q ** (1.0 / (4.0 * a * s)))
-        return cls(q=q, r=r, s=s, y=float(y), a=float(a), x=float(y) ** float(a))
+            y = max(2.0, q ** (1.0 / (4.0 * a * s))) if a >= 1 else 2.0
+        return cls(q=q, r=r, s=s, y=float(y), a=float(a))
+
+    @property
+    def x(self) -> float:
+        return self.y**self.a
 
     @property
     def k(self) -> Fraction:
@@ -78,6 +87,13 @@ class MomentParams:
     @property
     def regime_ok(self) -> bool:
         return self.x ** (4 * self.s) <= self.q ** (1 / 20)
+
+    def diagonal_length(self) -> float:
+        """x^{2r}, the length of the diagonal P4 sum; DomainError outside x^{2r} < q."""
+        xpow = self.x ** (2 * self.r)
+        if xpow >= self.q:
+            raise DomainError("diagonal regime requires x^{2r} < q")
+        return xpow
 
 
 def polynomial_series(params: MomentParams, sieve: FactorSieve) -> np.ndarray:
@@ -92,10 +108,8 @@ def mollifier_series(params: MomentParams, sieve: FactorSieve) -> np.ndarray:
     return mollifier_coeffs(1, params.s, params.y, cutoff, sieve)
 
 
-def evaluate_polynomial_all(
-    table: CharacterTable, coeffs: np.ndarray, conjugate: bool = False
-) -> np.ndarray:
-    """sum_n c_n chi_j(n) n^{-1/2} (or with chibar_j) for every j at once.
+def evaluate_polynomial_all(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
+    """sum_n c_n chi_j(n) n^{-1/2} for every j at once.
 
     Coefficient support must stay below q so residues are distinct; the
     principal-character slot j = 0 is included in the output.
@@ -106,25 +120,18 @@ def evaluate_polynomial_all(
     n = np.arange(1, coeffs.size)
     weighted = coeffs[1:] / np.sqrt(n)
     folded = fold_residues(table.q, weighted)
-    out = dft_all_characters(table, folded.astype(complex))
-    if conjugate:
-        # chibar_j = chi_{-j mod (q-1)}
-        out = np.roll(out[::-1], 1)
-    return out
+    return dft_all_characters(table, folded.astype(complex))
 
 
-@dataclass
-class MomentReport:
-    params: MomentParams
-    method: str
-    k: Fraction
-    value: float
-    contributions: np.ndarray = field(repr=False)
-    floored_characters: list[int] = field(default_factory=list)
-
-    @property
-    def per_phi(self) -> float:
-        return self.value / (self.params.q - 1)
+def _power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, list[int]]:
+    """sum over non-principal chi of (|L|^2)^k, from the squares of all characters."""
+    k = Fraction(k)
+    if not (0 < k <= 1):
+        raise DomainError(f"k must lie in (0, 1], got {k}")
+    sq = squares[1:]
+    floored = [int(j) for j in (np.nonzero(sq < SQUARE_FLOOR)[0] + 1)]
+    contrib = np.exp(float(k) * np.log(np.maximum(sq, SQUARE_FLOOR)))
+    return float(math.fsum(contrib)), contrib, floored
 
 
 def moment_sum(
@@ -136,67 +143,41 @@ def moment_sum(
     1e-30; floored characters (numerically vanishing L) are flagged.
     Returns (value, per-character contributions, floored character indices).
     """
-    k = Fraction(k)
-    if not (0 < k <= 1):
-        raise DomainError(f"k must lie in (0, 1], got {k}")
-    sq = lvalue_table(table, method)[1][1:]
-    floored = [int(j) for j in (np.nonzero(sq < SQUARE_FLOOR)[0] + 1)]
-    contrib = np.exp(float(k) * np.log(np.maximum(sq, SQUARE_FLOOR)))
-    return float(math.fsum(contrib)), contrib, floored
+    return _power_sum(lvalue_table(table, method)[1], k)
 
 
-def moment_k(params: MomentParams, table: CharacterTable, method: str = "oracle") -> MomentReport:
-    """M_k(q) for the bundle's k = r/s; see moment_sum for the power convention."""
+@dataclass(frozen=True)
+class CharacterValues:
+    """L(1/2, chi), |L|^2, P(chi) and M(chi) over all characters (slot 0 principal).
+
+    Built once per (params, table, method) by `character_values`; the Holder
+    chain and the diagonal P4 check read every per-character value from here.
+    """
+
+    params: MomentParams
+    L: np.ndarray = field(repr=False)
+    sq: np.ndarray = field(repr=False)
+    P: np.ndarray = field(repr=False)
+    M: np.ndarray = field(repr=False)
+
+    @property
+    def p4(self) -> float:
+        """sum_{chi != chi0} |P|^{4r}."""
+        return float(math.fsum(np.abs(self.P[1:]) ** (4 * self.params.r)))
+
+
+def character_values(
+    params: MomentParams, table: CharacterTable, sieve: FactorSieve, method: str = "oracle"
+) -> CharacterValues:
+    """One lvalue_table call and one evaluate_polynomial_all each for P and M."""
     if table.q != params.q:
         raise DomainError("table modulus does not match params")
-    value, contrib, floored = moment_sum(table, params.k, method)
-    return MomentReport(
-        params=params,
-        method=method,
-        k=params.k,
-        value=value,
-        contributions=contrib,
-        floored_characters=floored,
-    )
-
-
-def _char_values(
-    params: MomentParams, table: CharacterTable, sieve: FactorSieve, method: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(L, |L|^2, P, M) arrays over all characters, consistent across uses."""
     if method not in ("oracle", "smoothed"):
         raise DomainError("twisted sums need complex L-values: method 'oracle' or 'smoothed'")
     L, sq, _ = lvalue_table(table, method)
     P = evaluate_polynomial_all(table, polynomial_series(params, sieve))
     M = evaluate_polynomial_all(table, mollifier_series(params, sieve))
-    return L, sq, P, M
-
-
-def s_lower(
-    params: MomentParams, table: CharacterTable, sieve: FactorSieve, method: str = "oracle"
-) -> complex:
-    """S_l = sum_{chi != chi0} L(1/2, chi) conj(P)^{2s} |M|^{2(s-r)}."""
-    L, _, P, M = _char_values(params, table, sieve, method)
-    s, r = params.s, params.r
-    terms = L * np.conj(P) ** (2 * s) * np.abs(M) ** (2 * (s - r))
-    t = terms[1:]
-    return complex(math.fsum(t.real), math.fsum(t.imag))
-
-
-def s_upper(
-    params: MomentParams, table: CharacterTable, sieve: FactorSieve, method: str = "oracle"
-) -> float:
-    """S_u = sum_{chi != chi0} |L|^2 |P|^{4s} |M|^{2(2s-r)} (each term >= 0)."""
-    _, sq, P, M = _char_values(params, table, sieve, method)
-    s, r = params.s, params.r
-    terms = sq * np.abs(P) ** (4 * s) * np.abs(M) ** (2 * (2 * s - r))
-    return float(math.fsum(terms[1:]))
-
-
-def p_fourth_sum(params: MomentParams, table: CharacterTable, sieve: FactorSieve) -> float:
-    """sum_{chi != chi0} |P(chi)|^{4r}."""
-    P = evaluate_polynomial_all(table, polynomial_series(params, sieve))
-    return float(math.fsum(np.abs(P[1:]) ** (4 * params.r)))
+    return CharacterValues(params, L, sq, P, M)
 
 
 @dataclass
@@ -207,7 +188,7 @@ class P4Report:
     holds: bool
 
 
-def p4_bound_check(params: MomentParams, table: CharacterTable, sieve: FactorSieve) -> P4Report:
+def p4_bound_check(values: CharacterValues, sieve: FactorSieve) -> P4Report:
     """Diagonal majorant for the fourth-type polynomial sum.
 
     lhs = sum_{chi != chi0} |P|^{4r}; rhs = phi(q) sum_{n <= x^{2r}} of the
@@ -215,11 +196,9 @@ def p4_bound_check(params: MomentParams, table: CharacterTable, sieve: FactorSie
     x^{2r} < q orthogonality makes lhs <= rhs exactly (the dropped terms are
     the principal square and nothing else), so holds is lhs <= rhs(1 + 1e-9).
     """
-    xpow = params.x ** (2 * params.r)
-    if xpow >= params.q:
-        raise DomainError("diagonal regime requires x^{2r} < q")
-    lhs = p_fourth_sum(params, table, sieve)
-    cutoff = int(math.floor(xpow))
+    params = values.params
+    cutoff = int(math.floor(params.diagonal_length()))
+    lhs = values.p4
     d2 = weighted_poly_coeffs(2 * params.r, 2 * params.s, params.x, cutoff, sieve)
     n = np.arange(1, cutoff + 1)
     rhs = (params.q - 1) * float(np.sum(d2[1:] ** 2 / n))
@@ -235,10 +214,7 @@ def holder_exponents(k: Fraction) -> tuple[Fraction, Fraction, Fraction]:
 
 @dataclass
 class HolderReport:
-    params: MomentParams
-    method: str
     s_l: complex
-    abs_s_l: float
     moment: float
     p4: float
     s_u: float
@@ -249,39 +225,24 @@ class HolderReport:
     holds: bool
 
 
-def holder_chain_check(
-    params: MomentParams,
-    table: CharacterTable,
-    sieve: FactorSieve,
-    method: str = "oracle",
-) -> HolderReport:
+def holder_chain_check(values: CharacterValues) -> HolderReport:
     """Verify |S_l| <= F1 F2 F3 with the chain's exponents on M_k, sum|P|^{4r}, S_u.
 
-    All four quantities use the same per-character L, P, M values, so the
+    All four sums read the same per-character L, P, M values, so the
     inequality is exact arithmetic and any slack below -1e-9 * F1 F2 F3
     indicates a bug rather than a tolerance issue.
     """
-    e1, e2, e3 = (float(e) for e in holder_exponents(params.k))
-    sl = s_lower(params, table, sieve, method)
-    mk = moment_k(params, table, method).value
-    p4 = p_fourth_sum(params, table, sieve)
-    su = s_upper(params, table, sieve, method)
+    L, sq, P, M = values.L, values.sq, values.P, values.M
+    r, s, k = values.params.r, values.params.s, values.params.k
+    e1, e2, e3 = (float(e) for e in holder_exponents(k))
+    t = (L * np.conj(P) ** (2 * s) * np.abs(M) ** (2 * (s - r)))[1:]
+    sl = complex(math.fsum(t.real), math.fsum(t.imag))
+    mk = _power_sum(sq, k)[0]
+    p4 = values.p4
+    su = float(math.fsum((sq * np.abs(P) ** (4 * s) * np.abs(M) ** (2 * (2 * s - r)))[1:]))
     f1, f2, f3 = mk**e1, p4**e2, su**e3
     slack = f1 * f2 * f3 - abs(sl)
-    return HolderReport(
-        params=params,
-        method=method,
-        s_l=sl,
-        abs_s_l=abs(sl),
-        moment=mk,
-        p4=p4,
-        s_u=su,
-        f1=f1,
-        f2=f2,
-        f3=f3,
-        slack=slack,
-        holds=slack >= -1e-9 * f1 * f2 * f3,
-    )
+    return HolderReport(sl, mk, p4, su, f1, f2, f3, slack, holds=slack >= -1e-9 * f1 * f2 * f3)
 
 
 @dataclass
@@ -305,19 +266,11 @@ def scaling_survey(
     the asymptotic constants are not reproducible at desk scale.
     """
     k = Fraction(k)
-
-    def one(q: int) -> SurveyRow:
-        table = build_table(q)
-        value, _, _ = moment_sum(table, k, method)
-        per_phi = value / (q - 1)
+    rows = []
+    for q in (int(q) for q in primes):
+        per_phi = moment_sum(build_table(q), k, method)[0] / (q - 1)
         target = math.log(q) ** float(k * k)
         ratio = per_phi / target
-        return SurveyRow(
-            q=q,
-            moment_over_phi=per_phi,
-            logq_pow_k2=target,
-            ratio=ratio,
-            band_ok=band[0] <= ratio <= band[1],
-        )
-
-    return parallel_map(one, [int(q) for q in primes])
+        rows.append(SurveyRow(q=q, moment_over_phi=per_phi, logq_pow_k2=target, ratio=ratio,
+                              band_ok=band[0] <= ratio <= band[1]))
+    return rows

@@ -208,8 +208,8 @@ def weighted_poly_coeffs(A: int, B: int, x: float, cutoff: int, sieve: FactorSie
     """
     if A < 1 or B < 1:
         raise DomainError("A and B must be positive integers")
-    if x <= 1.0:
-        raise DomainError(f"x must exceed 1, got {x}")
+    if not (math.isfinite(x) and x > 1.0):
+        raise DomainError(f"x must be finite and exceed 1, got {x}")
     support = min(cutoff, int(math.floor(x)))
     base_d = divisor_series(Fraction(1, B), max(support, 1), sieve)
     base = np.zeros(cutoff + 1)
@@ -226,8 +226,8 @@ def mollifier_coeffs(A: int, B: int, y: float, cutoff: int, sieve: FactorSieve) 
     """
     if A < 1 or B < 1:
         raise DomainError("A and B must be positive integers")
-    if y <= 1.0:
-        raise DomainError(f"y must exceed 1, got {y}")
+    if not (math.isfinite(y) and y > 1.0):
+        raise DomainError(f"y must be finite and exceed 1, got {y}")
     support = min(cutoff, int(math.floor(y)))
     base_d = divisor_series(Fraction(1, B), max(support, 1), sieve)
     mu = mobius_series(max(support, 1), sieve)

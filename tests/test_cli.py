@@ -1,10 +1,11 @@
 import json
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fracmoment import contours
+from fracmoment import contours, moments, sieve
 from fracmoment.cli import build_parser, main, parse_k
 from fracmoment.errors import DomainError
 
@@ -92,6 +93,20 @@ class TestHolderCommand:
                     "--out", str(out)]) == 0
         assert run(["holder", "--q", "101", "--k", "1/2"]) == 2
 
+    def test_evaluates_character_values_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("evaluate_polynomial_all", "lvalue_table"):
+            fn = getattr(moments, name)
+            monkeypatch.setattr(moments, name, lambda *a, _fn=fn, _name=name, **k:
+                                calls.update([_name]) or _fn(*a, **k))
+        assert run(["holder", "--q", "1009"]) == 0
+        assert calls == {"evaluate_polynomial_all": 2, "lvalue_table": 1}
+
+    def test_outside_diagonal_regime_exits_before_the_sieve(self, monkeypatch, capsys):
+        monkeypatch.setattr(sieve.FactorSieve, "build", None)  # any call would raise TypeError
+        assert run(["holder", "--q", "1009", "--y", "5"]) == 2  # x^2 = 5^8 > 1009
+        assert capsys.readouterr().err == "error: diagonal regime requires x^{2r} < q\n"
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -177,16 +192,6 @@ class TestSweepExport:
             (w["y"], w["oracle"], w["ratio"]) for w in want]
 
 
-class TestThreads:
-    def test_worker_env_preserves_results(self, tmp_path, monkeypatch):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        run(["survey", "--k", "1/2", "--primes", "101,151", "--out", str(a)])
-        monkeypatch.setenv("FRACMOMENT_THREADS", "4")
-        run(["survey", "--k", "1/2", "--primes", "101,151", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
-
 class TestExitCodes:
     def test_io_error_exits_3(self):
         code = run(["moments", "--q", "101", "--k", "1/2",
@@ -239,6 +244,16 @@ class TestExitCodes:
         ["verify", "quarter", "--sweep", "1"],
         ["verify", "pairshift", "--sweep", "1", "--y", "100"],
         ["verify", "eta", "--s", "3,4", "--levels", "1000,10000"],
+        ["holder", "--q", "1009", "--y", "nan"],
+        ["holder", "--q", "1009", "--y", "inf"],
+        ["holder", "--q", "1009", "--a", "nan"],
+        ["holder", "--q", "1009", "--a", "inf"],
+        ["holder", "--q", "1009", "--y", "1e300"],
+        ["moments", "--q", "1009", "--a", "nan"],
+        ["moments", "--q", "1009", "--y", "inf"],
+        ["dump-coeffs", "--series", "weighted", "--x", "nan"],
+        ["dump-coeffs", "--series", "mollifier", "--y", "inf"],
+        ["moments", "--q", "1009", "--a", "0"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2

@@ -3,22 +3,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import table_for
+from fracmoment.characters import is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import lvalue_table, oracle_values
 from fracmoment.moments import (
     MomentParams,
+    character_values,
     evaluate_polynomial_all,
     holder_chain_check,
     holder_exponents,
-    moment_k,
     moment_sum,
     mollifier_series,
     p4_bound_check,
     polynomial_series,
-    s_lower,
-    s_upper,
     scaling_survey,
 )
 from fracmoment.sieve import FactorSieve
@@ -42,8 +43,9 @@ class TestMomentParams:
             MomentParams.make(1009, r=2, s=4)  # not reduced
         with pytest.raises(DomainError):
             MomentParams.make(1009, r=3, s=2)  # k > 1
-        with pytest.raises(DomainError):
-            MomentParams(q=1009, r=1, s=2, y=2.0, a=4.0, x=17.0)  # x != y^a
+        for y, a in ((math.nan, 4.0), (math.inf, 4.0), (2.0, math.nan), (2.0, math.inf), (1e300, 4.0)):
+            with pytest.raises(DomainError):
+                MomentParams(q=1009, r=1, s=2, y=y, a=a)  # non-finite, or y^a overflows
 
 
 class TestEvaluatePolynomial:
@@ -67,14 +69,6 @@ class TestEvaluatePolynomial:
         assert abs(out[0].imag) < 1e-12
         assert direct > 0
 
-    def test_conjugate_flag_reindexes(self, fs, rng):
-        t = table_for(101)
-        coeffs = np.concatenate([[0.0], rng.standard_normal(50)])
-        out = evaluate_polynomial_all(t, coeffs)
-        outc = evaluate_polynomial_all(t, coeffs, conjugate=True)
-        np.testing.assert_allclose(outc, np.conj(out), atol=1e-12)
-        np.testing.assert_allclose(outc[1:], out[1:][::-1], atol=1e-12)
-
     def test_support_must_stay_below_q(self, fs):
         t = table_for(7)
         vals = np.zeros(8)
@@ -86,13 +80,12 @@ class TestEvaluatePolynomial:
 class TestMomentK:
     def test_q5_half_moment_is_sum_of_roots(self):
         t = table_for(5)
-        p = MomentParams.make(5)
-        rep = moment_k(p, t)
+        value, contributions, _ = moment_sum(t, MomentParams.make(5).k)
         sq = lvalue_table(t, "oracle")[1]
         want = math.fsum(math.sqrt(sq[j]) for j in (1, 2, 3))
-        assert rep.value == pytest.approx(want, rel=1e-12)
+        assert value == pytest.approx(want, rel=1e-12)
         # q - 2 non-principal characters contribute
-        assert rep.contributions.size == 3
+        assert contributions.size == 3
 
     def test_k_one_equals_square_sum(self):
         t = table_for(101)
@@ -102,16 +95,16 @@ class TestMomentK:
 
     def test_oracle_vs_afe(self):
         t = table_for(5)
-        p = MomentParams.make(5)
-        a = moment_k(p, t, "oracle").value
-        b = moment_k(p, t, "afe").value
+        k = MomentParams.make(5).k
+        a = moment_sum(t, k, "oracle")[0]
+        b = moment_sum(t, k, "afe")[0]
         assert a == pytest.approx(b, abs=1e-5)
 
     def test_oracle_vs_afe_q1009(self):
         t = table_for(1009)
-        p = MomentParams.make(1009)
-        a = moment_k(p, t, "oracle").value
-        b = moment_k(p, t, "afe").value
+        k = MomentParams.make(1009).k
+        a = moment_sum(t, k, "oracle")[0]
+        b = moment_sum(t, k, "afe")[0]
         assert a == pytest.approx(b, rel=1e-4)
 
     def test_bad_k_rejected(self):
@@ -133,17 +126,21 @@ def _naive_polys(table, coeffs):
 @pytest.fixture(scope="module")
 def setup_1009():
     # the x = 10, a = 2 bundle: y = sqrt(10)
-    params = MomentParams(q=1009, r=1, s=2, y=math.sqrt(10.0), a=2.0, x=10.0)
+    params = MomentParams(q=1009, r=1, s=2, y=math.sqrt(10.0), a=2.0)
     table = table_for(1009)
     fs = FactorSieve.build(200)
     return params, table, fs
+
+
+def chain(params, table, fs):
+    return holder_chain_check(character_values(params, table, fs))
 
 
 class TestTwistedSums:
 
     def test_s_lower_matches_naive_triple_loop(self, setup_1009):
         params, table, fs = setup_1009
-        got = s_lower(params, table, fs)
+        got = chain(params, table, fs).s_l
         L = oracle_values(table)
         P = _naive_polys(table, polynomial_series(params, fs))
         M = _naive_polys(table, mollifier_series(params, fs))
@@ -154,7 +151,7 @@ class TestTwistedSums:
 
     def test_s_upper_matches_naive_and_nonnegative(self, setup_1009):
         params, table, fs = setup_1009
-        got = s_upper(params, table, fs)
+        got = chain(params, table, fs).s_u
         assert got >= 0
         L = oracle_values(table)
         P = _naive_polys(table, polynomial_series(params, fs))
@@ -167,7 +164,7 @@ class TestTwistedSums:
     def test_s_lower_imag_small(self, setup_1009):
         # contributions pair conjugately, so the sum is essentially real
         params, table, fs = setup_1009
-        val = s_lower(params, table, fs)
+        val = chain(params, table, fs).s_l
         assert abs(val.imag) < 1e-9 * max(1.0, abs(val))
 
     def test_degenerate_polynomials_reduce_to_l_sum(self):
@@ -175,8 +172,8 @@ class TestTwistedSums:
         table = table_for(q)
         fs = FactorSieve.build(10)
         eps = 1e-9
-        params = MomentParams(q=q, r=1, s=2, y=1 + eps, a=1.0, x=1 + eps)
-        got = s_lower(params, table, fs)
+        params = MomentParams(q=q, r=1, s=2, y=1 + eps, a=1.0)
+        got = chain(params, table, fs).s_l
         want = 0.25 * sum(oracle_values(table)[1:])  # |M|^2 = (1/2)^2, P = 1
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
@@ -186,22 +183,22 @@ class TestP4Bound:
         q = 101
         table = table_for(q)
         fs = FactorSieve.build(10)
-        params = MomentParams(q=q, r=1, s=2, y=1 + 1e-9, a=1.0, x=1 + 1e-9)
-        rep = p4_bound_check(params, table, fs)
+        params = MomentParams(q=q, r=1, s=2, y=1 + 1e-9, a=1.0)
+        rep = p4_bound_check(character_values(params, table, fs), fs)
         assert rep.lhs == pytest.approx(q - 2, rel=1e-9)
         assert rep.rhs == pytest.approx(q - 1, rel=1e-12)
         assert rep.holds
 
     def test_default_bundle_q1009(self, fs):
         params = MomentParams.make(1009)
-        rep = p4_bound_check(params, table_for(1009), fs)
+        rep = p4_bound_check(character_values(params, table_for(1009), fs), fs)
         assert rep.holds
         assert rep.rhs > 0
 
     def test_diagonal_regime_required(self, fs):
-        params = MomentParams(q=101, r=1, s=2, y=math.sqrt(11.0), a=2.0, x=11.0)
+        params = MomentParams(q=101, r=1, s=2, y=math.sqrt(11.0), a=2.0)
         with pytest.raises(DomainError):
-            p4_bound_check(params, table_for(101), fs)  # x^2 = 121 > 101
+            p4_bound_check(character_values(params, table_for(101), fs), fs)  # x^2 = 121 > 101
 
 
 class TestHolderChain:
@@ -212,14 +209,41 @@ class TestHolderChain:
 
     def test_chain_q1009_default(self, fs):
         params = MomentParams.make(1009)
-        rep = holder_chain_check(params, table_for(1009), fs)
+        rep = chain(params, table_for(1009), fs)
         assert rep.holds
         assert rep.slack >= -1e-9 * rep.f1 * rep.f2 * rep.f3
 
     def test_chain_degenerate(self):
-        params = MomentParams(q=101, r=1, s=2, y=1 + 1e-9, a=1.0, x=1 + 1e-9)
-        rep = holder_chain_check(params, table_for(101), FactorSieve.build(10))
+        params = MomentParams(q=101, r=1, s=2, y=1 + 1e-9, a=1.0)
+        rep = chain(params, table_for(101), FactorSieve.build(10))
         assert rep.holds
+
+
+class TestBundleProperty:
+    @given(
+        q=st.sampled_from([p for p in range(5, 401) if is_prime(p)]),
+        k=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4)]),
+        a=st.floats(1.0, 3.0),
+        u=st.floats(0.05, 0.95),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bundle_sums_match_naive_loop(self, q, k, a, u):
+        # y = q^{u/(2ra)} puts x^{2r} = q^u inside the diagonal regime
+        r, s = k.numerator, k.denominator
+        params = MomentParams(q=q, r=r, s=s, y=q ** (u / (2 * r * a)), a=a)
+        table = table_for(q)
+        fs = FactorSieve.build(max(int(params.diagonal_length()), 2))
+        rep = chain(params, table, fs)
+        L = oracle_values(table)[1:]
+        P = _naive_polys(table, polynomial_series(params, fs))[1:]
+        M = _naive_polys(table, mollifier_series(params, fs))[1:]
+        terms = L * np.conj(P) ** (2 * s) * np.abs(M) ** (2 * (s - r))
+        assert abs(rep.s_l - terms.sum()) <= 1e-9 * abs(terms.sum())
+        s_u = np.sum(np.abs(L) ** 2 * np.abs(P) ** (4 * s) * np.abs(M) ** (2 * (2 * s - r)))
+        assert rep.s_u == pytest.approx(s_u, rel=1e-9)
+        assert rep.p4 == pytest.approx(np.sum(np.abs(P) ** (4 * r)), rel=1e-9)
+        assert rep.moment == pytest.approx(np.sum(np.abs(L) ** (2 * float(k))), rel=1e-9)
+        assert rep.slack >= -1e-9 * rep.f1 * rep.f2 * rep.f3
 
 
 class TestSurvey:
