@@ -401,7 +401,10 @@ def cmd_holder(args) -> int:
     params = _params_from_args(args)
     # diagonal_length() refuses x^{2r} >= q, so nothing is built outside the P4 check's regime
     fs = sieve.FactorSieve.build(max(int(params.diagonal_length()), 2))
-    values = moments.character_values(params, characters.build_table(params.q), fs, args.method)
+    table = characters.build_table(params.q)
+    values = moments.character_values(params, table, fs, args.method)
+    if args.lvalues_out and not _write(_lvalue_rows(table, args.method), "csv", args.lvalues_out, "L-value table"):
+        return EXIT_IO
     rep = moments.holder_chain_check(values)
     p4 = moments.p4_bound_check(values, fs)
     report = {

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .lvalues import zeta_values
+from .lvalues import zeta_progression, zeta_values
 from .sieve import FactorSieve, ShiftVector, divisor_series, shifted_series
 from .util import trapezoid_weights
 
@@ -167,13 +167,12 @@ def zeta_frac_power(alpha: float, s: complex) -> complex:
     return complex(np.exp(alpha * _log_zeta_walk(points)))
 
 
-def zeta_power_line(beta: float, s_grid: np.ndarray) -> np.ndarray:
-    """zeta^beta along a contiguous grid of s values, branch-tracked from the
-    midpoint, where zeta is (nearly) real positive on the symmetric grids used."""
-    s_grid = np.asarray(s_grid, dtype=complex)
-    zv = zeta_values(s_grid)
-    mid = s_grid.size // 2
-    logs = np.empty(s_grid.shape, dtype=complex)
+def zeta_power_line(beta: float, s0: complex, ds: complex, count: int) -> np.ndarray:
+    """zeta^beta at s0 + k ds for k < count, branch-tracked from the midpoint,
+    where zeta is (nearly) real positive on the symmetric lines used."""
+    zv = zeta_progression(s0, ds, count)
+    mid = count // 2
+    logs = np.empty(count, dtype=complex)
     logs[mid] = np.log(zv[mid])
     inc = _step_logs(zv[mid + 1 :], zv[mid : -1])
     logs[mid + 1 :] = logs[mid] + np.cumsum(inc)
@@ -229,8 +228,8 @@ def paired_shift_numeric(alpha: float, beta: float, y: float, T: float = 400.0, 
     n = t.size
     phi = np.exp(1j * t) * (1 + 1j * t) ** (-alpha) * trapezoid_weights(n)
     conv = _self_convolve(phi)
-    tau = (np.arange(2 * n - 1) - (n - 1)) * h
-    zb = zeta_power_line(beta, 1 + (2 + 1j * tau) / L)
+    # zeta^beta at 1 + (2 + i tau)/L for tau = (k - (n - 1)) h, k < 2n - 1
+    zb = zeta_power_line(beta, 1 + (2 - 1j * (n - 1) * h) / L, 1j * h / L, 2 * n - 1)
     total = complex(np.sum(zb * conv)) * h * h
     pref = math.e**2 * L ** (2 * alpha - 2) / (4 * math.pi**2)
     return pref * total
@@ -271,7 +270,7 @@ def paired_shift_oracle(
     rb = np.concatenate(rows_b)
     rc = np.concatenate(rows_c)
     total = 0.0
-    block = 256
+    block = 64  # rows per outer product: each temporary holds 64 x ra.size entries
     for lo in range(0, ra.size, block):
         sa = ra[lo : lo + block, None] * ra[None, :]
         sb = rb[lo : lo + block, None] * rb[None, :]
@@ -291,6 +290,9 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
     the 4-D grid is out of budget and the oracle alone is reported.
     gamma = 2 m alpha + m^2 beta - 2 m is the log-power the integral grows at.
     """
+    sweep = [float(v) for v in sweep]
+    if not all(map(math.isfinite, (alpha, beta, y, *sweep))):
+        raise DomainError("alpha, beta, y and the sweep values must be finite")
     if m not in (1, 2):
         raise DomainError("m must be 1 or 2")
     if alpha <= 2:
@@ -299,7 +301,6 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
         raise DomainError("require beta > 0")
     if y <= 2:
         raise DomainError("require y > 2")
-    sweep = [float(v) for v in sweep]
     if any(v <= 1 for v in sweep):
         raise DomainError(f"sweep values must exceed 1, where (log y)^gamma vanishes; got {sweep}")
     gamma = 2 * m * alpha + m * m * beta - 2 * m
@@ -347,6 +348,8 @@ def eta_stability(
     if not isinstance(shifts, ShiftVector):
         shifts = ShiftVector(tuple(shifts))
     w0 = complex(w0)
+    if not np.all(np.isfinite([w0, *shifts.shifts])):
+        raise DomainError("w0 and the shifts must be finite")
     for w in shifts.shifts:
         if (w0 + complex(w)).real <= 0.2:
             raise ConvergenceError(

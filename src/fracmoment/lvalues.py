@@ -65,6 +65,26 @@ def _em_terms(im_s: float) -> int:
     return int(max(28, 1.3 * abs(im_s) + 24))
 
 
+def _em_tail(out: np.ndarray, s, Na) -> np.ndarray:
+    """Add the Euler-Maclaurin tail sum_{n >= Na} n^{-s} into the running main sum out.
+
+    The in-place steps round exactly as bf * poch * fac and
+    poch * (s + 2k - 1) * (s + 2k) would, without their temporaries.
+    """
+    ln = np.log(Na)
+    out += np.exp((1 - s) * ln) / (s - 1) + 0.5 * np.exp(-s * ln)
+    fac = np.exp(-s * ln) / Na
+    poch = s
+    for k, bf in enumerate(_BERN_FACT, start=1):
+        term = bf * poch
+        term *= fac
+        out += term
+        fac /= Na * Na
+        poch = poch * (s + 2 * k - 1)
+        poch *= s + 2 * k
+    return out
+
+
 def _euler_maclaurin(s, a, terms: int) -> np.ndarray:
     """sum_{n < terms} (n + a)^{-s} plus the Euler-Maclaurin tail from N = terms + a.
 
@@ -73,16 +93,7 @@ def _euler_maclaurin(s, a, terms: int) -> np.ndarray:
     out = np.zeros(np.broadcast(s, a).shape, dtype=complex)
     for n in range(terms):
         out += np.exp(-s * np.log(n + a))
-    Na = terms + a
-    ln = np.log(Na)
-    out += np.exp((1 - s) * ln) / (s - 1) + 0.5 * np.exp(-s * ln)
-    fac = np.exp(-s * ln) / Na
-    poch = s
-    for k, bf in enumerate(_BERN_FACT, start=1):
-        out += bf * poch * fac
-        fac = fac / (Na * Na)
-        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
-    return out
+    return _em_tail(out, s, terms + a)
 
 
 def hurwitz_zeta_over_a(s: complex, a: np.ndarray) -> np.ndarray:
@@ -104,6 +115,28 @@ def zeta_values(s: np.ndarray) -> np.ndarray:
     im_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
     # at a = 1 the tail starts at N = terms + 1, so N itself follows _em_terms
     return _euler_maclaurin(s, 1.0, _em_terms(im_max) - 1)
+
+
+def zeta_progression(s0: complex, ds: complex, count: int) -> np.ndarray:
+    """Riemann zeta at the arithmetic progression s_k = s0 + k ds, k < count.
+
+    The same sum as zeta_values, with the main sum over all points as one
+    product: for k = j B + r, n^{-s_k} = n^{-(s0 + j B ds)} n^{-r ds}, so a
+    (J x terms) and a (terms x B) table of exps, B ~ sqrt(count), replace
+    terms full-length exps.
+    """
+    s0, ds = complex(s0), complex(ds)
+    s = s0 + np.arange(count) * ds
+    if np.any(s == 1):
+        raise DomainError("zeta(s) has a pole at s = 1")
+    terms = _em_terms(float(np.max(np.abs(s.imag), initial=0.0))) - 1
+    B = math.isqrt(count) + 1
+    J = -(-count // B)
+    logn = np.log(np.arange(1, terms + 1))
+    rows = np.exp(-np.outer(s0 + np.arange(J) * B * ds, logn))
+    cols = np.exp(-np.outer(logn, np.arange(B) * ds))
+    out = np.einsum("jn,nr->jr", rows, cols).reshape(-1)[:count]
+    return _em_tail(out, s, terms + 1.0)
 
 
 def hurwitz_zeta(s: complex, a: float = 1.0) -> complex:

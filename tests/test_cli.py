@@ -3,9 +3,10 @@ import shlex
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fracmoment import contours, moments, sieve
+from fracmoment import contours, lvalues, moments, sieve
 from fracmoment.cli import build_parser, main, parse_k
 from fracmoment.errors import DomainError
 
@@ -55,6 +56,16 @@ class TestVerifyCommands:
 
     def test_eta_gate(self):
         assert run(["verify", "eta", "--s", "1", "--levels", "10000,100000"]) == 0
+
+
+class TestPairShiftCommand:
+    def test_zeta_line_is_not_evaluated_point_by_point(self, monkeypatch):
+        sizes = []
+        for module in (contours, lvalues):
+            fn = module.zeta_values
+            monkeypatch.setattr(module, "zeta_values", lambda s, _fn=fn: sizes.append(np.size(s)) or _fn(s))
+        assert run(["verify", "pairshift", "--sweep", "1e3,1e4"]) == 0
+        assert max(sizes, default=0) <= 1000
 
 
 class TestMomentsCommand:
@@ -164,6 +175,14 @@ class TestLValueExport:
         assert len(lines) == 100  # header + q-2 non-principal characters
         assert lines[1].startswith("101,1,")
 
+    def test_holder_writes_the_moments_csv(self, tmp_path):
+        hl = tmp_path / "hl.csv"
+        ml = tmp_path / "ml.csv"
+        assert run(["holder", "--q", "1009", "--out", str(tmp_path / "h.json"), "--lvalues-out", str(hl)]) == 0
+        assert run(["moments", "--q", "1009", "--out", str(tmp_path / "m.json"), "--lvalues-out", str(ml)]) == 0
+        assert len(hl.read_text().splitlines()) == 1 + 1009 - 2
+        assert hl.read_bytes() == ml.read_bytes()
+
 
 class TestSweepExport:
     def test_quarter_sweep_csv(self, tmp_path):
@@ -204,6 +223,7 @@ class TestExitCodes:
         (["dump-coeffs", "--series", "mobius", "--nmax", "10", "--out"], "report"),
         (["moments", "--q", "101", "--lvalues-out"], "L-value table"),
         (["contour", "--check", "quarter", "--y", "1e3", "--sweep", "1e3", "--sweep-out"], "sweep table"),
+        (["holder", "--q", "1009", "--lvalues-out"], "L-value table"),
     ])
     def test_unwritable_output_exits_3(self, argv, what, tmp_path, capsys):
         assert run([*argv, str(tmp_path / "missing" / "out")]) == 3
@@ -254,6 +274,14 @@ class TestExitCodes:
         ["dump-coeffs", "--series", "weighted", "--x", "nan"],
         ["dump-coeffs", "--series", "mollifier", "--y", "inf"],
         ["moments", "--q", "1009", "--a", "0"],
+        ["verify", "pairshift", "--y", "nan"],
+        ["verify", "pairshift", "--y", "inf"],
+        ["verify", "pairshift", "--sweep", "nan,1e4"],
+        ["verify", "quarter", "--y", "nan"],
+        ["verify", "eta", "--w0", "nan"],
+        ["verify", "eta", "--shifts", "nan"],
+        ["verify", "pairshift", "--alpha", "nan"],
+        ["verify", "pairshift", "--alpha", "inf"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2

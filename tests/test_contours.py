@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fracmoment import contours
 from fracmoment.contours import (
     QUARTER,
     _self_convolve,
     eta_stability,
     hankel_recip_gamma,
     paired_shift_check,
+    paired_shift_numeric,
     paired_shift_oracle,
     perron_weight,
     perron_weight_closed_form,
@@ -97,7 +103,7 @@ class TestZetaFracPower:
     def test_branch_jump_refused(self):
         # zeta turns by 2.03 rad between t = 14 and 14.5, past its first zero
         with pytest.raises(ConvergenceError):
-            zeta_power_line(0.25, 0.6 + 1j * np.array([13.5, 14.0, 14.5, 15.0]))
+            zeta_power_line(0.25, 0.6 + 13.5j, 0.5j, 4)
 
 
 class TestPairedShift:
@@ -156,6 +162,31 @@ class TestPairedShift:
         phi = np.exp(1j * t) * (1 + 1j * t) ** (-alpha) * trapezoid_weights(t.size)
         assert np.array_equal(_self_convolve(phi), fftconvolve(phi, phi))
 
+    def test_numeric_frozen(self):
+        # frozen from the per-point Euler-Maclaurin evaluation of zeta on the line
+        assert paired_shift_numeric(3.0, 1.0, 1e4).real == pytest.approx(4408.048185284932, rel=1e-12)
+        assert paired_shift_numeric(*QUARTER[1:], 1e4).real == pytest.approx(585.5848620707364, rel=1e-12)
+
+    def test_m2_oracle_peak_memory(self):
+        # one process of its own, so the peak is this call's and no other test's
+        src = str(Path(contours.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the peak is VmHWM, in KiB: a child's ru_maxrss starts at its parent's
+        # RSS at exec, so after a large test it would read 0
+        code = (
+            "from fracmoment.contours import paired_shift_oracle\n"
+            "from fracmoment.sieve import FactorSieve\n"
+            "def peak():\n"
+            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
+            "s = FactorSieve.build(500)\n"
+            "paired_shift_oracle(2, 3.0, 1.0, 20.0, s)\n"
+            "before = peak()\n"
+            "paired_shift_oracle(2, 3.0, 1.0, 500.0, s)\n"
+            "print(peak() - before)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 20 * 1024
+
     def test_m2_has_no_numeric_path(self):
         rep = paired_shift_check(2, 3.0, 1.0, 100.0)
         assert rep.numeric is None
@@ -170,6 +201,12 @@ class TestPairedShift:
             paired_shift_check(3, 3.0, 1.0, 100.0)
         with pytest.raises(DomainError):
             paired_shift_check(1, 3.0, 1.0, 100.0, sweep=[1e3, 1.0])  # (log 1)^gamma = 0
+        for bad in (math.nan, math.inf):
+            for args in ((1, bad, 1.0, 100.0), (1, 3.0, bad, 100.0), (1, 3.0, 1.0, bad)):
+                with pytest.raises(DomainError):
+                    paired_shift_check(*args)
+            with pytest.raises(DomainError):
+                paired_shift_check(1, 3.0, 1.0, 100.0, sweep=[bad, 1e4])
 
 
 class TestQuarterPower:
@@ -204,6 +241,13 @@ class TestEtaStability:
         rep = eta_stability(1, 5.0, ShiftVector((5.0,)), [10**3, 10**4])
         assert rep.drift < 1e-6
         assert abs(rep.estimates[-1] - 1.0) < 1e-6
+
+    def test_non_finite_input_rejected(self):
+        for bad in (math.nan, math.inf, complex(0.5, math.nan)):
+            with pytest.raises(DomainError):
+                eta_stability(1, bad, ShiftVector((0.3,)), [10**3, 10**4])
+            with pytest.raises(DomainError):
+                eta_stability(1, 0.5, ShiftVector((0.3, bad)), [10**3, 10**4])
 
     def test_convergence_precondition(self):
         with pytest.raises(ConvergenceError):

@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fracmoment
@@ -29,6 +29,7 @@ from fracmoment.lvalues import (
     smoothed_values,
     w_weight,
     w_weight_many,
+    zeta_progression,
     zeta_values,
 )
 from fracmoment.moments import moment_sum
@@ -72,6 +73,35 @@ class TestHurwitzZeta:
         got = zeta_values(s)
         for sv, gv in zip(s, got):
             assert abs(gv - complex(mp.zeta(complex(sv)))) < 1e-11
+
+    @given(s=st.tuples(st.floats(-0.5, 3.0), st.floats(-60.0, 60.0)).map(lambda p: complex(*p)),
+           a=st.floats(1e-3, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_hurwitz_against_mpmath_at_random_points(self, s, a):
+        assume(s != 1)
+        got = complex(hurwitz_zeta_over_a(s, np.array([a]))[0])
+        want = complex(mp.zeta(s, a))
+        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+
+    @given(ends=st.lists(st.tuples(st.floats(1.02, 3.0), st.floats(-130.0, 130.0)), min_size=2, max_size=2),
+           count=st.integers(2, 5000), picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    @example(ends=[(1.02, -130.0), (3.0, 130.0)], count=5000, picks=[0.0, 1.0])
+    @example(ends=[(1.5, 0.0), (1.5, 1.0)], count=2, picks=[0.0, 1.0])
+    def test_zeta_progression_against_mpmath(self, ends, count, picks):
+        s0, s1 = (complex(*p) for p in ends)
+        ds = (s1 - s0) / (count - 1)
+        got = zeta_progression(s0, ds, count)
+        assert got.shape == (count,)
+        direct = zeta_values(s0 + np.arange(count) * ds)
+        assert np.all(np.abs(got - direct) < 1e-11 * np.maximum(1.0, np.abs(direct)))
+        for k in {round(u * (count - 1)) for u in picks}:
+            want = complex(mp.zeta(s0 + k * ds))
+            assert abs(got[k] - want) < 1e-11 * max(1.0, abs(want)), k
+
+    def test_zeta_progression_refuses_the_pole(self):
+        with pytest.raises(DomainError):
+            zeta_progression(1.0 - 0.5j, 0.25j, 4)  # the third point is s = 1
 
 
 class TestWWeight:
