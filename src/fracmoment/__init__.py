@@ -2,7 +2,8 @@
 
 Submodules:
     sieve       multiplicative coefficient sequences (divisor powers, weighted
-                polynomial and mollifier coefficients, shifted series)
+                polynomial and mollifier coefficients, shifted series), each
+                a function of its cutoff, which sieves its own prime factors
     characters  character tables mod prime q, orthogonality, group DFT
     lvalues     central L-values by Hurwitz oracle, smoothed sum, and AFE
     moments     fractional moments; one per-character bundle of L, P and M
@@ -49,7 +50,6 @@ from .moments import (
     scaling_survey,
 )
 from .sieve import (
-    FactorSieve,
     ShiftVector,
     dirichlet_convolve,
     divisor_coeff,

@@ -110,9 +110,10 @@ def _verify_convolution(s, nmax, tol) -> dict:
     ss = _ints(s)
     if min(ss) < 1:
         raise DomainError(f"--s values must be positive integers, got {s!r}")
-    fs = sieve.FactorSieve.build(nmax)
+    if nmax < 1:
+        raise DomainError(f"--nmax must be at least 1, got {nmax}")
     for si in ss:
-        d = sieve.divisor_series(Fraction(1, si), nmax, fs)
+        d = sieve.divisor_series(Fraction(1, si), nmax)
         acc = d
         for _ in range(si - 1):
             acc = sieve.dirichlet_convolve(acc, d, nmax)
@@ -399,14 +400,13 @@ def _lvalue_rows(table, method: str):
 
 def cmd_holder(args) -> int:
     params = _params_from_args(args)
-    # diagonal_length() refuses x^{2r} >= q, so nothing is built outside the P4 check's regime
-    fs = sieve.FactorSieve.build(max(int(params.diagonal_length()), 2))
+    params.diagonal_length()  # refuses x^{2r} >= q, so nothing is built outside the P4 check's regime
     table = characters.build_table(params.q)
-    values = moments.character_values(params, table, fs, args.method)
+    values = moments.character_values(params, table, args.method)
     if args.lvalues_out and not _write(_lvalue_rows(table, args.method), "csv", args.lvalues_out, "L-value table"):
         return EXIT_IO
     rep = moments.holder_chain_check(values)
-    p4 = moments.p4_bound_check(values, fs)
+    p4 = moments.p4_bound_check(values)
     report = {
         "command": "holder",
         "params": {
@@ -466,25 +466,24 @@ def cmd_contour(args) -> int:
 
 
 def cmd_dump_coeffs(args) -> int:
-    if args.nmax < 1:
-        raise DomainError(f"--nmax must be at least 1, got {args.nmax}")
-    fs = sieve.FactorSieve.build(max(args.nmax, 2))
+    if not 1 <= args.nmax <= sieve.SIEVE_CAP:
+        raise DomainError(f"--nmax must be in [1, {sieve.SIEVE_CAP}], got {args.nmax}")
     kind = args.series
     if kind == "dalpha":
-        ser = sieve.divisor_series(_rational(args.alpha), args.nmax, fs)
+        ser = sieve.divisor_series(_rational(args.alpha), args.nmax)
     elif kind == "mobius":
-        ser = sieve.mobius_series(args.nmax, fs)
+        ser = sieve.mobius_series(args.nmax)
     elif kind == "weighted":
-        ser = sieve.weighted_poly_coeffs(args.A, args.B, args.x, args.nmax, fs)
+        ser = sieve.weighted_poly_coeffs(args.A, args.B, args.x, args.nmax)
     elif kind == "mollifier":
-        ser = sieve.mollifier_coeffs(args.A, args.B, args.y, args.nmax, fs)
+        ser = sieve.mollifier_coeffs(args.A, args.B, args.y, args.nmax)
     elif kind in ("sigma", "rho"):
         shifts = sieve.ShiftVector(tuple(complex(v) for v in _floats(args.shifts)))
-        ser = sieve.shifted_series(kind, shifts, args.s, args.nmax, fs)
+        ser = sieve.shifted_series(kind, shifts, args.s, args.nmax)
     elif kind == "psi":
         w = sieve.ShiftVector(tuple(complex(v) for v in _floats(args.shifts)))
         z = sieve.ShiftVector(tuple(complex(v) for v in _floats(args.zshifts)))
-        ser = sieve.shifted_series("psi", (w, z), args.s, args.nmax, fs)
+        ser = sieve.shifted_series("psi", (w, z), args.s, args.nmax)
     else:
         raise DomainError(f"unknown series {kind!r}")
     vals = ser[1:]

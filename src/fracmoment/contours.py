@@ -21,6 +21,7 @@ decouple through one FFT convolution over t1 + t2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .lvalues import zeta_progression, zeta_values
-from .sieve import FactorSieve, ShiftVector, divisor_series, shifted_series
+from .sieve import ShiftVector, divisor_series, shifted_series
 from .util import trapezoid_weights
 
 # ---------------------------------------------------------------------------
@@ -92,10 +93,10 @@ def hankel_recip_gamma(alpha: float, arm: float = 25.0, nodes_per_unit: int = 40
 
     The dropped arms beyond -arm contribute O(e^{-arm}).
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    if arm < 10:
-        raise DomainError("arm must be at least 10")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DomainError(f"alpha must be finite and positive, got {alpha}")
+    if not (math.isfinite(arm) and arm >= 10):
+        raise DomainError(f"arm must be finite and at least 10, got {arm}")
     coarse = _hankel_level(alpha, arm, nodes_per_unit)
     fine = _hankel_level(alpha, arm, 2 * nodes_per_unit)
     # one Richardson step on the O(h^2) trapezoid error
@@ -191,6 +192,9 @@ def zeta_power_line(beta: float, s0: complex, ds: complex, count: int) -> np.nda
 # (log y)^gamma with gamma = 2*5/2 + 1/4 - 2 = 13/4.
 QUARTER = (1, 2.5, 0.25)
 
+# The m = 2 oracle is quartic in log y; it is refused beyond this y.
+M2_ORACLE_YMAX = 3000
+
 
 @dataclass
 class PairedShiftReport:
@@ -235,27 +239,23 @@ def paired_shift_numeric(alpha: float, beta: float, y: float, T: float = 400.0, 
     return pref * total
 
 
-def paired_shift_oracle(
-    m: int, alpha: float, beta: float, y: float, sieve: Optional[FactorSieve] = None
-) -> float:
+def paired_shift_oracle(m: int, alpha: float, beta: float, y: float) -> float:
     """Exact divisor-sum expansion of the paired-shift integral.
 
     m = 1: sum_{n < y} d_beta(n)/n * (log^{alpha-1}(y/n)/Gamma(alpha))^2.
     m = 2: the four-index analogue with one Perron weight per row and column
     product; evaluated by blocked outer products over row pairs.
     """
+    if m not in (1, 2):
+        raise DomainError("oracle implemented for m = 1 and m = 2")
+    if m == 2 and y > M2_ORACLE_YMAX:
+        raise DomainError(f"m = 2 oracle is quartic in log y; limited to y <= {M2_ORACLE_YMAX}")
     N = int(math.ceil(y)) - 1 if float(y).is_integer() else int(math.floor(y))
-    if sieve is None or sieve.limit < N:
-        sieve = FactorSieve.build(max(N, 2))
-    d = divisor_series(beta, N, sieve)
+    d = divisor_series(beta, N)
     if m == 1:
         n = np.arange(1, N + 1)
         w = np.log(y / n) ** (alpha - 1) / math.gamma(alpha)
         return float(np.sum(d[1 : N + 1] / n * w * w))
-    if m != 2:
-        raise DomainError("oracle implemented for m = 1 and m = 2")
-    if y > 3000:
-        raise DomainError("m = 2 oracle is quartic in log y; limited to y <= 3000")
     # integer-indexed Perron weight f[u] = log^{alpha-1}(y/u)/Gamma(alpha), u < y
     u = np.arange(1, N + 1)
     f = np.zeros(N + 1)
@@ -285,9 +285,10 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
     """Compare the 2m-fold contour integral with its divisor-sum oracle at y,
     and tabulate the oracle over the sweep.
 
-    One sieve serves every oracle and each distinct y is expanded once.  The
-    numeric path is run only for m = 1 (a genuine 2-D quadrature); for m = 2
-    the 4-D grid is out of budget and the oracle alone is reported.
+    Each distinct y is expanded once; m = 2 past M2_ORACLE_YMAX is refused
+    before any oracle runs.  The numeric path is run only for m = 1 (a
+    genuine 2-D quadrature); for m = 2 the 4-D grid is out of budget and the
+    oracle alone is reported.
     gamma = 2 m alpha + m^2 beta - 2 m is the log-power the integral grows at.
     """
     sweep = [float(v) for v in sweep]
@@ -303,9 +304,10 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
         raise DomainError("require y > 2")
     if any(v <= 1 for v in sweep):
         raise DomainError(f"sweep values must exceed 1, where (log y)^gamma vanishes; got {sweep}")
+    if m == 2 and max([y, *sweep]) > M2_ORACLE_YMAX:
+        raise DomainError(f"m = 2 oracle is quartic in log y; limited to y <= {M2_ORACLE_YMAX}")
     gamma = 2 * m * alpha + m * m * beta - 2 * m
-    sieve = FactorSieve.build(int(max([y, *sweep])))
-    oracle = {v: paired_shift_oracle(m, alpha, beta, v, sieve) for v in dict.fromkeys([y, *sweep])}
+    oracle = {v: paired_shift_oracle(m, alpha, beta, v) for v in dict.fromkeys([y, *sweep])}
     rep = PairedShiftReport(m=m, alpha=alpha, beta=beta, y=y, gamma=gamma, oracle=oracle[y],
                             sweep_rows=[(v, oracle[v], oracle[v] / math.log(v) ** gamma) for v in sweep])
     if m == 1:
@@ -331,13 +333,7 @@ class EtaStabilityReport:
     drift: float
 
 
-def eta_stability(
-    s_param: int,
-    w0: complex,
-    shifts: ShiftVector,
-    levels: Sequence[int],
-    sieve: Optional[FactorSieve] = None,
-) -> EtaStabilityReport:
+def eta_stability(s_param: int, w0: complex, shifts: ShiftVector, levels: Sequence[int]) -> EtaStabilityReport:
     """Estimate eta = [sum_{n<=N} sigma_shifts(n) n^{-(1+w0)}] / prod_i
     zeta^{1/2s}(1 + w0 + w_i) at a ladder of cutoffs N.
 
@@ -348,20 +344,18 @@ def eta_stability(
     if not isinstance(shifts, ShiftVector):
         shifts = ShiftVector(tuple(shifts))
     w0 = complex(w0)
-    if not np.all(np.isfinite([w0, *shifts.shifts])):
-        raise DomainError("w0 and the shifts must be finite")
+    if not cmath.isfinite(w0):
+        raise DomainError(f"w0 must be finite, got {w0}")
     for w in shifts.shifts:
         if (w0 + complex(w)).real <= 0.2:
             raise ConvergenceError(
                 f"Re(w0 + {w}) <= 0.2: truncated sums will not settle at desk cutoffs"
             )
     levels = tuple(sorted(int(N) for N in levels))
-    if len(levels) < 2:
-        raise DomainError("need at least two cutoff levels")
+    if len(set(levels)) < 2 or levels[0] < 1:
+        raise DomainError(f"need at least two distinct cutoff levels, each at least 1; got {levels}")
     Nmax = levels[-1]
-    if sieve is None or sieve.limit < Nmax:
-        sieve = FactorSieve.build(Nmax)
-    series = shifted_series("sigma", shifts, s_param, Nmax, sieve)
+    series = shifted_series("sigma", shifts, s_param, Nmax)
     n = np.arange(1, Nmax + 1)
     weighted = series[1:] * np.exp(-(1 + w0) * np.log(n))
     partial = np.cumsum(weighted)

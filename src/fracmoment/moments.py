@@ -35,7 +35,7 @@ import numpy as np
 from .characters import CharacterTable, build_table, dft_all_characters, fold_residues, is_prime
 from .errors import DomainError
 from .lvalues import lvalue_table
-from .sieve import FactorSieve, mollifier_coeffs, weighted_poly_coeffs
+from .sieve import mollifier_coeffs, weighted_poly_coeffs
 
 SQUARE_FLOOR = 1e-30  # |L|^2 floor before taking fractional powers
 
@@ -96,16 +96,16 @@ class MomentParams:
         return xpow
 
 
-def polynomial_series(params: MomentParams, sieve: FactorSieve) -> np.ndarray:
+def polynomial_series(params: MomentParams) -> np.ndarray:
     """Coefficients of P: d_{1/2s}(n) log(x/n)/log(x) on n <= x."""
     cutoff = int(math.floor(params.x))
-    return weighted_poly_coeffs(1, 2 * params.s, params.x, cutoff, sieve)
+    return weighted_poly_coeffs(1, 2 * params.s, params.x, cutoff)
 
 
-def mollifier_series(params: MomentParams, sieve: FactorSieve) -> np.ndarray:
+def mollifier_series(params: MomentParams) -> np.ndarray:
     """Coefficients of M: (1/2) d_{1/s}(n) mu(n) log^2(y/n)/log^2(y) on n <= y."""
     cutoff = int(math.floor(params.y))
-    return mollifier_coeffs(1, params.s, params.y, cutoff, sieve)
+    return mollifier_coeffs(1, params.s, params.y, cutoff)
 
 
 def evaluate_polynomial_all(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
@@ -166,17 +166,15 @@ class CharacterValues:
         return float(math.fsum(np.abs(self.P[1:]) ** (4 * self.params.r)))
 
 
-def character_values(
-    params: MomentParams, table: CharacterTable, sieve: FactorSieve, method: str = "oracle"
-) -> CharacterValues:
+def character_values(params: MomentParams, table: CharacterTable, method: str = "oracle") -> CharacterValues:
     """One lvalue_table call and one evaluate_polynomial_all each for P and M."""
     if table.q != params.q:
         raise DomainError("table modulus does not match params")
     if method not in ("oracle", "smoothed"):
         raise DomainError("twisted sums need complex L-values: method 'oracle' or 'smoothed'")
     L, sq, _ = lvalue_table(table, method)
-    P = evaluate_polynomial_all(table, polynomial_series(params, sieve))
-    M = evaluate_polynomial_all(table, mollifier_series(params, sieve))
+    P = evaluate_polynomial_all(table, polynomial_series(params))
+    M = evaluate_polynomial_all(table, mollifier_series(params))
     return CharacterValues(params, L, sq, P, M)
 
 
@@ -188,7 +186,7 @@ class P4Report:
     holds: bool
 
 
-def p4_bound_check(values: CharacterValues, sieve: FactorSieve) -> P4Report:
+def p4_bound_check(values: CharacterValues) -> P4Report:
     """Diagonal majorant for the fourth-type polynomial sum.
 
     lhs = sum_{chi != chi0} |P|^{4r}; rhs = phi(q) sum_{n <= x^{2r}} of the
@@ -199,7 +197,7 @@ def p4_bound_check(values: CharacterValues, sieve: FactorSieve) -> P4Report:
     params = values.params
     cutoff = int(math.floor(params.diagonal_length()))
     lhs = values.p4
-    d2 = weighted_poly_coeffs(2 * params.r, 2 * params.s, params.x, cutoff, sieve)
+    d2 = weighted_poly_coeffs(2 * params.r, 2 * params.s, params.x, cutoff)
     n = np.arange(1, cutoff + 1)
     rhs = (params.q - 1) * float(np.sum(d2[1:] ** 2 / n))
     return P4Report(lhs=lhs, rhs=rhs, ratio=lhs / rhs, holds=lhs <= rhs * (1 + 1e-9))

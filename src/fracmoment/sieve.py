@@ -6,12 +6,13 @@ coefficients d_alpha(n) (the Dirichlet coefficients of zeta(s)^alpha), the
 Mobius function, log-weighted polynomial coefficients, mu-twisted mollifier
 coefficients with squared log weights, and complex-shifted convolution series.
 The multiplicative sequences come from one generator fed their Euler factors
-f(p^e) over a smallest-prime-factor sieve; the rest are Dirichlet convolutions
-of such pieces.
+f(p^e), which sieves the smallest prime factors up to its own cutoff; the rest
+are Dirichlet convolutions of such pieces.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,54 +26,31 @@ from .errors import DomainError
 # series diverge; reject them at construction time.
 SHIFT_RE_MIN = -3.0 / 16.0
 
-DEFAULT_SIEVE_CAP = 10**7
+# Largest cutoff of a multiplicative series: its smallest-prime-factor table
+# is then 40 MB of int32.
+SIEVE_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class FactorSieve:
-    """Smallest-prime-factor table for 2 <= n <= limit.
+def _smallest_prime_factors(limit: int) -> np.ndarray:
+    """int32 spf[n], the least prime dividing n, for 2 <= n <= limit.
 
-    spf[n] is the least prime dividing n; spf[p] = p for prime p.
-    spf[0] = 0 and spf[1] = 1 are sentinels.
+    spf[p] = p for prime p; spf[0] = 0 and spf[1] = 1 are sentinels.
     """
-
-    limit: int
-    spf: np.ndarray
-
-    @classmethod
-    def build(cls, limit: int) -> "FactorSieve":
-        if limit < 1 or limit > DEFAULT_SIEVE_CAP:
-            raise DomainError(f"sieve limit must be in [1, {DEFAULT_SIEVE_CAP}], got {limit}")
-        spf = np.zeros(limit + 1, dtype=np.int64)
-        for p in range(2, math.isqrt(limit) + 1):
-            if spf[p] == 0:
-                block = spf[p * p :: p]
-                block[block == 0] = p
-        untouched = spf == 0
-        spf[untouched] = np.arange(limit + 1, dtype=np.int64)[untouched]
-        spf[1] = 1
-        spf.setflags(write=False)
-        return cls(limit=limit, spf=spf)
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization of n as [(p, e), ...] with p strictly increasing."""
-        if n < 1 or n > self.limit:
-            raise DomainError(f"factorize: n must be in [1, {self.limit}], got {n}")
-        out: list[tuple[int, int]] = []
-        m = int(n)
-        while m > 1:
-            p = int(self.spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        return out
+    if not 0 <= limit <= SIEVE_CAP:
+        raise DomainError(f"series cutoff must be in [0, {SIEVE_CAP}], got {limit}")
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            block = spf[p * p :: p]
+            block[block == 0] = p
+    untouched = spf == 0
+    spf[untouched] = np.arange(limit + 1, dtype=np.int32)[untouched]
+    return spf
 
 
 @dataclass(frozen=True)
 class ShiftVector:
-    """Ordered complex shifts with real parts bounded below by -3/16."""
+    """Ordered finite complex shifts with real parts bounded below by -3/16."""
 
     shifts: tuple[complex, ...]
 
@@ -80,6 +58,8 @@ class ShiftVector:
         if len(self.shifts) < 1:
             raise DomainError("shift vector must contain at least one shift")
         for w in self.shifts:
+            if not cmath.isfinite(w):
+                raise DomainError(f"shift {w} is not finite")
             if complex(w).real < SHIFT_RE_MIN:
                 raise DomainError(f"shift {w} has real part below {SHIFT_RE_MIN}")
 
@@ -106,18 +86,29 @@ def prime_power_coeff(alpha, e: int):
     return acc
 
 
-def divisor_coeff(alpha, n: int, sieve: FactorSieve) -> float:
+def divisor_coeff(alpha, n: int) -> float:
     """d_alpha(n): multiplicative, with d_alpha(p^e) given by prime_power_coeff.
 
+    n is factored by trial division, independently of the sieve behind the series.
     alpha rational is evaluated exactly and converted to float at the end.
     """
+    if n < 1:
+        raise DomainError(f"n must be a positive integer, got {n}")
     acc = Fraction(1) if isinstance(alpha, Rational) else 1.0
-    for _, e in sieve.factorize(n):
-        acc *= prime_power_coeff(alpha, e)
+    m, p = int(n), 2
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e:
+            acc *= prime_power_coeff(alpha, e)
+        p += 1
     return float(acc)
 
 
-def _multiplicative(local, cutoff: int, sieve: FactorSieve, dtype=float) -> np.ndarray:
+def _multiplicative(local, cutoff: int, dtype=float) -> np.ndarray:
     """Dense f(n), n <= cutoff, of the multiplicative f with f(p^e) = local(p, e).
 
     local(p, e) takes an int array of primes and one exponent e >= 1.  With
@@ -125,12 +116,10 @@ def _multiplicative(local, cutoff: int, sieve: FactorSieve, dtype=float) -> np.n
     from local, every other n in layers by its number of distinct prime
     factors.  Slot 0 is 0.
     """
-    if cutoff > sieve.limit:
-        raise DomainError(f"cutoff {cutoff} exceeds sieve limit {sieve.limit}")
+    p = _smallest_prime_factors(cutoff)[2:]
     f = np.zeros(cutoff + 1, dtype=dtype)
     f[1:2] = 1
     n = np.arange(2, cutoff + 1, dtype=np.int32)
-    p = sieve.spf[2 : cutoff + 1].astype(np.int32)
     primes = n[p == n].astype(np.int64)
     pk, k = primes, 1
     while pk.size:  # the prime powers p^k <= cutoff, one exponent at a time
@@ -157,7 +146,7 @@ def _multiplicative(local, cutoff: int, sieve: FactorSieve, dtype=float) -> np.n
     return f
 
 
-def divisor_series(alpha, cutoff: int, sieve: FactorSieve) -> np.ndarray:
+def divisor_series(alpha, cutoff: int) -> np.ndarray:
     """Dense d_alpha(n) for n <= cutoff.
 
     Each d_alpha(p^e) is rounded once from its exact value; a float alpha is
@@ -166,12 +155,12 @@ def divisor_series(alpha, cutoff: int, sieve: FactorSieve) -> np.ndarray:
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
     exact = Fraction(alpha)
-    return _multiplicative(lambda p, e: float(prime_power_coeff(exact, e)), cutoff, sieve)
+    return _multiplicative(lambda p, e: float(prime_power_coeff(exact, e)), cutoff)
 
 
-def mobius_series(cutoff: int, sieve: FactorSieve) -> np.ndarray:
+def mobius_series(cutoff: int) -> np.ndarray:
     """Dense Mobius function mu(n) for n <= cutoff."""
-    return _multiplicative(lambda p, e: -1.0 if e == 1 else 0.0, cutoff, sieve)
+    return _multiplicative(lambda p, e: -1.0 if e == 1 else 0.0, cutoff)
 
 
 def dirichlet_convolve(f: np.ndarray, g: np.ndarray, cutoff: int) -> np.ndarray:
@@ -199,7 +188,7 @@ def _self_convolve(base: np.ndarray, times: int, cutoff: int) -> np.ndarray:
     return out
 
 
-def weighted_poly_coeffs(A: int, B: int, x: float, cutoff: int, sieve: FactorSieve) -> np.ndarray:
+def weighted_poly_coeffs(A: int, B: int, x: float, cutoff: int) -> np.ndarray:
     """Coefficients of the A-fold log-weighted short polynomial.
 
     out[n] = sum over ordered factorizations n_1 ... n_A = n with every
@@ -211,14 +200,14 @@ def weighted_poly_coeffs(A: int, B: int, x: float, cutoff: int, sieve: FactorSie
     if not (math.isfinite(x) and x > 1.0):
         raise DomainError(f"x must be finite and exceed 1, got {x}")
     support = min(cutoff, int(math.floor(x)))
-    base_d = divisor_series(Fraction(1, B), max(support, 1), sieve)
+    base_d = divisor_series(Fraction(1, B), support)
     base = np.zeros(cutoff + 1)
     n = np.arange(1, support + 1)
     base[1 : support + 1] = base_d[1 : support + 1] * (np.log(x / n) / math.log(x))
     return _self_convolve(base, A, cutoff)
 
 
-def mollifier_coeffs(A: int, B: int, y: float, cutoff: int, sieve: FactorSieve) -> np.ndarray:
+def mollifier_coeffs(A: int, B: int, y: float, cutoff: int) -> np.ndarray:
     """Coefficients of the A-fold mu-twisted mollifier with squared log weights.
 
     out[n] = 2^{-A} * sum over ordered factorizations n_1 ... n_A = n with
@@ -229,8 +218,8 @@ def mollifier_coeffs(A: int, B: int, y: float, cutoff: int, sieve: FactorSieve) 
     if not (math.isfinite(y) and y > 1.0):
         raise DomainError(f"y must be finite and exceed 1, got {y}")
     support = min(cutoff, int(math.floor(y)))
-    base_d = divisor_series(Fraction(1, B), max(support, 1), sieve)
-    mu = mobius_series(max(support, 1), sieve)
+    base_d = divisor_series(Fraction(1, B), support)
+    mu = mobius_series(support)
     base = np.zeros(cutoff + 1)
     n = np.arange(1, support + 1)
     logs = np.log(y / n) / math.log(y)
@@ -238,13 +227,7 @@ def mollifier_coeffs(A: int, B: int, y: float, cutoff: int, sieve: FactorSieve) 
     return _self_convolve(base, A, cutoff) * 0.5**A
 
 
-def shifted_series(
-    mode: str,
-    shifts,
-    s_param: int,
-    cutoff: int,
-    sieve: FactorSieve,
-) -> np.ndarray:
+def shifted_series(mode: str, shifts, s_param: int, cutoff: int) -> np.ndarray:
     """Complex convolution series over ordered factorizations.
 
     mode "sigma": factors d_{1/2s}(n_i) n_i^{-w_i}.
@@ -281,4 +264,4 @@ def shifted_series(
             acc = [sum(acc[i] * fac[j - i] for i in range(j + 1)) for j in range(e + 1)]
         return acc[e]
 
-    return _multiplicative(local, cutoff, sieve, complex)
+    return _multiplicative(local, cutoff, complex)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fracmoment.characters import build_table
-from fracmoment.sieve import FactorSieve
 
 _TABLES: dict = {}
 
@@ -22,16 +21,6 @@ def table_for(q: int):
     if q not in _TABLES:
         _TABLES[q] = build_table(q)
     return _TABLES[q]
-
-
-@pytest.fixture(scope="session")
-def sieve10k():
-    return FactorSieve.build(10**4)
-
-
-@pytest.fixture(scope="session")
-def sieve1m():
-    return FactorSieve.build(10**6)
 
 
 @pytest.fixture

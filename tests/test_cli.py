@@ -68,6 +68,13 @@ class TestPairShiftCommand:
         assert max(sizes, default=0) <= 1000
 
 
+    @pytest.mark.parametrize("argv", [["--y", "3001"], ["--y", "100", "--sweep", "5000"]])
+    def test_m2_past_the_oracle_limit_exits_before_any_series(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(contours, "divisor_series", None)  # any oracle would raise TypeError
+        assert run(["verify", "pairshift", "--m", "2", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestMomentsCommand:
     def test_composite_modulus_exits_2(self):
         assert run(["moments", "--q", "4"]) == 2
@@ -114,7 +121,7 @@ class TestHolderCommand:
         assert calls == {"evaluate_polynomial_all": 2, "lvalue_table": 1}
 
     def test_outside_diagonal_regime_exits_before_the_sieve(self, monkeypatch, capsys):
-        monkeypatch.setattr(sieve.FactorSieve, "build", None)  # any call would raise TypeError
+        monkeypatch.setattr(sieve, "_multiplicative", None)  # any series would raise TypeError
         assert run(["holder", "--q", "1009", "--y", "5"]) == 2  # x^2 = 5^8 > 1009
         assert capsys.readouterr().err == "error: diagonal regime requires x^{2r} < q\n"
 
@@ -282,6 +289,24 @@ class TestExitCodes:
         ["verify", "eta", "--shifts", "nan"],
         ["verify", "pairshift", "--alpha", "nan"],
         ["verify", "pairshift", "--alpha", "inf"],
+        ["verify", "eta", "--levels", "0,1000"],
+        ["verify", "eta", "--levels", "10,10"],
+        ["verify", "eta", "--levels", "10,-5"],
+        ["verify", "hankel", "--alphas", "nan"],
+        ["verify", "hankel", "--alphas", "inf"],
+        ["verify", "hankel", "--arm", "nan"],
+        ["dump-coeffs", "--series", "sigma", "--shifts", "nan"],
+        ["dump-coeffs", "--series", "sigma", "--shifts", "inf"],
+        ["dump-coeffs", "--series", "rho", "--shifts", "nan"],
+        ["dump-coeffs", "--series", "rho", "--shifts", "inf"],
+        ["dump-coeffs", "--series", "psi", "--shifts", "nan"],
+        ["dump-coeffs", "--series", "psi", "--shifts", "inf"],
+        ["dump-coeffs", "--series", "psi", "--zshifts", "inf"],
+        ["verify", "convolution", "--nmax", "0"],
+        ["verify", "convolution", "--nmax", "20000000"],
+        ["dump-coeffs", "--series", "dalpha", "--nmax", "20000000"],
+        ["verify", "pairshift", "--y", "1e8"],
+        ["verify", "quarter", "--y", "1e30"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2

@@ -175,13 +175,11 @@ class TestPairedShift:
         # RSS at exec, so after a large test it would read 0
         code = (
             "from fracmoment.contours import paired_shift_oracle\n"
-            "from fracmoment.sieve import FactorSieve\n"
             "def peak():\n"
             "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
-            "s = FactorSieve.build(500)\n"
-            "paired_shift_oracle(2, 3.0, 1.0, 20.0, s)\n"
+            "paired_shift_oracle(2, 3.0, 1.0, 20.0)\n"
             "before = peak()\n"
-            "paired_shift_oracle(2, 3.0, 1.0, 500.0, s)\n"
+            "paired_shift_oracle(2, 3.0, 1.0, 500.0)\n"
             "print(peak() - before)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -216,8 +214,8 @@ class TestQuarterPower:
         assert rep.numeric > 0 and rep.oracle > 0
         assert rep.gamma == pytest.approx(13.0 / 4.0)
 
-    def test_oracle_summands_nonnegative(self, sieve10k):
-        d = divisor_series(0.25, 1000, sieve10k)
+    def test_oracle_summands_nonnegative(self):
+        d = divisor_series(0.25, 1000)
         assert np.all(d[1:] >= 0)
 
     def test_domain(self):

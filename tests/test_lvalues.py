@@ -378,18 +378,20 @@ class TestAfe:
         assert got_pairsum == pytest.approx(pairsum, rel=1e-12)
 
     def test_peak_memory_q5003(self):
-        # one process of its own, so ru_maxrss is this call's peak and no other test's
+        # one process of its own, so the peak is this call's and no other test's
         src = str(Path(fracmoment.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the peak is VmHWM, in KiB: a child's ru_maxrss starts at its parent's
+        # RSS at exec, so inside a large test process it would read 0
         code = (
-            "import resource\n"
             "from fracmoment.characters import build_table\n"
             "from fracmoment.lvalues import afe_squares\n"
+            "def peak():\n"
+            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
             "t = build_table(5003)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
             "afe_squares(t)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+            "print(peak() - before)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        # ru_maxrss is in KiB on Linux
         assert int(out.stdout) < 130 * 1024

@@ -22,12 +22,6 @@ from fracmoment.moments import (
     polynomial_series,
     scaling_survey,
 )
-from fracmoment.sieve import FactorSieve
-
-
-@pytest.fixture(scope="module")
-def fs():
-    return FactorSieve.build(10**4)
 
 
 class TestMomentParams:
@@ -55,12 +49,12 @@ class TestEvaluatePolynomial:
         out = evaluate_polynomial_all(t, coeffs)
         np.testing.assert_allclose(out, np.ones(100), atol=1e-12)
 
-    def test_principal_slot_direct_sum(self, fs):
+    def test_principal_slot_direct_sum(self):
         # ten-term direct sum of d_{1/2}(n) n^{-1/2} log(10/n)/log 10
         from fracmoment.sieve import weighted_poly_coeffs
 
         t = table_for(101)
-        coeffs = weighted_poly_coeffs(1, 2, 10.0, 10, fs)
+        coeffs = weighted_poly_coeffs(1, 2, 10.0, 10)
         out = evaluate_polynomial_all(t, coeffs)
         direct = sum(
             coeffs[n] / math.sqrt(n) for n in range(1, 11)
@@ -69,7 +63,7 @@ class TestEvaluatePolynomial:
         assert abs(out[0].imag) < 1e-12
         assert direct > 0
 
-    def test_support_must_stay_below_q(self, fs):
+    def test_support_must_stay_below_q(self):
         t = table_for(7)
         vals = np.zeros(8)
         vals[7] = 1.0
@@ -127,35 +121,33 @@ def _naive_polys(table, coeffs):
 def setup_1009():
     # the x = 10, a = 2 bundle: y = sqrt(10)
     params = MomentParams(q=1009, r=1, s=2, y=math.sqrt(10.0), a=2.0)
-    table = table_for(1009)
-    fs = FactorSieve.build(200)
-    return params, table, fs
+    return params, table_for(1009)
 
 
-def chain(params, table, fs):
-    return holder_chain_check(character_values(params, table, fs))
+def chain(params, table):
+    return holder_chain_check(character_values(params, table))
 
 
 class TestTwistedSums:
 
     def test_s_lower_matches_naive_triple_loop(self, setup_1009):
-        params, table, fs = setup_1009
-        got = chain(params, table, fs).s_l
+        params, table = setup_1009
+        got = chain(params, table).s_l
         L = oracle_values(table)
-        P = _naive_polys(table, polynomial_series(params, fs))
-        M = _naive_polys(table, mollifier_series(params, fs))
+        P = _naive_polys(table, polynomial_series(params))
+        M = _naive_polys(table, mollifier_series(params))
         want = sum(
             L[j] * np.conj(P[j]) ** 4 * abs(M[j]) ** 2 for j in range(1, table.order)
         )
         assert abs(got - want) < 1e-6 * max(1.0, abs(want))
 
     def test_s_upper_matches_naive_and_nonnegative(self, setup_1009):
-        params, table, fs = setup_1009
-        got = chain(params, table, fs).s_u
+        params, table = setup_1009
+        got = chain(params, table).s_u
         assert got >= 0
         L = oracle_values(table)
-        P = _naive_polys(table, polynomial_series(params, fs))
-        M = _naive_polys(table, mollifier_series(params, fs))
+        P = _naive_polys(table, polynomial_series(params))
+        M = _naive_polys(table, mollifier_series(params))
         want = sum(
             abs(L[j]) ** 2 * abs(P[j]) ** 8 * abs(M[j]) ** 6 for j in range(1, table.order)
         )
@@ -163,17 +155,16 @@ class TestTwistedSums:
 
     def test_s_lower_imag_small(self, setup_1009):
         # contributions pair conjugately, so the sum is essentially real
-        params, table, fs = setup_1009
-        val = chain(params, table, fs).s_l
+        params, table = setup_1009
+        val = chain(params, table).s_l
         assert abs(val.imag) < 1e-9 * max(1.0, abs(val))
 
     def test_degenerate_polynomials_reduce_to_l_sum(self):
         q = 101
         table = table_for(q)
-        fs = FactorSieve.build(10)
         eps = 1e-9
         params = MomentParams(q=q, r=1, s=2, y=1 + eps, a=1.0)
-        got = chain(params, table, fs).s_l
+        got = chain(params, table).s_l
         want = 0.25 * sum(oracle_values(table)[1:])  # |M|^2 = (1/2)^2, P = 1
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
@@ -182,23 +173,22 @@ class TestP4Bound:
     def test_degenerate_counts(self):
         q = 101
         table = table_for(q)
-        fs = FactorSieve.build(10)
         params = MomentParams(q=q, r=1, s=2, y=1 + 1e-9, a=1.0)
-        rep = p4_bound_check(character_values(params, table, fs), fs)
+        rep = p4_bound_check(character_values(params, table))
         assert rep.lhs == pytest.approx(q - 2, rel=1e-9)
         assert rep.rhs == pytest.approx(q - 1, rel=1e-12)
         assert rep.holds
 
-    def test_default_bundle_q1009(self, fs):
+    def test_default_bundle_q1009(self):
         params = MomentParams.make(1009)
-        rep = p4_bound_check(character_values(params, table_for(1009), fs), fs)
+        rep = p4_bound_check(character_values(params, table_for(1009)))
         assert rep.holds
         assert rep.rhs > 0
 
-    def test_diagonal_regime_required(self, fs):
+    def test_diagonal_regime_required(self):
         params = MomentParams(q=101, r=1, s=2, y=math.sqrt(11.0), a=2.0)
         with pytest.raises(DomainError):
-            p4_bound_check(character_values(params, table_for(101), fs), fs)  # x^2 = 121 > 101
+            p4_bound_check(character_values(params, table_for(101)))  # x^2 = 121 > 101
 
 
 class TestHolderChain:
@@ -207,15 +197,15 @@ class TestHolderChain:
             e1, e2, e3 = holder_exponents(Fraction(r, s))
             assert e1 + e2 + e3 == 1
 
-    def test_chain_q1009_default(self, fs):
+    def test_chain_q1009_default(self):
         params = MomentParams.make(1009)
-        rep = chain(params, table_for(1009), fs)
+        rep = chain(params, table_for(1009))
         assert rep.holds
         assert rep.slack >= -1e-9 * rep.f1 * rep.f2 * rep.f3
 
     def test_chain_degenerate(self):
         params = MomentParams(q=101, r=1, s=2, y=1 + 1e-9, a=1.0)
-        rep = chain(params, table_for(101), FactorSieve.build(10))
+        rep = chain(params, table_for(101))
         assert rep.holds
 
 
@@ -232,11 +222,10 @@ class TestBundleProperty:
         r, s = k.numerator, k.denominator
         params = MomentParams(q=q, r=r, s=s, y=q ** (u / (2 * r * a)), a=a)
         table = table_for(q)
-        fs = FactorSieve.build(max(int(params.diagonal_length()), 2))
-        rep = chain(params, table, fs)
+        rep = chain(params, table)
         L = oracle_values(table)[1:]
-        P = _naive_polys(table, polynomial_series(params, fs))[1:]
-        M = _naive_polys(table, mollifier_series(params, fs))[1:]
+        P = _naive_polys(table, polynomial_series(params))[1:]
+        M = _naive_polys(table, mollifier_series(params))[1:]
         terms = L * np.conj(P) ** (2 * s) * np.abs(M) ** (2 * (s - r))
         assert abs(rep.s_l - terms.sum()) <= 1e-9 * abs(terms.sum())
         s_u = np.sum(np.abs(L) ** 2 * np.abs(P) ** (4 * s) * np.abs(M) ** (2 * (2 * s - r)))

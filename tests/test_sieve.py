@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from fracmoment.errors import DomainError
 from fracmoment.sieve import (
+    SIEVE_CAP,
     ShiftVector,
+    _smallest_prime_factors,
     dirichlet_convolve,
     divisor_coeff,
     divisor_series,
@@ -19,42 +21,49 @@ from fracmoment.sieve import (
 )
 
 
-class TestFactorSieve:
-    def test_factorize_examples(self, sieve10k):
-        assert sieve10k.factorize(1) == []
-        assert sieve10k.factorize(12) == [(2, 2), (3, 1)]
-        assert sieve10k.factorize(97) == [(97, 1)]
-
-    def test_factorize_domain_errors(self, sieve10k):
-        with pytest.raises(DomainError):
-            sieve10k.factorize(0)
-        with pytest.raises(DomainError):
-            sieve10k.factorize(10**4 + 1)
-
-    def test_spf_invariant(self, sieve10k):
-        spf = sieve10k.spf
+class TestSmallestPrimeFactors:
+    def test_spf_invariant(self):
+        spf = _smallest_prime_factors(10**4)
+        assert spf.dtype == np.int32 and spf.size == 10**4 + 1
+        assert (spf[0], spf[1]) == (0, 1)
         for n in range(2, 2000):
             p = int(spf[n])
             assert n % p == 0
             assert all(n % d != 0 for d in range(2, p))
 
+    def test_cutoff_cap(self):
+        assert _smallest_prime_factors(0).tolist() == [0]
+        for bad in (-1, SIEVE_CAP + 1):
+            with pytest.raises(DomainError):
+                _smallest_prime_factors(bad)
+        for series in (lambda N: divisor_series(Fraction(1, 2), N), mobius_series,
+                       lambda N: shifted_series("sigma", (0.0,), 1, N)):
+            with pytest.raises(DomainError):
+                series(SIEVE_CAP + 1)
+
 
 class TestDivisorCoeff:
-    def test_alpha_one_is_all_ones(self, sieve10k):
-        assert divisor_coeff(1, 360, sieve10k) == 1.0
+    def test_alpha_one_is_all_ones(self):
+        assert divisor_coeff(1, 360) == 1.0
 
-    def test_half_power_values(self, sieve10k):
+    def test_half_power_values(self):
         # binomial expansion of (1-t)^{-1/2}: coefficients 1/2 and 3/8
-        assert divisor_coeff(Fraction(1, 2), 2, sieve10k) == 0.5
-        assert divisor_coeff(Fraction(1, 2), 4, sieve10k) == 0.375
+        assert divisor_coeff(Fraction(1, 2), 2) == 0.5
+        assert divisor_coeff(Fraction(1, 2), 4) == 0.375
 
-    def test_series_matches_scalar(self, sieve10k):
-        d = divisor_series(Fraction(1, 3), 500, sieve10k)
+    def test_trial_division_past_the_square_root(self):
+        # 2^3 * 9973: the cofactor left after trial division up to its square root is prime
+        assert divisor_coeff(Fraction(1, 2), 8 * 9973) == float(Fraction(5, 16) * Fraction(1, 2))
+        with pytest.raises(DomainError):
+            divisor_coeff(Fraction(1, 2), 0)
+
+    def test_series_matches_scalar(self):
+        d = divisor_series(Fraction(1, 3), 500)
         for n in (1, 2, 8, 12, 60, 499):
-            assert d[n] == pytest.approx(divisor_coeff(Fraction(1, 3), n, sieve10k), abs=1e-14)
+            assert d[n] == pytest.approx(divisor_coeff(Fraction(1, 3), n), abs=1e-14)
 
-    def test_multiplicativity(self, sieve10k, rng):
-        d = divisor_series(Fraction(1, 2), 10**4, sieve10k)
+    def test_multiplicativity(self, rng):
+        d = divisor_series(Fraction(1, 2), 10**4)
         pairs = 0
         while pairs < 50:
             m = int(rng.integers(2, 100))
@@ -66,32 +75,32 @@ class TestDivisorCoeff:
 
 
 class TestConvolution:
-    def test_half_squared_is_one(self, sieve10k):
-        d = divisor_series(Fraction(1, 2), 10, sieve10k)
+    def test_half_squared_is_one(self):
+        d = divisor_series(Fraction(1, 2), 10)
         c = dirichlet_convolve(d, d, 10)
         # 0.375 + 0.25 + 0.375
         assert c[4] == pytest.approx(1.0, abs=1e-15)
 
-    def test_identity_element(self, sieve10k, rng):
+    def test_identity_element(self, rng):
         g = np.concatenate([[0.0], rng.standard_normal(50)])
         delta = np.concatenate([[0.0, 1.0], np.zeros(49)])
         out = dirichlet_convolve(delta, g, 50)
         np.testing.assert_allclose(out, g, atol=0)
 
-    def test_divisor_count(self, sieve10k):
-        d1 = divisor_series(1, 10, sieve10k)
+    def test_divisor_count(self):
+        d1 = divisor_series(1, 10)
         c = dirichlet_convolve(d1, d1, 10)
         assert c[6] == 4.0
 
-    def test_cutoff_mismatch(self, sieve10k):
-        d = divisor_series(1, 10, sieve10k)
+    def test_cutoff_mismatch(self):
+        d = divisor_series(1, 10)
         with pytest.raises(DomainError):
             dirichlet_convolve(d, d, 11)
 
     @pytest.mark.parametrize("s", [2, 3, 5])
-    def test_sfold_identity_small(self, sieve10k, s):
+    def test_sfold_identity_small(self, s):
         N = 2000
-        d = divisor_series(Fraction(1, s), N, sieve10k)
+        d = divisor_series(Fraction(1, s), N)
         acc = d
         for _ in range(s - 1):
             acc = dirichlet_convolve(acc, d, N)
@@ -100,123 +109,126 @@ class TestConvolution:
     @pytest.mark.parametrize("a,b", [(Fraction(1, 2), Fraction(1, 2)),
                                      (Fraction(1, 3), Fraction(2, 3)),
                                      (Fraction(1, 4), Fraction(1, 4))])
-    def test_exponent_additivity(self, sieve10k, a, b):
+    def test_exponent_additivity(self, a, b):
         N = 10**4
-        da = divisor_series(a, N, sieve10k)
-        db = divisor_series(b, N, sieve10k)
-        dab = divisor_series(a + b, N, sieve10k)
+        da = divisor_series(a, N)
+        db = divisor_series(b, N)
+        dab = divisor_series(a + b, N)
         conv = dirichlet_convolve(da, db, N)
         assert np.max(np.abs(conv[1:] - dab[1:])) < 1e-10
 
 
 class TestWeightedPoly:
-    def test_single_factor_log_weight(self, sieve10k):
-        w = weighted_poly_coeffs(1, 1, 10.0, 20, sieve10k)
+    def test_single_factor_log_weight(self):
+        w = weighted_poly_coeffs(1, 1, 10.0, 20)
         assert w[5] == pytest.approx(math.log(2) / math.log(10), rel=1e-14)
         assert w[11] == 0.0
         assert w[1] == 1.0
 
-    def test_two_factor_enumeration(self, sieve10k):
+    def test_two_factor_enumeration(self):
         # decompositions of 2 as (1,2) and (2,1), each d_{1/2}(2) * log(4/2)/log 4
-        w = weighted_poly_coeffs(2, 2, 4.0, 8, sieve10k)
+        w = weighted_poly_coeffs(2, 2, 4.0, 8)
         assert w[2] == pytest.approx(0.5, rel=1e-14)
 
-    def test_x_at_most_one_rejected(self, sieve10k):
+    def test_x_at_most_one_rejected(self):
         with pytest.raises(DomainError):
-            weighted_poly_coeffs(1, 1, 1.0, 10, sieve10k)
+            weighted_poly_coeffs(1, 1, 1.0, 10)
 
     @pytest.mark.parametrize("A,B,n", [(1, 2, 7), (2, 2, 12), (2, 3, 30)])
-    def test_degenerate_weight_rate(self, sieve10k, A, B, n):
+    def test_degenerate_weight_rate(self, A, B, n):
         # as x -> infinity the weights tend to 1 and the A-fold convolution of
         # d_{1/B} remains; since the factor logs sum to log n, the deviation is
         # log n / log x = 1/e to first order at x = n^e (1e-3 needs e ~ 1000)
-        d = divisor_series(Fraction(1, B), n, sieve10k)
+        d = divisor_series(Fraction(1, B), n)
         acc = d
         for _ in range(A - 1):
             acc = dirichlet_convolve(acc, d, n)
         limit = acc[n]
         rel = {}
         for exp in (10, 20, 40):
-            w = weighted_poly_coeffs(A, B, float(n) ** exp, n, sieve10k)
+            w = weighted_poly_coeffs(A, B, float(n) ** exp, n)
             rel[exp] = abs(w[n] / limit - 1.0)
         assert rel[10] > rel[20] > rel[40]
         for exp in (10, 20, 40):
             assert rel[exp] == pytest.approx(1.0 / exp, rel=0.1)
 
-    def test_degenerate_weight_limit_reached(self, sieve10k):
+    def test_degenerate_weight_limit_reached(self):
         # n = 2 keeps x = 2^900 within float range, deep enough for 1e-3
-        d = divisor_series(Fraction(1, 2), 2, sieve10k)
-        w = weighted_poly_coeffs(1, 2, 2.0**900, 2, sieve10k)
+        d = divisor_series(Fraction(1, 2), 2)
+        w = weighted_poly_coeffs(1, 2, 2.0**900, 2)
         assert w[2] == pytest.approx(d[2], rel=2e-3)
 
 
 class TestMollifier:
-    def test_prefactor_at_one(self, sieve10k):
-        m = mollifier_coeffs(1, 1, 10.0, 10, sieve10k)
+    def test_prefactor_at_one(self):
+        m = mollifier_coeffs(1, 1, 10.0, 10)
         assert m[1] == 0.5
-        m2 = mollifier_coeffs(2, 1, 10.0, 10, sieve10k)
+        m2 = mollifier_coeffs(2, 1, 10.0, 10)
         assert m2[1] == 0.25
 
-    def test_direct_formula_value(self, sieve10k):
-        m = mollifier_coeffs(1, 2, 10.0, 10, sieve10k)
+    def test_direct_formula_value(self):
+        m = mollifier_coeffs(1, 2, 10.0, 10)
         want = 0.5 * 0.5 * (-1.0) * (math.log(5) / math.log(10)) ** 2
         assert m[2] == pytest.approx(want, rel=1e-14)
         assert want == pytest.approx(-0.12213976674037352, rel=1e-12)
 
-    def test_square_factor_killed_by_mu(self, sieve10k):
-        m = mollifier_coeffs(1, 1, 10.0, 10, sieve10k)
+    def test_square_factor_killed_by_mu(self):
+        m = mollifier_coeffs(1, 1, 10.0, 10)
         assert m[4] == 0.0
 
-    def test_y_at_most_one_rejected(self, sieve10k):
+    def test_y_at_most_one_rejected(self):
         with pytest.raises(DomainError):
-            mollifier_coeffs(1, 1, 0.5, 10, sieve10k)
+            mollifier_coeffs(1, 1, 0.5, 10)
 
 
 class TestShiftedSeries:
-    def test_sigma_zero_shift_is_plain(self, sieve10k):
-        s = shifted_series("sigma", ShiftVector((0.0,)), 1, 50, sieve10k)
-        d = divisor_series(Fraction(1, 2), 50, sieve10k)
+    def test_sigma_zero_shift_is_plain(self):
+        s = shifted_series("sigma", ShiftVector((0.0,)), 1, 50)
+        d = divisor_series(Fraction(1, 2), 50)
         np.testing.assert_allclose(s, d.astype(complex), atol=0)
         assert s[7] == 0.5
 
-    def test_rho_zero_shift(self, sieve10k):
-        s = shifted_series("rho", ShiftVector((0.0,)), 1, 10, sieve10k)
+    def test_rho_zero_shift(self):
+        s = shifted_series("rho", ShiftVector((0.0,)), 1, 10)
         assert s[2] == -1.0
 
-    def test_sigma_two_shifts(self, sieve10k):
+    def test_sigma_two_shifts(self):
         # two ordered factorizations 2 = 2*1 = 1*2, each d_{1/2}(2) * 2^{-1}
-        s = shifted_series("sigma", ShiftVector((1.0, 1.0)), 1, 10, sieve10k)
+        s = shifted_series("sigma", ShiftVector((1.0, 1.0)), 1, 10)
         assert s[2] == pytest.approx(0.5, rel=1e-14)
 
-    def test_zero_shift_matches_unshifted_convolution(self, sieve10k):
-        s = shifted_series("sigma", ShiftVector((0.0, 0.0)), 2, 200, sieve10k)
-        d = divisor_series(Fraction(1, 4), 200, sieve10k)
+    def test_zero_shift_matches_unshifted_convolution(self):
+        s = shifted_series("sigma", ShiftVector((0.0, 0.0)), 2, 200)
+        d = divisor_series(Fraction(1, 4), 200)
         conv = dirichlet_convolve(d, d, 200)
         np.testing.assert_allclose(s, conv.astype(complex), atol=1e-14)
 
-    def test_multiplicative(self, sieve10k):
-        s = shifted_series("sigma", ShiftVector((0.25 + 0.5j, 0.1)), 2, 100, sieve10k)
+    def test_multiplicative(self):
+        s = shifted_series("sigma", ShiftVector((0.25 + 0.5j, 0.1)), 2, 100)
         for m, n in ((2, 3), (4, 9), (5, 12)):
             assert s[m * n] == pytest.approx(s[m] * s[n], rel=1e-12)
 
-    def test_psi_needs_two_vectors(self, sieve10k):
+    def test_psi_needs_two_vectors(self):
         with pytest.raises(DomainError):
-            shifted_series("psi", ShiftVector((0.0,)), 1, 10, sieve10k)
+            shifted_series("psi", ShiftVector((0.0,)), 1, 10)
 
-    def test_psi_combines_sigma_and_rho(self, sieve10k):
+    def test_psi_combines_sigma_and_rho(self):
         w = ShiftVector((0.0,))
         z = ShiftVector((0.0,))
-        psi = shifted_series("psi", (w, z), 1, 50, sieve10k)
-        sig = shifted_series("sigma", w, 1, 50, sieve10k)
-        rho = shifted_series("rho", z, 1, 50, sieve10k)
+        psi = shifted_series("psi", (w, z), 1, 50)
+        sig = shifted_series("sigma", w, 1, 50)
+        rho = shifted_series("rho", z, 1, 50)
         conv = dirichlet_convolve(sig, rho, 50)
         np.testing.assert_allclose(psi, conv, atol=1e-14)
 
-    def test_empty_and_out_of_domain_shifts(self, sieve10k):
+    def test_empty_and_out_of_domain_shifts(self):
         with pytest.raises(DomainError):
             ShiftVector(())
         with pytest.raises(DomainError):
             ShiftVector((-0.25,))
+        for bad in (math.nan, math.inf, complex(0.3, math.inf), complex(math.nan, 0.0)):
+            with pytest.raises(DomainError):
+                ShiftVector((0.3, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +246,16 @@ def coprime_pairs(limit):
     return st.lists(pairs.filter(lambda mn: math.gcd(*mn) == 1), min_size=1, max_size=20)
 
 
-def _reference_factor(alpha, shift, twist, N, sieve):
+def _reference_factor(alpha, shift, twist, N):
     """One factor d_alpha(n) [mu(n)] n^{-shift}, built term by term."""
-    d = divisor_series(alpha, N, sieve).astype(complex)
+    d = divisor_series(alpha, N).astype(complex)
     if twist:
-        d *= mobius_series(N, sieve)
+        d *= mobius_series(N)
     d[1:] *= np.exp(-complex(shift) * np.log(np.arange(1, N + 1)))
     return d
 
 
-def _reference_shifted(mode, shifts, s, N, sieve):
+def _reference_shifted(mode, shifts, s, N):
     """The shifted series as a chain of Dirichlet convolutions of its factors."""
     if mode == "psi":
         specs = [(Fraction(1, 2 * s), w, False) for w in shifts[0]]
@@ -251,9 +263,9 @@ def _reference_shifted(mode, shifts, s, N, sieve):
     else:
         alpha = Fraction(1, 2 * s) if mode == "sigma" else Fraction(1, s)
         specs = [(alpha, w, mode == "rho") for w in shifts]
-    out = _reference_factor(*specs[0], N, sieve)
+    out = _reference_factor(*specs[0], N)
     for spec in specs[1:]:
-        out = dirichlet_convolve(out, _reference_factor(*spec, N, sieve), N)
+        out = dirichlet_convolve(out, _reference_factor(*spec, N), N)
     return out
 
 
@@ -272,32 +284,32 @@ def shifted_args(draw):
 class TestProperties:
     @PROPS
     @given(alpha=alphas, ns=st.lists(st.integers(1, 10**4), min_size=1, max_size=30))
-    def test_divisor_series_matches_exact_coefficients(self, sieve10k, alpha, ns):
-        d = divisor_series(alpha, 10**4, sieve10k)
+    def test_divisor_series_matches_exact_coefficients(self, alpha, ns):
+        d = divisor_series(alpha, 10**4)
         for n in ns:
-            assert d[n] == pytest.approx(divisor_coeff(alpha, n, sieve10k), rel=1e-14, abs=0)
+            assert d[n] == pytest.approx(divisor_coeff(alpha, n), rel=1e-14, abs=0)
 
     @PROPS
     @given(alpha=alphas, pairs=coprime_pairs(2000))
-    def test_divisor_and_mobius_multiplicative(self, sieve10k, alpha, pairs):
-        d = divisor_series(alpha, 2000, sieve10k)
-        mu = mobius_series(2000, sieve10k)
+    def test_divisor_and_mobius_multiplicative(self, alpha, pairs):
+        d = divisor_series(alpha, 2000)
+        mu = mobius_series(2000)
         for m, n in pairs:
             assert d[m * n] == pytest.approx(d[m] * d[n], rel=1e-14, abs=0)
             assert mu[m * n] == mu[m] * mu[n]
 
     @PROPS
     @given(args=shifted_args(), pairs=coprime_pairs(2000))
-    def test_shifted_series_multiplicative(self, sieve10k, args, pairs):
-        f = shifted_series(*args, 2000, sieve10k)
+    def test_shifted_series_multiplicative(self, args, pairs):
+        f = shifted_series(*args, 2000)
         for m, n in pairs:
             assert abs(f[m * n] - f[m] * f[n]) <= 1e-13 * max(1.0, abs(f[m] * f[n]))
 
     @PROPS
     @given(args=shifted_args(), N=st.integers(1, 2000))
-    def test_shifted_series_matches_convolution_chain(self, sieve10k, args, N):
-        got = shifted_series(*args, N, sieve10k)
-        want = _reference_shifted(*args, N, sieve10k)
+    def test_shifted_series_matches_convolution_chain(self, args, N):
+        got = shifted_series(*args, N)
+        want = _reference_shifted(*args, N)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
 
     @PROPS
