@@ -74,10 +74,11 @@ def _check(name: str, value, tol=None, ok=None) -> dict:
     return entry
 
 
-def _write(content, fmt: str, path, what: str = "report") -> bool:
-    """Emit content to path (then say so) or to stdout; False once a write error is reported."""
+def _write(content, path, what: str = "report") -> bool:
+    """Emit content (a report dict, or CSV header and columns) to path (then
+    say so) or to stdout; False once a write error is reported."""
     try:
-        text = emit(content, fmt, path)
+        text = emit(content, path)
     except OSError as exc:
         print(f"error: cannot write {what}: {exc}", file=sys.stderr)
         return False
@@ -92,7 +93,7 @@ def _finish(report: dict, out) -> int:
     checks = report.get("checks", [])
     passed = all(c.get("pass", True) for c in checks)
     report["pass"] = passed
-    if not _write(report, "json", out):
+    if not _write(report, out):
         return EXIT_IO
     for c in checks:
         print(f"[{'PASS' if c.get('pass', True) else 'FAIL'}] {c['name']}")
@@ -368,7 +369,7 @@ def cmd_moments(args) -> int:
     params = _params_from_args(args)
     table = characters.build_table(params.q)
     value, _, floored = moments.moment_sum(table, params.k, args.method)
-    if args.lvalues_out and not _write(_lvalue_rows(table, args.method), "csv", args.lvalues_out, "L-value table"):
+    if args.lvalues_out and not _write(_lvalue_columns(table, args.method), args.lvalues_out, "L-value table"):
         return EXIT_IO
     report = {
         "command": "moments",
@@ -385,17 +386,15 @@ def cmd_moments(args) -> int:
     return _finish(report, args.out)
 
 
-def _lvalue_rows(table, method: str):
+def _lvalue_columns(table, method: str):
     """Per-character L-value export: q, j, parity, ReL, ImL, Lsq, method, err."""
-    header = ["q", "j", "parity", "ReL", "ImL", "Lsq", "method", "err"]
     values, squares, err = lvalues.lvalue_table(table, method)
     if values is None:
         values = np.full(table.order, complex(math.nan, math.nan))
-    rows = [
-        [table.q, j, int(table.parity[j]), L.real, L.imag, sq, method, err]
-        for j, L, sq in zip(range(1, table.order), values[1:].tolist(), squares[1:].tolist())
-    ]
-    return header, rows
+    n = table.order - 1
+    return (["q", "j", "parity", "ReL", "ImL", "Lsq", "method", "err"],
+            [np.full(n, table.q), np.arange(1, table.order), table.parity[1:], values[1:].real,
+             values[1:].imag, squares[1:], np.full(n, method), np.full(n, err)])
 
 
 def cmd_holder(args) -> int:
@@ -403,7 +402,7 @@ def cmd_holder(args) -> int:
     params.diagonal_length()  # refuses x^{2r} >= q, so nothing is built outside the P4 check's regime
     table = characters.build_table(params.q)
     values = moments.character_values(params, table, args.method)
-    if args.lvalues_out and not _write(_lvalue_rows(table, args.method), "csv", args.lvalues_out, "L-value table"):
+    if args.lvalues_out and not _write(_lvalue_columns(table, args.method), args.lvalues_out, "L-value table"):
         return EXIT_IO
     rep = moments.holder_chain_check(values)
     p4 = moments.p4_bound_check(values)
@@ -432,8 +431,8 @@ def cmd_survey(args) -> int:
     rows = moments.scaling_survey(k, _ints(args.primes), args.method)
     all_ok = all(r.band_ok for r in rows)
     if args.format == "csv":
-        content = (["q", "moment_over_phi", "logq_pow_k2", "ratio"],
-                   [[r.q, r.moment_over_phi, r.logq_pow_k2, r.ratio] for r in rows])
+        header = ["q", "moment_over_phi", "logq_pow_k2", "ratio"]
+        content = header, [np.array([getattr(r, f) for r in rows]) for f in header]
     else:
         content = {
             "command": "survey",
@@ -445,7 +444,7 @@ def cmd_survey(args) -> int:
             ],
             "pass": all_ok,
         }
-    if not _write(content, args.format, args.out):
+    if not _write(content, args.out):
         return EXIT_IO
     for r in rows:
         print(f"[{'PASS' if r.band_ok else 'FAIL'}] q={r.q} ratio={r.ratio:.4f}")
@@ -457,10 +456,11 @@ def cmd_contour(args) -> int:
     sweep_out = getattr(args, "sweep_out", None)  # only pairshift and quarter have the flag
     if sweep_out:
         m, alpha, beta = (args.m, args.alpha, args.beta) if args.check == "pairshift" else contours.QUARTER
+        ys, oracle, ratio = (np.array([r[f] for r in report["sweep_rows"]]) for f in ("y", "oracle", "ratio"))
         # value: a quick look at a coarser step than the gated numeric (h = 0.01)
-        rows = [[r["y"], contours.paired_shift_numeric(alpha, beta, r["y"], h=0.02).real if m == 1 else math.nan,
-                 r["oracle"], r["ratio"]] for r in report["sweep_rows"]]
-        if not _write((["y", "value", "oracle", "ratio"], rows), "csv", sweep_out, "sweep table"):
+        value = np.array([contours.paired_shift_numeric(alpha, beta, v, h=0.02).real if m == 1 else math.nan
+                          for v in ys.tolist()])
+        if not _write((["y", "value", "oracle", "ratio"], [ys, value, oracle, ratio]), sweep_out, "sweep table"):
             return EXIT_IO
     return _finish(report, args.out)
 
@@ -486,14 +486,12 @@ def cmd_dump_coeffs(args) -> int:
         ser = sieve.shifted_series("psi", (w, z), args.s, args.nmax)
     else:
         raise DomainError(f"unknown series {kind!r}")
-    vals = ser[1:]
+    n, vals = np.arange(1, ser.size), ser[1:]
     if np.iscomplexobj(vals):
-        header = ["n", "re", "im"]
-        rows = [[n + 1, float(v.real), float(v.imag)] for n, v in enumerate(vals)]
+        content = ["n", "re", "im"], [n, vals.real, vals.imag]
     else:
-        header = ["n", "value"]
-        rows = [[n + 1, float(v)] for n, v in enumerate(vals)]
-    return EXIT_PASS if _write((header, rows), "csv", args.out) else EXIT_IO
+        content = ["n", "value"], [n, vals]
+    return EXIT_PASS if _write(content, args.out) else EXIT_IO
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,14 @@ from .util import trapezoid_weights
 # ---------------------------------------------------------------------------
 
 
-def perron_weight(order: int, x: float, T: float = 4000.0, h: float = 0.05) -> float:
+def perron_weight(order: int, x: float) -> float:
     """(1/2 pi i) int_(c) x^w w^{-order} dw: log^{order-1}(x)/(order-1)! for
     x > 1 and 0 for x < 1.
 
     The line is taken at c = 1/|log x| and reparametrized so the oscillation
-    has unit frequency; a first-order endpoint correction removes most of the
-    truncation tail of the slowly decaying w^{-order} factor.
+    has unit frequency (step h = 0.05 up to u = T = 4000); a first-order
+    endpoint correction removes most of the truncation tail of the slowly
+    decaying w^{-order} factor.
     """
     if order not in (2, 3):
         raise DomainError("Perron weight implemented for orders 2 and 3")
@@ -52,6 +53,7 @@ def perron_weight(order: int, x: float, T: float = 4000.0, h: float = 0.05) -> f
         raise DomainError("x must be positive")
     if x == 1.0:
         raise DomainError("x = 1 is the boundary case and is excluded")
+    T, h = 4000.0, 0.05
     L = math.log(x)
     aL = abs(L)
     sgn = 1.0 if L > 0 else -1.0
@@ -87,18 +89,20 @@ def _hankel_level(alpha: float, arm: float, npu: int) -> float:
     return float((total / (2j * math.pi)).real)
 
 
-def hankel_recip_gamma(alpha: float, arm: float = 25.0, nodes_per_unit: int = 400) -> float:
+def hankel_recip_gamma(alpha: float, arm: float = 25.0) -> float:
     """1/Gamma(alpha) from the loop integral of w^{-alpha} e^w over a truncated
-    Hankel contour (unit-radius loop, arms of length `arm` at height +-1).
+    Hankel contour (unit-radius loop, arms of length `arm` at height +-1,
+    400 and then 800 nodes per unit length).
 
-    The dropped arms beyond -arm contribute O(e^{-arm}).
+    The dropped arms beyond -arm contribute O(e^{-arm}); past arm = 100 that
+    is below e^-100 ~ 4e-44 and only the node arrays grow, so arm is refused.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"alpha must be finite and positive, got {alpha}")
-    if not (math.isfinite(arm) and arm >= 10):
-        raise DomainError(f"arm must be finite and at least 10, got {arm}")
-    coarse = _hankel_level(alpha, arm, nodes_per_unit)
-    fine = _hankel_level(alpha, arm, 2 * nodes_per_unit)
+    if not (math.isfinite(arm) and 10 <= arm <= 100):
+        raise DomainError(f"arm must lie in [10, 100], got {arm}")
+    coarse = _hankel_level(alpha, arm, 400)
+    fine = _hankel_level(alpha, arm, 800)
     # one Richardson step on the O(h^2) trapezoid error
     return fine + (fine - coarse) / 3.0
 
@@ -198,10 +202,6 @@ M2_ORACLE_YMAX = 3000
 
 @dataclass
 class PairedShiftReport:
-    m: int
-    alpha: float
-    beta: float
-    y: float
     gamma: float
     oracle: float
     numeric: Optional[float] = None
@@ -221,12 +221,14 @@ def _self_convolve(phi: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(phi, n) ** 2)[:size]
 
 
-def paired_shift_numeric(alpha: float, beta: float, y: float, T: float = 400.0, h: float = 0.01) -> complex:
-    """The 2-D line integral after z = (1 + i t)/log y on both axes.
+def paired_shift_numeric(alpha: float, beta: float, y: float, h: float = 0.01) -> complex:
+    """The 2-D line integral after z = (1 + i t)/log y on both axes, by the
+    trapezoid rule at step h on |t| <= T = 400.
 
     The zeta factor depends only on t1 + t2, so the double sum collapses to
     one convolution of the axis factor e^{it} (1 + it)^{-alpha} with itself.
     """
+    T = 400.0
     L = math.log(y)
     t = np.arange(-T, T + h / 2, h)
     n = t.size
@@ -280,8 +282,7 @@ def paired_shift_oracle(m: int, alpha: float, beta: float, y: float) -> float:
     return total
 
 
-def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Sequence[float] = (),
-                       T: float = 400.0, h: float = 0.01) -> PairedShiftReport:
+def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Sequence[float] = ()) -> PairedShiftReport:
     """Compare the 2m-fold contour integral with its divisor-sum oracle at y,
     and tabulate the oracle over the sweep.
 
@@ -308,10 +309,10 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
         raise DomainError(f"m = 2 oracle is quartic in log y; limited to y <= {M2_ORACLE_YMAX}")
     gamma = 2 * m * alpha + m * m * beta - 2 * m
     oracle = {v: paired_shift_oracle(m, alpha, beta, v) for v in dict.fromkeys([y, *sweep])}
-    rep = PairedShiftReport(m=m, alpha=alpha, beta=beta, y=y, gamma=gamma, oracle=oracle[y],
-                            sweep_rows=[(v, oracle[v], oracle[v] / math.log(v) ** gamma) for v in sweep])
+    rep = PairedShiftReport(gamma, oracle[y], sweep_rows=[(v, oracle[v], oracle[v] / math.log(v) ** gamma)
+                                                          for v in sweep])
     if m == 1:
-        val = paired_shift_numeric(alpha, beta, y, T, h)
+        val = paired_shift_numeric(alpha, beta, y)
         rep.numeric = float(val.real)
         rep.numeric_imag = float(val.imag)
         rep.rel_err = abs(rep.numeric - rep.oracle) / abs(rep.oracle)
@@ -325,10 +326,6 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
 
 @dataclass
 class EtaStabilityReport:
-    s_param: int
-    w0: complex
-    shifts: tuple
-    levels: tuple
     estimates: tuple
     drift: float
 
@@ -364,11 +361,4 @@ def eta_stability(s_param: int, w0: complex, shifts: ShiftVector, levels: Sequen
         denom *= zeta_frac_power(1.0 / (2 * s_param), 1 + w0 + complex(w))
     estimates = tuple(complex(partial[N - 1] / denom) for N in levels)
     drift = max(abs(estimates[i + 1] - estimates[i]) for i in range(len(estimates) - 1))
-    return EtaStabilityReport(
-        s_param=s_param,
-        w0=w0,
-        shifts=shifts.shifts,
-        levels=levels,
-        estimates=estimates,
-        drift=drift,
-    )
+    return EtaStabilityReport(estimates=estimates, drift=drift)

@@ -111,12 +111,9 @@ def mollifier_series(params: MomentParams) -> np.ndarray:
 def evaluate_polynomial_all(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
     """sum_n c_n chi_j(n) n^{-1/2} for every j at once.
 
-    Coefficient support must stay below q so residues are distinct; the
-    principal-character slot j = 0 is included in the output.
+    Coefficient support must stay below q (fold_residues refuses the rest);
+    the principal-character slot j = 0 is included in the output.
     """
-    nz = np.nonzero(coeffs[1:])[0]
-    if nz.size and nz[-1] + 1 >= table.q:
-        raise DomainError(f"coefficient support must be < q = {table.q}")
     n = np.arange(1, coeffs.size)
     weighted = coeffs[1:] / np.sqrt(n)
     folded = fold_residues(table.q, weighted)
@@ -252,15 +249,10 @@ class SurveyRow:
     band_ok: bool
 
 
-def scaling_survey(
-    k: Fraction,
-    primes: Sequence[int],
-    method: str = "oracle",
-    band: tuple[float, float] = (0.1, 10.0),
-) -> list[SurveyRow]:
+def scaling_survey(k: Fraction, primes: Sequence[int], method: str = "oracle") -> list[SurveyRow]:
     """M_k(q)/phi(q) against (log q)^{k^2} across a list of primes.
 
-    The ratio column is a sanity band (default [0.1, 10]), not an asymptotic claim:
+    The ratio column is a sanity band [0.1, 10], not an asymptotic claim:
     the asymptotic constants are not reproducible at desk scale.
     """
     k = Fraction(k)
@@ -270,5 +262,5 @@ def scaling_survey(
         target = math.log(q) ** float(k * k)
         ratio = per_phi / target
         rows.append(SurveyRow(q=q, moment_over_phi=per_phi, logq_pow_k2=target, ratio=ratio,
-                              band_ok=band[0] <= ratio <= band[1]))
+                              band_ok=0.1 <= ratio <= 10.0))
     return rows

@@ -12,7 +12,12 @@ import math
 import os
 import tempfile
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
+
+import numpy as np
+
+# rows per formatting block of csv_text: bounds the per-row strings alive at once
+CSV_BLOCK = 1 << 16
 
 
 def fmt_float(x: float) -> str:
@@ -66,19 +71,20 @@ def json_dumps(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    def cell(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return fmt_float(v)
-        if hasattr(v, "item"):
-            return cell(v.item())
-        return str(v)
+def csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+    """CSV of equal-length 1-D columns under header, formatted CSV_BLOCK rows at a time.
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    Float columns print through fmt_float, every other column through str.
+    """
+    size = columns[0].size if columns else 0
+    if len(columns) != len(header) or any(c.shape != (size,) for c in columns):
+        raise ValueError("csv_text needs one equal-length 1-D column per header field")
+    fmts = [fmt_float if c.dtype.kind == "f" else str for c in columns]
+    parts = [",".join(header)]
+    for lo in range(0, size, CSV_BLOCK):
+        cells = [map(f, c[lo : lo + CSV_BLOCK].tolist()) for f, c in zip(fmts, columns)]
+        parts.append("\n".join(map(",".join, zip(*cells))))
+    return "\n".join(parts) + "\n"
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -97,18 +103,15 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def emit(report: Any, fmt: str, path: str | None) -> str:
-    """Serialize a report dict ('json') or (header, rows) pair ('csv').
+def emit(report: Any, path: str | None) -> str:
+    """Serialize a report dict as JSON, or a (header, columns) pair as CSV.
 
     Writes to path when given (atomically); always returns the text.
     """
-    if fmt == "json":
+    if isinstance(report, dict):
         text = json_dumps(report) + "\n"
-    elif fmt == "csv":
-        header, rows = report
-        text = csv_text(header, rows)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        text = csv_text(*report)
     if path:
         atomic_write(path, text)
     return text

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -170,6 +173,24 @@ class TestDumpCoeffs:
                     "--s", "1", "--nmax", "3", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "n,re,im"
 
+    def test_million_term_dump_peak_memory(self, tmp_path):
+        # one process of its own, so the peak is this dump's and no other test's
+        src = str(Path(sieve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys\n"
+            "from fracmoment.cli import main\n"
+            "def peak():\n"
+            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
+            "before = peak()\n"
+            "assert main(['dump-coeffs', '--series', 'dalpha', '--nmax', '1000000', '--out', sys.argv[1]]) == 0\n"
+            "print(peak() - before)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d.csv")], env=env,
+                             capture_output=True, text=True, check=True)
+        assert int(out.stdout.splitlines()[-1]) < 120 * 1024
+        assert (tmp_path / "d.csv").read_text().count("\n") == 1 + 10**6
+
 
 class TestLValueExport:
     def test_lvalues_csv(self, tmp_path):
@@ -307,6 +328,8 @@ class TestExitCodes:
         ["dump-coeffs", "--series", "dalpha", "--nmax", "20000000"],
         ["verify", "pairshift", "--y", "1e8"],
         ["verify", "quarter", "--y", "1e30"],
+        ["verify", "hankel", "--arm", "1e20"],
+        ["verify", "hankel", "--arm", "1e6"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2

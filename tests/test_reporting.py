@@ -1,0 +1,55 @@
+import math
+
+import numpy as np
+import pytest
+
+from fracmoment.reporting import CSV_BLOCK, csv_text, emit, fmt_float
+
+
+def reference_csv(header, columns):
+    """Row-wise formatter: one Python list per row, each cell by its type."""
+
+    def cell(v) -> str:
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return fmt_float(v)
+        if hasattr(v, "item"):
+            return cell(v.item())
+        return str(v)
+
+    rows = [list(row) for row in zip(*columns)]
+    return "\n".join([",".join(header)] + [",".join(cell(v) for v in row) for row in rows]) + "\n"
+
+
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 0.1, -2.5e-300, 1e300, 5e-324, 1 / 3]
+
+
+@pytest.mark.parametrize("size", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+def test_csv_text_matches_row_wise_reference(size):
+    rng = np.random.default_rng(size)
+    floats = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+    floats[: len(SPECIALS)] = SPECIALS[:size]
+    ints = rng.integers(-(2**62), 2**62, size)
+    words = np.array(["afe", "oracle", "smoothed"])[rng.integers(0, 3, size)]
+    header = ["n", "x", "method", "parity"]
+    columns = [ints, floats, words, rng.integers(0, 2, size).astype(np.int8)]
+    assert csv_text(header, columns) == reference_csv(header, columns)
+
+
+def test_special_floats_print_as_json_literals():
+    text = csv_text(["x"], [np.array([math.nan, math.inf, -math.inf, -0.0, 0.1])])
+    assert text == "x\nNaN\nInfinity\n-Infinity\n-0\n0.10000000000000001\n"
+
+
+def test_columns_of_unequal_length_are_refused():
+    with pytest.raises(ValueError):
+        csv_text(["a", "b"], [np.arange(3), np.arange(4)])
+    with pytest.raises(ValueError):
+        csv_text(["a", "b"], [np.arange(3)])
+
+
+def test_emit_chooses_the_format_by_content(tmp_path):
+    path = tmp_path / "t.csv"
+    assert emit((["n"], [np.arange(1, 3)]), str(path)) == "n\n1\n2\n" == path.read_text()
+    assert emit({"a": 1.5}, None) == '{\n  "a": 1.5\n}\n'
