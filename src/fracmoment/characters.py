@@ -112,9 +112,7 @@ def build_table(q: int) -> CharacterTable:
     dlog = np.full(q, -1, dtype=np.int64)
     dlog[powers] = np.arange(n, dtype=np.int64)
     # chi_j(-1) = exp(2 pi i j dlog(-1)/n) with dlog(-1) = n/2, so parity is j mod 2
-    half = int(dlog[q - 1])
-    j = np.arange(n, dtype=np.int64)
-    parity = ((j * half) % n != 0).astype(np.int8)
+    parity = (np.arange(n) % 2).astype(np.int8)
     roots = np.exp(2j * math.pi * np.arange(n) / n)
     for arr in (powers, dlog, parity, roots):
         arr.setflags(write=False)

@@ -177,7 +177,7 @@ def _verify_smoothed(primes) -> dict:
     for q in _ints(primes):
         table = characters.build_table(q)
         d = np.abs(lvalues.smoothed_values(table)[1:] - lvalues.oracle_values(table)[1:])
-        bound = 10.0 * q ** (-0.125) * math.log(q)
+        bound = lvalues.smoothed_band(q)
         maxima[q] = float(d.max())
         checks.append(_check(f"q={q} smoothed-sum error under 10 q^-1/8 log q = {bound:.3f}", maxima[q], bound))
     qs = sorted(maxima)
@@ -368,8 +368,10 @@ def _params_from_args(args) -> moments.MomentParams:
 def cmd_moments(args) -> int:
     params = _params_from_args(args)
     table = characters.build_table(params.q)
-    value, _, floored = moments.moment_sum(table, params.k, args.method)
-    if args.lvalues_out and not _write(_lvalue_columns(table, args.method), args.lvalues_out, "L-value table"):
+    values, squares, err = lvalues.lvalue_table(table, args.method)
+    value, _, floored = moments.power_sum(squares, params.k)
+    if args.lvalues_out and not _write(_lvalue_columns(table, args.method, values, squares, err),
+                                       args.lvalues_out, "L-value table"):
         return EXIT_IO
     report = {
         "command": "moments",
@@ -386,9 +388,8 @@ def cmd_moments(args) -> int:
     return _finish(report, args.out)
 
 
-def _lvalue_columns(table, method: str):
-    """Per-character L-value export: q, j, parity, ReL, ImL, Lsq, method, err."""
-    values, squares, err = lvalues.lvalue_table(table, method)
+def _lvalue_columns(table, method: str, values, squares, err):
+    """Per-character CSV of one lvalue_table result: q, j, parity, ReL, ImL, Lsq, method, err."""
     if values is None:
         values = np.full(table.order, complex(math.nan, math.nan))
     n = table.order - 1
@@ -402,7 +403,8 @@ def cmd_holder(args) -> int:
     params.diagonal_length()  # refuses x^{2r} >= q, so nothing is built outside the P4 check's regime
     table = characters.build_table(params.q)
     values = moments.character_values(params, table, args.method)
-    if args.lvalues_out and not _write(_lvalue_columns(table, args.method), args.lvalues_out, "L-value table"):
+    if args.lvalues_out and not _write(_lvalue_columns(table, args.method, values.L, values.sq, values.err),
+                                       args.lvalues_out, "L-value table"):
         return EXIT_IO
     rep = moments.holder_chain_check(values)
     p4 = moments.p4_bound_check(values)
@@ -584,6 +586,9 @@ def main(argv=None) -> int:
         code = args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"error: a value too large for a double: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

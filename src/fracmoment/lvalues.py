@@ -19,9 +19,8 @@ Bessel-K integral (2/Gamma(s)^2) int_{x^-2}^inf t^{s-1} K_0(2 sqrt t) dt; it
 is read from one q-independent cumulative table per parity.
 
 All-character batches ride on the group DFT from the character engine and are
-memoized per modulus, and the W tables once per parity, in one cache of
-read-only arrays; lvalue_table hands out one route's values, squares and
-error estimate together.
+computed on each call; only the q-independent W tables are kept between calls.
+lvalue_table hands out one route's values, squares and error estimate together.
 """
 
 from __future__ import annotations
@@ -145,25 +144,8 @@ def hurwitz_zeta(s: complex, a: float = 1.0) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Memo cache and the smooth cutoff W
+# The smooth cutoff W
 # ---------------------------------------------------------------------------
-
-_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    _CACHE.clear()
-
-
-def _memo(key: tuple, build, *args):
-    """build(*args) computed once per key; every array it returns is stored read-only."""
-    if key not in _CACHE:
-        value = build(*args)
-        for arr in value if isinstance(value, tuple) else (value,):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-        _CACHE[key] = value
-    return _CACHE[key]
 
 
 @dataclass(frozen=True)
@@ -203,6 +185,22 @@ def _w_build(parity: int) -> tuple[np.ndarray, float]:
     return C, float(np.max(np.abs(mid - F[1:] - upper_half)))
 
 
+_W_TABLES: dict = {}
+
+
+def _w_table(parity: int) -> tuple[np.ndarray, float]:
+    """_w_build(parity), built once and kept read-only until clear_caches()."""
+    if parity not in _W_TABLES:
+        _W_TABLES[parity] = _w_build(parity)
+        _W_TABLES[parity][0].setflags(write=False)
+    return _W_TABLES[parity]
+
+
+def clear_caches() -> None:
+    """Drop the W tables; the next lookup rebuilds them."""
+    _W_TABLES.clear()
+
+
 def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
     """W_parity(x) = (1/2 pi i) int_(c) Gamma(s + w/2)^2/Gamma(s)^2 x^w dw/w, s = 1/4 + parity/2.
 
@@ -218,7 +216,7 @@ def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
         raise DomainError("W weight requires finite x > 0")
     if parity not in (0, 1):
         raise DomainError("parity must be 0 (even) or 1 (odd)")
-    C, _ = _memo(("w", parity), _w_build, parity)
+    C, _ = _w_table(parity)
     v = -2.0 * np.log(x)
     p = (v - _WSPEC.umin) / _WSPEC.step
     k = np.clip(p.astype(np.int64), 0, C.shape[1] - 1)
@@ -239,22 +237,18 @@ def w_weight(x: float, parity: int) -> float:
 # The three routes, batched over all characters
 # ---------------------------------------------------------------------------
 
-def _oracle_batch(table: CharacterTable) -> np.ndarray:
-    q = table.q
-    hz = hurwitz_zeta_over_a(0.5, np.arange(1, q) / q)
-    return dft_all_characters(table, hz / math.sqrt(q))
-
-
 def oracle_values(table: CharacterTable) -> np.ndarray:
     """L(1/2, chi_j) for every j via the Hurwitz decomposition and one DFT.
 
     Slot 0 carries the principal-character value zeta(1/2)(1 - q^{-1/2}).
     """
-    return _memo(("oracle", table.q), _oracle_batch, table)
+    q = table.q
+    hz = hurwitz_zeta_over_a(0.5, np.arange(1, q) / q)
+    return dft_all_characters(table, hz / math.sqrt(q))
 
 
-def _smoothed_batch(table: CharacterTable, tail_multiplier: float) -> np.ndarray:
-    """Residue sums of m^{-1/2} e^{-m/X} over m <= tail_multiplier * X, q not dividing m.
+def smoothed_values(table: CharacterTable, tail_multiplier: float = 40.0) -> np.ndarray:
+    """Smoothed sums sum_{m <= tail_multiplier * X} chi_j(m) m^{-1/2} e^{-m/X} for all j.
 
     Blocks of rows * q consecutive m, starting at m = 1 mod q, fill rows 1..rows
     of a (rows + 1, q) buffer, so column c holds m = c + 1 mod q and the last
@@ -277,10 +271,9 @@ def _smoothed_batch(table: CharacterTable, tail_multiplier: float) -> np.ndarray
     return dft_all_characters(table, buf[0, : q - 1].astype(complex))
 
 
-def smoothed_values(table: CharacterTable, tail_multiplier: float = 40.0) -> np.ndarray:
-    """Smoothed sums sum_{m <= tail_multiplier * X} chi_j(m) m^{-1/2} e^{-m/X} for all j."""
-    key = ("smoothed", table.q, float(tail_multiplier))
-    return _memo(key, _smoothed_batch, table, tail_multiplier)
+def smoothed_band(q: int) -> float:
+    """10 q^{-1/8} log q: the bound checked on |smoothed sum - L|, and the main part of its error estimate."""
+    return 10.0 * q ** (-0.125) * math.log(q)
 
 
 def smoothed_tail_bound(q: int, tail_multiplier: float) -> float:
@@ -304,6 +297,8 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     Dmax = int(q / (math.pi * xmin)) if math.isfinite(xmin) and xmin > 0 else 0
     if Dmax < 1:
         raise DomainError("the AFE needs a finite xmin > 0 with q/(pi xmin) >= 1")
+    if Dmax > 1 << 25:  # the weight rows alone would take 3 * 8 * Dmax bytes
+        raise DomainError(f"the AFE needs q/(pi xmin) <= 2^25 (q <= 105414 at xmin = 1e-3), got {Dmax}")
     size = 2 * (q - 1)
     # rows: W_0(D)/sqrt(D), W_1(D)/sqrt(D), 1/sqrt(D), built in cache-sized
     # blocks; a pair with q | mn has q | D and weight 0
@@ -339,18 +334,14 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     outs = [2.0 * dft_all_characters(table, c.astype(complex)).real for c in coeffs]
     # each pair's W is off by at most the table residual and |chi| = 1, so the
     # pair sum of 1/sqrt(mn) carries it to |L|^2; log2(q) eps covers the FFT
-    resid = max(_memo(("w", par), _w_build, par)[1] for par in (0, 1))
+    resid = max(_w_table(par)[1] for par in (0, 1))
     err = 2.0 * (2.0 * pairsum + diag[2]) * (resid + math.log2(q) * np.finfo(float).eps)
     return outs[0], outs[1], err
 
 
-def _afe_memo(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarray, float]:
-    return _memo(("afe", table.q, float(xmin)), _afe_batch, table, xmin)
-
-
 def afe_squares(table: CharacterTable, xmin: float = 1e-3) -> np.ndarray:
     """|L(1/2, chi_j)|^2 for every j from the AFE route, parity-matched."""
-    even, odd, _ = _afe_memo(table, xmin)
+    even, odd, _ = _afe_batch(table, xmin)
     return np.where(table.parity == 0, even, odd)
 
 
@@ -364,10 +355,10 @@ def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarra
     if method == "oracle":
         values, err = oracle_values(table), max(1e-12, math.sqrt(q) * 1e-13)
     elif method == "smoothed":
-        values = smoothed_values(table)
-        err = 10.0 * q ** (-0.125) * math.log(q) + smoothed_tail_bound(q, 40.0)
+        values, err = smoothed_values(table), smoothed_band(q) + smoothed_tail_bound(q, 40.0)
     elif method == "afe":
-        return None, afe_squares(table), _afe_memo(table, 1e-3)[2]
+        even, odd, err = _afe_batch(table, 1e-3)
+        return None, np.where(table.parity == 0, even, odd), err
     else:
         raise DomainError(f"unknown L-value method {method!r}")
     return values, np.abs(values) ** 2, err

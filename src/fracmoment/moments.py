@@ -18,9 +18,9 @@ the diagonal bound for sum |P|^{4r}, and the Holder/Cauchy chain
 `character_values` evaluates L, |L|^2, P and M for all characters once (one
 `lvalue_table` call, one group DFT each for P and M) into a frozen
 `CharacterValues`; `holder_chain_check` and `p4_bound_check` are plain
-functions of it, and `moment_sum` is the moment alone.  Per-character powers
-are taken on the evaluated polynomial values, never by expanding coefficient
-convolutions.
+functions of it, and `power_sum` is the moment alone, from the squares |L|^2.
+Per-character powers are taken on the evaluated polynomial values, never by
+expanding coefficient convolutions.
 """
 
 from __future__ import annotations
@@ -120,8 +120,13 @@ def evaluate_polynomial_all(table: CharacterTable, coeffs: np.ndarray) -> np.nda
     return dft_all_characters(table, folded.astype(complex))
 
 
-def _power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, list[int]]:
-    """sum over non-principal chi of (|L|^2)^k, from the squares of all characters."""
+def power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, list[int]]:
+    """sum over non-principal chi of (|L|^2)^k, k in (0, 1], from the squares of all characters.
+
+    Fractional powers go through exp(k log |L|^2) with |L|^2 floored at
+    1e-30; floored characters (numerically vanishing L) are flagged.
+    Returns (value, per-character contributions, floored character indices).
+    """
     k = Fraction(k)
     if not (0 < k <= 1):
         raise DomainError(f"k must lie in (0, 1], got {k}")
@@ -134,18 +139,14 @@ def _power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, lis
 def moment_sum(
     table: CharacterTable, k: Fraction, method: str = "oracle"
 ) -> tuple[float, np.ndarray, list[int]]:
-    """sum over non-principal chi of (|L(1/2, chi)|^2)^k for rational k in (0, 1].
-
-    Fractional powers go through exp(k log |L|^2) with |L|^2 floored at
-    1e-30; floored characters (numerically vanishing L) are flagged.
-    Returns (value, per-character contributions, floored character indices).
-    """
-    return _power_sum(lvalue_table(table, method)[1], k)
+    """power_sum of the squares |L(1/2, chi)|^2 from one lvalue_table route."""
+    return power_sum(lvalue_table(table, method)[1], k)
 
 
 @dataclass(frozen=True)
 class CharacterValues:
-    """L(1/2, chi), |L|^2, P(chi) and M(chi) over all characters (slot 0 principal).
+    """L(1/2, chi), |L|^2, P(chi) and M(chi) over all characters (slot 0 principal),
+    and the L-value route's error estimate err.
 
     Built once per (params, table, method) by `character_values`; the Holder
     chain and the diagonal P4 check read every per-character value from here.
@@ -156,6 +157,7 @@ class CharacterValues:
     sq: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
     M: np.ndarray = field(repr=False)
+    err: float
 
     @property
     def p4(self) -> float:
@@ -169,10 +171,10 @@ def character_values(params: MomentParams, table: CharacterTable, method: str = 
         raise DomainError("table modulus does not match params")
     if method not in ("oracle", "smoothed"):
         raise DomainError("twisted sums need complex L-values: method 'oracle' or 'smoothed'")
-    L, sq, _ = lvalue_table(table, method)
+    L, sq, err = lvalue_table(table, method)
     P = evaluate_polynomial_all(table, polynomial_series(params))
     M = evaluate_polynomial_all(table, mollifier_series(params))
-    return CharacterValues(params, L, sq, P, M)
+    return CharacterValues(params, L, sq, P, M, err)
 
 
 @dataclass
@@ -232,7 +234,7 @@ def holder_chain_check(values: CharacterValues) -> HolderReport:
     e1, e2, e3 = (float(e) for e in holder_exponents(k))
     t = (L * np.conj(P) ** (2 * s) * np.abs(M) ** (2 * (s - r)))[1:]
     sl = complex(math.fsum(t.real), math.fsum(t.imag))
-    mk = _power_sum(sq, k)[0]
+    mk = power_sum(sq, k)[0]
     p4 = values.p4
     su = float(math.fsum((sq * np.abs(P) ** (4 * s) * np.abs(M) ** (2 * (2 * s - r)))[1:]))
     f1, f2, f3 = mk**e1, p4**e2, su**e3

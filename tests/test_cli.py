@@ -211,6 +211,15 @@ class TestLValueExport:
         assert len(hl.read_text().splitlines()) == 1 + 1009 - 2
         assert hl.read_bytes() == ml.read_bytes()
 
+    @pytest.mark.parametrize("command", ["moments", "holder"])
+    def test_one_oracle_evaluation_serves_report_and_csv(self, command, tmp_path, monkeypatch):
+        calls = []
+        oracle = lvalues.oracle_values
+        monkeypatch.setattr(lvalues, "oracle_values", lambda t: calls.append(t.q) or oracle(t))
+        assert run([command, "--q", "1009", "--out", str(tmp_path / "r.json"),
+                    "--lvalues-out", str(tmp_path / "lv.csv")]) == 0
+        assert calls == [1009]
+
 
 class TestSweepExport:
     def test_quarter_sweep_csv(self, tmp_path):
@@ -330,6 +339,11 @@ class TestExitCodes:
         ["verify", "quarter", "--y", "1e30"],
         ["verify", "hankel", "--arm", "1e20"],
         ["verify", "hankel", "--arm", "1e6"],
+        ["moments", "--q", "999983", "--method", "afe"],
+        ["dump-coeffs", "--series", "dalpha", "--alpha", "1e200", "--nmax", "4"],
+        ["verify", "eta", "--w0", "1e308"],
+        ["verify", "pairshift", "--alpha", "1e300"],
+        ["verify", "hankel", "--alphas", "1e300"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -244,3 +245,15 @@ class TestSurvey:
 
     def test_empty(self):
         assert scaling_survey(Fraction(1, 2), []) == []
+
+    def test_retains_no_per_modulus_array(self):
+        # what a survey leaves allocated is under one modulus's L-values, 16 (q - 1) bytes
+        primes = [p for p in range(20001, 21000) if is_prime(p)][:6]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scaling_survey(Fraction(1, 2), primes)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * (primes[0] - 1)
