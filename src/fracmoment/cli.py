@@ -587,7 +587,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         print(f"error: a value too large for a double: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

@@ -89,6 +89,7 @@ def _hankel_level(alpha: float, arm: float, npu: int) -> float:
     return float((total / (2j * math.pi)).real)
 
 
+@np.errstate(over="raise")  # w^{-alpha} at alpha ~ 1e20 raises FloatingPointError, not a warning
 def hankel_recip_gamma(alpha: float, arm: float = 25.0) -> float:
     """1/Gamma(alpha) from the loop integral of w^{-alpha} e^w over a truncated
     Hankel contour (unit-radius loop, arms of length `arm` at height +-1,
@@ -241,6 +242,7 @@ def paired_shift_numeric(alpha: float, beta: float, y: float, h: float = 0.01) -
     return pref * total
 
 
+@np.errstate(over="raise")  # log^{alpha-1} at alpha ~ 1e5 raises FloatingPointError, not a warning
 def paired_shift_oracle(m: int, alpha: float, beta: float, y: float) -> float:
     """Exact divisor-sum expansion of the paired-shift integral.
 
@@ -330,6 +332,7 @@ class EtaStabilityReport:
     drift: float
 
 
+@np.errstate(over="raise")  # n^{-(1 + w0)} at w0 ~ 1e308 raises FloatingPointError, not a warning
 def eta_stability(s_param: int, w0: complex, shifts: ShiftVector, levels: Sequence[int]) -> EtaStabilityReport:
     """Estimate eta = [sum_{n<=N} sigma_shifts(n) n^{-(1+w0)}] / prod_i
     zeta^{1/2s}(1 + w0 + w_i) at a ladder of cutoffs N.

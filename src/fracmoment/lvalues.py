@@ -16,7 +16,10 @@ dlog m - dlog n of m/n in the cyclic group, with one bincount per block of
 pairs and no modular inverse.  The smooth cutoff W_par, the inverse Mellin
 transform of Gamma(s + w/2)^2/Gamma(s)^2 with s = 1/4 + par/2, equals the
 Bessel-K integral (2/Gamma(s)^2) int_{x^-2}^inf t^{s-1} K_0(2 sqrt t) dt; it
-is read from one q-independent cumulative table per parity.
+is read from one q-independent cumulative table per parity.  K_0 is computed
+here in numpy (the scaled e^z K_0(z) by its power series, a trapezoid rule or
+its asymptotic series, each where it holds to about an ulp), once per node set
+for both parities, since K_0(2 sqrt t) does not depend on the parity.
 
 All-character batches ride on the group DFT from the character engine and are
 computed on each call; only the q-independent W tables are kept between calls.
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import k0e
 
 from .characters import CharacterTable, dft_all_characters
 from .errors import DomainError
@@ -162,37 +164,79 @@ class WWeightSpec:
 _WSPEC = WWeightSpec()
 
 
-def _w_density(v: np.ndarray, s: float) -> np.ndarray:
-    """(2/Gamma(s)^2) e^{sv} K_0(2 e^{v/2}), the v-density of W at v = -2 log x."""
+# e^z K_0(z) by three methods (DLMF 10.31.2, 10.32.9, 10.40.2), each used where
+# it holds to about an ulp.  Below z = 1 the power series, whose two parts
+# cancel more as z grows (5e-15 at z = 2).  Up to z = 17 the trapezoid rule on
+# int_0^inf exp(-2 z sinh^2(u/2)) du at 20 nodes of step pi^2/(z + 40): its
+# discretization error is about e^{z - pi^2/step} = e^-40, and the integrand
+# is below e^-49 past the last node.  Past z = 17 the asymptotic series to 29
+# terms, whose first omitted term is below 4e-16 of the sum there.
+_K0_SERIES_BELOW, _K0_ASYMPTOTIC_FROM = 1.0, 17.0
+_I0_SERIES = np.array([1.0 / math.factorial(k) ** 2 for k in range(11)])  # 1/(k!)^2
+_H_SERIES = _I0_SERIES * np.array([math.fsum(1.0 / j for j in range(1, k + 1)) for k in range(11)])  # H_k/(k!)^2
+_K0_ASYMPTOTIC = np.cumprod([1.0] + [-((2 * k - 1) ** 2) / (8.0 * k) for k in range(1, 29)])
+
+
+def _k0e(z: np.ndarray) -> np.ndarray:
+    """e^z K_0(z) for an array of z > 0."""
+    polyval = np.polynomial.polynomial.polyval
+    out = np.empty_like(z)
+    small, large = z < _K0_SERIES_BELOW, z >= _K0_ASYMPTOTIC_FROM
+    mid = ~(small | large)
+    zs = z[small]
+    y = zs * zs / 4  # K_0 = sum_k y^k/(k!)^2 (H_k - log(z/2) - gamma)
+    k0 = polyval(y, _H_SERIES) - (np.log(zs / 2) + np.euler_gamma) * polyval(y, _I0_SERIES)
+    out[small] = k0 * np.exp(zs)
+    zm = z[mid][:, None]
+    step = np.pi**2 / (zm + 40.0)
+    sh = np.sinh(step * np.arange(0.5, 10.0, 0.5))  # sinh(u/2) at the nodes u = step, ..., 19 step
+    out[mid] = step[:, 0] * (0.5 + np.exp(-2.0 * zm * sh * sh).sum(axis=1))
+    zl = z[large]
+    out[large] = np.sqrt(np.pi / (2.0 * zl)) * polyval(1.0 / zl, _K0_ASYMPTOTIC)
+    return out
+
+
+def _w_densities(v: np.ndarray) -> list[np.ndarray]:
+    """(2/Gamma(s)^2) e^{sv} K_0(2 e^{v/2}) for s = 1/4 and s = 3/4, the
+    v-densities of W_0 and W_1 at v = -2 log x, from one K_0 evaluation."""
     z = 2.0 * np.exp(v / 2)
-    return 2.0 * np.exp(s * v - z - 2.0 * math.lgamma(s)) * k0e(z)
+    k0e = _k0e(z)
+    return [2.0 * np.exp(s * v - z - 2.0 * math.lgamma(s)) * k0e for s in (0.25, 0.75)]
 
 
-def _w_build(parity: int) -> tuple[np.ndarray, float]:
-    """(C, residual): F(v) = int_v^inf f summed cell by cell down from umax
-    (f < 1e-340 there); C[:, k] = cell k's cubic in t from F and F' = -f at
-    both ends; residual = the largest gap of that cubic from the Gauss value
-    at a cell midpoint."""
-    s, h = 0.25 + parity / 2, _WSPEC.step
+def _w_build() -> list[tuple[np.ndarray, float]]:
+    """[(C, residual) for parity 0 and 1]: F(v) = int_v^inf f summed cell by
+    cell down from umax (f < 1e-340 there); C[:, k] = cell k's cubic in t from
+    F and F' = -f at both ends; residual = the largest gap of that cubic from
+    the Gauss value at a cell midpoint."""
+    h = _WSPEC.step
     v = _WSPEC.umin + h * np.arange(round((_WSPEC.umax - _WSPEC.umin) / h) + 1)
     g, gw = np.polynomial.legendre.leggauss(_WSPEC.nodes)
-    cells = _w_density(v[:-1, None] + h / 2 * (1 + g), s) @ gw * (h / 2)
-    F = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
-    hf, dF = h * _w_density(v, s), np.diff(F)
-    C = np.stack([F[:-1], -hf[:-1], 3 * dF + 2 * hf[:-1] + hf[1:], -2 * dF - hf[:-1] - hf[1:]])
-    upper_half = _w_density(v[:-1, None] + h / 4 * (3 + g), s) @ gw * (h / 4)
-    mid = C[0] + (C[1] + (C[2] + C[3] / 2) / 2) / 2
-    return C, float(np.max(np.abs(mid - F[1:] - upper_half)))
+    cell_f = _w_densities(v[:-1, None] + h / 2 * (1 + g))
+    grid_f = _w_densities(v)
+    upper_f = _w_densities(v[:-1, None] + h / 4 * (3 + g))
+    tables = []
+    for cf, f, uf in zip(cell_f, grid_f, upper_f):
+        cells = cf @ gw * (h / 2)
+        F = np.append(np.cumsum(cells[::-1])[::-1], 0.0)
+        hf, dF = h * f, np.diff(F)
+        C = np.stack([F[:-1], -hf[:-1], 3 * dF + 2 * hf[:-1] + hf[1:], -2 * dF - hf[:-1] - hf[1:]])
+        upper_half = uf @ gw * (h / 4)
+        mid = C[0] + (C[1] + (C[2] + C[3] / 2) / 2) / 2
+        tables.append((C, float(np.max(np.abs(mid - F[1:] - upper_half)))))
+    return tables
 
 
 _W_TABLES: dict = {}
 
 
 def _w_table(parity: int) -> tuple[np.ndarray, float]:
-    """_w_build(parity), built once and kept read-only until clear_caches()."""
-    if parity not in _W_TABLES:
-        _W_TABLES[parity] = _w_build(parity)
-        _W_TABLES[parity][0].setflags(write=False)
+    """The (C, residual) of one parity; both are built by one _w_build() call
+    and kept read-only until clear_caches()."""
+    if not _W_TABLES:
+        for par, table in enumerate(_w_build()):
+            table[0].setflags(write=False)
+            _W_TABLES[par] = table
     return _W_TABLES[parity]
 
 

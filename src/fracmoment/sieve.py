@@ -30,6 +30,10 @@ SHIFT_RE_MIN = -3.0 / 16.0
 # is then 40 MB of int32.
 SIEVE_CAP = 10**7
 
+# Largest block of n that _multiplicative completes at once, bounding its
+# temporaries to a few MB whatever the cutoff.
+_BLOCK = 1 << 16
+
 
 def _smallest_prime_factors(limit: int) -> np.ndarray:
     """int32 spf[n], the least prime dividing n, for 2 <= n <= limit.
@@ -113,36 +117,32 @@ def _multiplicative(local, cutoff: int, dtype=float) -> np.ndarray:
 
     local(p, e) takes an int array of primes and one exponent e >= 1.  With
     p = spf(n) and p^e || n, f(n) = f(p^e) f(n/p^e): prime powers come straight
-    from local, every other n in layers by its number of distinct prime
-    factors.  Slot 0 is 0.
+    from local, every other n in blocks [lo, hi) with hi <= 2 lo, so that
+    n/p^e <= n/2 < lo is final before its block starts.  Slot 0 is 0.
     """
-    p = _smallest_prime_factors(cutoff)[2:]
+    spf = _smallest_prime_factors(cutoff)
     f = np.zeros(cutoff + 1, dtype=dtype)
     f[1:2] = 1
-    n = np.arange(2, cutoff + 1, dtype=np.int32)
-    primes = n[p == n].astype(np.int64)
+    primes = np.flatnonzero(spf == np.arange(cutoff + 1, dtype=np.int32))[2:]
     pk, k = primes, 1
     while pk.size:  # the prime powers p^k <= cutoff, one exponent at a time
         f[pk] = local(primes[: pk.size], k)
         pk = pk * primes[: pk.size]
         pk, k = pk[pk <= cutoff], k + 1
-    pe = p.copy()  # grows to p^e || n
-    grow = np.nonzero(n // p % p == 0)[0]
-    while grow.size:
-        pe[grow] *= p[grow]
-        grow = grow[n[grow] // pe[grow] % p[grow] == 0]
-    # n = p^e m with f(p^e) = 0 stays 0; the others wait until f(m) is final
-    todo = np.nonzero(pe != n)[0]
-    todo = todo[f[pe[todo]] != 0]
-    n, pe = n[todo], pe[todo]
-    m = n // pe
-    final = np.ones(cutoff + 1, dtype=bool)
-    final[n] = False
-    while n.size:
-        ready = final[m]
-        f[n[ready]] = f[pe[ready]] * f[m[ready]]
-        final[n[ready]] = True
-        n, pe, m = n[~ready], pe[~ready], m[~ready]
+    lo = 2
+    while lo <= cutoff:
+        hi = min(2 * lo, lo + _BLOCK, cutoff + 1)
+        n, p = np.arange(lo, hi, dtype=np.int32), spf[lo:hi]
+        pe = p.copy()  # grows to p^e || n
+        grow = np.flatnonzero(n // p % p == 0)
+        while grow.size:
+            pe[grow] *= p[grow]
+            grow = grow[n[grow] // pe[grow] % p[grow] == 0]
+        # n = p^e m with f(p^e) = 0 stays 0
+        keep = (pe != n) & (f[pe] != 0)
+        n, pe = n[keep], pe[keep]
+        f[n] = f[pe] * f[n // pe]
+        lo = hi
     return f
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracmoment
 from fracmoment.characters import build_table
 
 _TABLES: dict = {}
@@ -26,3 +32,10 @@ def table_for(q: int):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+def run_python(code: str, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this fracmoment, with text output captured."""
+    src = str(Path(fracmoment.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=check)

@@ -1,13 +1,11 @@
 import json
-import os
 import shlex
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 
 from fracmoment import contours, lvalues, moments, sieve
 from fracmoment.cli import build_parser, main, parse_k
@@ -175,8 +173,6 @@ class TestDumpCoeffs:
 
     def test_million_term_dump_peak_memory(self, tmp_path):
         # one process of its own, so the peak is this dump's and no other test's
-        src = str(Path(sieve.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
             "import sys\n"
             "from fracmoment.cli import main\n"
@@ -186,8 +182,7 @@ class TestDumpCoeffs:
             "assert main(['dump-coeffs', '--series', 'dalpha', '--nmax', '1000000', '--out', sys.argv[1]]) == 0\n"
             "print(peak() - before)\n"
         )
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d.csv")], env=env,
-                             capture_output=True, text=True, check=True)
+        out = run_python(code, str(tmp_path / "d.csv"))
         assert int(out.stdout.splitlines()[-1]) < 120 * 1024
         assert (tmp_path / "d.csv").read_text().count("\n") == 1 + 10**6
 
@@ -348,6 +343,18 @@ class TestExitCodes:
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "eta", "--w0", "1e308"],
+        ["verify", "pairshift", "--alpha", "1e300"],
+        ["verify", "hankel", "--alphas", "1e300"],
+    ], ids=" ".join)
+    def test_overflow_stderr_starts_with_error(self, argv):
+        # a fresh interpreter, where nothing captures numpy's RuntimeWarnings
+        code = "import sys\nfrom fracmoment.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        out = run_python(code, *argv, check=False)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: a value too large for a double: ")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "perron", "--primes", "5"],

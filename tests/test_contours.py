@@ -1,13 +1,9 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 
-from fracmoment import contours
 from fracmoment.contours import (
     QUARTER,
     _self_convolve,
@@ -169,8 +165,6 @@ class TestPairedShift:
 
     def test_m2_oracle_peak_memory(self):
         # one process of its own, so the peak is this call's and no other test's
-        src = str(Path(contours.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         # the peak is VmHWM, in KiB: a child's ru_maxrss starts at its parent's
         # RSS at exec, so after a large test it would read 0
         code = (
@@ -182,8 +176,7 @@ class TestPairedShift:
             "paired_shift_oracle(2, 3.0, 1.0, 500.0)\n"
             "print(peak() - before)\n"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert int(out.stdout) < 20 * 1024
+        assert int(run_python(code).stdout) < 20 * 1024
 
     def test_m2_has_no_numeric_path(self):
         rep = paired_shift_check(2, 3.0, 1.0, 100.0)

@@ -1,17 +1,20 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import fracmoment
+from conftest import run_python
 
 
-def test_import_loads_neither_scipy_signal_nor_interpolate():
-    src = str(Path(fracmoment.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+def test_no_scipy_module_loaded_by_import_or_afe_runs():
     code = (
-        "import sys, fracmoment\n"
-        "print(' '.join(m for m in ('scipy.signal', 'scipy.interpolate') if m in sys.modules))"
+        "import contextlib, io, sys\n"
+        "import fracmoment\n"
+        "from fracmoment.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = {'import': scipy_modules()}\n"
+        "for argv in (['verify', 'afe', '--qmin', '5', '--qmax', '13'], ['moments', '--q', '1009', '--method', 'afe']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    seen[' '.join(argv)] = (code, scipy_modules())\n"
+        "print(seen)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == ""
+    assert run_python(code).stdout.strip() == (
+        "{'import': [], 'verify afe --qmin 5 --qmax 13': (0, []), 'moments --q 1009 --method afe': (0, [])}"
+    )
