@@ -8,8 +8,10 @@ are never materialized as a q x q matrix.
 Evaluating a coefficient sum over all characters at once is a DFT of length
 q-1 after permuting residues into the cyclic group generated by g; numpy's
 pocketfft handles the non-power-of-two (often prime) lengths via Bluestein's
-reduction, giving the O(q log q) fast path.  A direct per-character dot
-product is kept as the quadratic-time reference.
+reduction, giving the O(q log q) fast path.  A direct evaluation is kept as
+the quadratic-time reference: characters come in blocks of 16, since
+chi_{j0 + t}(g^m) = chi_t(g^m) chi_{j0}(g^m), so one gather of exact roots and
+one matrix-vector product against the first 16 characters serve a block.
 """
 
 from __future__ import annotations
@@ -104,11 +106,12 @@ def build_table(q: int) -> CharacterTable:
         if all(pow(cand, n // p, q) != 1 for p in fac):
             g = cand
             break
-    powers = np.empty(n, dtype=np.int64)
-    v = 1
-    for k in range(n):
-        powers[k] = v
-        v = v * g % q
+    # baby steps g^r and giant steps g^{Bj}: powers[jB + r] = g^{Bj} g^r mod q,
+    # exact in int64 since q^2 < 2^63
+    B = math.isqrt(n) + 1
+    baby = np.array([pow(g, r, q) for r in range(B)], dtype=np.int64)
+    giant = np.array([pow(g, B * j, q) for j in range(-(-n // B))], dtype=np.int64)
+    powers = (np.outer(giant, baby) % q).reshape(-1)[:n]
     dlog = np.full(q, -1, dtype=np.int64)
     dlog[powers] = np.arange(n, dtype=np.int64)
     # chi_j(-1) = exp(2 pi i j dlog(-1)/n) with dlog(-1) = n/2, so parity is j mod 2
@@ -210,13 +213,20 @@ def inverse_dft_all_characters(table: CharacterTable, char_sums: np.ndarray) -> 
     return coeffs
 
 
+_NAIVE_BLOCK = 16
+
+
 def naive_character_sums(
     table: CharacterTable, coeffs: np.ndarray, indices: Sequence[int] | None = None
 ) -> np.ndarray:
-    """Direct per-character evaluation of sum_a coeffs[a-1] chi_j(a).
+    """Direct evaluation of sum_a coeffs[a-1] chi_j(a), 16 characters at a time.
 
-    Quadratic-time reference for dft_all_characters; indices restricts the
-    evaluation to a subset of characters (used for timing at large q).
+    Quadratic-time reference for dft_all_characters, built from the table's
+    roots without any FFT: with a = g^m and j = j0 + t, t < 16,
+    chi_j(a) = roots[(t m) % n] roots[(j0 m) % n], so each block j0 (a
+    multiple of 16) is one gather and one product with the 16 x n matrix of
+    the first 16 characters.  indices restricts the evaluation to a subset
+    of characters (used for timing at large q).
     """
     n = table.order
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -225,10 +235,12 @@ def naive_character_sums(
     b = coeffs[table.powers - 1]
     m = np.arange(n, dtype=np.int64)
     js = np.arange(n, dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64)
-    out = np.empty(js.size, dtype=complex)
-    for i, j in enumerate(js):
-        out[i] = np.dot(b, table.roots[(j * m) % n])
-    return out
+    first = table.roots[np.outer(np.arange(_NAIVE_BLOCK), m) % n]
+    blocks, which = np.unique(js - js % _NAIVE_BLOCK, return_inverse=True)
+    sums = np.empty((blocks.size, _NAIVE_BLOCK), dtype=complex)
+    for i, j0 in enumerate(blocks):
+        sums[i] = first @ (table.roots[(j0 * m) % n] * b)
+    return sums[which, js % _NAIVE_BLOCK]
 
 
 def fold_residues(q: int, values: np.ndarray) -> np.ndarray:

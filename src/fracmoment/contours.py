@@ -138,9 +138,10 @@ def _log_zeta_walk(points: np.ndarray) -> complex:
 def zeta_frac_power(alpha: float, s: complex) -> complex:
     """zeta(s)^alpha on the principal branch continued from the real ray.
 
-    The branch is fixed by walking from s0 = 2 (where zeta is real positive)
-    to s: vertically to 2 + i Im s, then horizontally to s, accumulating the
-    logarithm by small-step ratios.  Real s on (1/2, 1] is refused: the only
+    On Re s >= 2, |zeta(s) - 1| <= zeta(2) - 1 < 1, so the principal log is
+    the continued branch there and no walk is needed.  Left of that line the
+    logarithm is accumulated by small-step ratios along the horizontal walk
+    from 2 + i Im s to s.  Real s on (1/2, 1] is refused: the only
     continuation paths cross the pole from one side or the other, so the
     branch there is genuinely ambiguous.
     """
@@ -151,25 +152,17 @@ def zeta_frac_power(alpha: float, s: complex) -> complex:
         raise DomainError("require Re s > 1/2")
     if s.imag == 0 and s.real <= 1:
         raise DomainError("real s <= 1: branch ambiguous across the pole")
-    legs = []
-    anchor = 2.0 + 0j
-    corner = complex(2.0, s.imag)
-    for a, b in ((anchor, corner), (corner, s)):
-        if a == b:
-            continue
-        # keep steps well below the leg's distance to the pole at s = 1
-        tproj = ((1 - a) * np.conj(b - a)).real / abs(b - a) ** 2
-        tproj = min(max(tproj, 0.0), 1.0)
-        dist = max(abs(a + tproj * (b - a) - 1), 1e-4)
+    points = np.array([s])
+    if s.real < 2:
+        a = complex(2.0, s.imag)
+        # keep steps well below the walk's distance to the pole at s = 1
+        dist = max(abs(s.imag) if s.real <= 1 else abs(s - 1), 1e-4)
         step = min(0.02, dist / 4)
-        n = max(8, int(abs(b - a) / step) + 2)
-        pts = a + (b - a) * np.linspace(0.0, 1.0, n)
+        points = a + (s - a) * np.linspace(0.0, 1.0, max(8, int(abs(s - a) / step) + 2))
         # refine geometrically toward an endpoint close to the pole
-        if abs(b - 1) < 0.1:
-            extra = b + (pts[-2] - b) * np.exp(-np.linspace(0.0, 8.0, 40))
-            pts = np.concatenate([pts[:-1], extra[1:], [b]])
-        legs.append(pts)
-    points = np.concatenate([legs[0]] + [leg[1:] for leg in legs[1:]]) if legs else np.array([s])
+        if abs(s - 1) < 0.1:
+            extra = s + (points[-2] - s) * np.exp(-np.linspace(0.0, 8.0, 40))
+            points = np.concatenate([points[:-1], extra[1:], [s]])
     return complex(np.exp(alpha * _log_zeta_walk(points)))
 
 

@@ -2,8 +2,8 @@
 
 Route 1 (oracle): the exact finite decomposition L(1/2, chi) =
 q^{-1/2} sum_{a=1}^{q-1} chi(a) zeta(1/2, a/q), with the Hurwitz zeta values
-from high-order Euler-Maclaurin summation.  This is the reference everything
-else is compared against.
+from high-order Euler-Maclaurin summation in real arithmetic.  This is the
+reference everything else is compared against.
 
 Route 2 (smoothed): the exponentially smoothed Dirichlet sum
 sum_m chi(m) m^{-1/2} e^{-m/X} with X = q^{5/4}, which approximates
@@ -11,7 +11,8 @@ L(1/2, chi) with an O(q^{-1/8} log q) error.
 
 Route 3 (afe): the exact approximate-functional-equation identity
 |L(1/2, chi)|^2 = 2 sum_{m,n} chi(m) chibar(n) (mn)^{-1/2} W_par(q/(pi m n)),
-valid for primitive chi.  The pairs are binned by the exponent
+valid for primitive chi, summed up to mn = q e^6/pi, past which the W table
+reads exactly 0.  The pairs are binned by the exponent
 dlog m - dlog n of m/n in the cyclic group, with one bincount per block of
 pairs and no modular inverse.  The smooth cutoff W_par, the inverse Mellin
 transform of Gamma(s + w/2)^2/Gamma(s)^2 with s = 1/4 + par/2, equals the
@@ -75,6 +76,8 @@ def _em_tail(out: np.ndarray, s, Na) -> np.ndarray:
     ln = np.log(Na)
     out += np.exp((1 - s) * ln) / (s - 1) + 0.5 * np.exp(-s * ln)
     fac = np.exp(-s * ln) / Na
+    if not np.any(fac):  # every correction is 0 * poch, and poch may overflow first
+        return out
     poch = s
     for k, bf in enumerate(_BERN_FACT, start=1):
         term = bf * poch
@@ -89,23 +92,26 @@ def _em_tail(out: np.ndarray, s, Na) -> np.ndarray:
 def _euler_maclaurin(s, a, terms: int) -> np.ndarray:
     """sum_{n < terms} (n + a)^{-s} plus the Euler-Maclaurin tail from N = terms + a.
 
-    s and a broadcast against each other; this is zeta(s, a) for s != 1.
+    s and a broadcast against each other; this is zeta(s, a) for s != 1,
+    real when s and a are.
     """
-    out = np.zeros(np.broadcast(s, a).shape, dtype=complex)
+    out = np.zeros(np.broadcast(s, a).shape, dtype=np.result_type(s, a, float))
     for n in range(terms):
         out += np.exp(-s * np.log(n + a))
     return _em_tail(out, s, terms + a)
 
 
 def hurwitz_zeta_over_a(s: complex, a: np.ndarray) -> np.ndarray:
-    """zeta(s, a) for one complex s != 1 and an array of a in (0, 1]."""
+    """zeta(s, a) for one s != 1 and an array of a in (0, 1]; a real s is kept
+    real, so the kernel takes real logs and exps and returns a real array."""
     s = complex(s)
+    s = s.real if s.imag == 0 else s
     if s == 1:
         raise DomainError("zeta(s, a) has a pole at s = 1")
     a = np.asarray(a, dtype=float)
     if not np.all((a > 0) & (a <= 1)):
         raise DomainError("a must lie in (0, 1]")
-    return _euler_maclaurin(s, a, _em_terms(s.imag))
+    return _euler_maclaurin(s, a, _em_terms(np.imag(s)))
 
 
 def zeta_values(s: np.ndarray) -> np.ndarray:
@@ -308,8 +314,11 @@ def smoothed_values(table: CharacterTable, tail_multiplier: float = 40.0) -> np.
     buf = np.zeros((rows + 1, q))
     flat = buf[1:].reshape(-1)
     for lo in range(1, M + 1, rows * q):
-        m = np.arange(lo, min(lo + rows * q, M + 1), dtype=np.int64)
-        flat[: m.size] = np.exp(-m / X) / np.sqrt(m)
+        m = np.arange(lo, min(lo + rows * q, M + 1), dtype=float)  # exact: m < 2^53
+        term = flat[: m.size]  # e^{-m/X}/sqrt(m), formed in place
+        np.divide(m, -X, out=term)
+        np.exp(term, out=term)
+        np.divide(term, np.sqrt(m, out=m), out=term)
         flat[m.size :] = 0.0
         buf[0] = np.add.reduce(buf, axis=0)
     return dft_all_characters(table, buf[0, : q - 1].astype(complex))
@@ -330,7 +339,9 @@ def smoothed_tail_bound(q: int, tail_multiplier: float) -> float:
 def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarray, float]:
     """AFE double sums for both parities, all characters at once.
 
-    Pairs (m, n) with q/(pi m n) >= xmin are folded onto the exponent group:
+    Pairs (m, n) with q/(pi m n) >= xmin are folded onto the exponent group,
+    up to the D = mn past which q/(pi D) < e^{-umax/2} and the W table is
+    exactly 0:
     m > n lands at k = dlog m - dlog n + (q - 1) of one bincount, the reversed
     pair at -k, the diagonal at exponent 0.  Mapped back to residues
     v = g^k, the two DFTs then give
@@ -341,8 +352,9 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     Dmax = int(q / (math.pi * xmin)) if math.isfinite(xmin) and xmin > 0 else 0
     if Dmax < 1:
         raise DomainError("the AFE needs a finite xmin > 0 with q/(pi xmin) >= 1")
+    Dmax = min(Dmax, int(q * math.exp(_WSPEC.umax / 2) / math.pi))
     if Dmax > 1 << 25:  # the weight rows alone would take 3 * 8 * Dmax bytes
-        raise DomainError(f"the AFE needs q/(pi xmin) <= 2^25 (q <= 105414 at xmin = 1e-3), got {Dmax}")
+        raise DomainError(f"the AFE needs at most 2^25 products mn (q <= 261296), got {Dmax}")
     size = 2 * (q - 1)
     # rows: W_0(D)/sqrt(D), W_1(D)/sqrt(D), 1/sqrt(D), built in cache-sized
     # blocks; a pair with q | mn has q | D and weight 0

@@ -16,7 +16,7 @@ the diagonal bound for sum |P|^{4r}, and the Holder/Cauchy chain
     |S_l| <= M_k(q)^{1/(2(2-k))} (sum |P|^{4r})^{1/(2(2-k))} S_u^{(1-k)/(2-k)}.
 
 `character_values` evaluates L, |L|^2, P and M for all characters once (one
-`lvalue_table` call, one group DFT each for P and M) into a frozen
+`lvalue_table` call, and one group DFT of P + iM for both polynomials) into a frozen
 `CharacterValues`; `holder_chain_check` and `p4_bound_check` are plain
 functions of it, and `power_sum` is the moment alone, from the squares |L|^2.
 Per-character powers are taken on the evaluated polynomial values, never by
@@ -108,16 +108,19 @@ def mollifier_series(params: MomentParams) -> np.ndarray:
     return mollifier_coeffs(1, params.s, params.y, cutoff)
 
 
+def _residue_weights(q: int, coeffs: np.ndarray) -> np.ndarray:
+    """c_n n^{-1/2} laid out on the residues 1..q-1 (fold_residues refuses support >= q)."""
+    n = np.arange(1, coeffs.size)
+    return fold_residues(q, coeffs[1:] / np.sqrt(n))
+
+
 def evaluate_polynomial_all(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
     """sum_n c_n chi_j(n) n^{-1/2} for every j at once.
 
     Coefficient support must stay below q (fold_residues refuses the rest);
     the principal-character slot j = 0 is included in the output.
     """
-    n = np.arange(1, coeffs.size)
-    weighted = coeffs[1:] / np.sqrt(n)
-    folded = fold_residues(table.q, weighted)
-    return dft_all_characters(table, folded.astype(complex))
+    return dft_all_characters(table, _residue_weights(table.q, coeffs).astype(complex))
 
 
 def power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, list[int]]:
@@ -166,15 +169,21 @@ class CharacterValues:
 
 
 def character_values(params: MomentParams, table: CharacterTable, method: str = "oracle") -> CharacterValues:
-    """One lvalue_table call and one evaluate_polynomial_all each for P and M."""
+    """One lvalue_table call, and one DFT Z of P + iM for both polynomials.
+
+    P and M have real coefficients, so conj P(chi_j) = P(chi_{-j}), and
+    P = (Z_j + conj Z_{-j})/2, M = (Z_j - conj Z_{-j})/2i.
+    """
     if table.q != params.q:
         raise DomainError("table modulus does not match params")
     if method not in ("oracle", "smoothed"):
         raise DomainError("twisted sums need complex L-values: method 'oracle' or 'smoothed'")
     L, sq, err = lvalue_table(table, method)
-    P = evaluate_polynomial_all(table, polynomial_series(params))
-    M = evaluate_polynomial_all(table, mollifier_series(params))
-    return CharacterValues(params, L, sq, P, M, err)
+    q = table.q
+    Z = dft_all_characters(table, _residue_weights(q, polynomial_series(params))
+                           + 1j * _residue_weights(q, mollifier_series(params)))
+    Zbar = np.conj(np.roll(Z[::-1], 1))  # conj Z_{-j}
+    return CharacterValues(params, L, sq, (Z + Zbar) / 2, (Z - Zbar) / 2j, err)
 
 
 @dataclass

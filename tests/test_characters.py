@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import table_for
 from fracmoment.characters import (
+    QMAX,
     build_table,
     character_sum,
     dft_all_characters,
@@ -40,6 +43,15 @@ class TestBuildTable:
         t = table_for(101)
         for a in range(1, 101):
             assert pow(t.g, int(t.dlog[a]), 101) == a
+
+    @given(start=st.integers(3, QMAX), ks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    @settings(max_examples=10, deadline=None)
+    @example(start=QMAX, ks=[0.0, 0.5, 1.0])
+    def test_powers_against_pow_at_random_primes(self, start, ks):
+        q = next(p for p in range(start, 2, -1) if is_prime(p))  # the prime at or below start
+        t = build_table(q)  # not table_for: up to 33 MB a table, kept for no later test
+        for k in {min(int(u * (q - 1)), q - 2) for u in ks}:
+            assert int(t.powers[k]) == pow(t.g, k, q), (q, k)
 
 
 class TestChiValue:
@@ -143,6 +155,18 @@ class TestDft:
         fast = dft_all_characters(t, coeffs)
         slow = naive_character_sums(t, coeffs)
         assert np.max(np.abs(fast - slow)) < 1e-8
+
+    @given(q=st.sampled_from([3, 5, 17, 101, 1009]), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    @settings(max_examples=30, deadline=None)
+    def test_naive_indices_are_rows_of_the_full_evaluation(self, q, seed, picks):
+        # unsorted, repeated and block-crossing indices read the same sums
+        t = table_for(q)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(q - 1) + 1j * rng.standard_normal(q - 1)
+        idx = [min(int(u * (q - 1)), q - 2) for u in picks]
+        full = naive_character_sums(t, coeffs)
+        assert np.array_equal(naive_character_sums(t, coeffs, idx), full[idx])
 
     def test_round_trip(self, rng):
         t = table_for(101)

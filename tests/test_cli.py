@@ -58,6 +58,16 @@ class TestVerifyCommands:
     def test_eta_gate(self):
         assert run(["verify", "eta", "--s", "1", "--levels", "10000,100000"]) == 0
 
+    @pytest.mark.parametrize("w0", ["1e4", "1e30"])
+    def test_eta_far_right_needs_no_branch_walk(self, w0, monkeypatch):
+        # on Re s >= 2 the principal log of zeta is the continued branch, so
+        # each shift's zeta power is one point, however large w0 is
+        sizes = []
+        fn = contours.zeta_values
+        monkeypatch.setattr(contours, "zeta_values", lambda s: sizes.append(np.size(s)) or fn(s))
+        assert run(["verify", "eta", "--w0", w0, "--shifts", "0.3,0.4"]) == 0
+        assert sizes == [1, 1]
+
 
 class TestPairShiftCommand:
     def test_zeta_line_is_not_evaluated_point_by_point(self, monkeypatch):
@@ -113,13 +123,14 @@ class TestHolderCommand:
         assert run(["holder", "--q", "101", "--k", "1/2"]) == 2
 
     def test_evaluates_character_values_once(self, monkeypatch):
+        # one L-value route, and one group DFT (of P + iM) for both polynomials
         calls = Counter()
-        for name in ("evaluate_polynomial_all", "lvalue_table"):
+        for name in ("dft_all_characters", "evaluate_polynomial_all", "lvalue_table"):
             fn = getattr(moments, name)
             monkeypatch.setattr(moments, name, lambda *a, _fn=fn, _name=name, **k:
                                 calls.update([_name]) or _fn(*a, **k))
         assert run(["holder", "--q", "1009"]) == 0
-        assert calls == {"evaluate_polynomial_all": 2, "lvalue_table": 1}
+        assert calls == {"dft_all_characters": 1, "lvalue_table": 1}
 
     def test_outside_diagonal_regime_exits_before_the_sieve(self, monkeypatch, capsys):
         monkeypatch.setattr(sieve, "_multiplicative", None)  # any series would raise TypeError

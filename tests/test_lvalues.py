@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import run_python, table_for
 from fracmoment import lvalues
-from fracmoment.characters import dft_all_characters, is_prime
+from fracmoment.characters import build_table, dft_all_characters, is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import (
     _afe_batch,
@@ -76,6 +76,18 @@ class TestHurwitzZeta:
         got = complex(hurwitz_zeta_over_a(s, np.array([a]))[0])
         want = complex(mp.zeta(s, a))
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+
+    @given(s=st.floats(-0.5, 3.0), a=st.floats(1e-3, 1.0))
+    @settings(max_examples=40, deadline=None)
+    @example(s=0.5, a=1e-3)
+    def test_hurwitz_real_s_stays_real_against_mpmath(self, s, a):
+        # mpmath's zeta(s, a) raises ZeroDivisionError at some s within 1e-100
+        # of 0 (s = -1e-128), so the oracle is not asked there
+        assume(s != 1 and not 0 < abs(s) < 1e-100)
+        got = hurwitz_zeta_over_a(s, np.array([a]))
+        assert got.dtype == np.float64
+        want = float(mp.zeta(s, a))
+        assert abs(got[0] - want) < 1e-10 * max(1.0, abs(want))
 
     @given(ends=st.lists(st.tuples(st.floats(1.02, 3.0), st.floats(-130.0, 130.0)), min_size=2, max_size=2),
            count=st.integers(2, 5000), picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
@@ -332,9 +344,11 @@ class TestAfe:
             assert dev <= err < 1e-8, q
 
     def test_truncation_insensitive(self):
+        # both xmin lie above e^-6, where the W table ends, so each truncates
+        # at its own q/(pi xmin)
         t = table_for(31)
-        a = afe_squares(t, xmin=1e-3)
-        b = afe_squares(t, xmin=2e-3)
+        a = afe_squares(t, xmin=5e-3)
+        b = afe_squares(t, xmin=1e-2)
         assert np.max(np.abs(a[1:] - b[1:])) < 1e-8
 
     def test_conjugate_characters_same_square(self):
@@ -352,19 +366,33 @@ class TestAfe:
         total = float(np.sum(afe[1:]))
         assert total > 0
 
-    @pytest.mark.parametrize("xmin", [0.0, -1e-3, math.nan, math.inf, 5.0, 1e-9])
+    @pytest.mark.parametrize("xmin", [0.0, -1e-3, math.nan, math.inf, 5.0])
     def test_malformed_xmin_rejected(self, xmin):
-        # at q = 7, xmin = 5 leaves no pair: q/(pi xmin) < 1; xmin = 1e-9 asks
-        # for q/(pi xmin) = 2.2e9 > 2^25 pairs' weights, refused before allocating
+        # at q = 7, xmin = 5 leaves no pair: q/(pi xmin) < 1
         with pytest.raises(DomainError):
             afe_squares(table_for(7), xmin)
+
+    def test_tiny_xmin_stops_at_the_table_end(self):
+        # products past q e^6/pi carry W = 0 exactly, so xmin = 1e-9 sums the
+        # same pairs as 1e-3
+        t = table_for(7)
+        assert np.array_equal(afe_squares(t, 1e-9), afe_squares(t, 1e-3))
+
+    def test_product_range_past_2_25_refused(self):
+        # q e^6/pi > 2^25 from q = 261297 on: refused before allocating the weights
+        t = build_table(261301)
+        with pytest.raises(DomainError, match="2\\^25"):
+            afe_squares(t, 1e-3)
 
     @staticmethod
     def _pair_loop(t, xmin):
         """2 sum_{mn <= Dmax} chi_j(m) chibar_j(n) W_par(q/(pi mn))/sqrt(mn) for every
-        j and both parities, and sum 1/sqrt(mn) over the pairs with q not dividing mn."""
+        j and both parities over the whole range Dmax = q/(pi xmin), and sum
+        1/sqrt(mn) over the pairs with q not dividing mn up to the table end
+        q e^6/pi, which are the pairs the AFE evaluates."""
         q = t.q
         Dmax = int(q / (math.pi * xmin))
+        cap = int(q * math.exp(6.0) / math.pi)
         chi = np.array([[t.chi(j, a) for a in range(q)] for j in range(q - 1)])
         W = [[w_weight(q / (math.pi * D), par) / math.sqrt(D) if D else 0.0 for D in range(Dmax + 1)]
              for par in (0, 1)]
@@ -375,7 +403,7 @@ class TestAfe:
                 c = chi[:, m % q] * np.conj(chi[:, n % q])
                 for par in (0, 1):
                     sums[par] += 2.0 * W[par][m * n] * c
-                if (m * n) % q:
+                if (m * n) % q and m * n <= cap:
                     pairsum += 1.0 / math.sqrt(m * n)
         return sums, pairsum
 
@@ -406,4 +434,4 @@ class TestAfe:
             "afe_squares(t)\n"
             "print(peak() - before)\n"
         )
-        assert int(run_python(code).stdout) < 130 * 1024
+        assert int(run_python(code).stdout) < 50 * 1024

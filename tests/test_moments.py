@@ -236,6 +236,23 @@ class TestBundleProperty:
         assert rep.slack >= -1e-9 * rep.f1 * rep.f2 * rep.f3
 
 
+    @given(
+        q=st.sampled_from([p for p in range(5, 3000) if is_prime(p)] + [10007, 100003]),
+        s=st.integers(2, 5),
+        a=st.floats(1.0, 3.0),
+        u=st.floats(0.05, 0.95),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pm_split_matches_two_dfts(self, q, s, a, u):
+        # P and M come from one DFT of P + iM; each must agree with its own DFT
+        params = MomentParams(q=q, r=1, s=s, y=q ** (u / (2 * a)), a=a)
+        table = table_for(q)
+        values = character_values(params, table)
+        for got, series in ((values.P, polynomial_series), (values.M, mollifier_series)):
+            want = evaluate_polynomial_all(table, series(params))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestSurvey:
     def test_band_small(self):
         rows = scaling_survey(Fraction(1, 2), [1009])
