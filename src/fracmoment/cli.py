@@ -136,8 +136,8 @@ def _verify_exponents(trials, seed) -> dict:
 
 
 def _verify_orthogonality(qmax, tol) -> dict:
-    if qmax < 3:
-        raise DomainError(f"--qmax must be at least 3, the smallest odd prime; got {qmax}")
+    if not 3 <= qmax <= characters.QMAX:
+        raise DomainError(f"--qmax must lie in [3, {characters.QMAX}], got {qmax}")
     worst_full = 0.0
     worst_parity = 0.0
     for q in range(3, qmax + 1):

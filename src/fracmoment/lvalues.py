@@ -7,7 +7,9 @@ reference everything else is compared against.
 
 Route 2 (smoothed): the exponentially smoothed Dirichlet sum
 sum_m chi(m) m^{-1/2} e^{-m/X} with X = q^{5/4}, which approximates
-L(1/2, chi) with an O(q^{-1/8} log q) error.
+L(1/2, chi) with an O(q^{-1/8} log q) error.  It is summed to infinity: each
+residue class mod q adds six terms directly and the rest by Euler-Maclaurin
+in steps of q, with the exact erfc integral, so no tail is dropped.
 
 Route 3 (afe): the exact approximate-functional-equation identity
 |L(1/2, chi)|^2 = 2 sum_{m,n} chi(m) chibar(n) (mn)^{-1/2} W_par(q/(pi m n)),
@@ -297,43 +299,41 @@ def oracle_values(table: CharacterTable) -> np.ndarray:
     return dft_all_characters(table, hz / math.sqrt(q))
 
 
-def smoothed_values(table: CharacterTable, tail_multiplier: float = 40.0) -> np.ndarray:
-    """Smoothed sums sum_{m <= tail_multiplier * X} chi_j(m) m^{-1/2} e^{-m/X} for all j.
+def _smoothed_em_rows(q: int) -> np.ndarray:
+    """Row j - 1, j = 1..9: the coefficients in w = q/u of -B_2j/(2j)! q^{2j-1} f^{(2j-1)}(u)/f(u)
+    for f(u) = u^{-1/2} e^{-u/X}; by Leibniz's rule B_2j/(2j)! C(2j-1, i) (1/2)_i rho^{2j-1-i}, rho = q/X."""
+    n, i = np.arange(1, 18, 2)[:, None], np.arange(18)
+    comb = np.array([[math.comb(a, b) for b in range(18)] for a in range(1, 18, 2)])
+    poch = np.cumprod(np.r_[1.0, i[1:] - 0.5])  # (1/2)_i
+    return np.array(_BERN_FACT[:9])[:, None] * comb * poch * (q / q**1.25) ** (n - i)
 
-    Blocks of rows * q consecutive m, starting at m = 1 mod q, fill rows 1..rows
-    of a (rows + 1, q) buffer, so column c holds m = c + 1 mod q and the last
-    column, m = 0 mod q, is dropped; row 0 carries the running sums, and
-    reducing over axis 0 adds each residue's terms in increasing m.
-    """
-    if not (math.isfinite(tail_multiplier) and tail_multiplier > 0):
-        raise DomainError("smoothed sums need a finite tail_multiplier > 0")
-    q = table.q
+
+def _smoothed_residue_sums(q: int) -> np.ndarray:
+    """S_c = sum_{k >= 0} f(c + kq) for c = 1..q-1: k < 6 directly, the rest by
+    Euler-Maclaurin in steps of q from u0 = c + 6q (DLMF 2.10.1), i.e. the exact
+    integral (sqrt(pi X)/q) erfc(sqrt(u0/X)), f(u0)/2 and the B_2..B_16 rows."""
     X = q**1.25
-    M = int(tail_multiplier * X)
-    rows = max(1, (1 << 20) // q)
-    buf = np.zeros((rows + 1, q))
-    flat = buf[1:].reshape(-1)
-    for lo in range(1, M + 1, rows * q):
-        m = np.arange(lo, min(lo + rows * q, M + 1), dtype=float)  # exact: m < 2^53
-        term = flat[: m.size]  # e^{-m/X}/sqrt(m), formed in place
-        np.divide(m, -X, out=term)
-        np.exp(term, out=term)
-        np.divide(term, np.sqrt(m, out=m), out=term)
-        flat[m.size :] = 0.0
-        buf[0] = np.add.reduce(buf, axis=0)
-    return dft_all_characters(table, buf[0, : q - 1].astype(complex))
+    c = np.arange(1.0, q)
+    out = np.zeros(q - 1)
+    for k in range(6):
+        u = c + k * q  # exact: u < 2^53
+        out += np.exp(-u / X) / np.sqrt(u)
+    u0 = c + 6 * q
+    erfc = np.fromiter(map(math.erfc, np.sqrt(u0 / X).tolist()), float, q - 1)
+    corr = np.polynomial.polynomial.polyval(q / u0, _smoothed_em_rows(q)[:-1].sum(axis=0))
+    out += math.sqrt(math.pi * X) / q * erfc + np.exp(-u0 / X) / np.sqrt(u0) * (0.5 + corr)
+    return out
+
+
+def smoothed_values(table: CharacterTable) -> np.ndarray:
+    """Smoothed sums sum_{m >= 1} chi_j(m) m^{-1/2} e^{-m/X}, X = q^{5/4}, for all j,
+    as one DFT of the residue-class sums S_c."""
+    return dft_all_characters(table, _smoothed_residue_sums(table.q).astype(complex))
 
 
 def smoothed_band(q: int) -> float:
     """10 q^{-1/8} log q: the bound checked on |smoothed sum - L|, and the main part of its error estimate."""
     return 10.0 * q ** (-0.125) * math.log(q)
-
-
-def smoothed_tail_bound(q: int, tail_multiplier: float) -> float:
-    """Bound on the dropped tail of the smoothed sum past m = tail_multiplier * X."""
-    X = q**1.25
-    tm = max(tail_multiplier, 1e-9)
-    return math.sqrt(X) * math.exp(-tm) / math.sqrt(tm)
 
 
 def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -411,7 +411,12 @@ def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarra
     if method == "oracle":
         values, err = oracle_values(table), max(1e-12, math.sqrt(q) * 1e-13)
     elif method == "smoothed":
-        values, err = smoothed_values(table), smoothed_band(q) + smoothed_tail_bound(q, 40.0)
+        # f is completely monotone, so each S_c's remainder is at most the first
+        # omitted (B_18) term: f(u0) < S_c times its row at w < 1/6, summed over
+        # c as sum_c S_c = values[0] (every S_c > 0); log2(q) eps covers the FFT
+        values = smoothed_values(table)
+        rem = np.polynomial.polynomial.polyval(1 / 6, _smoothed_em_rows(q)[-1])
+        err = smoothed_band(q) + (rem + math.log2(q) * np.finfo(float).eps) * values[0].real
     elif method == "afe":
         even, odd, err = _afe_batch(table, 1e-3)
         return None, np.where(table.parity == 0, even, odd), err

@@ -72,6 +72,8 @@ class MomentParams:
     @classmethod
     def make(cls, q: int, r: int = 1, s: int = 2, a: float = 4.0, y: Optional[float] = None):
         """Default bundle: y = q^{1/(4 a s)} clamped to >= 2 (y = 2 when a < 1, which is refused)."""
+        if q < 2:  # q^{1/(4as)} below is complex for q < 0
+            raise DomainError(f"q must be prime, got {q}")
         if y is None:
             y = max(2.0, q ** (1.0 / (4.0 * a * s))) if a >= 1 else 2.0
         return cls(q=q, r=r, s=s, y=float(y), a=float(a))
@@ -149,7 +151,7 @@ def moment_sum(
 @dataclass(frozen=True)
 class CharacterValues:
     """L(1/2, chi), |L|^2, P(chi) and M(chi) over all characters (slot 0 principal),
-    and the L-value route's error estimate err.
+    p4 = sum_{chi != chi0} |P|^{4r}, and the L-value route's error estimate err.
 
     Built once per (params, table, method) by `character_values`; the Holder
     chain and the diagonal P4 check read every per-character value from here.
@@ -160,12 +162,8 @@ class CharacterValues:
     sq: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
     M: np.ndarray = field(repr=False)
+    p4: float
     err: float
-
-    @property
-    def p4(self) -> float:
-        """sum_{chi != chi0} |P|^{4r}."""
-        return float(math.fsum(np.abs(self.P[1:]) ** (4 * self.params.r)))
 
 
 def character_values(params: MomentParams, table: CharacterTable, method: str = "oracle") -> CharacterValues:
@@ -183,7 +181,9 @@ def character_values(params: MomentParams, table: CharacterTable, method: str = 
     Z = dft_all_characters(table, _residue_weights(q, polynomial_series(params))
                            + 1j * _residue_weights(q, mollifier_series(params)))
     Zbar = np.conj(np.roll(Z[::-1], 1))  # conj Z_{-j}
-    return CharacterValues(params, L, sq, (Z + Zbar) / 2, (Z - Zbar) / 2j, err)
+    P = (Z + Zbar) / 2
+    p4 = float(math.fsum(np.abs(P[1:]) ** (4 * params.r)))
+    return CharacterValues(params, L, sq, P, (Z - Zbar) / 2j, p4, err)
 
 
 @dataclass

@@ -350,6 +350,9 @@ class TestExitCodes:
         ["verify", "eta", "--w0", "1e308"],
         ["verify", "pairshift", "--alpha", "1e300"],
         ["verify", "hankel", "--alphas", "1e300"],
+        ["moments", "--q", "-5"],
+        ["holder", "--q", "-7"],
+        ["verify", "orthogonality", "--qmax", "1000004"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import run_python, table_for
 from fracmoment import lvalues
-from fracmoment.characters import build_table, dft_all_characters, is_prime
+from fracmoment.characters import build_table, is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import (
     _afe_batch,
@@ -19,7 +19,6 @@ from fracmoment.lvalues import (
     hurwitz_zeta_over_a,
     lvalue_table,
     oracle_values,
-    smoothed_tail_bound,
     smoothed_values,
     w_weight,
     w_weight_many,
@@ -263,49 +262,25 @@ class TestSmoothed:
         bound = 10.0 * 101 ** (-0.125) * math.log(101)
         assert np.max(np.abs(S[1:] - L[1:])) <= bound
 
-    def test_tail_multiplier_sensitivity(self):
-        t = table_for(101)
-        short = smoothed_values(t, tail_multiplier=1.0)[1]
-        full = smoothed_values(t, tail_multiplier=40.0)[1]
-        assert abs(short - full) > 1e-12
-        assert smoothed_tail_bound(101, 1.0) > smoothed_tail_bound(101, 40.0)
-        err = lvalue_table(t, "smoothed")[2]
-        assert err == 10.0 * 101 ** (-0.125) * math.log(101) + smoothed_tail_bound(101, 40.0)
-
     def test_error_estimate_bounds_observed(self):
         for q in [q for q in range(5, 62) if is_prime(q)] + [1009]:
             t = table_for(q)
             values, _, err = lvalue_table(t, "smoothed")
             assert np.max(np.abs(values[1:] - oracle_values(t)[1:])) <= err, q
 
-    @staticmethod
-    def _add_at_reference(q: int, tail_multiplier: float) -> np.ndarray:
-        X = q**1.25
-        m = np.arange(1, int(tail_multiplier * X) + 1, dtype=np.int64)
-        terms = np.exp(-m / X) / np.sqrt(m)
-        keep = m % q != 0
-        acc = np.zeros(q)
-        np.add.at(acc, m[keep] % q, terms[keep])
-        return acc[1:]
-
-    # with blocks of rows * q terms, rows = 2^20 // q: 4999 at 40 spans two
-    # blocks, the second partial; 4999 at 0.05 has M < q; 101 at 40 fills
-    # part of one block
-    @given(q=st.sampled_from([p for p in range(3, 5001) if is_prime(p)]),
-           tail_multiplier=st.floats(0.05, 40.0))
-    @example(q=4999, tail_multiplier=40.0)
-    @example(q=4999, tail_multiplier=0.05)
-    @example(q=101, tail_multiplier=40.0)
+    # rho = q^{-1/4}, and with it each Euler-Maclaurin correction, is largest at q = 3 and 5;
+    # the B_16 row alone adds 1.6e-14 of S_c at q = 3, and the first omitted row 2.5e-15
+    @given(q=st.sampled_from([p for p in range(3, 30012) if is_prime(p)]), u=st.floats(0.0, 1.0))
+    @example(q=3, u=0.0)
+    @example(q=3, u=1.0)
+    @example(q=5, u=0.5)
     @settings(max_examples=25, deadline=None)
-    def test_fold_bit_identical_to_add_at(self, q, tail_multiplier):
-        t = table_for(q)
-        want = dft_all_characters(t, self._add_at_reference(q, tail_multiplier).astype(complex))
-        assert np.array_equal(smoothed_values(t, tail_multiplier), want)
-
-    @pytest.mark.parametrize("tail_multiplier", [math.nan, math.inf, -1.0, 0.0])
-    def test_malformed_tail_multiplier_rejected(self, tail_multiplier):
-        with pytest.raises(DomainError):
-            smoothed_values(table_for(7), tail_multiplier)
+    def test_residue_sums_match_mpmath(self, q, u):
+        c = 1 + min(int(u * (q - 1)), q - 2)
+        X = mp.mpf(q) ** mp.mpf(1.25)
+        want = mp.nsum(lambda k: mp.exp(-(c + k * q) / X) / mp.sqrt(c + k * q), [0, mp.inf])
+        got = lvalues._smoothed_residue_sums(q)[c - 1]
+        assert abs(got - want) <= 1e-14 * want, (q, c)
 
 
 class TestAfe:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fracmoment.characters import is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import lvalue_table, oracle_values
 from fracmoment.moments import (
+    CharacterValues,
     MomentParams,
     character_values,
     evaluate_polynomial_all,
@@ -38,6 +40,9 @@ class TestMomentParams:
             MomentParams.make(1009, r=2, s=4)  # not reduced
         with pytest.raises(DomainError):
             MomentParams.make(1009, r=3, s=2)  # k > 1
+        for q in (-5, -7, 0):
+            with pytest.raises(DomainError):
+                MomentParams.make(q)  # q^{1/(4as)} would be complex or 0
         for y, a in ((math.nan, 4.0), (math.inf, 4.0), (2.0, math.nan), (2.0, math.inf), (1e300, 4.0)):
             with pytest.raises(DomainError):
                 MomentParams(q=1009, r=1, s=2, y=y, a=a)  # non-finite, or y^a overflows
@@ -185,6 +190,11 @@ class TestP4Bound:
         rep = p4_bound_check(character_values(params, table_for(1009)))
         assert rep.holds
         assert rep.rhs > 0
+
+    def test_p4_is_one_field_both_checks_read(self):
+        assert "p4" in {f.name for f in dataclasses.fields(CharacterValues)}
+        values = character_values(MomentParams.make(1009), table_for(1009))
+        assert holder_chain_check(values).p4 == p4_bound_check(values).lhs == values.p4
 
     def test_diagonal_regime_required(self):
         params = MomentParams(q=101, r=1, s=2, y=math.sqrt(11.0), a=2.0)
