@@ -159,6 +159,8 @@ def _verify_orthogonality(qmax, tol) -> dict:
 
 
 def _verify_afe(qmin, qmax, tol) -> dict:
+    if qmax > lvalues.AFE_QMAX:
+        raise DomainError(f"--qmax must be at most {lvalues.AFE_QMAX}, the AFE's limit, got {qmax}")
     checks = []
     for q in range(max(qmin, 5), qmax + 1):
         if not characters.is_prime(q):
@@ -459,8 +461,7 @@ def cmd_contour(args) -> int:
     if sweep_out:
         m, alpha, beta = (args.m, args.alpha, args.beta) if args.check == "pairshift" else contours.QUARTER
         ys, oracle, ratio = (np.array([r[f] for r in report["sweep_rows"]]) for f in ("y", "oracle", "ratio"))
-        # value: a quick look at a coarser step than the gated numeric (h = 0.01)
-        value = np.array([contours.paired_shift_numeric(alpha, beta, v, h=0.02).real if m == 1 else math.nan
+        value = np.array([contours.paired_shift_numeric(alpha, beta, v).real if m == 1 else math.nan
                           for v in ys.tolist()])
         if not _write((["y", "value", "oracle", "ratio"], [ys, value, oracle, ratio]), sweep_out, "sweep table"):
             return EXIT_IO

@@ -170,6 +170,8 @@ class WWeightSpec:
 
 
 _WSPEC = WWeightSpec()
+# the largest q at which the AFE's Dmax = int(q e^{umax/2}/pi) (default xmin) is at most 2^25
+AFE_QMAX = int(((1 << 25) + 1) * math.pi / math.exp(_WSPEC.umax / 2))
 
 
 # e^z K_0(z) by three methods (DLMF 10.31.2, 10.32.9, 10.40.2), each used where
@@ -354,7 +356,7 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
         raise DomainError("the AFE needs a finite xmin > 0 with q/(pi xmin) >= 1")
     Dmax = min(Dmax, int(q * math.exp(_WSPEC.umax / 2) / math.pi))
     if Dmax > 1 << 25:  # the weight rows alone would take 3 * 8 * Dmax bytes
-        raise DomainError(f"the AFE needs at most 2^25 products mn (q <= 261296), got {Dmax}")
+        raise DomainError(f"the AFE needs at most 2^25 products mn (q <= {AFE_QMAX}), got {Dmax}")
     size = 2 * (q - 1)
     # rows: W_0(D)/sqrt(D), W_1(D)/sqrt(D), 1/sqrt(D), built in cache-sized
     # blocks; a pair with q | mn has q | D and weight 0

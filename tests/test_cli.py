@@ -237,6 +237,10 @@ class TestSweepExport:
         lines = sw.read_text().splitlines()
         assert lines[0] == "y,value,oracle,ratio"
         assert len(lines) == 3
+        # the y row's value is the gated numeric itself
+        row = lines[1].split(",")
+        assert float(row[0]) == 1e3
+        assert float(row[1]) == json.loads(out.read_text())["numeric"]
 
     def test_pairshift_sweep_expands_each_y_once(self, tmp_path, monkeypatch):
         expansions = []
@@ -353,6 +357,7 @@ class TestExitCodes:
         ["moments", "--q", "-5"],
         ["holder", "--q", "-7"],
         ["verify", "orthogonality", "--qmax", "1000004"],
+        ["verify", "afe", "--qmin", "5", "--qmax", "1000004"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 from conftest import run_python
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracmoment.contours import (
+    M2_ORACLE_YMAX,
     QUARTER,
     _self_convolve,
     eta_stability,
@@ -19,7 +22,7 @@ from fracmoment.contours import (
 )
 from fracmoment.errors import ConvergenceError, DomainError
 from fracmoment.lvalues import hurwitz_zeta
-from fracmoment.sieve import ShiftVector, divisor_series
+from fracmoment.sieve import ShiftVector, divisor_coeff, divisor_series
 from fracmoment.util import trapezoid_weights
 
 
@@ -123,26 +126,32 @@ class TestPairedShift:
         ratios = [r[2] for r in rows]
         assert max(ratios) / min(ratios) < 3.0
 
-    def test_m2_oracle_against_direct_enumeration(self):
-        # independent four-loop enumeration at tiny y
-        y = 20.0
-        alpha, beta = 3.0, 1.0
+    @given(alpha=st.floats(2.0, 5.0, exclude_min=True), beta=st.floats(0.0, 2.0, exclude_min=True),
+           y=st.integers(3, 40).map(float) | st.floats(3.0, 40.0))
+    @settings(max_examples=40, deadline=None)
+    @example(alpha=3.0, beta=1.0, y=20.0)
+    @example(alpha=2.5, beta=0.25, y=37.0)  # N = 36 = 6^2: a = b = 6 sits on the split, and 6 * 6 < y
+    def test_m2_oracle_against_direct_enumeration(self, alpha, beta, y):
+        # independent four-loop enumeration over n11 n12 < y and n21 n22 < y,
+        # with d_beta by trial division
         got = paired_shift_oracle(2, alpha, beta, y)
+        N = math.ceil(y) - 1
+        D = [0.0] + [divisor_coeff(beta, n) / n for n in range(1, N + 1)]
 
         def w(u):
             return math.log(u) ** (alpha - 1) / math.gamma(alpha) if u > 1 else 0.0
 
         want = 0.0
-        for n11 in range(1, 20):
-            for n12 in range(1, 20):
+        for n11 in range(1, N + 1):
+            for n12 in range(1, N + 1):
                 if n11 * n12 >= y:
-                    continue
-                for n21 in range(1, 20):
-                    for n22 in range(1, 20):
+                    break
+                for n21 in range(1, N + 1):
+                    for n22 in range(1, N + 1):
                         if n21 * n22 >= y:
-                            continue
+                            break
                         want += (
-                            1.0 / (n11 * n12 * n21 * n22)
+                            D[n11] * D[n12] * D[n21] * D[n22]
                             * w(y / (n11 * n12)) * w(y / (n21 * n22))
                             * w(y / (n11 * n21)) * w(y / (n12 * n22))
                         )
@@ -159,9 +168,16 @@ class TestPairedShift:
         assert np.array_equal(_self_convolve(phi), fftconvolve(phi, phi))
 
     def test_numeric_frozen(self):
-        # frozen from the per-point Euler-Maclaurin evaluation of zeta on the line
-        assert paired_shift_numeric(3.0, 1.0, 1e4).real == pytest.approx(4408.048185284932, rel=1e-12)
-        assert paired_shift_numeric(*QUARTER[1:], 1e4).real == pytest.approx(585.5848620707364, rel=1e-12)
+        # frozen at PAIRED_SHIFT_STEP = 0.05
+        assert paired_shift_numeric(3.0, 1.0, 1e4).real == pytest.approx(4408.048185279171, rel=1e-12)
+        assert paired_shift_numeric(*QUARTER[1:], 1e4).real == pytest.approx(585.5848620483933, rel=1e-12)
+
+    @pytest.mark.parametrize("triple,fine", [((1, 3.0, 1.0), 4408.048185284932), (QUARTER, 585.5848620707364)])
+    def test_step_error_negligible_next_to_truncation(self, triple, fine):
+        # fine: the numeric at step h = 0.01; the step moves it by under 1% of
+        # the truncation error past |t| = 400 that the check reports
+        rep = paired_shift_check(*triple, 1e4)
+        assert abs(rep.numeric - fine) < 0.01 * abs(rep.numeric - rep.oracle)
 
     def test_m2_oracle_peak_memory(self):
         # one process of its own, so the peak is this call's and no other test's
@@ -174,6 +190,7 @@ class TestPairedShift:
             "paired_shift_oracle(2, 3.0, 1.0, 20.0)\n"
             "before = peak()\n"
             "paired_shift_oracle(2, 3.0, 1.0, 500.0)\n"
+            f"paired_shift_oracle(2, 3.0, 1.0, {M2_ORACLE_YMAX})\n"
             "print(peak() - before)\n"
         )
         assert int(run_python(code).stdout) < 20 * 1024

@@ -12,6 +12,7 @@ from fracmoment import lvalues
 from fracmoment.characters import build_table, is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import (
+    AFE_QMAX,
     _afe_batch,
     afe_squares,
     clear_caches,
@@ -358,6 +359,13 @@ class TestAfe:
         t = build_table(261301)
         with pytest.raises(DomainError, match="2\\^25"):
             afe_squares(t, 1e-3)
+
+    def test_afe_qmax_is_the_last_modulus_within_2_25(self):
+        # _afe_batch's Dmax at the default xmin, where the W-table cap binds
+        def dmax(q):
+            return min(int(q / (math.pi * 1e-3)), int(q * math.exp(lvalues._WSPEC.umax / 2) / math.pi))
+        assert dmax(AFE_QMAX) <= 1 << 25 < dmax(AFE_QMAX + 1)
+        assert AFE_QMAX == 261296
 
     @staticmethod
     def _pair_loop(t, xmin):
