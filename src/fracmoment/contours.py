@@ -193,10 +193,12 @@ QUARTER = (1, 2.5, 0.25)
 # The m = 2 oracle is refused beyond this y.
 M2_ORACLE_YMAX = 3000
 
-# The paired-shift trapezoid step.  The integrand is analytic in a strip of width
-# 1 ((1 + it)^{-alpha} branches at t = i), so the step error is about e^{-2 pi/h};
-# against h = 0.01 the value moves by 0.2% (alpha = 3, beta = 1, y = 1e4) and
-# 0.02% (QUARTER) of the truncation error past |t| = T that the check reports.
+# The m = 1 numeric is refused past this alpha: its integral is ~Gamma(alpha)^-2 of its terms,
+# so rounding leaves rel_err up to 4e-5 at alpha = 9 and 8e-3 at 10, at step 0.05 or 0.01.
+PAIRED_SHIFT_ALPHA_MAX = 9.0
+# The trapezoid step.  Its aliasing error is (2 pi/h + 1)^{alpha-1} e^{-2 pi/h} of the integral
+# ((1 + it)^{-alpha} is Gamma(alpha)'s characteristic function), 2e-38 at PAIRED_SHIFT_ALPHA_MAX;
+# against h = 0.01 the value moves by 0.2% (alpha = 3) and 0.02% (QUARTER) of the truncation error.
 PAIRED_SHIFT_STEP = 0.05
 
 
@@ -228,6 +230,8 @@ def paired_shift_numeric(alpha: float, beta: float, y: float) -> complex:
     The zeta factor depends only on t1 + t2, so the double sum collapses to
     one convolution of the axis factor e^{it} (1 + it)^{-alpha} with itself.
     """
+    if alpha > PAIRED_SHIFT_ALPHA_MAX:
+        raise DomainError(f"paired-shift numeric limited to alpha <= {PAIRED_SHIFT_ALPHA_MAX:g}")
     T, h = 400.0, PAIRED_SHIFT_STEP
     L = math.log(y)
     t = np.arange(-T, T + h / 2, h)
@@ -242,9 +246,9 @@ def paired_shift_numeric(alpha: float, beta: float, y: float) -> complex:
 
 
 @np.errstate(over="raise")  # log^{alpha-1} at alpha ~ 1e5 raises FloatingPointError, not a warning
-def paired_shift_oracle(m: int, alpha: float, beta, y: float) -> float:
-    """Exact divisor-sum expansion of the paired-shift integral; beta is the
-    exponent or its divisor series d_beta, sieved to at least y - 1.
+def paired_shift_oracle(m: int, alpha: float, d: np.ndarray, y: float) -> float:
+    """Exact divisor-sum expansion of the paired-shift integral from the
+    divisor series d = d_beta, sieved to at least y - 1.
 
     With D(n) = d_beta(n)/n and the Perron weight f(u) = log^{alpha-1}(y/u)/Gamma(alpha)
     for u < y (0 from y on), m = 1 is sum_n D(n) f(n)^2 and m = 2 is
@@ -255,9 +259,8 @@ def paired_shift_oracle(m: int, alpha: float, beta, y: float) -> float:
     if m == 2 and y > M2_ORACLE_YMAX:
         raise DomainError(f"m = 2 oracle limited to y <= {M2_ORACLE_YMAX}")
     N = math.ceil(y) - 1
-    d = beta[: N + 1] if isinstance(beta, np.ndarray) else divisor_series(beta, N)
     n = np.arange(1, N + 1)
-    D, f = d[1:] / n, np.log(y / n) ** (alpha - 1) / math.gamma(alpha)  # f[u - 1] = f(u)
+    D, f = d[1 : N + 1] / n, np.log(y / n) ** (alpha - 1) / math.gamma(alpha)  # f[u - 1] = f(u)
     if m == 1:
         return float(np.sum(D * f * f))
     # a, b > s = isqrt(N) give ab > N, so M is 0 there; with P = M_SS and

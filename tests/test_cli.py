@@ -353,6 +353,7 @@ class TestExitCodes:
         ["dump-coeffs", "--series", "dalpha", "--alpha", "1e200", "--nmax", "4"],
         ["verify", "eta", "--w0", "1e308"],
         ["verify", "pairshift", "--alpha", "1e300"],
+        ["verify", "pairshift", "--alpha", "26"],
         ["verify", "hankel", "--alphas", "1e300"],
         ["moments", "--q", "-5"],
         ["holder", "--q", "-7"],

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracmoment.contours import (
-    M2_ORACLE_YMAX,
+    PAIRED_SHIFT_ALPHA_MAX,
+    PAIRED_SHIFT_STEP,
     QUARTER,
     _self_convolve,
     eta_stability,
@@ -134,7 +135,7 @@ class TestPairedShift:
     def test_m2_oracle_against_direct_enumeration(self, alpha, beta, y):
         # independent four-loop enumeration over n11 n12 < y and n21 n22 < y,
         # with d_beta by trial division
-        got = paired_shift_oracle(2, alpha, beta, y)
+        got = paired_shift_oracle(2, alpha, divisor_series(beta, math.ceil(y) - 1), y)
         N = math.ceil(y) - 1
         D = [0.0] + [divisor_coeff(beta, n) / n for n in range(1, N + 1)]
 
@@ -179,18 +180,40 @@ class TestPairedShift:
         rep = paired_shift_check(*triple, 1e4)
         assert abs(rep.numeric - fine) < 0.01 * abs(rep.numeric - rep.oracle)
 
+    def test_numeric_at_alpha_limit_against_fine_step(self):
+        # fine: the numeric at step h = 0.01; at the largest alpha the numeric
+        # takes, rounding still leaves it five digits, and the step's aliasing
+        # term there is far below them
+        alpha, fine = PAIRED_SHIFT_ALPHA_MAX, 2030365.910673364
+        h = PAIRED_SHIFT_STEP
+        assert (2 * math.pi / h + 1) ** (alpha - 1) * math.exp(-2 * math.pi / h) < 1e-30
+        rep = paired_shift_check(1, alpha, 1.0, 1e4)
+        assert rep.numeric == pytest.approx(fine, rel=1e-5)
+        assert rep.rel_err < 1e-5
+
+    def test_numeric_refused_past_alpha_limit(self):
+        alpha = math.nextafter(PAIRED_SHIFT_ALPHA_MAX, math.inf)
+        with pytest.raises(DomainError):
+            paired_shift_check(1, alpha, 1.0, 100.0)
+        with pytest.raises(DomainError):
+            paired_shift_numeric(alpha, 1.0, 100.0)
+        # m = 2 has no numeric and takes any alpha
+        assert paired_shift_check(2, 26.0, 1.0, 100.0).oracle > 0
+
     def test_m2_oracle_peak_memory(self):
         # one process of its own, so the peak is this call's and no other test's
         # the peak is VmHWM, in KiB: a child's ru_maxrss starts at its parent's
         # RSS at exec, so after a large test it would read 0
         code = (
-            "from fracmoment.contours import paired_shift_oracle\n"
+            "from fracmoment.contours import M2_ORACLE_YMAX, paired_shift_oracle\n"
+            "from fracmoment.sieve import divisor_series\n"
             "def peak():\n"
             "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
-            "paired_shift_oracle(2, 3.0, 1.0, 20.0)\n"
+            "d = divisor_series(1.0, M2_ORACLE_YMAX - 1)\n"
+            "paired_shift_oracle(2, 3.0, d, 20.0)\n"
             "before = peak()\n"
-            "paired_shift_oracle(2, 3.0, 1.0, 500.0)\n"
-            f"paired_shift_oracle(2, 3.0, 1.0, {M2_ORACLE_YMAX})\n"
+            "paired_shift_oracle(2, 3.0, d, 500.0)\n"
+            "paired_shift_oracle(2, 3.0, d, M2_ORACLE_YMAX)\n"
             "print(peak() - before)\n"
         )
         assert int(run_python(code).stdout) < 20 * 1024
