@@ -461,8 +461,9 @@ def cmd_contour(args) -> int:
     if sweep_out:
         m, alpha, beta = (args.m, args.alpha, args.beta) if args.check == "pairshift" else contours.QUARTER
         ys, oracle, ratio = (np.array([r[f] for r in report["sweep_rows"]]) for f in ("y", "oracle", "ratio"))
-        value = np.array([contours.paired_shift_numeric(alpha, beta, v).real if m == 1 else math.nan
-                          for v in ys.tolist()])
+        # the y row reuses the report's numeric
+        value = np.array([math.nan if m == 2 else report["numeric"] if v == args.y
+                          else contours.paired_shift_numeric(alpha, beta, v).real for v in ys.tolist()])
         if not _write((["y", "value", "oracle", "ratio"], [ys, value, oracle, ratio]), sweep_out, "sweep table"):
             return EXIT_IO
     return _finish(report, args.out)

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .lvalues import zeta_progression, zeta_values
+from .lvalues import zeta_progression
 from .sieve import ShiftVector, divisor_series, shifted_series
 from .util import trapezoid_weights
 
@@ -124,24 +124,24 @@ def _step_logs(to: np.ndarray, frm: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _log_zeta_walk(points: np.ndarray) -> complex:
-    """log zeta tracked continuously along a contiguous point sequence,
-    anchored at the principal value of the first point."""
-    zv = zeta_values(points)
-    if np.any(zv == 0):
-        raise DomainError("homotopy passes through a zero of zeta")
-    logz = np.log(zv[0])
-    logz += np.sum(_step_logs(zv[1:], zv[:-1]))
-    return complex(logz)
+def _tracked_logs(zv: np.ndarray, anchor: int) -> np.ndarray:
+    """log zeta along a walk of zeta values, continued from the principal log at
+    zv[anchor] by the cumulative step logs on each side of it."""
+    logs = np.empty(zv.size, dtype=complex)
+    logs[anchor] = np.log(zv[anchor])
+    logs[anchor + 1 :] = logs[anchor] + np.cumsum(_step_logs(zv[anchor + 1 :], zv[anchor:-1]))
+    logs[:anchor] = (logs[anchor] + np.cumsum(_step_logs(zv[:anchor], zv[1 : anchor + 1])[::-1]))[::-1]
+    return logs
 
 
 def zeta_frac_power(alpha: float, s: complex) -> complex:
     """zeta(s)^alpha on the principal branch continued from the real ray.
 
     On Re s >= 2, |zeta(s) - 1| <= zeta(2) - 1 < 1, so the principal log is
-    the continued branch there and no walk is needed.  Left of that line the
-    logarithm is accumulated by small-step ratios along the horizontal walk
-    from 2 + i Im s to s.  Real s on (1/2, 1] is refused: the only
+    the continued branch there and no walk is needed.  Left of that line zeta
+    is evaluated on the progression from s to 2 + i Im s, in steps of at most
+    a quarter of the walk's distance to the pole, and the log is tracked back
+    from that end to s.  Real s on (1/2, 1] is refused: the only
     continuation paths cross the pole from one side or the other, so the
     branch there is genuinely ambiguous.
     """
@@ -152,32 +152,19 @@ def zeta_frac_power(alpha: float, s: complex) -> complex:
         raise DomainError("require Re s > 1/2")
     if s.imag == 0 and s.real <= 1:
         raise DomainError("real s <= 1: branch ambiguous across the pole")
-    points = np.array([s])
+    count, ds = 1, 0.0
     if s.real < 2:
-        a = complex(2.0, s.imag)
-        # keep steps well below the walk's distance to the pole at s = 1
         dist = max(abs(s.imag) if s.real <= 1 else abs(s - 1), 1e-4)
-        step = min(0.02, dist / 4)
-        points = a + (s - a) * np.linspace(0.0, 1.0, max(8, int(abs(s - a) / step) + 2))
-        # refine geometrically toward an endpoint close to the pole
-        if abs(s - 1) < 0.1:
-            extra = s + (points[-2] - s) * np.exp(-np.linspace(0.0, 8.0, 40))
-            points = np.concatenate([points[:-1], extra[1:], [s]])
-    return complex(np.exp(alpha * _log_zeta_walk(points)))
+        count = max(8, int((2 - s.real) / min(0.02, dist / 4)) + 2)
+        ds = (2 - s.real) / (count - 1)
+    logs = _tracked_logs(zeta_progression(s, ds, count), count - 1)
+    return complex(np.exp(alpha * logs[0]))
 
 
 def zeta_power_line(beta: float, s0: complex, ds: complex, count: int) -> np.ndarray:
     """zeta^beta at s0 + k ds for k < count, branch-tracked from the midpoint,
     where zeta is (nearly) real positive on the symmetric lines used."""
-    zv = zeta_progression(s0, ds, count)
-    mid = count // 2
-    logs = np.empty(count, dtype=complex)
-    logs[mid] = np.log(zv[mid])
-    inc = _step_logs(zv[mid + 1 :], zv[mid : -1])
-    logs[mid + 1 :] = logs[mid] + np.cumsum(inc)
-    inc = _step_logs(zv[: mid], zv[1 : mid + 1])[::-1]
-    logs[:mid] = (logs[mid] + np.cumsum(inc))[::-1]
-    return np.exp(beta * logs)
+    return np.exp(beta * _tracked_logs(zeta_progression(s0, ds, count), count // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +319,6 @@ def eta_stability(s_param: int, w0: complex, shifts: ShiftVector, levels: Sequen
     factorization makes the limit 1, which the estimates approach.  Requires
     Re(w0 + w_i) > 0.2 so the truncated sums converge at desk cutoffs.
     """
-    if not isinstance(shifts, ShiftVector):
-        shifts = ShiftVector(tuple(shifts))
     w0 = complex(w0)
     if not cmath.isfinite(w0):
         raise DomainError(f"w0 must be finite, got {w0}")

@@ -116,21 +116,11 @@ def hurwitz_zeta_over_a(s: complex, a: np.ndarray) -> np.ndarray:
     return _euler_maclaurin(s, a, _em_terms(np.imag(s)))
 
 
-def zeta_values(s: np.ndarray) -> np.ndarray:
-    """Riemann zeta for an array of complex s (no entry equal to 1)."""
-    s = np.asarray(s, dtype=complex)
-    if np.any(s == 1):
-        raise DomainError("zeta(s) has a pole at s = 1")
-    im_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    # at a = 1 the tail starts at N = terms + 1, so N itself follows _em_terms
-    return _euler_maclaurin(s, 1.0, _em_terms(im_max) - 1)
-
-
 def zeta_progression(s0: complex, ds: complex, count: int) -> np.ndarray:
     """Riemann zeta at the arithmetic progression s_k = s0 + k ds, k < count.
 
-    The same sum as zeta_values, with the main sum over all points as one
-    product: for k = j B + r, n^{-s_k} = n^{-(s0 + j B ds)} n^{-r ds}, so a
+    The sum _euler_maclaurin takes at a = 1, with the main sum over all points
+    as one product: for k = j B + r, n^{-s_k} = n^{-(s0 + j B ds)} n^{-r ds}, so a
     (J x terms) and a (terms x B) table of exps, B ~ sqrt(count), replace
     terms full-length exps.
     """
@@ -138,6 +128,7 @@ def zeta_progression(s0: complex, ds: complex, count: int) -> np.ndarray:
     s = s0 + np.arange(count) * ds
     if np.any(s == 1):
         raise DomainError("zeta(s) has a pole at s = 1")
+    # at a = 1 the tail starts at N = terms + 1, so N itself follows _em_terms
     terms = _em_terms(float(np.max(np.abs(s.imag), initial=0.0))) - 1
     B = math.isqrt(count) + 1
     J = -(-count // B)

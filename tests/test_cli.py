@@ -3,7 +3,6 @@ import shlex
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 from conftest import run_python
 
@@ -62,21 +61,20 @@ class TestVerifyCommands:
     def test_eta_far_right_needs_no_branch_walk(self, w0, monkeypatch):
         # on Re s >= 2 the principal log of zeta is the continued branch, so
         # each shift's zeta power is one point, however large w0 is
-        sizes = []
-        fn = contours.zeta_values
-        monkeypatch.setattr(contours, "zeta_values", lambda s: sizes.append(np.size(s)) or fn(s))
+        counts = []
+        fn = contours.zeta_progression
+        monkeypatch.setattr(contours, "zeta_progression", lambda *a: counts.append(a[2]) or fn(*a))
         assert run(["verify", "eta", "--w0", w0, "--shifts", "0.3,0.4"]) == 0
-        assert sizes == [1, 1]
+        assert counts == [1, 1]
 
 
 class TestPairShiftCommand:
     def test_zeta_line_is_not_evaluated_point_by_point(self, monkeypatch):
-        sizes = []
-        for module in (contours, lvalues):
-            fn = module.zeta_values
-            monkeypatch.setattr(module, "zeta_values", lambda s, _fn=fn: sizes.append(np.size(s)) or _fn(s))
+        counts = []
+        fn = contours.zeta_progression
+        monkeypatch.setattr(contours, "zeta_progression", lambda *a: counts.append(a[2]) or fn(*a))
         assert run(["verify", "pairshift", "--sweep", "1e3,1e4"]) == 0
-        assert max(sizes, default=0) <= 1000
+        assert counts == [32001]
 
 
     @pytest.mark.parametrize("argv", [["--y", "3001"], ["--y", "100", "--sweep", "5000"]])
@@ -241,6 +239,14 @@ class TestSweepExport:
         row = lines[1].split(",")
         assert float(row[0]) == 1e3
         assert float(row[1]) == json.loads(out.read_text())["numeric"]
+
+    def test_sweep_reuses_the_numeric_at_y(self, tmp_path, monkeypatch):
+        ys = []
+        numeric = contours.paired_shift_numeric
+        monkeypatch.setattr(contours, "paired_shift_numeric", lambda *a: ys.append(a[2]) or numeric(*a))
+        assert run(["contour", "--check", "quarter", "--y", "1e3", "--sweep", "1e3,1e4",
+                    "--sweep-out", str(tmp_path / "f.csv")]) == 0
+        assert ys == [1e3, 1e4]
 
     def test_pairshift_sweep_expands_each_y_once(self, tmp_path, monkeypatch):
         expansions = []

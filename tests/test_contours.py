@@ -1,9 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import run_python
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracmoment.contours import (
@@ -91,6 +92,24 @@ class TestZetaFracPower:
         lhs = zeta_frac_power(a, s) * zeta_frac_power(b, s)
         rhs = zeta_frac_power(a + b, s)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
+
+    @given(alpha=st.floats(-1.0, 1.0),
+           s=st.tuples(st.floats(1.25, 3.0), st.floats(-40.0, 40.0)).map(lambda p: complex(*p)))
+    @settings(max_examples=100, deadline=None)
+    @example(alpha=0.25, s=0.8 + 2j)
+    @example(alpha=0.25, s=0.6 + 5j)
+    @example(alpha=0.25, s=0.55 + 10j)
+    @example(alpha=0.25, s=1 + 0.01j)
+    @example(alpha=0.25, s=1.001)
+    def test_matches_principal_power_where_zeta_has_positive_real_part(self, alpha, s):
+        # on Re s > 1 the continued log is the Euler product's, |Im log zeta(s)| <= log zeta(Re s),
+        # under pi/2 from Re s = 1.25 on, so there mpmath's principal power is an independent
+        # oracle; the examples left of that line are points where the continued branch is principal too
+        with mp.workdps(30):
+            zeta = mp.zeta(s)
+            assume(zeta.real > 0)
+            want = complex(mp.exp(alpha * mp.log(zeta)))
+        assert abs(zeta_frac_power(alpha, s) - want) < 1e-13 * abs(want)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
