@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
+from .util import exact_sum
 
 QMAX = 10**6
 
@@ -123,8 +124,8 @@ def build_table(q: int) -> CharacterTable:
 
 
 def _csum(values: np.ndarray) -> complex:
-    """Compensated complex sum (fsum on real and imaginary parts)."""
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+    """Correctly rounded complex sum (exact_sum of the real and imaginary parts)."""
+    return complex(exact_sum(values.real), exact_sum(values.imag))
 
 
 def character_sum(table: CharacterTable, a: int) -> complex:
@@ -227,6 +228,12 @@ def naive_character_sums(
     multiple of 16) is one gather and one product with the 16 x n matrix of
     the first 16 characters.  indices restricts the evaluation to a subset
     of characters (used for timing at large q).
+
+    The product goes through BLAS.  At q = 7013 on 2 vCPUs, a fresh process
+    took 0.044-0.055 s (first call) and 0.045-0.053 s (second) with
+    OpenBLAS's default 2 threads, and 0.058-0.097 s for either with
+    OPENBLAS_NUM_THREADS=1.  With one core held by another process, the
+    default threads took 0.09-0.23 s and one thread 0.068 s.
     """
     n = table.order
     coeffs = np.asarray(coeffs, dtype=complex)

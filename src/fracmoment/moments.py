@@ -36,6 +36,7 @@ from .characters import CharacterTable, build_table, dft_all_characters, fold_re
 from .errors import DomainError
 from .lvalues import lvalue_table
 from .sieve import mollifier_coeffs, weighted_poly_coeffs
+from .util import exact_sum
 
 SQUARE_FLOOR = 1e-30  # |L|^2 floor before taking fractional powers
 
@@ -138,7 +139,7 @@ def power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, list
     sq = squares[1:]
     floored = [int(j) for j in (np.nonzero(sq < SQUARE_FLOOR)[0] + 1)]
     contrib = np.exp(float(k) * np.log(np.maximum(sq, SQUARE_FLOOR)))
-    return float(math.fsum(contrib)), contrib, floored
+    return exact_sum(contrib), contrib, floored
 
 
 def moment_sum(
@@ -182,7 +183,7 @@ def character_values(params: MomentParams, table: CharacterTable, method: str = 
                            + 1j * _residue_weights(q, mollifier_series(params)))
     Zbar = np.conj(np.roll(Z[::-1], 1))  # conj Z_{-j}
     P = (Z + Zbar) / 2
-    p4 = float(math.fsum(np.abs(P[1:]) ** (4 * params.r)))
+    p4 = exact_sum(np.abs(P[1:]) ** (4 * params.r))
     return CharacterValues(params, L, sq, P, (Z - Zbar) / 2j, p4, err)
 
 
@@ -242,10 +243,10 @@ def holder_chain_check(values: CharacterValues) -> HolderReport:
     r, s, k = values.params.r, values.params.s, values.params.k
     e1, e2, e3 = (float(e) for e in holder_exponents(k))
     t = (L * np.conj(P) ** (2 * s) * np.abs(M) ** (2 * (s - r)))[1:]
-    sl = complex(math.fsum(t.real), math.fsum(t.imag))
+    sl = complex(exact_sum(t.real), exact_sum(t.imag))
     mk = power_sum(sq, k)[0]
     p4 = values.p4
-    su = float(math.fsum((sq * np.abs(P) ** (4 * s) * np.abs(M) ** (2 * (2 * s - r)))[1:]))
+    su = exact_sum((sq * np.abs(P) ** (4 * s) * np.abs(M) ** (2 * (2 * s - r)))[1:])
     f1, f2, f3 = mk**e1, p4**e2, su**e3
     slack = f1 * f2 * f3 - abs(sl)
     return HolderReport(sl, mk, p4, su, f1, f2, f3, slack, holds=slack >= -1e-9 * f1 * f2 * f3)

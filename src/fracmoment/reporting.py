@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
@@ -21,8 +22,6 @@ CSV_BLOCK = 1 << 16
 
 
 def fmt_float(x: float) -> str:
-    if isinstance(x, bool):  # guard: bools are ints are floats-adjacent
-        return "true" if x else "false"
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
@@ -74,17 +73,23 @@ def json_dumps(obj: Any, indent: int = 0) -> str:
 def csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     """CSV of equal-length 1-D columns under header, formatted CSV_BLOCK rows at a time.
 
-    Float columns print through fmt_float, every other column through str.
+    Each block is one % of a row template over the block's cells.  A float
+    column prints through "%.17g", which is f"{x:.17g}" for every finite
+    double; a float column holding a NaN or inf prints through fmt_float
+    instead, and every other column through "%s" (str).
     """
     size = columns[0].size if columns else 0
     if len(columns) != len(header) or any(c.shape != (size,) for c in columns):
         raise ValueError("csv_text needs one equal-length 1-D column per header field")
-    fmts = [fmt_float if c.dtype.kind == "f" else str for c in columns]
-    parts = [",".join(header)]
+    special = [c.dtype.kind == "f" and not np.isfinite(c).all() for c in columns]
+    row = ",".join("%.17g" if c.dtype.kind == "f" and not sp else "%s"
+                   for c, sp in zip(columns, special)) + "\n"
+    parts = [",".join(header) + "\n"]
     for lo in range(0, size, CSV_BLOCK):
-        cells = [map(f, c[lo : lo + CSV_BLOCK].tolist()) for f, c in zip(fmts, columns)]
-        parts.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join(parts) + "\n"
+        block = [c[lo : lo + CSV_BLOCK].tolist() for c in columns]
+        cells = [map(fmt_float, col) if sp else col for col, sp in zip(block, special)]
+        parts.append((row * len(block[0])) % tuple(chain.from_iterable(zip(*cells))))
+    return "".join(parts)
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -23,18 +23,39 @@ def reference_csv(header, columns):
 
 
 SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 0.1, -2.5e-300, 1e300, 5e-324, 1 / 3]
+FINITE = [v for v in SPECIALS if math.isfinite(v)]
+SIZES = [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1]
 
 
-@pytest.mark.parametrize("size", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
-def test_csv_text_matches_row_wise_reference(size):
+@pytest.mark.parametrize(
+    "size, lead",
+    [pytest.param(n, SPECIALS, id=str(n)) for n in SIZES]
+    + [pytest.param(n, FINITE, id=f"finite-{n}") for n in SIZES],
+)
+def test_csv_text_matches_row_wise_reference(size, lead):
+    """lead fills the first rows of the float column: with NaN/inf it prints through
+    fmt_float, and with only finite values through the %.17g cell."""
     rng = np.random.default_rng(size)
     floats = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
-    floats[: len(SPECIALS)] = SPECIALS[:size]
+    floats[: len(lead)] = lead[:size]
     ints = rng.integers(-(2**62), 2**62, size)
     words = np.array(["afe", "oracle", "smoothed"])[rng.integers(0, 3, size)]
     header = ["n", "x", "method", "parity"]
     columns = [ints, floats, words, rng.integers(0, 2, size).astype(np.int8)]
     assert csv_text(header, columns) == reference_csv(header, columns)
+
+
+def test_each_float_column_picks_its_own_cell():
+    size = CSV_BLOCK + 1
+    rng = np.random.default_rng(7)
+    finite = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    late_nan = rng.standard_normal(size)
+    late_nan[-1] = math.nan
+    header = ["n", "finite", "late_nan"]
+    columns = [np.arange(size), finite, late_nan]
+    text = csv_text(header, columns)
+    assert text == reference_csv(header, columns)
+    assert text.endswith(f"{size - 1},{finite[-1]:.17g},NaN\n")
 
 
 def test_special_floats_print_as_json_literals():
