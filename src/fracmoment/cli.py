@@ -11,6 +11,8 @@ same invocation produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import math
 import sys
 import time
@@ -63,6 +65,10 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return _numbers(text, int)
+
+
+def _shifts(text: str) -> sieve.ShiftVector:
+    return sieve.ShiftVector(tuple(complex(v) for v in _floats(text)))
 
 
 def _check(name: str, value, tol=None, ok=None) -> dict:
@@ -283,8 +289,7 @@ def _verify_eta(s, w0, shifts, levels, tol) -> dict:
     if len(ss) > 1:
         raise DomainError(f"--s takes one value, got {s!r}")
     s_param = ss[0]
-    shift_vec = sieve.ShiftVector(tuple(complex(v) for v in _floats(shifts)))
-    rep = contours.eta_stability(s_param, complex(w0), shift_vec, _ints(levels))
+    rep = contours.eta_stability(s_param, complex(w0), _shifts(shifts), _ints(levels))
     return {
         # echoes the parsed s, not the flag text
         "params": {"s": s_param, "w0": w0, "shifts": shifts, "levels": levels, "tol": tol},
@@ -441,11 +446,7 @@ def cmd_survey(args) -> int:
         content = {
             "command": "survey",
             "params": {"k": k, "primes": args.primes, "method": args.method},
-            "rows": [
-                {"q": r.q, "moment_over_phi": r.moment_over_phi,
-                 "logq_pow_k2": r.logq_pow_k2, "ratio": r.ratio, "band_ok": r.band_ok}
-                for r in rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in rows],
             "pass": all_ok,
         }
     if not _write(content, args.out):
@@ -481,15 +482,10 @@ def cmd_dump_coeffs(args) -> int:
         ser = sieve.weighted_poly_coeffs(args.A, args.B, args.x, args.nmax)
     elif kind == "mollifier":
         ser = sieve.mollifier_coeffs(args.A, args.B, args.y, args.nmax)
-    elif kind in ("sigma", "rho"):
-        shifts = sieve.ShiftVector(tuple(complex(v) for v in _floats(args.shifts)))
+    else:  # sigma, rho or psi
+        shifts = _shifts(args.shifts)
+        shifts = (shifts, _shifts(args.zshifts)) if kind == "psi" else shifts
         ser = sieve.shifted_series(kind, shifts, args.s, args.nmax)
-    elif kind == "psi":
-        w = sieve.ShiftVector(tuple(complex(v) for v in _floats(args.shifts)))
-        z = sieve.ShiftVector(tuple(complex(v) for v in _floats(args.zshifts)))
-        ser = sieve.shifted_series("psi", (w, z), args.s, args.nmax)
-    else:
-        raise DomainError(f"unknown series {kind!r}")
     n, vals = np.arange(1, ser.size), ser[1:]
     if np.iscomplexobj(vals):
         content = ["n", "re", "im"], [n, vals.real, vals.imag]
@@ -503,6 +499,7 @@ def cmd_dump_coeffs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracmoment",

@@ -6,8 +6,9 @@ coefficients d_alpha(n) (the Dirichlet coefficients of zeta(s)^alpha), the
 Mobius function, log-weighted polynomial coefficients, mu-twisted mollifier
 coefficients with squared log weights, and complex-shifted convolution series.
 The multiplicative sequences come from one generator fed their Euler factors
-f(p^e), which sieves the smallest prime factors up to its own cutoff; the rest
-are Dirichlet convolutions of such pieces.
+f(p^e), one list per sequence computed once per call, which sieves the smallest
+prime factors up to its own cutoff; the rest are Dirichlet convolutions of such
+pieces.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
@@ -71,43 +71,43 @@ class ShiftVector:
         return len(self.shifts)
 
 
-def prime_power_coeff(alpha, e: int):
-    """Coefficient of zeta^alpha at a prime power p^e: prod_{i<e} (alpha+i)/(i+1).
+def _exact(alpha) -> Fraction:
+    """alpha at its exact value, a float at its exact binary value."""
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
+    return Fraction(alpha)
 
-    Exact Fraction arithmetic when alpha is rational, float otherwise.
-    """
-    if e < 0:
-        raise DomainError("exponent must be nonnegative")
-    if isinstance(alpha, Rational):
-        acc = Fraction(1)
-        a = Fraction(alpha)
-        for i in range(e):
-            acc *= (a + i) / (i + 1)
-        return acc
-    acc = 1.0
-    for i in range(e):
-        acc *= (alpha + i) / (i + 1)
-    return acc
+
+def _euler_coeffs(alpha, count: int) -> list[float]:
+    """d_alpha(p^e) for e < count: c_0 = 1, c_{e+1} = c_e (alpha + e)/(e + 1)
+    in Fractions, each rounded once."""
+    a, c, coeffs = _exact(alpha), Fraction(1), []
+    for e in range(count):
+        coeffs.append(float(c))
+        c = c * (a + e) / (e + 1)
+    return coeffs
+
+
+def _mu_twisted(beta: float, count: int) -> list[float]:
+    """The Euler factors of d_beta(n) mu(n) for e < count: 1, -beta, 0, 0, ..."""
+    return ([1.0, -beta] + [0.0] * count)[:count]
 
 
 def divisor_coeff(alpha, n: int) -> float:
-    """d_alpha(n): multiplicative, with d_alpha(p^e) given by prime_power_coeff.
+    """d_alpha(n) = prod over p^e || n of prod_{i<e} (alpha+i)/(i+1), exact, rounded once.
 
     n is factored by trial division, independently of the sieve behind the series.
-    alpha rational is evaluated exactly and converted to float at the end.
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
-    acc = Fraction(1) if isinstance(alpha, Rational) else 1.0
+    a, acc = _exact(alpha), Fraction(1)
     m, p = int(n), 2
     while m > 1:
         if p * p > m:
             p = m  # what is left is prime
-        e = 0
+        i = 0
         while m % p == 0:
-            m, e = m // p, e + 1
-        if e:
-            acc *= prime_power_coeff(alpha, e)
+            m, acc, i = m // p, acc * (a + i) / (i + 1), i + 1
         p += 1
     return float(acc)
 
@@ -146,21 +146,19 @@ def _multiplicative(local, cutoff: int, dtype=float) -> np.ndarray:
     return f
 
 
-def divisor_series(alpha, cutoff: int) -> np.ndarray:
-    """Dense d_alpha(n) for n <= cutoff.
+def _series(euler: list[float], cutoff: int) -> np.ndarray:
+    """Dense f(n), n <= cutoff, of the multiplicative f with f(p^e) = euler[e]."""
+    return _multiplicative(lambda p, e: euler[e], cutoff)
 
-    Each d_alpha(p^e) is rounded once from its exact value; a float alpha is
-    taken at its exact binary value.
-    """
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha}")
-    exact = Fraction(alpha)
-    return _multiplicative(lambda p, e: float(prime_power_coeff(exact, e)), cutoff)
+
+def divisor_series(alpha, cutoff: int) -> np.ndarray:
+    """Dense d_alpha(n) for n <= cutoff, each d_alpha(p^e) rounded once from its exact value."""
+    return _series(_euler_coeffs(alpha, cutoff.bit_length()), cutoff)
 
 
 def mobius_series(cutoff: int) -> np.ndarray:
     """Dense Mobius function mu(n) for n <= cutoff."""
-    return _multiplicative(lambda p, e: -1.0 if e == 1 else 0.0, cutoff)
+    return _series(_mu_twisted(1.0, cutoff.bit_length()), cutoff)
 
 
 def dirichlet_convolve(f: np.ndarray, g: np.ndarray, cutoff: int) -> np.ndarray:
@@ -181,11 +179,24 @@ def dirichlet_convolve(f: np.ndarray, g: np.ndarray, cutoff: int) -> np.ndarray:
     return out
 
 
-def _self_convolve(base: np.ndarray, times: int, cutoff: int) -> np.ndarray:
+def _log_weighted(euler: list[float], A: int, x: float, power: int, cutoff: int) -> np.ndarray:
+    """A-fold Dirichlet power of f(n) log^power(x/n)/log^power(x) on n <= floor(x),
+    for the multiplicative f with f(p^e) = euler[e]."""
+    support = min(cutoff, int(math.floor(x)))
+    head = _series(euler, support)[1:] * (np.log(x / np.arange(1, support + 1)) / math.log(x)) ** power
+    base = np.zeros(cutoff + 1)
+    base[1 : support + 1] = head
     out = base
-    for _ in range(times - 1):
+    for _ in range(A - 1):
         out = dirichlet_convolve(out, base, cutoff)
     return out
+
+
+def _check_weights(A: int, B: int, name: str, x: float) -> None:
+    if A < 1 or B < 1:
+        raise DomainError("A and B must be positive integers")
+    if not (math.isfinite(x) and x > 1.0):
+        raise DomainError(f"{name} must be finite and exceed 1, got {x}")
 
 
 def weighted_poly_coeffs(A: int, B: int, x: float, cutoff: int) -> np.ndarray:
@@ -195,16 +206,8 @@ def weighted_poly_coeffs(A: int, B: int, x: float, cutoff: int) -> np.ndarray:
     n_i <= x of prod_i d_{1/B}(n_i) * log(x/n_i)/log(x).  The factor cutoff
     compares n_i against floor(x); the log weight uses the real x.
     """
-    if A < 1 or B < 1:
-        raise DomainError("A and B must be positive integers")
-    if not (math.isfinite(x) and x > 1.0):
-        raise DomainError(f"x must be finite and exceed 1, got {x}")
-    support = min(cutoff, int(math.floor(x)))
-    base_d = divisor_series(Fraction(1, B), support)
-    base = np.zeros(cutoff + 1)
-    n = np.arange(1, support + 1)
-    base[1 : support + 1] = base_d[1 : support + 1] * (np.log(x / n) / math.log(x))
-    return _self_convolve(base, A, cutoff)
+    _check_weights(A, B, "x", x)
+    return _log_weighted(_euler_coeffs(Fraction(1, B), cutoff.bit_length()), A, x, 1, cutoff)
 
 
 def mollifier_coeffs(A: int, B: int, y: float, cutoff: int) -> np.ndarray:
@@ -213,18 +216,8 @@ def mollifier_coeffs(A: int, B: int, y: float, cutoff: int) -> np.ndarray:
     out[n] = 2^{-A} * sum over ordered factorizations n_1 ... n_A = n with
     n_i <= y of prod_i d_{1/B}(n_i) mu(n_i) log^2(y/n_i)/log^2(y).
     """
-    if A < 1 or B < 1:
-        raise DomainError("A and B must be positive integers")
-    if not (math.isfinite(y) and y > 1.0):
-        raise DomainError(f"y must be finite and exceed 1, got {y}")
-    support = min(cutoff, int(math.floor(y)))
-    base_d = divisor_series(Fraction(1, B), support)
-    mu = mobius_series(support)
-    base = np.zeros(cutoff + 1)
-    n = np.arange(1, support + 1)
-    logs = np.log(y / n) / math.log(y)
-    base[1 : support + 1] = base_d[1 : support + 1] * mu[1 : support + 1] * logs**2
-    return _self_convolve(base, A, cutoff) * 0.5**A
+    _check_weights(A, B, "y", y)
+    return _log_weighted(_mu_twisted(1 / B, cutoff.bit_length()), A, y, 2, cutoff) * 0.5**A
 
 
 def shifted_series(mode: str, shifts, s_param: int, cutoff: int) -> np.ndarray:
@@ -252,15 +245,15 @@ def shifted_series(mode: str, shifts, s_param: int, cutoff: int) -> np.ndarray:
         ws, zs = (vector(shifts), ()) if mode == "sigma" else ((), vector(shifts))
     else:
         raise DomainError(f"unknown shifted-series mode {mode!r}")
-    specs = [(Fraction(1, 2 * s_param), w, False) for w in ws] + [(Fraction(1, s_param), z, True) for z in zs]
+    count = cutoff.bit_length()
+    sigma, rho = _euler_coeffs(Fraction(1, 2 * s_param), count), _mu_twisted(1 / s_param, count)
+    specs = [(sigma, w) for w in ws] + [(rho, z) for z in zs]
 
     def local(p, e):
         logp = np.log(p)
         acc = [np.ones(p.size, dtype=complex)] + [0] * e  # coefficients of p^0 .. p^e
-        for alpha, shift, twist in specs:
-            coef = [float(prime_power_coeff(alpha, j)) for j in range(e + 1)]
-            coef = [1.0, -coef[1]] + [0.0] * (e - 1) if twist else coef  # times mu(p^j) = 1, -1, 0, ...
-            fac = [c * np.exp(-complex(shift) * j * logp) for j, c in enumerate(coef)]
+        for coef, shift in specs:
+            fac = [c * np.exp(-complex(shift) * j * logp) for j, c in enumerate(coef[: e + 1])]
             acc = [sum(acc[i] * fac[j - i] for i in range(j + 1)) for j in range(e + 1)]
         return acc[e]
 

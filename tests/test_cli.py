@@ -13,7 +13,7 @@ from fracmoment.errors import DomainError
 README_EXAMPLES = [
     shlex.split(line)[1:]
     for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    if line.startswith(("fracmoment verify ", "fracmoment contour "))
+    if line.startswith("fracmoment ")
 ]
 
 
@@ -50,6 +50,14 @@ class TestVerifyCommands:
 
     def test_perron_gate(self):
         assert run(["verify", "perron"]) == 0
+
+    def test_cached_parser_keeps_no_flag_between_calls(self, tmp_path):
+        assert build_parser() is build_parser()
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["verify", "perron", "--tol", "1e-3", "--out", str(first)]) == 0
+        assert run(["verify", "perron", "--out", str(second)]) == 0
+        assert json.loads(first.read_text())["params"]["tol"] == 1e-3
+        assert json.loads(second.read_text())["params"]["tol"] == 1e-6
 
     def test_dft_gate(self):
         assert run(["verify", "dft", "--q", "101"]) == 0
@@ -173,6 +181,14 @@ class TestDumpCoeffs:
         assert lines[1].startswith("1,1")
         assert lines[2].startswith("2,0.5")
         assert lines[4].startswith("4,0.375")
+
+    def test_dalpha_list_holds_only_the_exponents_of_the_cutoff(self, tmp_path):
+        # d_alpha(p^2) of alpha = 1e200 overflows a double; nmax = 3 holds no
+        # square, while nmax = 4 exits 2 (TestExitCodes)
+        out = tmp_path / "d.csv"
+        assert run(["dump-coeffs", "--series", "dalpha", "--alpha", "1e200", "--nmax", "3",
+                    "--out", str(out)]) == 0
+        assert float(out.read_text().splitlines()[2].split(",")[1]) == 1e200
 
     def test_sigma_csv_complex(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import run_python
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracmoment.errors import DomainError
@@ -304,6 +304,19 @@ class TestProperties:
         d = divisor_series(alpha, 10**4)
         for n in ns:
             assert d[n] == pytest.approx(divisor_coeff(alpha, n), rel=1e-14, abs=0)
+
+    @PROPS
+    @given(alpha=alphas | st.floats(-3, 3))
+    @example(alpha=0.3)  # the float product of the factors misses d_{0.3}(4) by an ulp
+    def test_divisor_coeff_is_the_series_at_prime_powers(self, alpha):
+        N = 2000
+        d = divisor_series(alpha, N)
+        spf = _smallest_prime_factors(N)
+        for p in np.flatnonzero(spf == np.arange(N + 1))[2:].tolist():
+            q = p
+            while q <= N:
+                assert divisor_coeff(alpha, q) == d[q], (alpha, q)
+                q *= p
 
     @PROPS
     @given(alpha=alphas, pairs=coprime_pairs(2000))
