@@ -9,14 +9,14 @@ divisor-sum oracle:
   tracking along a homotopy from the real ray,
 * the paired-shift double integral
   (1/2 pi i)^2 iint zeta^beta(1 + z1 + z2) y^{z1+z2} (z1 z2)^{-alpha} dz
-  on the lines Re z = 1/log y, whose exact expansion is a weighted divisor
+  on the saddle lines Re z = c/log y, whose exact expansion is a weighted divisor
   sum (the quarter-power final integral is its alpha=5/2, beta=1/4 instance),
 * stability of the correction factor eta in the Euler-product factorization
   sum_n sigma_shifts(n) n^{-(1+w0)} = prod_i zeta^{1/2s}(1 + w0 + w_i) * eta.
 
-The double integral is evaluated after substituting z = (1 + i t)/log y, which
-moves all the log-y oscillation into a unit-frequency factor; the two axes then
-decouple through one FFT convolution over t1 + t2.
+Every vertical-line integral is summed on one Perron axis after z = (c + i t)/L: a coarse
+trapezoid grid with an Euler-summed tail (Trefethen and Weideman, SIAM Review 56,
+2014).  The paired shift's two axes decouple through one convolution over t1 + t2.
 """
 
 from __future__ import annotations
@@ -38,14 +38,37 @@ from .util import trapezoid_weights
 # ---------------------------------------------------------------------------
 
 
+# The Perron axis: step h, last plain node T = _AXIS_NODES h, _AXIS_TAIL Euler nodes past each end, and
+# the least line c, where the aliasing error e^{c - 2 pi c/h} of the terms is e^-31.  A term with no
+# oscillation left (zeta's at n ~ y) escapes Euler's sum, and its tail shrinks like (c/T)^alpha: so T = 500.
+_AXIS_STEP, _AXIS_NODES, _AXIS_TAIL, _AXIS_C = 1.0, 500, 8, 6.0
+
+
+def _perron_axis(sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w with sum_k w_k f(t_k) ~ int e^{i sign t} f(t) dt, f analytic in |Im t| < c.
+
+    The nodes t_k = k h with |t_k| <= T weigh h e^{i sign t_k}.  The grid tail h sum_{k>=1} z^k f(T + kh),
+    z = e^{i sign h}, is Euler's h sum_{j<J} r^{j+1} Delta^j f(T + h), r = z/(1 - z): fixed weights on the
+    J nodes past T, and past -T the same with z conjugated.
+    """
+    h, K, J = _AXIS_STEP, _AXIS_NODES, _AXIS_TAIL
+    z = cmath.exp(1j * sign * h)
+    r = z / (1 - z)
+    # Delta^j f_1 = sum_{i<=j} (-1)^{j-i} C(j, i) f_{1+i}
+    tail = np.array([sum(r ** (j + 1) * (-1) ** (j - i) * math.comb(j, i) for j in range(i, J)) for i in range(J)])
+    t = np.arange(-(K + J), K + J + 1) * h
+    w = np.exp(1j * sign * t)
+    w[-J:] = cmath.exp(1j * sign * K * h) * tail
+    w[:J] = (cmath.exp(-1j * sign * K * h) * tail.conj())[::-1]
+    return t, h * w
+
+
 def perron_weight(order: int, x: float) -> float:
     """(1/2 pi i) int_(c) x^w w^{-order} dw: log^{order-1}(x)/(order-1)! for
     x > 1 and 0 for x < 1.
 
-    The line is taken at c = 1/|log x| and reparametrized so the oscillation
-    has unit frequency (step h = 0.05 up to u = T = 4000); a first-order
-    endpoint correction removes most of the truncation tail of the slowly
-    decaying w^{-order} factor.
+    After w = (c + it)/|log x| the integrand is e^{c sgn} e^{i sgn t} (c + it)^{-order},
+    up to a constant, summed on the Perron axis at c = _AXIS_C.
     """
     if order not in (2, 3):
         raise DomainError("Perron weight implemented for orders 2 and 3")
@@ -53,17 +76,11 @@ def perron_weight(order: int, x: float) -> float:
         raise DomainError("x must be positive")
     if x == 1.0:
         raise DomainError("x = 1 is the boundary case and is excluded")
-    T, h = 4000.0, 0.05
     L = math.log(x)
-    aL = abs(L)
-    sgn = 1.0 if L > 0 else -1.0
-    c = 1.0 / aL
-    u = np.arange(0.0, T + h / 2, h)
-    phi = (c + 1j * u / aL) ** (-order)
-    integral = complex(np.sum(np.exp(1j * sgn * u) * phi * trapezoid_weights(u.size))) * h
-    # by parts: int_T^inf e^{i sgn u} phi du = -e^{i sgn T} phi(T)/(i sgn) + smaller
-    integral += -np.exp(1j * sgn * T) * phi[-1] / (1j * sgn)
-    return float((math.e * integral / (math.pi * aL)).real)
+    sgn = math.copysign(1.0, L)
+    t, w = _perron_axis(sgn)
+    integral = complex(np.sum(w * (_AXIS_C + 1j * t) ** (-order)))
+    return float((math.exp(sgn * _AXIS_C) * abs(L) ** (order - 1) * integral / (2 * math.pi)).real)
 
 
 def perron_weight_closed_form(order: int, x: float) -> float:
@@ -180,15 +197,6 @@ QUARTER = (1, 2.5, 0.25)
 # The m = 2 oracle is refused beyond this y.
 M2_ORACLE_YMAX = 3000
 
-# The m = 1 numeric is refused past this alpha: its integral is ~Gamma(alpha)^-2 of its terms,
-# so rounding leaves rel_err up to 4e-5 at alpha = 9 and 8e-3 at 10, at step 0.05 or 0.01.
-PAIRED_SHIFT_ALPHA_MAX = 9.0
-# The trapezoid step.  Its aliasing error is (2 pi/h + 1)^{alpha-1} e^{-2 pi/h} of the integral
-# ((1 + it)^{-alpha} is Gamma(alpha)'s characteristic function), 2e-38 at PAIRED_SHIFT_ALPHA_MAX;
-# against h = 0.01 the value moves by 0.2% (alpha = 3) and 0.02% (QUARTER) of the truncation error.
-PAIRED_SHIFT_STEP = 0.05
-
-
 @dataclass
 class PairedShiftReport:
     gamma: float
@@ -200,36 +208,23 @@ class PairedShiftReport:
     sweep_rows: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-def _self_convolve(phi: np.ndarray) -> np.ndarray:
-    """Full linear convolution phi * phi by FFT, padded as scipy's fftconvolve
-    pads complex input: to the smallest 11-smooth length >= 2 len(phi) - 1,
-    i.e. the smallest such divisor of 2310^64 (2310 = 2*3*5*7*11)."""
-    size = n = 2 * phi.size - 1
-    while 2310**64 % n:
-        n += 1
-    return np.fft.ifft(np.fft.fft(phi, n) ** 2)[:size]
-
-
 def paired_shift_numeric(alpha: float, beta: float, y: float) -> complex:
-    """The 2-D line integral after z = (1 + i t)/log y on both axes, by the
-    trapezoid rule at step PAIRED_SHIFT_STEP on |t| <= T = 400.
+    """The 2-D line integral after z = (c + i t)/log y on both axes, summed on the Perron axis.
 
-    The zeta factor depends only on t1 + t2, so the double sum collapses to
-    one convolution of the axis factor e^{it} (1 + it)^{-alpha} with itself.
+    c = max(_AXIS_C, alpha - 1): at the saddle alpha - 1 of y^z z^{-alpha} the terms are about the size
+    of the integral, so no digits cancel at any alpha.  The zeta factor depends only on t1 + t2, so the
+    double sum phi^T K phi (K Hankel) is one self-convolution of phi against one zeta line of 2n - 1 points.
     """
-    if alpha > PAIRED_SHIFT_ALPHA_MAX:
-        raise DomainError(f"paired-shift numeric limited to alpha <= {PAIRED_SHIFT_ALPHA_MAX:g}")
-    T, h = 400.0, PAIRED_SHIFT_STEP
     L = math.log(y)
-    t = np.arange(-T, T + h / 2, h)
-    n = t.size
-    phi = np.exp(1j * t) * (1 + 1j * t) ** (-alpha) * trapezoid_weights(n)
-    conv = _self_convolve(phi)
-    # zeta^beta at 1 + (2 + i tau)/L for tau = (k - (n - 1)) h, k < 2n - 1
-    zb = zeta_power_line(beta, 1 + (2 - 1j * (n - 1) * h) / L, 1j * h / L, 2 * n - 1)
-    total = complex(np.sum(zb * conv)) * h * h
-    pref = math.e**2 * L ** (2 * alpha - 2) / (4 * math.pi**2)
-    return pref * total
+    c = max(_AXIS_C, alpha - 1)
+    t, w = _perron_axis(1.0)
+    phi = w * (1 + 1j * t / c) ** (-alpha)
+    # zeta^beta at 1 + (2c + i tau)/L for the 2n - 1 sums tau = t_j + t_k, from 2 t_0 in steps of h
+    zb = zeta_power_line(beta, 1 + (2 * c + 2j * t[0]) / L, 1j * _AXIS_STEP / L, 2 * t.size - 1)
+    total = complex(np.sum(zb * np.convolve(phi, phi)))
+    # e^{2c} L^{2 alpha - 2} c^{-2 alpha}/(2 pi)^2 in logs: at large alpha its factors over- and underflow apart
+    log_pref = 2 * c + (2 * alpha - 2) * math.log(L) - 2 * alpha * math.log(c) - 2 * math.log(2 * math.pi)
+    return cmath.exp(log_pref + cmath.log(total))
 
 
 @np.errstate(over="raise")  # log^{alpha-1} at alpha ~ 1e5 raises FloatingPointError, not a warning
@@ -266,9 +261,10 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
     and tabulate the oracle over the sweep.
 
     Each distinct y is expanded once, from one divisor series sieved to the
-    largest y; m = 2 past M2_ORACLE_YMAX is refused before it is sieved.  The
-    numeric path is run only for m = 1 (a genuine 2-D quadrature); for m = 2
-    the 4-D grid is out of budget and the oracle alone is reported.
+    largest y; m = 2 past M2_ORACLE_YMAX is refused before it is sieved, and an
+    oracle or sweep ratio that underflows below a normal double after.  The
+    numeric path is run only for m = 1 (a genuine 2-D quadrature); the m = 2
+    numeric is not implemented yet, and the oracle alone is reported.
     gamma = 2 m alpha + m^2 beta - 2 m is the log-power the integral grows at.
     """
     sweep = [float(v) for v in sweep]
@@ -289,13 +285,17 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
     gamma = 2 * m * alpha + m * m * beta - 2 * m
     d = divisor_series(beta, math.ceil(max([y, *sweep])) - 1)
     oracle = {v: paired_shift_oracle(m, alpha, d, v) for v in dict.fromkeys([y, *sweep])}
-    rep = PairedShiftReport(gamma, oracle[y], sweep_rows=[(v, oracle[v], oracle[v] / math.log(v) ** gamma)
-                                                          for v in sweep])
+    rows = [(v, oracle[v], oracle[v] / math.log(v) ** gamma) for v in sweep]
+    for v, *values in [(y, oracle[y]), *rows]:
+        if not min(values) >= np.finfo(float).tiny:
+            raise DomainError(f"at y = {v:g} the oracle or its ratio to (log y)^gamma is not a positive "
+                              f"normal double: {values}")
+    rep = PairedShiftReport(gamma, oracle[y], sweep_rows=rows)
     if m == 1:
         val = paired_shift_numeric(alpha, beta, y)
         rep.numeric = float(val.real)
         rep.numeric_imag = float(val.imag)
-        rep.rel_err = abs(rep.numeric - rep.oracle) / abs(rep.oracle)
+        rep.rel_err = abs(rep.numeric - rep.oracle) / rep.oracle
     return rep
 
 

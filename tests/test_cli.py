@@ -82,7 +82,10 @@ class TestPairShiftCommand:
         fn = contours.zeta_progression
         monkeypatch.setattr(contours, "zeta_progression", lambda *a: counts.append(a[2]) or fn(*a))
         assert run(["verify", "pairshift", "--sweep", "1e3,1e4"]) == 0
-        assert counts == [32001]
+        assert counts == [2 * 1017 - 1]  # t1 + t2 over the 1,017 nodes of the Perron axis
+
+    def test_numeric_takes_any_alpha(self):
+        assert run(["verify", "pairshift", "--alpha", "26"]) == 0
 
 
     @pytest.mark.parametrize("argv", [["--y", "3001"], ["--y", "100", "--sweep", "5000"]])
@@ -375,12 +378,13 @@ class TestExitCodes:
         ["dump-coeffs", "--series", "dalpha", "--alpha", "1e200", "--nmax", "4"],
         ["verify", "eta", "--w0", "1e308"],
         ["verify", "pairshift", "--alpha", "1e300"],
-        ["verify", "pairshift", "--alpha", "26"],
+        ["verify", "pairshift", "--m", "2", "--alpha", "60", "--y", "2.5", "--sweep", "2.5,3"],
         ["verify", "hankel", "--alphas", "1e300"],
         ["moments", "--q", "-5"],
         ["holder", "--q", "-7"],
         ["verify", "orthogonality", "--qmax", "1000004"],
         ["verify", "afe", "--qmin", "5", "--qmax", "1000004"],
+        ["verify", "pairshift", "--alpha", "100", "--y", "2.01", "--sweep", "2.01"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2

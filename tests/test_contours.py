@@ -8,10 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracmoment.contours import (
-    PAIRED_SHIFT_ALPHA_MAX,
-    PAIRED_SHIFT_STEP,
     QUARTER,
-    _self_convolve,
     eta_stability,
     hankel_recip_gamma,
     paired_shift_check,
@@ -25,7 +22,6 @@ from fracmoment.contours import (
 from fracmoment.errors import ConvergenceError, DomainError
 from fracmoment.lvalues import hurwitz_zeta
 from fracmoment.sieve import ShiftVector, divisor_coeff, divisor_series
-from fracmoment.util import trapezoid_weights
 
 
 class TestPerronWeight:
@@ -42,6 +38,12 @@ class TestPerronWeight:
     def test_closed_forms(self, order, x):
         got = perron_weight(order, x)
         assert abs(got - perron_weight_closed_form(order, x)) < 1e-6
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("x", [2.0, math.e, 10.0, 100.0, 1 / math.e, 0.5])
+    def test_axis_error(self, order, x):
+        # the Euler-summed grid tail leaves the aliasing term, e^{c - 2 pi c/h} of the terms
+        assert abs(perron_weight(order, x) - perron_weight_closed_form(order, x)) < 1e-11
 
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
@@ -177,47 +179,38 @@ class TestPairedShift:
                         )
         assert got == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("alpha", [1.5, 2.5, 3.0, 3.7, 4.0])
-    @pytest.mark.parametrize("T,h", [(400, 0.01), (400, 0.02), (200, 0.01), (100, 0.05)])
-    def test_self_convolution_bit_identical_to_fftconvolve(self, alpha, T, h):
-        from scipy.signal import fftconvolve
-
-        # the weighted axis factor of paired_shift_numeric
-        t = np.arange(-T, T + h / 2, h)
-        phi = np.exp(1j * t) * (1 + 1j * t) ** (-alpha) * trapezoid_weights(t.size)
-        assert np.array_equal(_self_convolve(phi), fftconvolve(phi, phi))
-
     def test_numeric_frozen(self):
-        # frozen at PAIRED_SHIFT_STEP = 0.05
-        assert paired_shift_numeric(3.0, 1.0, 1e4).real == pytest.approx(4408.048185279171, rel=1e-12)
-        assert paired_shift_numeric(*QUARTER[1:], 1e4).real == pytest.approx(585.5848620483933, rel=1e-12)
+        # frozen on the Perron axis (h = 1, T = 500, J = 8, c = max(6, alpha - 1))
+        assert paired_shift_numeric(3.0, 1.0, 1e4).real == pytest.approx(4408.048188316394, rel=1e-12)
+        assert paired_shift_numeric(*QUARTER[1:], 1e4).real == pytest.approx(585.5847573335079, rel=1e-12)
 
-    @pytest.mark.parametrize("triple,fine", [((1, 3.0, 1.0), 4408.048185284932), (QUARTER, 585.5848620707364)])
-    def test_step_error_negligible_next_to_truncation(self, triple, fine):
-        # fine: the numeric at step h = 0.01; the step moves it by under 1% of
-        # the truncation error past |t| = 400 that the check reports
-        rep = paired_shift_check(*triple, 1e4)
-        assert abs(rep.numeric - fine) < 0.01 * abs(rep.numeric - rep.oracle)
+    @pytest.mark.parametrize("triple", [(1, 3.0, 1.0), QUARTER])
+    def test_numeric_at_the_criteria_points(self, triple):
+        # criteria 7 and 8: the axis leaves no truncation error the 1e-3 and 1e-2 gates could see
+        assert paired_shift_check(*triple, 1e4).rel_err < 1e-9
 
-    def test_numeric_at_alpha_limit_against_fine_step(self):
-        # fine: the numeric at step h = 0.01; at the largest alpha the numeric
-        # takes, rounding still leaves it five digits, and the step's aliasing
-        # term there is far below them
-        alpha, fine = PAIRED_SHIFT_ALPHA_MAX, 2030365.910673364
-        h = PAIRED_SHIFT_STEP
-        assert (2 * math.pi / h + 1) ** (alpha - 1) * math.exp(-2 * math.pi / h) < 1e-30
-        rep = paired_shift_check(1, alpha, 1.0, 1e4)
-        assert rep.numeric == pytest.approx(fine, rel=1e-5)
-        assert rep.rel_err < 1e-5
+    @pytest.mark.parametrize("alpha", [12.0, 20.0, 26.0, 100.0])
+    def test_numeric_takes_any_alpha(self, alpha):
+        # on the saddle line the terms are about the size of the integral, so no digits cancel
+        rep = paired_shift_check(1, alpha, 1.0, 100.0)
+        assert rep.rel_err < 1e-12
 
-    def test_numeric_refused_past_alpha_limit(self):
-        alpha = math.nextafter(PAIRED_SHIFT_ALPHA_MAX, math.inf)
+    @given(alpha=st.floats(2.0, 40.0, exclude_min=True), beta=st.floats(0.1, 3.0),
+           y=st.floats(2.01, 1e4))
+    @settings(max_examples=30, deadline=None)
+    @example(alpha=2.01, beta=3.0, y=10.0)  # the worst corner of a 0.3-step axis at 1,013 nodes
+    @example(alpha=2.0001, beta=3.0, y=12.01)  # where that axis erred by 2.3e-5
+    def test_numeric_matches_oracle(self, alpha, beta, y):
+        # the grid tail of the zeta terms at n ~ y keeps no oscillation for Euler's
+        # transformation to sum; at alpha -> 2 it decays slowest
+        assert paired_shift_check(1, alpha, beta, y).rel_err < 1e-5
+
+    @pytest.mark.parametrize("m,alpha,y,sweep", [(2, 60.0, 2.5, [2.5, 3.0]), (1, 100.0, 2.01, []),
+                                                 (1, 120.0, 1e3, [1e3])])
+    def test_underflowed_oracle_refused(self, m, alpha, y, sweep):
+        # an oracle (or its sweep ratio to (log y)^gamma) of 0 leaves no relative error or band
         with pytest.raises(DomainError):
-            paired_shift_check(1, alpha, 1.0, 100.0)
-        with pytest.raises(DomainError):
-            paired_shift_numeric(alpha, 1.0, 100.0)
-        # m = 2 has no numeric and takes any alpha
-        assert paired_shift_check(2, 26.0, 1.0, 100.0).oracle > 0
+            paired_shift_check(m, alpha, 1.0, y, sweep)
 
     def test_m2_oracle_peak_memory(self):
         # one process of its own, so the peak is this call's and no other test's
@@ -241,6 +234,8 @@ class TestPairedShift:
         rep = paired_shift_check(2, 3.0, 1.0, 100.0)
         assert rep.numeric is None
         assert rep.gamma == 2 * 2 * 3.0 + 4 * 1.0 - 4
+        # and takes any alpha whose oracle is a normal double
+        assert paired_shift_check(2, 26.0, 1.0, 100.0).oracle > 0
 
     def test_hypothesis_violations(self):
         with pytest.raises(DomainError):
