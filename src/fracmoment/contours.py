@@ -64,8 +64,7 @@ def _perron_axis(sign: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def perron_weight(order: int, x: float) -> float:
-    """(1/2 pi i) int_(c) x^w w^{-order} dw: log^{order-1}(x)/(order-1)! for
-    x > 1 and 0 for x < 1.
+    """(1/2 pi i) int_(c) x^w w^{-order} dw: log^{order-1}(x)/(order-1)! for x > 1 and 0 for x < 1.
 
     After w = (c + it)/|log x| the integrand is e^{c sgn} e^{i sgn t} (c + it)^{-order},
     up to a constant, summed on the Perron axis at c = _AXIS_C.
@@ -90,19 +89,13 @@ def perron_weight_closed_form(order: int, x: float) -> float:
 
 
 def _hankel_level(alpha: float, arm: float, npu: int) -> float:
-    pieces = []
-    n1 = max(int(arm * npu), 33)
-    sig = np.linspace(-arm, 0.0, n1)
-    pieces.append((sig - 1j, np.full(n1, sig[1] - sig[0], dtype=complex)))
-    n2 = max(int(math.pi * npu), 33)
+    n1, n2 = max(int(arm * npu), 33), max(int(math.pi * npu), 33)
+    sig, back = np.linspace(-arm, 0.0, n1), np.linspace(0.0, -arm, n1)
     th = np.linspace(-math.pi / 2, math.pi / 2, n2)
     circ = np.exp(1j * th)
-    pieces.append((circ, 1j * circ * (th[1] - th[0])))
-    sig = np.linspace(0.0, -arm, n1)
-    pieces.append((sig + 1j, np.full(n1, sig[1] - sig[0], dtype=complex)))
-    total = 0j
-    for w, dw in pieces:
-        total += np.sum(np.exp(w) * w ** (-alpha) * dw * trapezoid_weights(w.size))
+    pieces = [(sig - 1j, np.full(n1, sig[1] - sig[0], dtype=complex)), (circ, 1j * circ * (th[1] - th[0])),
+              (back + 1j, np.full(n1, back[1] - back[0], dtype=complex))]
+    total = sum(np.sum(np.exp(w) * w ** (-alpha) * dw * trapezoid_weights(w.size)) for w, dw in pieces)
     return float((total / (2j * math.pi)).real)
 
 
@@ -197,6 +190,7 @@ QUARTER = (1, 2.5, 0.25)
 # The m = 2 oracle is refused beyond this y.
 M2_ORACLE_YMAX = 3000
 
+
 @dataclass
 class PairedShiftReport:
     gamma: float
@@ -206,6 +200,15 @@ class PairedShiftReport:
     rel_err: Optional[float] = None
     # (y, oracle, oracle/(log y)^gamma) per sweep point, the ratio the lower bound controls
     sweep_rows: list[tuple[float, float, float]] = field(default_factory=list)
+
+
+def _self_convolve(phi: np.ndarray) -> np.ndarray:
+    """Full linear convolution phi * phi by FFT, padded as scipy's fftconvolve pads complex input: to the
+    least 11-smooth length >= 2 len(phi) - 1, the least such divisor of 2310^64 (2310 = 2*3*5*7*11)."""
+    size = n = 2 * phi.size - 1
+    while 2310**64 % n:
+        n += 1
+    return np.fft.ifft(np.fft.fft(phi, n) ** 2)[:size]
 
 
 def paired_shift_numeric(alpha: float, beta: float, y: float) -> complex:
@@ -221,7 +224,7 @@ def paired_shift_numeric(alpha: float, beta: float, y: float) -> complex:
     phi = w * (1 + 1j * t / c) ** (-alpha)
     # zeta^beta at 1 + (2c + i tau)/L for the 2n - 1 sums tau = t_j + t_k, from 2 t_0 in steps of h
     zb = zeta_power_line(beta, 1 + (2 * c + 2j * t[0]) / L, 1j * _AXIS_STEP / L, 2 * t.size - 1)
-    total = complex(np.sum(zb * np.convolve(phi, phi)))
+    total = complex(np.sum(zb * _self_convolve(phi)))
     # e^{2c} L^{2 alpha - 2} c^{-2 alpha}/(2 pi)^2 in logs: at large alpha its factors over- and underflow apart
     log_pref = 2 * c + (2 * alpha - 2) * math.log(L) - 2 * alpha * math.log(c) - 2 * math.log(2 * math.pi)
     return cmath.exp(log_pref + cmath.log(total))
@@ -293,8 +296,7 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
     rep = PairedShiftReport(gamma, oracle[y], sweep_rows=rows)
     if m == 1:
         val = paired_shift_numeric(alpha, beta, y)
-        rep.numeric = float(val.real)
-        rep.numeric_imag = float(val.imag)
+        rep.numeric, rep.numeric_imag = float(val.real), float(val.imag)
         rep.rel_err = abs(rep.numeric - rep.oracle) / rep.oracle
     return rep
 
@@ -324,9 +326,7 @@ def eta_stability(s_param: int, w0: complex, shifts: ShiftVector, levels: Sequen
         raise DomainError(f"w0 must be finite, got {w0}")
     for w in shifts.shifts:
         if (w0 + complex(w)).real <= 0.2:
-            raise ConvergenceError(
-                f"Re(w0 + {w}) <= 0.2: truncated sums will not settle at desk cutoffs"
-            )
+            raise ConvergenceError(f"Re(w0 + {w}) <= 0.2: truncated sums will not settle at desk cutoffs")
     levels = tuple(sorted(int(N) for N in levels))
     if len(set(levels)) < 2 or levels[0] < 1:
         raise DomainError(f"need at least two distinct cutoff levels, each at least 1; got {levels}")

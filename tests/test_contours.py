@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracmoment.contours import (
     QUARTER,
+    _self_convolve,
     eta_stability,
     hankel_recip_gamma,
     paired_shift_check,
@@ -22,6 +23,7 @@ from fracmoment.contours import (
 from fracmoment.errors import ConvergenceError, DomainError
 from fracmoment.lvalues import hurwitz_zeta
 from fracmoment.sieve import ShiftVector, divisor_coeff, divisor_series
+from fracmoment.util import trapezoid_weights
 
 
 class TestPerronWeight:
@@ -178,6 +180,16 @@ class TestPairedShift:
                             * w(y / (n11 * n21)) * w(y / (n12 * n22))
                         )
         assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5, 3.0, 3.7, 4.0])
+    @pytest.mark.parametrize("T,h", [(400, 0.01), (400, 0.02), (200, 0.01), (100, 0.05)])
+    def test_self_convolution_bit_identical_to_fftconvolve(self, alpha, T, h):
+        from scipy.signal import fftconvolve
+
+        # an axis factor e^{it} (1 + it)^{-alpha} on a trapezoid grid, one to four times the numeric's length
+        t = np.arange(-T, T + h / 2, h)
+        phi = np.exp(1j * t) * (1 + 1j * t) ** (-alpha) * trapezoid_weights(t.size)
+        assert np.array_equal(_self_convolve(phi), fftconvolve(phi, phi))
 
     def test_numeric_frozen(self):
         # frozen on the Perron axis (h = 1, T = 500, J = 8, c = max(6, alpha - 1))
