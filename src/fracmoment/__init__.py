@@ -8,8 +8,8 @@ Submodules:
     lvalues     central L-values by Hurwitz oracle, smoothed sum, and AFE
     moments     fractional moments; one per-character bundle of L, P and M
                 behind the twisted sums, the Holder chain and the P4 check
-    contours    Perron/Hankel weights, fractional zeta powers, the paired-shift
-                double integral and its divisor-sum oracle
+    contours    Perron weights and 1/Gamma on one Perron axis, fractional zeta
+                powers, the paired-shift double integral and its divisor-sum oracle
     cli         the `fracmoment` command-line front door
 """
 

@@ -4,7 +4,7 @@ Checks implemented here, each against an independent closed form or
 divisor-sum oracle:
 
 * the Perron weights (1/2 pi i) int x^w w^{-m} dw for m = 2, 3,
-* the truncated Hankel loop for 1/Gamma(alpha),
+* Hankel's integral (1/2 pi i) int_(c) e^w w^{-alpha} dw = 1/Gamma(alpha),
 * fractional powers of zeta on the principal branch, with continuity
   tracking along a homotopy from the real ray,
 * the paired-shift double integral
@@ -14,9 +14,10 @@ divisor-sum oracle:
 * stability of the correction factor eta in the Euler-product factorization
   sum_n sigma_shifts(n) n^{-(1+w0)} = prod_i zeta^{1/2s}(1 + w0 + w_i) * eta.
 
-Every vertical-line integral is summed on one Perron axis after z = (c + i t)/L: a coarse
-trapezoid grid with an Euler-summed tail (Trefethen and Weideman, SIAM Review 56,
-2014).  The paired shift's two axes decouple through one convolution over t1 + t2.
+Every line integral, Perron's, Hankel's and the paired shift's, is summed on one Perron axis
+after z = (c + i t)/L with c = max(6, alpha - 1): a coarse trapezoid grid with an Euler-summed
+tail (Trefethen and Weideman, SIAM Review 56, 2014).  The paired shift's two axes decouple
+through one convolution over t1 + t2.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .lvalues import zeta_progression
 from .sieve import ShiftVector, divisor_series, shifted_series
-from .util import trapezoid_weights
 
 # ---------------------------------------------------------------------------
-# Perron weights and the Hankel loop
+# The Perron axis: Perron weights and 1/Gamma
 # ---------------------------------------------------------------------------
 
 
@@ -44,14 +44,17 @@ from .util import trapezoid_weights
 _AXIS_STEP, _AXIS_NODES, _AXIS_TAIL, _AXIS_C = 1.0, 500, 8, 6.0
 
 
-def _perron_axis(sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and weights w with sum_k w_k f(t_k) ~ int e^{i sign t} f(t) dt, f analytic in |Im t| < c.
+def _perron_axis(alpha: float, sign: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The line c, the nodes t and terms phi with sum_k phi_k ~ int e^{i sign t} (1 + it/c)^{-alpha} dt.
 
-    The nodes t_k = k h with |t_k| <= T weigh h e^{i sign t_k}.  The grid tail h sum_{k>=1} z^k f(T + kh),
-    z = e^{i sign h}, is Euler's h sum_{j<J} r^{j+1} Delta^j f(T + h), r = z/(1 - z): fixed weights on the
-    J nodes past T, and past -T the same with z conjugated.
+    c = max(_AXIS_C, alpha - 1): at the saddle alpha - 1 of e^w w^{-alpha} the terms are about the size
+    of the integral, so no digits cancel at any alpha.  The nodes t_k = k h with |t_k| <= T weigh
+    h e^{i sign t_k}.  The grid tail h sum_{k>=1} z^k f(T + kh), z = e^{i sign h}, is Euler's
+    h sum_{j<J} r^{j+1} Delta^j f(T + h), r = z/(1 - z): fixed weights on the J nodes past T, and past -T
+    the same with z conjugated.
     """
     h, K, J = _AXIS_STEP, _AXIS_NODES, _AXIS_TAIL
+    c = max(_AXIS_C, alpha - 1)
     z = cmath.exp(1j * sign * h)
     r = z / (1 - z)
     # Delta^j f_1 = sum_{i<=j} (-1)^{j-i} C(j, i) f_{1+i}
@@ -60,14 +63,23 @@ def _perron_axis(sign: float) -> tuple[np.ndarray, np.ndarray]:
     w = np.exp(1j * sign * t)
     w[-J:] = cmath.exp(1j * sign * K * h) * tail
     w[:J] = (cmath.exp(-1j * sign * K * h) * tail.conj())[::-1]
-    return t, h * w
+    return c, t, h * w * (1 + 1j * t / c) ** (-alpha)
+
+
+def _line(alpha: float, sign: float) -> complex:
+    """(1/2 pi i) int_(c) e^{sign w} w^{-alpha} dw on the Perron axis.
+
+    After w = c + it it is e^{sign c} c^{-alpha}/(2 pi) int e^{i sign t} (1 + it/c)^{-alpha} dt, with the
+    prefactor in logs: at large alpha e^c and c^{-alpha} over- and underflow apart.
+    """
+    c, _, phi = _perron_axis(alpha, sign)
+    return cmath.exp(sign * c - alpha * math.log(c) - math.log(2 * math.pi) + cmath.log(complex(np.sum(phi))))
 
 
 def perron_weight(order: int, x: float) -> float:
     """(1/2 pi i) int_(c) x^w w^{-order} dw: log^{order-1}(x)/(order-1)! for x > 1 and 0 for x < 1.
 
-    After w = (c + it)/|log x| the integrand is e^{c sgn} e^{i sgn t} (c + it)^{-order},
-    up to a constant, summed on the Perron axis at c = _AXIS_C.
+    After w -> w/|log x| it is |log x|^{order-1} times the Perron line at sign sgn(log x).
     """
     if order not in (2, 3):
         raise DomainError("Perron weight implemented for orders 2 and 3")
@@ -76,10 +88,7 @@ def perron_weight(order: int, x: float) -> float:
     if x == 1.0:
         raise DomainError("x = 1 is the boundary case and is excluded")
     L = math.log(x)
-    sgn = math.copysign(1.0, L)
-    t, w = _perron_axis(sgn)
-    integral = complex(np.sum(w * (_AXIS_C + 1j * t) ** (-order)))
-    return float((math.exp(sgn * _AXIS_C) * abs(L) ** (order - 1) * integral / (2 * math.pi)).real)
+    return abs(L) ** (order - 1) * _line(order, math.copysign(1.0, L)).real
 
 
 def perron_weight_closed_form(order: int, x: float) -> float:
@@ -88,34 +97,14 @@ def perron_weight_closed_form(order: int, x: float) -> float:
     return math.log(x) ** (order - 1) / math.factorial(order - 1)
 
 
-def _hankel_level(alpha: float, arm: float, npu: int) -> float:
-    n1, n2 = max(int(arm * npu), 33), max(int(math.pi * npu), 33)
-    sig, back = np.linspace(-arm, 0.0, n1), np.linspace(0.0, -arm, n1)
-    th = np.linspace(-math.pi / 2, math.pi / 2, n2)
-    circ = np.exp(1j * th)
-    pieces = [(sig - 1j, np.full(n1, sig[1] - sig[0], dtype=complex)), (circ, 1j * circ * (th[1] - th[0])),
-              (back + 1j, np.full(n1, back[1] - back[0], dtype=complex))]
-    total = sum(np.sum(np.exp(w) * w ** (-alpha) * dw * trapezoid_weights(w.size)) for w, dw in pieces)
-    return float((total / (2j * math.pi)).real)
+def hankel_recip_gamma(alpha: float) -> float:
+    """1/Gamma(alpha) from Hankel's (1/2 pi i) int_(c) e^w w^{-alpha} dw, the Perron line at sign +1.
 
-
-@np.errstate(over="raise")  # w^{-alpha} at alpha ~ 1e20 raises FloatingPointError, not a warning
-def hankel_recip_gamma(alpha: float, arm: float = 25.0) -> float:
-    """1/Gamma(alpha) from the loop integral of w^{-alpha} e^w over a truncated
-    Hankel contour (unit-radius loop, arms of length `arm` at height +-1,
-    400 and then 800 nodes per unit length).
-
-    The dropped arms beyond -arm contribute O(e^{-arm}); past arm = 100 that
-    is below e^-100 ~ 4e-44 and only the node arrays grow, so arm is refused.
+    For alpha >= 172, 1/Gamma(alpha) is subnormal or 0 as a double, and so is the result.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise DomainError(f"alpha must be finite and positive, got {alpha}")
-    if not (math.isfinite(arm) and 10 <= arm <= 100):
-        raise DomainError(f"arm must lie in [10, 100], got {arm}")
-    coarse = _hankel_level(alpha, arm, 400)
-    fine = _hankel_level(alpha, arm, 800)
-    # one Richardson step on the O(h^2) trapezoid error
-    return fine + (fine - coarse) / 3.0
+    return _line(alpha, 1.0).real
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +203,11 @@ def _self_convolve(phi: np.ndarray) -> np.ndarray:
 def paired_shift_numeric(alpha: float, beta: float, y: float) -> complex:
     """The 2-D line integral after z = (c + i t)/log y on both axes, summed on the Perron axis.
 
-    c = max(_AXIS_C, alpha - 1): at the saddle alpha - 1 of y^z z^{-alpha} the terms are about the size
-    of the integral, so no digits cancel at any alpha.  The zeta factor depends only on t1 + t2, so the
-    double sum phi^T K phi (K Hankel) is one self-convolution of phi against one zeta line of 2n - 1 points.
+    The zeta factor depends only on t1 + t2, so the double sum phi^T K phi (K Hankel) is one
+    self-convolution of phi against one zeta line of 2n - 1 points.
     """
     L = math.log(y)
-    c = max(_AXIS_C, alpha - 1)
-    t, w = _perron_axis(1.0)
-    phi = w * (1 + 1j * t / c) ** (-alpha)
+    c, t, phi = _perron_axis(alpha, 1.0)
     # zeta^beta at 1 + (2c + i tau)/L for the 2n - 1 sums tau = t_j + t_k, from 2 t_0 in steps of h
     zb = zeta_power_line(beta, 1 + (2 * c + 2j * t[0]) / L, 1j * _AXIS_STEP / L, 2 * t.size - 1)
     total = complex(np.sum(zb * _self_convolve(phi)))
@@ -267,7 +253,10 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
     largest y; m = 2 past M2_ORACLE_YMAX is refused before it is sieved, and an
     oracle or sweep ratio that underflows below a normal double after.  The
     numeric path is run only for m = 1 (a genuine 2-D quadrature); the m = 2
-    numeric is not implemented yet, and the oracle alone is reported.
+    numeric is not implemented yet, and the oracle alone is reported.  y and
+    every sweep value must exceed 2: the m = 1 numeric at v sums zeta up to
+    |Im s| = 1016/log v, whose Euler-Maclaurin tables grow without bound as v
+    nears 1.
     gamma = 2 m alpha + m^2 beta - 2 m is the log-power the integral grows at.
     """
     sweep = [float(v) for v in sweep]
@@ -279,10 +268,8 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
         raise DomainError("require alpha > 2")
     if beta <= 0:
         raise DomainError("require beta > 0")
-    if y <= 2:
-        raise DomainError("require y > 2")
-    if any(v <= 1 for v in sweep):
-        raise DomainError(f"sweep values must exceed 1, where (log y)^gamma vanishes; got {sweep}")
+    if min([y, *sweep]) <= 2:
+        raise DomainError(f"y and the sweep values must exceed 2; got y = {y:g} and sweep {sweep}")
     if m == 2 and max([y, *sweep]) > M2_ORACLE_YMAX:
         raise DomainError(f"m = 2 oracle limited to y <= {M2_ORACLE_YMAX}")
     gamma = 2 * m * alpha + m * m * beta - 2 * m

@@ -1,4 +1,4 @@
-"""Small shared helpers: the trapezoid end weights and one exact summation."""
+"""One shared helper: the correctly rounded sum of a float64 array (moment and character sums)."""
 
 from __future__ import annotations
 
@@ -10,13 +10,6 @@ import numpy as np
 _FSUM_BELOW = 512
 # below this many terms each exponent bin's float64 total of halves under 2^27 is exact
 _BIN_TERMS = 1 << 26
-
-
-def trapezoid_weights(n: int) -> np.ndarray:
-    """Trapezoid-rule weights over n equally spaced nodes, in units of the step."""
-    wts = np.ones(n)
-    wts[0] = wts[-1] = 0.5
-    return wts
 
 
 def exact_sum(values) -> float:

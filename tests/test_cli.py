@@ -335,6 +335,8 @@ class TestExitCodes:
         ["contour", "--check", "perron", "--tol", "inf"],
         ["verify", "quarter", "--sweep", "1"],
         ["verify", "pairshift", "--sweep", "1", "--y", "100"],
+        ["verify", "pairshift", "--sweep", "1.5", "--y", "100"],
+        ["contour", "--check", "pairshift", "--y", "100", "--sweep", "1.01", "--sweep-out", "s.csv"],
         ["verify", "eta", "--s", "3,4", "--levels", "1000,10000"],
         ["holder", "--q", "1009", "--y", "nan"],
         ["holder", "--q", "1009", "--y", "inf"],
@@ -359,7 +361,6 @@ class TestExitCodes:
         ["verify", "eta", "--levels", "10,-5"],
         ["verify", "hankel", "--alphas", "nan"],
         ["verify", "hankel", "--alphas", "inf"],
-        ["verify", "hankel", "--arm", "nan"],
         ["dump-coeffs", "--series", "sigma", "--shifts", "nan"],
         ["dump-coeffs", "--series", "sigma", "--shifts", "inf"],
         ["dump-coeffs", "--series", "rho", "--shifts", "nan"],
@@ -372,8 +373,6 @@ class TestExitCodes:
         ["dump-coeffs", "--series", "dalpha", "--nmax", "20000000"],
         ["verify", "pairshift", "--y", "1e8"],
         ["verify", "quarter", "--y", "1e30"],
-        ["verify", "hankel", "--arm", "1e20"],
-        ["verify", "hankel", "--arm", "1e6"],
         ["moments", "--q", "999983", "--method", "afe"],
         ["dump-coeffs", "--series", "dalpha", "--alpha", "1e200", "--nmax", "4"],
         ["verify", "eta", "--w0", "1e308"],
@@ -407,6 +406,7 @@ class TestExitCodes:
         ["verify", "quarter", "--sweep-out", "f.csv"],
         ["verify", "smoothed", "--tol", "1"],
         ["contour", "--check", "hankel", "--sweep-out", "f.csv"],
+        ["verify", "hankel", "--arm", "25"],
     ])
     def test_flag_the_target_does_not_read_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
