@@ -4,7 +4,8 @@ Submodules:
     sieve       multiplicative coefficient sequences (divisor powers, weighted
                 polynomial and mollifier coefficients, shifted series), each
                 a function of its cutoff, which sieves its own prime factors
-    characters  character tables mod prime q, orthogonality, group DFT
+    characters  character tables mod prime q, the group DFT and its direct
+                reference, the even/odd case table, the diagonal identity
     lvalues     central L-values by Hurwitz oracle, smoothed sum, and AFE
     moments     fractional moments; one per-character bundle of L, P and M
                 behind the twisted sums, the Holder chain and the P4 check
@@ -16,12 +17,10 @@ Submodules:
 from .characters import (
     CharacterTable,
     build_table,
-    character_sum,
     dft_all_characters,
     diagonal_decomposition_check,
     is_prime,
     naive_character_sums,
-    parity_restricted_sum,
 )
 from .contours import (
     QUARTER,

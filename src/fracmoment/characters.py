@@ -12,6 +12,8 @@ reduction, giving the O(q log q) fast path.  A direct evaluation is kept as
 the quadratic-time reference: characters come in blocks of 16, since
 chi_{j0 + t}(g^m) = chi_t(g^m) chi_{j0}(g^m), so one gather of exact roots and
 one matrix-vector product against the first 16 characters serve a block.
+Since chi_j(g^k) = chi_k(g^j), the same reference also sums characters at
+every residue, as the orthogonality check does against `parity_sum_expected`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond the q <= 10^6 range used here."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -128,64 +130,14 @@ def _csum(values: np.ndarray) -> complex:
     return complex(exact_sum(values.real), exact_sum(values.imag))
 
 
-def character_sum(table: CharacterTable, a: int) -> complex:
-    """sum_chi chi(a) over all q-1 characters: phi(q) when a = 1 mod q, else 0."""
-    a = a % table.q
-    if a == 0:
-        raise DomainError("character_sum requires gcd(a, q) = 1")
-    n = table.order
-    d = int(table.dlog[a])
-    vals = table.roots[(np.arange(n, dtype=np.int64) * d) % n]
-    return _csum(vals)
-
-
-def parity_restricted_sum(
-    table: CharacterTable, parity: str, a: int, method: str = "direct"
-) -> complex:
-    """Sum of chi(a) over non-trivial characters of one parity.
-
-    method "direct" filters characters by their parity bit; method
-    "projector" applies the (1 +- chi(-1))/2 projector to the full-group sum.
-    For prime q every non-trivial character is primitive, so these are the
-    even/odd primitive sums.
-    """
-    a = a % table.q
-    if a == 0:
-        raise DomainError("parity_restricted_sum requires gcd(a, q) = 1")
-    if parity not in ("even", "odd"):
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
-    n = table.order
-    d = int(table.dlog[a])
-    j = np.arange(n, dtype=np.int64)
-    chis = table.roots[(j * d) % n]
-    if method == "direct":
-        want = 0 if parity == "even" else 1
-        sel = table.parity == want
-        if parity == "even":
-            sel = sel & (j != 0)
-        return _csum(chis[sel])
-    if method == "projector":
-        half = int(table.dlog[table.q - 1])
-        chi_m1 = table.roots[(j * half) % n]
-        sign = 1.0 if parity == "even" else -1.0
-        total = _csum((1.0 + sign * chi_m1) / 2.0 * chis)
-        if parity == "even":
-            total -= 1.0  # remove the principal character
-        return total
-    raise DomainError(f"unknown method {method!r}")
-
-
-def parity_sum_expected(q: int, parity: str, a: int) -> complex:
-    """Case table for the even/odd primitive character sums at prime q."""
-    a = a % q
-    phi = q - 1
+def parity_sum_expected(q: int, parity: str, a: int | np.ndarray) -> np.ndarray:
+    """Case table for the even/odd primitive character sums at prime q, at one
+    residue a or elementwise over an array of residues."""
+    a = np.asarray(a) % q
+    half = (q - 1) / 2
     if parity == "even":
-        return complex((phi - 2) / 2 if a in (1, q - 1) else -1.0)
-    if a == 1:
-        return complex(phi / 2)
-    if a == q - 1:
-        return complex(-phi / 2)
-    return 0j
+        return np.where((a == 1) | (a == q - 1), half - 1, -1.0)
+    return np.where(a == 1, half, np.where(a == q - 1, -half, 0.0))
 
 
 def dft_all_characters(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:

@@ -150,14 +150,14 @@ def _verify_orthogonality(qmax, tol) -> dict:
         if not characters.is_prime(q):
             continue
         table = characters.build_table(q)
-        for a in range(1, q):
-            got = characters.character_sum(table, a)
-            want = complex(q - 1) if a % q == 1 else 0j
-            worst_full = max(worst_full, abs(got - want))
-            for parity in ("even", "odd"):
-                got_p = characters.parity_restricted_sum(table, parity, a)
-                want_p = characters.parity_sum_expected(q, parity, a)
-                worst_parity = max(worst_parity, abs(got_p - want_p))
+        # chi_j(g^k) = chi_k(g^j): the sum over the characters j that c selects, at a = g^k, is entry k of
+        # the naive sums of the coefficients c(dlog a); the parity bits are read at the exponent j = dlog a
+        k, a = table.dlog[1:], table.powers
+        full = characters.naive_character_sums(table, np.ones(q - 1))
+        worst_full = max(worst_full, float(np.abs(full - np.where(a == 1, q - 1, 0)).max()))
+        for parity, sel in (("even", (table.parity[k] == 0) & (k != 0)), ("odd", table.parity[k] == 1)):
+            got = characters.naive_character_sums(table, sel)
+            worst_parity = max(worst_parity, float(np.abs(got - characters.parity_sum_expected(q, parity, a)).max()))
     return {"checks": [
         _check(f"full-group orthogonality, primes q <= {qmax}", worst_full, tol),
         _check(f"even/odd primitive case table, primes q <= {qmax}", worst_parity, tol),

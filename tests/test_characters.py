@@ -9,14 +9,12 @@ from conftest import table_for
 from fracmoment.characters import (
     QMAX,
     build_table,
-    character_sum,
     dft_all_characters,
     diagonal_decomposition_check,
     inverse_dft_all_characters,
     is_prime,
     parity_sum_expected,
     naive_character_sums,
-    parity_restricted_sum,
 )
 from fracmoment.errors import DomainError
 
@@ -97,41 +95,17 @@ class TestChiValue:
         assert int(np.sum(t.parity == 1)) == 50
 
 
-class TestCharacterSum:
-    def test_examples_q7(self):
-        t = table_for(7)
-        assert character_sum(t, 1) == pytest.approx(6.0, abs=1e-9)
-        assert character_sum(t, 2) == pytest.approx(0.0, abs=1e-9)
-        assert character_sum(t, 8) == pytest.approx(6.0, abs=1e-9)
-
-    def test_rejects_multiples(self):
-        t = table_for(7)
-        with pytest.raises(DomainError):
-            character_sum(t, 14)
-
-
 class TestParityRestrictedSum:
-    def test_case_table_q7(self):
-        t = table_for(7)
-        assert parity_restricted_sum(t, "even", 3) == pytest.approx(-1.0, abs=1e-9)
-        assert parity_restricted_sum(t, "even", 6) == pytest.approx(2.0, abs=1e-9)
-        assert parity_restricted_sum(t, "odd", 6) == pytest.approx(-3.0, abs=1e-9)
-
-    def test_projector_and_direct_agree(self):
-        for q in range(3, 102):
-            if not is_prime(q):
-                continue
-            t = table_for(q)
-            for a in range(1, q):
-                for parity in ("even", "odd"):
-                    d = parity_restricted_sum(t, parity, a, method="direct")
-                    p = parity_restricted_sum(t, parity, a, method="projector")
-                    assert abs(d - p) < 1e-9
-
     def test_expected_helper(self):
         assert parity_sum_expected(7, "even", 6) == 2.0
         assert parity_sum_expected(7, "odd", 1) == 3.0
         assert parity_sum_expected(7, "odd", 3) == 0.0
+        # an array of residues, past q too, reads the scalar calls elementwise
+        for q in (3, 7, 101):
+            a = np.arange(1, 2 * q)
+            for parity in ("even", "odd"):
+                want = [parity_sum_expected(q, parity, int(r)) for r in a]
+                assert np.array_equal(parity_sum_expected(q, parity, a), want)
 
 
 class TestDft:

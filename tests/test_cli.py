@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import shlex
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import run_python
 
-from fracmoment import contours, lvalues, moments, sieve
+from fracmoment import characters, contours, lvalues, moments, sieve
 from fracmoment.cli import build_parser, main, parse_k
 from fracmoment.errors import DomainError
 
@@ -44,6 +46,25 @@ class TestVerifyCommands:
 
     def test_orthogonality_gate(self):
         assert run(["verify", "orthogonality", "--qmax", "31"]) == 0
+
+    @pytest.mark.parametrize("fault, failing", [
+        ("parity", [False, True]),  # chi_1 counted as even: both parity sums move by |chi_1(a)| = 1
+        ("root", [True, True]),  # roots[1] off the unit circle by 1e-6
+    ])
+    def test_orthogonality_catches_a_corrupted_table(self, fault, failing, monkeypatch, tmp_path):
+        build = characters.build_table
+
+        def corrupted(q):
+            t = build(q)
+            one = np.arange(t.order) == 1
+            if fault == "parity":
+                return dataclasses.replace(t, parity=t.parity ^ one)
+            return dataclasses.replace(t, roots=t.roots * np.where(one, 1 + 1e-6, 1))
+
+        monkeypatch.setattr(characters, "build_table", corrupted)
+        out = tmp_path / "o.json"
+        assert run(["verify", "orthogonality", "--qmax", "31", "--out", str(out)]) == 1
+        assert [not c["pass"] for c in json.loads(out.read_text())["checks"]] == failing
 
     def test_exponents_gate(self):
         assert run(["verify", "exponents", "--trials", "5"]) == 0

@@ -64,9 +64,19 @@ class TestHankel:
     @example(alpha=2.5)
     @example(alpha=170.0)
     def test_reciprocal_gamma_over_the_double_range(self, alpha):
-        # on the line c = max(6, alpha - 1) no digits cancel; near alpha = 0, where 1/Gamma ~ alpha,
-        # the absolute error of about 1e-12 sets the relative one
+        # on the line c = max(6, alpha - 1) no digits cancel
         assert abs(hankel_recip_gamma(alpha) * math.gamma(alpha) - 1.0) < 1e-8
+
+    @given(alpha=st.floats(math.log(5e-324), 0.0).map(math.exp))
+    @settings(max_examples=100, deadline=None)
+    @example(alpha=5e-324)
+    @example(alpha=1e-300)
+    @example(alpha=1e-10)
+    @example(alpha=0.5)
+    def test_reciprocal_gamma_relative_error_near_zero(self, alpha):
+        # 1/Gamma ~ alpha as alpha -> 0, so the line's absolute error of about 5e-13 would flip its sign
+        # below alpha ~ 5e-13; alpha/Gamma(alpha + 1) keeps the error relative
+        assert abs(mp.mpf(hankel_recip_gamma(alpha)) / mp.rgamma(alpha) - 1) < 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
