@@ -6,12 +6,14 @@ Submodules:
                 a function of its cutoff, which sieves its own prime factors
     characters  character tables mod prime q, the group DFT and its direct
                 reference, the even/odd case table, the diagonal identity
-    lvalues     central L-values by Hurwitz oracle, smoothed sum, and AFE
+    lvalues     central L-values by Hurwitz oracle, smoothed sum, and AFE, each
+                over arrays (zeta(s, a) over an array of a, W over an array of x)
     moments     fractional moments; one per-character bundle of L, P and M
                 behind the twisted sums, the Holder chain and the P4 check
     contours    Perron weights and 1/Gamma on one Perron axis, fractional zeta
                 powers, the paired-shift double integral and its divisor-sum oracle
-    cli         the `fracmoment` command-line front door
+    cli         the `fracmoment` command-line front door; every verify target,
+                contour check and coefficient series takes the flags its table lists
 """
 
 from .characters import (
@@ -31,11 +33,7 @@ from .contours import (
     zeta_frac_power,
 )
 from .errors import ConvergenceError, DomainError
-from .lvalues import (
-    hurwitz_zeta,
-    lvalue_table,
-    w_weight,
-)
+from .lvalues import lvalue_table
 from .moments import (
     CharacterValues,
     HolderReport,

@@ -319,7 +319,7 @@ _SWEEP = "1e3,1e4,1e5,1e6"
 # The check registry: target -> (function, {flag: default} for every flag the
 # function reads, "tol" included when it gates on one).  The parser registers
 # exactly these flags, typed by their defaults, for `verify TARGET` and
-# `contour --check TARGET`; verify_report fills in the defaults.
+# `contour --check pairshift|quarter`; verify_report fills in the defaults.
 VERIFY_TARGETS = {
     "convolution": (_verify_convolution, {"s": "2,3,5", "nmax": 10000, "tol": 1e-10}),
     "exponents": (_verify_exponents, {"trials": 10, "seed": _SEED}),
@@ -334,6 +334,22 @@ VERIFY_TARGETS = {
     "quarter": (_verify_quarter, {"y": 1e4, "sweep": _SWEEP, "tol": 1e-2}),
     "eta": (_verify_eta, {"s": "2", "w0": 0.5, "shifts": "0.3", "levels": "100000,1000000", "tol": 1e-3}),
     "dft": (_verify_dft, {"q": 10007, "seed": _SEED, "tol": 1e-8}),
+}
+
+
+# The series registry: name -> (function, {flag: default} for every flag the
+# function reads, in the order it takes them).  `dump-coeffs --series NAME`
+# takes exactly these flags.  Each function looks its generator up in `sieve`
+# when called, so a wrapper installed there (the benchmark's tracer) sees it.
+SERIES = {
+    "dalpha": (lambda a, n: sieve.divisor_series(_rational(a), n), {"alpha": "1/2", "nmax": 100}),
+    "mobius": (lambda n: sieve.mobius_series(n), {"nmax": 100}),
+    "weighted": (lambda A, B, x, n: sieve.weighted_poly_coeffs(A, B, x, n), {"A": 1, "B": 2, "x": 10.0, "nmax": 100}),
+    "mollifier": (lambda A, B, y, n: sieve.mollifier_coeffs(A, B, y, n), {"A": 1, "B": 2, "y": 10.0, "nmax": 100}),
+    "sigma": (lambda s, w, n: sieve.shifted_series("sigma", _shifts(w), s, n), {"s": 1, "shifts": "0", "nmax": 100}),
+    "rho": (lambda s, w, n: sieve.shifted_series("rho", _shifts(w), s, n), {"s": 1, "shifts": "0", "nmax": 100}),
+    "psi": (lambda s, w, z, n: sieve.shifted_series("psi", (_shifts(w), _shifts(z)), s, n),
+            {"s": 1, "shifts": "0", "zshifts": "0", "nmax": 100}),
 }
 
 
@@ -372,37 +388,42 @@ def _params_from_args(args) -> moments.MomentParams:
     return moments.MomentParams.make(args.q, r=k.numerator, s=k.denominator, a=args.a, y=args.y)
 
 
+def _moment_report(command: str, params: moments.MomentParams, method: str, **fields) -> dict:
+    """The command and its resolved parameter bundle, then the command's own fields."""
+    echo = {"q": params.q, "r": params.r, "s": params.s, "x": params.x, "y": params.y, "a": params.a, "method": method}
+    return {"command": command, "params": echo, **fields}
+
+
+def _write_lvalues(args, table, values, squares, err) -> bool:
+    """Write --lvalues-out, if given, as the per-character CSV of one lvalue_table
+    result (q, j, parity, ReL, ImL, Lsq, method, err); False once a write error is reported."""
+    if not args.lvalues_out:
+        return True
+    if values is None:
+        values = np.full(table.order, complex(math.nan, math.nan))
+    n = table.order - 1
+    return _write((["q", "j", "parity", "ReL", "ImL", "Lsq", "method", "err"],
+                   [np.full(n, table.q), np.arange(1, table.order), table.parity[1:], values[1:].real,
+                    values[1:].imag, squares[1:], np.full(n, args.method), np.full(n, err)]),
+                  args.lvalues_out, "L-value table")
+
+
 def cmd_moments(args) -> int:
     params = _params_from_args(args)
     table = characters.build_table(params.q)
     values, squares, err = lvalues.lvalue_table(table, args.method)
     value, _, floored = moments.power_sum(squares, params.k)
-    if args.lvalues_out and not _write(_lvalue_columns(table, args.method, values, squares, err),
-                                       args.lvalues_out, "L-value table"):
+    if not _write_lvalues(args, table, values, squares, err):
         return EXIT_IO
-    report = {
-        "command": "moments",
-        "params": {
-            "q": params.q, "r": params.r, "s": params.s,
-            "x": params.x, "y": params.y, "a": params.a, "method": args.method,
-        },
-        "moment": value,
-        "moment_over_phi": value / (params.q - 1),
-        "floored_characters": floored,
-        "regime_flag": params.regime_ok,
-        "checks": [],
-    }
+    report = _moment_report(
+        "moments", params, args.method,
+        moment=value,
+        moment_over_phi=value / (params.q - 1),
+        floored_characters=floored,
+        regime_flag=params.regime_ok,
+        checks=[],
+    )
     return _finish(report, args.out)
-
-
-def _lvalue_columns(table, method: str, values, squares, err):
-    """Per-character CSV of one lvalue_table result: q, j, parity, ReL, ImL, Lsq, method, err."""
-    if values is None:
-        values = np.full(table.order, complex(math.nan, math.nan))
-    n = table.order - 1
-    return (["q", "j", "parity", "ReL", "ImL", "Lsq", "method", "err"],
-            [np.full(n, table.q), np.arange(1, table.order), table.parity[1:], values[1:].real,
-             values[1:].imag, squares[1:], np.full(n, method), np.full(n, err)])
 
 
 def cmd_holder(args) -> int:
@@ -410,28 +431,23 @@ def cmd_holder(args) -> int:
     params.diagonal_length()  # refuses x^{2r} >= q, so nothing is built outside the P4 check's regime
     table = characters.build_table(params.q)
     values = moments.character_values(params, table, args.method)
-    if args.lvalues_out and not _write(_lvalue_columns(table, args.method, values.L, values.sq, values.err),
-                                       args.lvalues_out, "L-value table"):
+    if not _write_lvalues(args, table, values.L, values.sq, values.err):
         return EXIT_IO
     rep = moments.holder_chain_check(values)
     p4 = moments.p4_bound_check(values)
-    report = {
-        "command": "holder",
-        "params": {
-            "q": params.q, "r": params.r, "s": params.s,
-            "x": params.x, "y": params.y, "a": params.a, "method": args.method,
-        },
-        "moment": rep.moment,
-        "s_lower": {"re": rep.s_l.real, "im": rep.s_l.imag},
-        "s_upper": rep.s_u,
-        "p4": {"lhs": p4.lhs, "rhs": p4.rhs},
-        "holder": {"f1": rep.f1, "f2": rep.f2, "f3": rep.f3, "slack": rep.slack, "pass": rep.holds},
-        "regime_flag": params.regime_ok,
-        "checks": [
+    report = _moment_report(
+        "holder", params, args.method,
+        moment=rep.moment,
+        s_lower={"re": rep.s_l.real, "im": rep.s_l.imag},
+        s_upper=rep.s_u,
+        p4={"lhs": p4.lhs, "rhs": p4.rhs},
+        holder={"f1": rep.f1, "f2": rep.f2, "f3": rep.f3, "slack": rep.slack, "pass": rep.holds},
+        regime_flag=params.regime_ok,
+        checks=[
             _check("holder chain slack nonnegative", rep.slack, ok=rep.holds),
             _check("diagonal p4 bound", p4.ratio, ok=p4.holds),
         ],
-    }
+    )
     return _finish(report, args.out)
 
 
@@ -458,14 +474,13 @@ def cmd_survey(args) -> int:
 
 def cmd_contour(args) -> int:
     report = _report_from_args(args.check, args)
-    sweep_out = getattr(args, "sweep_out", None)  # only pairshift and quarter have the flag
-    if sweep_out:
+    if args.sweep_out:
         m, alpha, beta = (args.m, args.alpha, args.beta) if args.check == "pairshift" else contours.QUARTER
         ys, oracle, ratio = (np.array([r[f] for r in report["sweep_rows"]]) for f in ("y", "oracle", "ratio"))
         # the y row reuses the report's numeric
         value = np.array([math.nan if m == 2 else report["numeric"] if v == args.y
                           else contours.paired_shift_numeric(alpha, beta, v).real for v in ys.tolist()])
-        if not _write((["y", "value", "oracle", "ratio"], [ys, value, oracle, ratio]), sweep_out, "sweep table"):
+        if not _write((["y", "value", "oracle", "ratio"], [ys, value, oracle, ratio]), args.sweep_out, "sweep table"):
             return EXIT_IO
     return _finish(report, args.out)
 
@@ -473,19 +488,8 @@ def cmd_contour(args) -> int:
 def cmd_dump_coeffs(args) -> int:
     if not 1 <= args.nmax <= sieve.SIEVE_CAP:
         raise DomainError(f"--nmax must be in [1, {sieve.SIEVE_CAP}], got {args.nmax}")
-    kind = args.series
-    if kind == "dalpha":
-        ser = sieve.divisor_series(_rational(args.alpha), args.nmax)
-    elif kind == "mobius":
-        ser = sieve.mobius_series(args.nmax)
-    elif kind == "weighted":
-        ser = sieve.weighted_poly_coeffs(args.A, args.B, args.x, args.nmax)
-    elif kind == "mollifier":
-        ser = sieve.mollifier_coeffs(args.A, args.B, args.y, args.nmax)
-    else:  # sigma, rho or psi
-        shifts = _shifts(args.shifts)
-        shifts = (shifts, _shifts(args.zshifts)) if kind == "psi" else shifts
-        ser = sieve.shifted_series(kind, shifts, args.s, args.nmax)
+    func, flags = SERIES[args.series]
+    ser = func(*(getattr(args, flag) for flag in flags))
     n, vals = np.arange(1, ser.size), ser[1:]
     if np.iscomplexobj(vals):
         content = ["n", "re", "im"], [n, vals.real, vals.imag]
@@ -510,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a gated verification target")
     targets = pv.add_subparsers(dest="target", required=True)
     for name in sorted(VERIFY_TARGETS):
-        _target_parser(targets, name)
+        _target_parser(targets, name, VERIFY_TARGETS[name][1])
     pv.set_defaults(func=lambda a: _finish(_report_from_args(a.target, a), a.out))
 
     pm = sub.add_parser("moments", help="compute the fractional moment M_k(q)")
@@ -529,42 +533,36 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_survey)
 
-    pc = sub.add_parser("contour", help="run one contour computation with its oracle")
-    # `--check X` hands the rest of the line to X's own parser, as a subcommand
-    # would, so each check accepts only the flags it reads
-    checks = pc.add_argument("--check", action="parsers", required=True,
-                             prog=f"{pc.prog} --check", parser_class=argparse.ArgumentParser)
-    for name in ("pairshift", "quarter", "perron", "hankel"):
-        _target_parser(checks, name, sweep_out=True)
+    pc = sub.add_parser("contour", help="run a paired-shift check with its sweep table")
+    checks = _named_choice(pc, "--check")
+    for name in ("pairshift", "quarter"):
+        _target_parser(checks, name, VERIFY_TARGETS[name][1]).add_argument(
+            "--sweep-out", default=None, help="CSV of (y, value, oracle, ratio) sweep rows")
     pc.set_defaults(func=cmd_contour)
 
     pd = sub.add_parser("dump-coeffs", help="dump a coefficient series as CSV")
-    pd.add_argument("--series", required=True,
-                    choices=("dalpha", "mobius", "weighted", "mollifier", "sigma", "rho", "psi"))
-    pd.add_argument("--alpha", default="1/2")
-    pd.add_argument("--A", type=int, default=1)
-    pd.add_argument("--B", type=int, default=2)
-    pd.add_argument("--x", type=float, default=10.0)
-    pd.add_argument("--y", type=float, default=10.0)
-    pd.add_argument("--s", type=int, default=1)
-    pd.add_argument("--shifts", default="0")
-    pd.add_argument("--zshifts", default="0")
-    pd.add_argument("--nmax", type=int, default=100)
-    pd.add_argument("--out", default=None)
+    series = _named_choice(pd, "--series")
+    for name, (_, flags) in SERIES.items():
+        _target_parser(series, name, flags)
     pd.set_defaults(func=cmd_dump_coeffs)
 
     return parser
 
 
-def _target_parser(subparsers, name: str, sweep_out: bool = False) -> None:
-    """Register `name` with exactly the flags its registry entry lists, typed by their defaults."""
-    _, flags = VERIFY_TARGETS[name]
+def _named_choice(parser: argparse.ArgumentParser, option: str):
+    """`option NAME` hands the rest of the line to NAME's own parser, as a
+    subcommand would, so a flag before it is a usage error."""
+    return parser.add_argument(option, action="parsers", required=True,
+                               prog=f"{parser.prog} {option}", parser_class=argparse.ArgumentParser)
+
+
+def _target_parser(subparsers, name: str, flags: dict) -> argparse.ArgumentParser:
+    """Register `name` with exactly these flags, typed by their defaults, and --out."""
     p = subparsers.add_parser(name)
     for flag, default in flags.items():
         p.add_argument(f"--{flag}", type=type(default), default=default)
     p.add_argument("--out", default=None)
-    if sweep_out and "sweep" in flags:
-        p.add_argument("--sweep-out", default=None, help="CSV of (y, value, oracle, ratio) sweep rows")
+    return p
 
 
 def _moment_args(p: argparse.ArgumentParser) -> None:

@@ -189,7 +189,6 @@ class PairedShiftReport:
     gamma: float
     oracle: float
     numeric: Optional[float] = None
-    numeric_imag: float = 0.0
     rel_err: Optional[float] = None
     # (y, oracle, oracle/(log y)^gamma) per sweep point, the ratio the lower bound controls
     sweep_rows: list[tuple[float, float, float]] = field(default_factory=list)
@@ -286,8 +285,7 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
                               f"normal double: {values}")
     rep = PairedShiftReport(gamma, oracle[y], sweep_rows=rows)
     if m == 1:
-        val = paired_shift_numeric(alpha, beta, y)
-        rep.numeric, rep.numeric_imag = float(val.real), float(val.imag)
+        rep.numeric = paired_shift_numeric(alpha, beta, y).real
         rep.rel_err = abs(rep.numeric - rep.oracle) / rep.oracle
     return rep
 

@@ -139,11 +139,6 @@ def zeta_progression(s0: complex, ds: complex, count: int) -> np.ndarray:
     return _em_tail(out, s, terms + 1.0)
 
 
-def hurwitz_zeta(s: complex, a: float = 1.0) -> complex:
-    """zeta(s, a) for scalar s != 1, a in (0, 1]; relative error ~1e-13."""
-    return complex(hurwitz_zeta_over_a(s, np.array([a]))[0])
-
-
 # ---------------------------------------------------------------------------
 # The smooth cutoff W
 # ---------------------------------------------------------------------------
@@ -271,11 +266,6 @@ def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
     s, vb = 0.25 + parity / 2, v[big]
     out[big] = 1.0 - np.exp(s * vb - 2.0 * math.lgamma(s)) / s * (1 / s - 2 * np.euler_gamma - vb)
     return out
-
-
-def w_weight(x: float, parity: int) -> float:
-    """Smooth cutoff W_parity(x): ~1 for large x, power-small for x < 1."""
-    return float(w_weight_many(np.array([float(x)]), parity)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,6 @@ class ShiftVector:
             if complex(w).real < SHIFT_RE_MIN:
                 raise DomainError(f"shift {w} has real part below {SHIFT_RE_MIN}")
 
-    def __len__(self) -> int:
-        return len(self.shifts)
-
 
 def _exact(alpha) -> Fraction:
     """alpha at its exact value, a float at its exact binary value."""

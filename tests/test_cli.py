@@ -9,7 +9,7 @@ import pytest
 from conftest import run_python
 
 from fracmoment import characters, contours, lvalues, moments, sieve
-from fracmoment.cli import build_parser, main, parse_k
+from fracmoment.cli import SERIES, build_parser, main, parse_k
 from fracmoment.errors import DomainError
 
 README_EXAMPLES = [
@@ -71,6 +71,12 @@ class TestVerifyCommands:
 
     def test_perron_gate(self):
         assert run(["verify", "perron"]) == 0
+
+    def test_hankel(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run(["verify", "hankel", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["pass"] is True
 
     def test_cached_parser_keeps_no_flag_between_calls(self, tmp_path):
         assert build_parser() is build_parser()
@@ -187,14 +193,6 @@ class TestSurveyCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestContourCommand:
-    def test_hankel(self, tmp_path):
-        out = tmp_path / "c.json"
-        assert run(["contour", "--check", "hankel", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["pass"] is True
-
-
 class TestDumpCoeffs:
     def test_dalpha_csv(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -219,6 +217,43 @@ class TestDumpCoeffs:
         assert run(["dump-coeffs", "--series", "sigma", "--shifts", "0.5",
                     "--s", "1", "--nmax", "3", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "n,re,im"
+
+    @pytest.mark.parametrize("argv", [
+        ["dalpha", "--s", "1"],
+        ["mobius", "--alpha", "x"],
+        ["weighted", "--y", "10"],
+        ["mollifier", "--x", "10"],
+        ["sigma", "--zshifts", "0"],
+        ["rho", "--A", "1"],
+        ["psi", "--alpha", "1/2"],
+        ["mobius", "--nmax", "10", "--series", "dalpha"],  # --series must come first
+    ], ids=" ".join)
+    def test_flag_the_series_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(["dump-coeffs", "--series", *argv])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name, generator", [
+        ("dalpha", "divisor_series"), ("mobius", "mobius_series"), ("weighted", "weighted_poly_coeffs"),
+        ("mollifier", "mollifier_coeffs"), ("sigma", "shifted_series"), ("rho", "shifted_series"),
+        ("psi", "shifted_series"),
+    ])
+    def test_series_looks_its_generator_up_when_called(self, name, generator, monkeypatch, tmp_path):
+        # so a wrapper set on the sieve module after import, as the tracer sets one, sees the dump
+        calls = []
+        real = getattr(sieve, generator)
+        monkeypatch.setattr(sieve, generator, lambda *a: calls.append(a[-1]) or real(*a))
+        assert run(["dump-coeffs", "--series", name, "--nmax", "7", "--out", str(tmp_path / "d.csv")]) == 0
+        assert calls == [7]
+
+    @pytest.mark.parametrize("name", SERIES)
+    def test_help_lists_only_the_series_flags(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["dump-coeffs", "--series", name, "--help"])
+        assert exc.value.code == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("-")]
+        listed = {tok.rstrip(",") for line in lines for tok in line if tok.startswith("-")}
+        assert listed == {f"--{flag}" for flag in SERIES[name][1]} | {"--out", "-h", "--help"}
 
     def test_million_term_dump_peak_memory(self, tmp_path):
         # one process of its own, so the peak is this dump's and no other test's
@@ -353,7 +388,7 @@ class TestExitCodes:
         ["verify", "zetapow", "--tol", "nan"],
         ["verify", "zetapow", "--tol", "-1"],
         ["verify", "afe", "--tol", "0"],
-        ["contour", "--check", "perron", "--tol", "inf"],
+        ["verify", "perron", "--tol", "inf"],
         ["verify", "quarter", "--sweep", "1"],
         ["verify", "pairshift", "--sweep", "1", "--y", "100"],
         ["verify", "pairshift", "--sweep", "1.5", "--y", "100"],

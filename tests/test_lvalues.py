@@ -16,12 +16,10 @@ from fracmoment.lvalues import (
     _afe_batch,
     afe_squares,
     clear_caches,
-    hurwitz_zeta,
     hurwitz_zeta_over_a,
     lvalue_table,
     oracle_values,
     smoothed_values,
-    w_weight,
     w_weight_many,
     zeta_progression,
 )
@@ -32,30 +30,28 @@ mp.mp.dps = 30
 
 class TestHurwitzZeta:
     def test_zeta_two(self):
-        assert hurwitz_zeta(2.0, 1.0).real == pytest.approx(math.pi**2 / 6, rel=1e-12)
+        assert hurwitz_zeta_over_a(2.0, np.array([1.0]))[0] == pytest.approx(math.pi**2 / 6, rel=1e-12)
 
     def test_zeta_half(self):
         # frozen from high-precision evaluation; also the eta-function
         # acceleration gives the same digits
-        assert hurwitz_zeta(0.5, 1.0).real == pytest.approx(-1.4603545088095868, abs=1e-10)
+        assert hurwitz_zeta_over_a(0.5, np.array([1.0]))[0] == pytest.approx(-1.4603545088095868, abs=1e-10)
 
     def test_half_shift(self):
-        assert hurwitz_zeta(2.0, 0.5).real == pytest.approx(math.pi**2 / 2, rel=1e-12)
+        assert hurwitz_zeta_over_a(2.0, np.array([0.5]))[0] == pytest.approx(math.pi**2 / 2, rel=1e-12)
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
-            hurwitz_zeta(1.0, 0.5)
+            hurwitz_zeta_over_a(1.0, np.array([0.5]))
 
     def test_bad_a_rejected(self):
-        with pytest.raises(DomainError):
-            hurwitz_zeta(0.5, 1.5)
-        for a in (math.nan, math.inf):
+        for a in (1.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 hurwitz_zeta_over_a(0.5, np.array([a]))
 
     @pytest.mark.parametrize("s,a", [(0.5, 0.2), (0.5 + 3j, 0.7), (2.0, 0.31), (-0.5, 0.9)])
     def test_against_mpmath(self, s, a):
-        got = hurwitz_zeta(s, a)
+        got = complex(hurwitz_zeta_over_a(s, np.array([a]))[0])
         want = complex(mp.zeta(s, a))
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
@@ -113,18 +109,18 @@ class TestHurwitzZeta:
 
 class TestWWeight:
     def test_large_x_tends_to_one(self):
-        assert w_weight(1e6, 0) == pytest.approx(1.0, abs=1e-2)
+        w0, w1 = (w_weight_many(np.array([1e6]), par)[0] for par in (0, 1))
+        assert w0 == pytest.approx(1.0, abs=1e-2)
         # frozen from an independent mpmath quadrature of the defining integral
-        assert w_weight(1e6, 0) == pytest.approx(0.990726061517, abs=1e-9)
-        assert w_weight(1e6, 1) == pytest.approx(0.999999975307, abs=1e-9)
+        assert w0 == pytest.approx(0.990726061517, abs=1e-9)
+        assert w1 == pytest.approx(0.999999975307, abs=1e-9)
 
     def test_small_x_vanishes(self):
-        assert w_weight(1e-6, 0) == pytest.approx(0.0, abs=1e-6)
-        assert w_weight(1e-6, 1) == pytest.approx(0.0, abs=1e-6)
+        for par in (0, 1):
+            assert w_weight_many(np.array([1e-6]), par)[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_transition_values_at_one(self):
-        w0 = w_weight(1.0, 0)
-        w1 = w_weight(1.0, 1)
+        w0, w1 = (w_weight_many(np.array([1.0]), par)[0] for par in (0, 1))
         assert 0 < w0 < 1 and 0 < w1 < 1
         assert w0 != w1
         # frozen mpmath references
@@ -144,10 +140,11 @@ class TestWWeight:
     def test_against_mpmath_bessel_k0(self):
         # 1e12 lies past the table's large-x end (x = e^20), where W comes from
         # the small-t series of K_0
+        xs = [1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e12]
         with mp.workdps(15):
-            for x in (1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e12):
-                for par in (0, 1):
-                    assert abs(w_weight(x, par) - float(self._mpmath_w(x, par))) < 1e-11, (x, par)
+            for par in (0, 1):
+                for x, got in zip(xs, w_weight_many(np.array(xs), par)):
+                    assert abs(got - float(self._mpmath_w(x, par))) < 1e-11, (x, par)
 
     # each mpmath quadrature takes up to 0.4 s, hence the few examples
     @given(log_x=st.floats(-7.0, 28.0))
@@ -156,7 +153,7 @@ class TestWWeight:
         x = math.exp(log_x)
         with mp.workdps(15):
             for par in (0, 1):
-                assert abs(w_weight(x, par) - float(self._mpmath_w(x, par))) < 1e-11, (x, par)
+                assert abs(w_weight_many(np.array([x]), par)[0] - float(self._mpmath_w(x, par))) < 1e-11, (x, par)
 
     # z = 2 sqrt(t) over the table's v = log t in [-40, 12], and the three
     # methods' boundaries at z = 1 and z = 17
@@ -168,11 +165,6 @@ class TestWWeight:
         for zv, gv in zip(z, got):
             want = mp.besselk(0, zv) * mp.exp(zv)
             assert abs(gv / want - 1) < 4e-15, zv
-
-    def test_batch_matches_scalar(self):
-        xs = np.exp(np.linspace(-8.0, 30.0, 301))
-        for par in (0, 1):
-            assert np.array_equal(w_weight_many(xs, par), [w_weight(x, par) for x in xs])
 
     def test_tables_built_once_per_cache_lifetime(self, monkeypatch):
         # one build makes both parities' tables from one K_0 evaluation per node set
@@ -192,17 +184,13 @@ class TestWWeight:
         assert len(builds) == 1
         clear_caches()
         assert not lvalues._W_TABLES
-        w_weight(2.0, 1)
+        w_weight_many(np.array([2.0]), 1)
         assert len(builds) == 2 and sorted(lvalues._W_TABLES) == [0, 1]
 
     def test_positive_x_required(self):
-        with pytest.raises(DomainError):
-            w_weight(0.0, 0)
-        with pytest.raises(DomainError):
-            w_weight(-1.0, 1)
-        for x in (math.nan, math.inf):
+        for x, par in ((0.0, 0), (-1.0, 1), (math.nan, 0), (math.inf, 0)):
             with pytest.raises(DomainError):
-                w_weight(x, 0)
+                w_weight_many(np.array([x]), par)
 
 
 class TestLValueTable:
@@ -378,8 +366,8 @@ class TestAfe:
         Dmax = int(q / (math.pi * xmin))
         cap = int(q * math.exp(6.0) / math.pi)
         chi = np.array([[t.chi(j, a) for a in range(q)] for j in range(q - 1)])
-        W = [[w_weight(q / (math.pi * D), par) / math.sqrt(D) if D else 0.0 for D in range(Dmax + 1)]
-             for par in (0, 1)]
+        D = np.arange(1, Dmax + 1)
+        W = [np.r_[0.0, w_weight_many(q / (math.pi * D), par) / np.sqrt(D)] for par in (0, 1)]
         sums = np.zeros((2, q - 1), dtype=complex)
         pairsum = 0.0
         for m in range(1, Dmax + 1):
