@@ -15,45 +15,3 @@ Submodules:
     cli         the `fracmoment` command-line front door; every verify target,
                 contour check and coefficient series takes the flags its table lists
 """
-
-from .characters import (
-    CharacterTable,
-    build_table,
-    dft_all_characters,
-    diagonal_decomposition_check,
-    is_prime,
-    naive_character_sums,
-)
-from .contours import (
-    QUARTER,
-    eta_stability,
-    hankel_recip_gamma,
-    paired_shift_check,
-    perron_weight,
-    zeta_frac_power,
-)
-from .errors import ConvergenceError, DomainError
-from .lvalues import lvalue_table
-from .moments import (
-    CharacterValues,
-    HolderReport,
-    MomentParams,
-    character_values,
-    evaluate_polynomial_all,
-    holder_chain_check,
-    holder_exponents,
-    moment_sum,
-    p4_bound_check,
-    scaling_survey,
-)
-from .sieve import (
-    ShiftVector,
-    dirichlet_convolve,
-    divisor_coeff,
-    divisor_series,
-    mollifier_coeffs,
-    shifted_series,
-    weighted_poly_coeffs,
-)
-
-__version__ = "0.1.0"

@@ -285,14 +285,8 @@ def _verify_quarter(y, sweep, tol) -> dict:
 
 
 def _verify_eta(s, w0, shifts, levels, tol) -> dict:
-    ss = _ints(s)
-    if len(ss) > 1:
-        raise DomainError(f"--s takes one value, got {s!r}")
-    s_param = ss[0]
-    rep = contours.eta_stability(s_param, complex(w0), _shifts(shifts), _ints(levels))
+    rep = contours.eta_stability(s, complex(w0), _shifts(shifts), _ints(levels))
     return {
-        # echoes the parsed s, not the flag text
-        "params": {"s": s_param, "w0": w0, "shifts": shifts, "levels": levels, "tol": tol},
         "estimates": [complex(e) for e in rep.estimates],
         "checks": [_check("drift between successive cutoffs", rep.drift, tol)],
     }
@@ -332,7 +326,7 @@ VERIFY_TARGETS = {
     "zetapow": (_verify_zetapow, {"tol": 1e-9}),
     "pairshift": (_verify_pairshift, {"m": 1, "alpha": 3.0, "beta": 1.0, "y": 1e4, "sweep": _SWEEP, "tol": 1e-3}),
     "quarter": (_verify_quarter, {"y": 1e4, "sweep": _SWEEP, "tol": 1e-2}),
-    "eta": (_verify_eta, {"s": "2", "w0": 0.5, "shifts": "0.3", "levels": "100000,1000000", "tol": 1e-3}),
+    "eta": (_verify_eta, {"s": 2, "w0": 0.5, "shifts": "0.3", "levels": "100000,1000000", "tol": 1e-3}),
     "dft": (_verify_dft, {"q": 10007, "seed": _SEED, "tol": 1e-8}),
 }
 
@@ -356,10 +350,9 @@ SERIES = {
 def verify_report(target: str, **params) -> dict:
     """Run one verify target on its registry defaults overridden by params.
 
-    Returns the report: command, echoed params (which a target may replace,
-    as eta does), the target's own fields and its checks.  Raises
-    DomainError for a tol that is not finite and positive, or for
-    parameters that select no check.
+    Returns the report: command, echoed params, the target's own fields and
+    its checks.  Raises DomainError for a tol that is not finite and
+    positive, or for parameters that select no check.
     """
     func, defaults = VERIFY_TARGETS[target]
     kw = {**defaults, **params}
@@ -383,8 +376,6 @@ def _report_from_args(target: str, args) -> dict:
 
 def _params_from_args(args) -> moments.MomentParams:
     k = parse_k(args.k)
-    if k == 1:
-        raise DomainError("moment parameter bundles require k = r/s with r < s")
     return moments.MomentParams.make(args.q, r=k.numerator, s=k.denominator, a=args.a, y=args.y)
 
 

@@ -315,7 +315,7 @@ def eta_stability(s_param: int, w0: complex, shifts: ShiftVector, levels: Sequen
         raise DomainError(f"w0 must be finite, got {w0}")
     for w in shifts.shifts:
         if (w0 + complex(w)).real <= 0.2:
-            raise ConvergenceError(f"Re(w0 + {w}) <= 0.2: truncated sums will not settle at desk cutoffs")
+            raise DomainError(f"Re(w0 + {w}) <= 0.2: truncated sums will not settle at desk cutoffs")
     levels = tuple(sorted(int(N) for N in levels))
     if len(set(levels)) < 2 or levels[0] < 1:
         raise DomainError(f"need at least two distinct cutoff levels, each at least 1; got {levels}")

@@ -375,7 +375,6 @@ class TestExitCodes:
         ["dump-coeffs", "--series", "dalpha", "--nmax", "-5"],
         ["verify", "convolution", "--s", "0"],
         ["verify", "convolution", "--s", "-1"],
-        ["verify", "eta", "--s", ","],
         ["verify", "smoothed", "--primes", ","],
         ["verify", "hankel", "--alphas", ","],
         ["verify", "pairshift", "--sweep", ","],
@@ -393,7 +392,6 @@ class TestExitCodes:
         ["verify", "pairshift", "--sweep", "1", "--y", "100"],
         ["verify", "pairshift", "--sweep", "1.5", "--y", "100"],
         ["contour", "--check", "pairshift", "--y", "100", "--sweep", "1.01", "--sweep-out", "s.csv"],
-        ["verify", "eta", "--s", "3,4", "--levels", "1000,10000"],
         ["holder", "--q", "1009", "--y", "nan"],
         ["holder", "--q", "1009", "--y", "inf"],
         ["holder", "--q", "1009", "--a", "nan"],
@@ -440,6 +438,9 @@ class TestExitCodes:
         ["verify", "orthogonality", "--qmax", "1000004"],
         ["verify", "afe", "--qmin", "5", "--qmax", "1000004"],
         ["verify", "pairshift", "--alpha", "100", "--y", "2.01", "--sweep", "2.01"],
+        ["verify", "eta", "--w0", "0.1", "--shifts", "0.05", "--levels", "1000,10000"],
+        ["moments", "--q", "1009", "--k", "1"],
+        ["holder", "--q", "1009", "--k", "1"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2
@@ -465,6 +466,16 @@ class TestExitCodes:
         ["verify", "hankel", "--arm", "25"],
     ])
     def test_flag_the_target_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "eta", "--s", ","],
+        ["verify", "eta", "--s", "3,4", "--levels", "1000,10000"],
+        ["verify", "eta", "--s", "2,"],
+    ], ids=" ".join)
+    def test_eta_s_is_one_integer(self, argv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2

@@ -323,5 +323,5 @@ class TestEtaStability:
                 eta_stability(1, 0.5, ShiftVector((0.3, bad)), [10**3, 10**4])
 
     def test_convergence_precondition(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(DomainError):
             eta_stability(1, 0.1, ShiftVector((0.05,)), [10**3, 10**4])
