@@ -352,12 +352,14 @@ def verify_report(target: str, **params) -> dict:
 
     Returns the report: command, echoed params, the target's own fields and
     its checks.  Raises DomainError for a tol that is not finite and
-    positive, or for parameters that select no check.
+    positive, a negative seed, or parameters that select no check.
     """
     func, defaults = VERIFY_TARGETS[target]
     kw = {**defaults, **params}
     if "tol" in kw and not (math.isfinite(kw["tol"]) and kw["tol"] > 0):
         raise DomainError(f"--tol must be finite and positive, got {kw['tol']}")
+    if kw.get("seed", 0) < 0:  # np.random.default_rng would raise a ValueError
+        raise DomainError(f"--seed must be nonnegative, got {kw['seed']}")
     report = {"command": f"verify {target}", "params": kw, **func(**kw)}
     if not report["checks"]:
         raise DomainError(f"verify {target}: these parameters select no check")

@@ -1,15 +1,14 @@
-"""Three independent routes to Dirichlet L-values at the critical point.
+"""Three routes to Dirichlet L-values at the critical point.
 
-Route 1 (oracle): the exact finite decomposition L(1/2, chi) =
-q^{-1/2} sum_{a=1}^{q-1} chi(a) zeta(1/2, a/q), with the Hurwitz zeta values
-from high-order Euler-Maclaurin summation in real arithmetic.  This is the
-reference everything else is compared against.
+Routes 1 and 2 are one DFT each of the residue-class sums S_c = sum_{k >= 0} f(c + kq),
+f(u) = u^{-1/2} e^{-u/X}, summed to infinity by one kernel: ten terms of each
+class directly, then Euler-Maclaurin in steps of q with the exact integral.
 
-Route 2 (smoothed): the exponentially smoothed Dirichlet sum
-sum_m chi(m) m^{-1/2} e^{-m/X} with X = q^{5/4}, which approximates
-L(1/2, chi) with an O(q^{-1/8} log q) error.  It is summed to infinity: each
-residue class mod q adds six terms directly and the rest by Euler-Maclaurin
-in steps of q, with the exact erfc integral, so no tail is dropped.
+Route 1 (oracle): X = inf, continued analytically, so S_c = q^{-1/2} zeta(1/2, c/q), the exact
+finite decomposition of L(1/2, chi); the reference everything else is compared against.
+
+Route 2 (smoothed): X = q^{5/4}, the smoothed Dirichlet sum sum_m chi(m) m^{-1/2} e^{-m/X},
+which approximates L(1/2, chi) with an O(q^{-1/8} log q) error.
 
 Route 3 (afe): the exact approximate-functional-equation identity
 |L(1/2, chi)|^2 = 2 sum_{m,n} chi(m) chibar(n) (mn)^{-1/2} W_par(q/(pi m n)),
@@ -61,7 +60,7 @@ _BERN_FACT = tuple(b / math.factorial(2 * k) for k, b in enumerate(_BERN, start=
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta by Euler-Maclaurin
+# Riemann zeta by Euler-Maclaurin
 # ---------------------------------------------------------------------------
 
 def _em_terms(im_s: float) -> int:
@@ -91,38 +90,13 @@ def _em_tail(out: np.ndarray, s, Na) -> np.ndarray:
     return out
 
 
-def _euler_maclaurin(s, a, terms: int) -> np.ndarray:
-    """sum_{n < terms} (n + a)^{-s} plus the Euler-Maclaurin tail from N = terms + a.
-
-    s and a broadcast against each other; this is zeta(s, a) for s != 1,
-    real when s and a are.
-    """
-    out = np.zeros(np.broadcast(s, a).shape, dtype=np.result_type(s, a, float))
-    for n in range(terms):
-        out += np.exp(-s * np.log(n + a))
-    return _em_tail(out, s, terms + a)
-
-
-def hurwitz_zeta_over_a(s: complex, a: np.ndarray) -> np.ndarray:
-    """zeta(s, a) for one s != 1 and an array of a in (0, 1]; a real s is kept
-    real, so the kernel takes real logs and exps and returns a real array."""
-    s = complex(s)
-    s = s.real if s.imag == 0 else s
-    if s == 1:
-        raise DomainError("zeta(s, a) has a pole at s = 1")
-    a = np.asarray(a, dtype=float)
-    if not np.all((a > 0) & (a <= 1)):
-        raise DomainError("a must lie in (0, 1]")
-    return _euler_maclaurin(s, a, _em_terms(np.imag(s)))
-
-
 def zeta_progression(s0: complex, ds: complex, count: int) -> np.ndarray:
     """Riemann zeta at the arithmetic progression s_k = s0 + k ds, k < count.
 
-    The sum _euler_maclaurin takes at a = 1, with the main sum over all points
-    as one product: for k = j B + r, n^{-s_k} = n^{-(s0 + j B ds)} n^{-r ds}, so a
-    (J x terms) and a (terms x B) table of exps, B ~ sqrt(count), replace
-    terms full-length exps.
+    sum_{n <= terms} n^{-s} plus the _em_tail from N = terms + 1, with the main
+    sum over all points as one product: for k = j B + r, n^{-s_k} =
+    n^{-(s0 + j B ds)} n^{-r ds}, so a (J x terms) and a (terms x B) table of
+    exps, B ~ sqrt(count), replace terms full-length exps.
     """
     s0, ds = complex(s0), complex(ds)
     s = s0 + np.arange(count) * ds
@@ -272,46 +246,56 @@ def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
 # The three routes, batched over all characters
 # ---------------------------------------------------------------------------
 
-def oracle_values(table: CharacterTable) -> np.ndarray:
-    """L(1/2, chi_j) for every j via the Hurwitz decomposition and one DFT.
-
-    Slot 0 carries the principal-character value zeta(1/2)(1 - q^{-1/2}).
-    """
-    q = table.q
-    hz = hurwitz_zeta_over_a(0.5, np.arange(1, q) / q)
-    return dft_all_characters(table, hz / math.sqrt(q))
+_DIRECT = 10  # direct terms per class; at X = inf the first omitted (B_18) term is then 4e-18 f(u0)
 
 
-def _smoothed_em_rows(q: int) -> np.ndarray:
+def _em_rows(rho: float) -> np.ndarray:
     """Row j - 1, j = 1..9: the coefficients in w = q/u of -B_2j/(2j)! q^{2j-1} f^{(2j-1)}(u)/f(u)
-    for f(u) = u^{-1/2} e^{-u/X}; by Leibniz's rule B_2j/(2j)! C(2j-1, i) (1/2)_i rho^{2j-1-i}, rho = q/X."""
+    for f(u) = u^{-1/2} e^{-u/X}; by Leibniz's rule B_2j/(2j)! C(2j-1, i) (1/2)_i rho^{2j-1-i}, rho = q/X,
+    so at rho = 0 (X = inf) only i = 2j - 1 is left (comb = 0 past it, where rho^(2j-1-i) is inf)."""
     n, i = np.arange(1, 18, 2)[:, None], np.arange(18)
     comb = np.array([[math.comb(a, b) for b in range(18)] for a in range(1, 18, 2)])
     poch = np.cumprod(np.r_[1.0, i[1:] - 0.5])  # (1/2)_i
-    return np.array(_BERN_FACT[:9])[:, None] * comb * poch * (q / q**1.25) ** (n - i)
+    return np.array(_BERN_FACT[:9])[:, None] * comb * poch * rho ** np.maximum(n - i, 0)
 
 
-def _smoothed_residue_sums(q: int) -> np.ndarray:
-    """S_c = sum_{k >= 0} f(c + kq) for c = 1..q-1: k < 6 directly, the rest by
-    Euler-Maclaurin in steps of q from u0 = c + 6q (DLMF 2.10.1), i.e. the exact
-    integral (sqrt(pi X)/q) erfc(sqrt(u0/X)), f(u0)/2 and the B_2..B_16 rows."""
-    X = q**1.25
-    c = np.arange(1.0, q)
-    out = np.zeros(q - 1)
-    for k in range(6):
-        u = c + k * q  # exact: u < 2^53
+def _residue_sums(q: int, X: float) -> np.ndarray:
+    """S_c = sum_{k >= 0} f(c + kq), f(u) = u^{-1/2} e^{-u/X}, for c = 1..q-1: k < _DIRECT
+    directly, the rest by Euler-Maclaurin in steps of q from u0 = c + _DIRECT q (DLMF 2.10.1),
+    in place on one array of u.  That is the integral (sqrt(pi X)/q) erfc(sqrt(u0/X)), continued
+    to -2 sqrt(u0)/q at X = inf where S_c = zeta(1/2, c/q)/sqrt(q), f(u0)/2 and the B_2..B_16 rows."""
+    u, out = np.arange(1.0, q), np.zeros(q - 1)
+    for _ in range(_DIRECT):  # exact: u < 2^53; at X = inf, e^{-u/X} = 1 exactly
         out += np.exp(-u / X) / np.sqrt(u)
-    u0 = c + 6 * q
-    erfc = np.fromiter(map(math.erfc, np.sqrt(u0 / X).tolist()), float, q - 1)
-    corr = np.polynomial.polynomial.polyval(q / u0, _smoothed_em_rows(q)[:-1].sum(axis=0))
-    out += math.sqrt(math.pi * X) / q * erfc + np.exp(-u0 / X) / np.sqrt(u0) * (0.5 + corr)
+        u += q
+    if math.isfinite(X):
+        out += math.sqrt(math.pi * X) / q * np.fromiter(map(math.erfc, np.sqrt(u / X).tolist()), float, q - 1)
+    else:  # over q/2, which is exact: a rounded 2/q would bias every class alike
+        out -= np.sqrt(u) / (q / 2)
+    w, tail = q / u, np.zeros(q - 1)
+    for coef in np.trim_zeros(_em_rows(q / X)[:-1].sum(axis=0), "b")[::-1]:
+        tail *= w
+        tail += coef
+    tail += 0.5
+    tail *= np.exp(-u / X)
+    tail /= np.sqrt(u)
+    out += tail
     return out
+
+
+def oracle_values(table: CharacterTable) -> np.ndarray:
+    """L(1/2, chi_j) = q^{-1/2} sum_c chi_j(c) zeta(1/2, c/q) for every j, as one
+    DFT of the residue-class sums at X = inf.
+
+    Slot 0 carries the principal-character value zeta(1/2)(1 - q^{-1/2}).
+    """
+    return dft_all_characters(table, _residue_sums(table.q, math.inf))
 
 
 def smoothed_values(table: CharacterTable) -> np.ndarray:
     """Smoothed sums sum_{m >= 1} chi_j(m) m^{-1/2} e^{-m/X}, X = q^{5/4}, for all j,
     as one DFT of the residue-class sums S_c."""
-    return dft_all_characters(table, _smoothed_residue_sums(table.q).astype(complex))
+    return dft_all_characters(table, _residue_sums(table.q, table.q**1.25))
 
 
 def smoothed_band(q: int) -> float:
@@ -395,10 +379,10 @@ def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarra
         values, err = oracle_values(table), max(1e-12, math.sqrt(q) * 1e-13)
     elif method == "smoothed":
         # f is completely monotone, so each S_c's remainder is at most the first
-        # omitted (B_18) term: f(u0) < S_c times its row at w < 1/6, summed over
+        # omitted (B_18) term: f(u0) < S_c times its row at w < 1/10, summed over
         # c as sum_c S_c = values[0] (every S_c > 0); log2(q) eps covers the FFT
         values = smoothed_values(table)
-        rem = np.polynomial.polynomial.polyval(1 / 6, _smoothed_em_rows(q)[-1])
+        rem = np.polynomial.polynomial.polyval(1 / _DIRECT, _em_rows(q / q**1.25)[-1])
         err = smoothed_band(q) + (rem + math.log2(q) * np.finfo(float).eps) * values[0].real
     elif method == "afe":
         even, odd, err = _afe_batch(table, 1e-3)

@@ -232,7 +232,9 @@ def shifted_series(mode: str, shifts, s_param: int, cutoff: int) -> np.ndarray:
         raise DomainError("s parameter must be a positive integer")
 
     def vector(sv):
-        return (sv if isinstance(sv, ShiftVector) else ShiftVector(tuple(sv))).shifts
+        # past Re w = 1100 every p^{-w} is 0 in double, its true limit; the cap keeps -w j log p finite
+        shifts = map(complex, (sv if isinstance(sv, ShiftVector) else ShiftVector(tuple(sv))).shifts)
+        return [complex(min(w.real, 1100.0), w.imag) for w in shifts]
 
     if mode == "psi":
         if not (isinstance(shifts, (tuple, list)) and len(shifts) == 2):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import shlex
@@ -9,7 +10,7 @@ import pytest
 from conftest import run_python
 
 from fracmoment import characters, contours, lvalues, moments, sieve
-from fracmoment.cli import SERIES, build_parser, main, parse_k
+from fracmoment.cli import SERIES, VERIFY_TARGETS, build_parser, main, parse_k
 from fracmoment.errors import DomainError
 
 README_EXAMPLES = [
@@ -218,6 +219,19 @@ class TestDumpCoeffs:
                     "--s", "1", "--nmax", "3", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "n,re,im"
 
+    @pytest.mark.parametrize("argv, n6", [
+        (["sigma", "--shifts", "1e308"], "6,0,0"),
+        (["rho", "--shifts", "1e308"], "6,0,0"),
+        (["psi", "--shifts", "1e308"], "6,1,-0"),  # mu(6)
+        (["psi", "--zshifts", "1e308"], "6,0.25,0"),  # d_{1/2}(6)
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_huge_shift_gives_its_limit_without_a_warning(self, argv, n6, tmp_path):
+        # p^{-w} -> 0 as Re w grows, so a shift of 1e308 leaves only the other factors;
+        # the suite's error::RuntimeWarning filter turns numpy's overflow warning into a failure
+        out = tmp_path / "d.csv"
+        assert run(["dump-coeffs", "--series", *argv, "--nmax", "6", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1] == n6
+
     @pytest.mark.parametrize("argv", [
         ["dalpha", "--s", "1"],
         ["mobius", "--alpha", "x"],
@@ -339,6 +353,27 @@ class TestSweepExport:
             (w["y"], w["oracle"], w["ratio"]) for w in want]
 
 
+def _flags(command: list) -> list:
+    """The option strings `command` registers, bar -h and the output paths."""
+    parser = build_parser()
+    for word in command:
+        if not word.startswith("-"):
+            parser = next(a.choices[word] for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction) and word in a.choices)
+    return [a.option_strings[0] for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "out", "lvalues_out")]
+
+
+# Every command a flag table or parser defines: the verify targets, the series and
+# the moment commands (contour --check registers the pairshift and quarter flags again)
+_FUZZ_COMMANDS = ([["verify", t] for t in VERIFY_TARGETS] + [["dump-coeffs", "--series", n] for n in SERIES]
+                  + [["moments"], ["holder"], ["survey"]])
+_FUZZ_CASES = [pytest.param(command, flag, id=" ".join([*command, flag]))
+               for command in _FUZZ_COMMANDS for flag in _flags(command)]
+_CHEAP = {"--q": "1009", "--qmax": "31", "--primes": "101", "--nmax": "100", "--levels": "1000,10000",
+          "--sweep": "1e3,1e4", "--pairs": "2", "--trials": "2"}
+
+
 class TestExitCodes:
     def test_io_error_exits_3(self):
         code = run(["moments", "--q", "101", "--k", "1/2",
@@ -441,10 +476,27 @@ class TestExitCodes:
         ["verify", "eta", "--w0", "0.1", "--shifts", "0.05", "--levels", "1000,10000"],
         ["moments", "--q", "1009", "--k", "1"],
         ["holder", "--q", "1009", "--k", "1"],
+        ["verify", "exponents", "--seed", "-1"],
+        ["verify", "diagonal", "--primes", "101", "--seed", "-1"],
+        ["verify", "dft", "--q", "101", "--seed", "-1"],
     ])
     def test_malformed_input_exits_2(self, argv, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, flag", _FUZZ_CASES)
+    def test_every_registered_flag_refuses_malformed_values(self, command, flag, capsys):
+        # every flag at a cheap value, which alone must not be refused, or the property shows
+        # nothing; the malformed value comes last and overrides its flag's
+        base = [*command, *(x for f, v in _CHEAP.items() if f in _flags(command) for x in (f, v))]
+        assert run(base) in (0, 1), base
+        for value in ("nan", "inf", "-inf", ",", "abc"):
+            try:
+                code = run([*base, flag, value])
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 2, (flag, value)
 
     @pytest.mark.parametrize("argv", [
         ["verify", "eta", "--w0", "1e308"],

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import run_python, table_for
 from fracmoment import lvalues
-from fracmoment.characters import build_table, is_prime
+from fracmoment.characters import QMAX, build_table, is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import (
     AFE_QMAX,
     _afe_batch,
     afe_squares,
     clear_caches,
-    hurwitz_zeta_over_a,
     lvalue_table,
     oracle_values,
     smoothed_values,
@@ -30,30 +29,19 @@ mp.mp.dps = 30
 
 class TestHurwitzZeta:
     def test_zeta_two(self):
-        assert hurwitz_zeta_over_a(2.0, np.array([1.0]))[0] == pytest.approx(math.pi**2 / 6, rel=1e-12)
+        assert zeta_progression(2.0, 0.0, 1)[0] == pytest.approx(math.pi**2 / 6, rel=1e-12)
 
     def test_zeta_half(self):
         # frozen from high-precision evaluation; also the eta-function
-        # acceleration gives the same digits
-        assert hurwitz_zeta_over_a(0.5, np.array([1.0]))[0] == pytest.approx(-1.4603545088095868, abs=1e-10)
+        # acceleration gives the same digits.  The classes mod q sum to
+        # q^{-1/2} (q^{1/2} - 1) zeta(1/2), the principal character's L-value.
+        total = math.fsum(lvalues._residue_sums(101, math.inf))
+        assert total / (1 - 101**-0.5) == pytest.approx(-1.4603545088095868, abs=1e-10)
 
     def test_half_shift(self):
-        assert hurwitz_zeta_over_a(2.0, np.array([0.5]))[0] == pytest.approx(math.pi**2 / 2, rel=1e-12)
-
-    def test_pole_rejected(self):
-        with pytest.raises(DomainError):
-            hurwitz_zeta_over_a(1.0, np.array([0.5]))
-
-    def test_bad_a_rejected(self):
-        for a in (1.5, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                hurwitz_zeta_over_a(0.5, np.array([a]))
-
-    @pytest.mark.parametrize("s,a", [(0.5, 0.2), (0.5 + 3j, 0.7), (2.0, 0.31), (-0.5, 0.9)])
-    def test_against_mpmath(self, s, a):
-        got = complex(hurwitz_zeta_over_a(s, np.array([a]))[0])
-        want = complex(mp.zeta(s, a))
-        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+        # zeta(s, 1/2) = (2^s - 1) zeta(s): the one class mod 2 is 2^{-1/2} zeta(1/2, 1/2)
+        got = lvalues._residue_sums(2, math.inf)[0]
+        assert got == pytest.approx((1 - 2**-0.5) * -1.4603545088095868, rel=1e-12)
 
     def test_zeta_values_line(self):
         # the second line is the one the contour checks use at y = 1e4, up to |Im s| = 87
@@ -62,28 +50,21 @@ class TestHurwitzZeta:
             for k, gv in enumerate(zeta_progression(s0, ds, count)):
                 assert abs(gv - complex(mp.zeta(s0 + k * ds))) < 1e-11
 
-    @given(s=st.tuples(st.floats(-0.5, 3.0), st.floats(-60.0, 60.0)).map(lambda p: complex(*p)),
-           a=st.floats(1e-3, 1.0))
+    # S_c = zeta(1/2, c/q)/sqrt(q), the X = inf residue-class sums behind the oracle
+    @given(n=st.integers(3, QMAX), u=st.floats(0.0, 1.0))
+    @example(n=3, u=0.0)
+    @example(n=3, u=1.0)
+    @example(n=5, u=0.0)
+    @example(n=5, u=1.0)
+    @example(n=QMAX, u=0.0)
+    @example(n=QMAX, u=1.0)
     @settings(max_examples=40, deadline=None)
-    def test_hurwitz_against_mpmath_at_random_points(self, s, a):
-        assume(s != 1)
-        got = complex(hurwitz_zeta_over_a(s, np.array([a]))[0])
-        want = complex(mp.zeta(s, a))
-        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
-
-    @given(s=st.floats(-0.5, 3.0), a=st.floats(1e-3, 1.0))
-    @settings(max_examples=40, deadline=None)
-    @example(s=0.5, a=1e-3)
-    @example(s=-1.6134314098554042e-77, a=0.5)
-    def test_hurwitz_real_s_stays_real_against_mpmath(self, s, a):
-        # mpmath's zeta(s, a) raises (ZeroDivisionError, or ValueError at the pole
-        # zeta(1)) at negative s up to about 1e-19 from 0 when a is 0.5 or 1, so below
-        # |s| = 1e-15 the oracle is zeta(0, a) = 1/2 - a, off by |s zeta'(0, a)| < 6e-15
-        assume(s != 1)
-        got = hurwitz_zeta_over_a(s, np.array([a]))
-        assert got.dtype == np.float64
-        want = float(mp.zeta(s, a)) if abs(s) >= 1e-15 else 0.5 - a
-        assert abs(got[0] - want) < 1e-10 * max(1.0, abs(want))
+    def test_hurwitz_against_mpmath_at_random_points(self, n, u):
+        q = next(p for p in range(n, 2, -1) if is_prime(p))  # 999983 at n = QMAX
+        c = 1 + min(int(u * (q - 1)), q - 2)
+        want = mp.zeta(0.5, mp.mpf(c) / q) / mp.sqrt(q)
+        got = lvalues._residue_sums(q, math.inf)[c - 1]
+        assert abs(got - want) <= 1e-15 * max(1, abs(want)), (q, c)
 
     @given(ends=st.lists(st.tuples(st.floats(1.02, 3.0), st.floats(-130.0, 130.0)), min_size=2, max_size=2),
            count=st.integers(2, 5000), picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
@@ -96,7 +77,8 @@ class TestHurwitzZeta:
         got = zeta_progression(s0, ds, count)
         assert got.shape == (count,)
         s = s0 + np.arange(count) * ds
-        direct = lvalues._euler_maclaurin(s, 1.0, lvalues._em_terms(np.max(np.abs(s.imag))) - 1)
+        terms = lvalues._em_terms(np.max(np.abs(s.imag))) - 1
+        direct = lvalues._em_tail(sum(np.exp(-s * math.log(n)) for n in range(1, terms + 1)), s, terms + 1.0)
         assert np.all(np.abs(got - direct) < 1e-11 * np.maximum(1.0, np.abs(direct)))
         for k in {round(u * (count - 1)) for u in picks}:
             want = complex(mp.zeta(s0 + k * ds))
@@ -269,7 +251,7 @@ class TestSmoothed:
         c = 1 + min(int(u * (q - 1)), q - 2)
         X = mp.mpf(q) ** mp.mpf(1.25)
         want = mp.nsum(lambda k: mp.exp(-(c + k * q) / X) / mp.sqrt(c + k * q), [0, mp.inf])
-        got = lvalues._smoothed_residue_sums(q)[c - 1]
+        got = lvalues._residue_sums(q, q**1.25)[c - 1]
         assert abs(got - want) <= 1e-14 * want, (q, c)
 
 
