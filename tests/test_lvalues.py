@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -120,8 +121,8 @@ class TestWWeight:
         return 1 - c * mp.quad(k, [0, b]) if b < 1 else c * mp.quad(k, [b, mp.inf])
 
     def test_against_mpmath_bessel_k0(self):
-        # 1e12 lies past the table's large-x end (x = e^20), where W comes from
-        # the small-t series of K_0
+        # from 3.0 on, past the table's large-x end (x = 2), W comes from the
+        # small-t series of K_0
         xs = [1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e12]
         with mp.workdps(15):
             for par in (0, 1):
@@ -137,8 +138,9 @@ class TestWWeight:
             for par in (0, 1):
                 assert abs(w_weight_many(np.array([x]), par)[0] - float(self._mpmath_w(x, par))) < 1e-11, (x, par)
 
-    # z = 2 sqrt(t) over the table's v = log t in [-40, 12], and the three
-    # methods' boundaries at z = 1 and z = 17
+    # z = 2 sqrt(t) over v = log t in [-40, 12], and the three methods'
+    # boundaries at z = 1 and z = 17; the table's nodes, at v >= -2 log 2,
+    # have z >= 1
     @given(z=st.lists(st.floats(math.log(1e-9), math.log(800.0)).map(math.exp), min_size=1, max_size=8))
     @settings(max_examples=40, deadline=None)
     @example(z=[1e-9, 1.0 - 1e-12, 1.0, 2.0, 17.0 - 1e-12, 17.0, 800.0])
@@ -147,6 +149,38 @@ class TestWWeight:
         for zv, gv in zip(z, got):
             want = mp.besselk(0, zv) * mp.exp(zv)
             assert abs(gv / want - 1) < 4e-15, zv
+
+    @pytest.mark.parametrize("par", [0, 1])
+    def test_series_against_mpmath(self, par):
+        # the small-t series, also at x = 1.9 inside the table, where T = 0.277
+        xs = [1.9, 2.0, 2.0005, 2.5, 5.0, 30.0, 1e3, 1e6, 1e12]
+        got = lvalues._w_series(-2.0 * np.log(xs), 0.25 + par / 2)
+        for x, gv in zip(xs, got):
+            assert abs(gv - self._mpmath_w(x, par)) < 1e-15, x
+
+    def test_series_meets_table_at_the_switch(self):
+        spec = lvalues._WSPEC
+        v0 = spec.origin + spec.step * lvalues._w_first()
+        assert spec.umin <= v0 < spec.umin + spec.step
+        # the first point below the switch, then table points from v0 to one cell past it
+        x = np.exp(-(v0 + np.array([-1e-9, 1e-9, spec.step / 2, spec.step])) / 2)
+        for par in (0, 1):
+            C, resid = lvalues._w_table(par)
+            series = lvalues._w_series(np.r_[v0, -2.0 * np.log(x)], 0.25 + par / 2)
+            assert abs(series[0] - C[0, 0]) <= resid, par
+            got = w_weight_many(x, par)
+            assert got[0] == series[1], par
+            assert np.all(np.abs(got[1:] - series[2:]) <= resid), par
+
+    def test_four_nodes_match_an_eight_node_build(self, monkeypatch):
+        # 4-point Gauss is at rounding on a 0.005-wide cell
+        four = lvalues._w_build()
+        monkeypatch.setattr(lvalues, "_WSPEC", dataclasses.replace(lvalues._WSPEC, nodes=8))
+        eight = lvalues._w_build()
+        for (C4, r4), (C8, r8) in zip(four, eight):
+            assert C4.shape == C8.shape
+            assert np.max(np.abs(C4 - C8)) <= 4e-16
+            assert r4 == pytest.approx(r8, rel=1e-3)
 
     def test_tables_built_once_per_cache_lifetime(self, monkeypatch):
         # one build makes both parities' tables from one K_0 evaluation per node set
