@@ -122,11 +122,11 @@ def zeta_progression(s0: complex, ds: complex, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WWeightSpec:
-    """The grid the W table is built on: v = log t = -2 log x at the points
-    origin + k step in [umin, umax], each cell integrated by a nodes-point
-    Gauss-Legendre rule.  Below the first of those points, -1.385 (x > 1.9988,
-    just past umin = -2 log 2), W comes from K_0's small-t series instead, so
-    every node has z = 2 e^{v/2} >= 1.
+    """The grid the W table is built on: v = log t = -2 log x over [umin, umax]
+    in cells of width step, each integrated by a nodes-point Gauss-Legendre
+    rule.  umin = -1.385 lies just past -2 log 2 = -1.3863 (x = 1.9988);
+    below it W comes from K_0's small-t series instead, so every node has
+    z = 2 e^{v/2} >= 1.
 
     The n-point rule's error on a cell of width h is
     h^{2n+1} (n!)^4 / ((2n + 1) ((2n)!)^3) f^{(2n)}: at n = 4 and h = 0.005
@@ -134,11 +134,10 @@ class WWeightSpec:
     derivatives in v stay below 3 on the table, far below one ulp of W.
     """
 
-    umin: float = -2.0 * math.log(2.0)
+    umin: float = -1.385
     umax: float = 12.0
     step: float = 0.005
     nodes: int = 4
-    origin: float = -40.0
 
 
 _WSPEC = WWeightSpec()
@@ -186,18 +185,13 @@ def _w_densities(v: np.ndarray) -> list[np.ndarray]:
     return [2.0 * np.exp(s * v - z - 2.0 * math.lgamma(s)) * k0e for s in (0.25, 0.75)]
 
 
-def _w_first() -> int:
-    """The k of the table's first grid point origin + k step, the first at or above umin."""
-    return math.ceil((_WSPEC.umin - _WSPEC.origin) / _WSPEC.step)
-
-
 def _w_build() -> list[tuple[np.ndarray, float]]:
     """[(C, residual) for parity 0 and 1]: F(v) = int_v^inf f summed cell by
     cell down from umax (f < 1e-340 there); C[:, k] = cell k's cubic in t from
     F and F' = -f at both ends; residual = the largest gap of that cubic from
     the Gauss value at a cell midpoint."""
     h = _WSPEC.step
-    v = _WSPEC.origin + h * np.arange(_w_first(), round((_WSPEC.umax - _WSPEC.origin) / h) + 1)
+    v = _WSPEC.umin + h * np.arange(round((_WSPEC.umax - _WSPEC.umin) / h) + 1)
     g, gw = np.polynomial.legendre.leggauss(_WSPEC.nodes)
     cell_f = _w_densities(v[:-1, None] + h / 2 * (1 + g))
     grid_f = _w_densities(v)
@@ -251,7 +245,7 @@ def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
     (2/Gamma(s)^2) int_{x^-2}^inf t^{s-1} K_0(2 sqrt t) dt.  In v = -2 log x
     it is read from one q-independent table per parity on [umin, umax] by
     cubic Hermite interpolation; past umax W is 0 (W < 1e-340), and below
-    the table's first point (x > 1.9988) it comes from K_0's small-t series.
+    umin (x > 1.9988) it comes from K_0's small-t series.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x > 0)):
@@ -260,13 +254,11 @@ def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
         raise DomainError("parity must be 0 (even) or 1 (odd)")
     C, _ = _w_table(parity)
     v = -2.0 * np.log(x)
-    # p is the position on the grid from origin minus _w_first(), an exact subtraction
-    # at p >= 0, so the table's k and t are the full grid's
-    p = (v - _WSPEC.origin) / _WSPEC.step - _w_first()
+    p = (v - _WSPEC.umin) / _WSPEC.step
     k = np.clip(p.astype(np.int64), 0, C.shape[1] - 1)
     t = p - k
     out = np.where(v > _WSPEC.umax, 0.0, C[0][k] + t * (C[1][k] + t * (C[2][k] + t * C[3][k])))
-    series = p < 0
+    series = v < _WSPEC.umin
     out[series] = _w_series(v[series], 0.25 + parity / 2)
     return out
 

@@ -70,42 +70,25 @@ def json_dumps(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _constant_literal(column: np.ndarray) -> str | None:
-    """column's one cell, %-escaped for a row template, when all its cells are bitwise
-    equal (floats by value and sign bit, so -0.0 and 0.0 differ); else None."""
-    if not column.size or column.dtype.kind not in "biufSU":
-        return None
-    same = column == column[0]
-    if column.dtype.kind == "f":
-        same &= np.signbit(column) == np.signbit(column[0])
-    if not same.all():
-        return None
-    value = column[0].item()
-    return (fmt_float(value) if column.dtype.kind == "f" else str(value)).replace("%", "%%")
-
-
 def csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     """CSV of equal-length 1-D columns under header, formatted CSV_BLOCK rows at a time.
 
     Each block is one % of a row template over the block's cells.  A float
     column prints through "%.17g", which is f"{x:.17g}" for every finite
     double; a float column holding a NaN or inf prints through fmt_float
-    instead, and every other column through "%s" (str).  A column whose cells
-    are all bitwise equal is printed once, as a literal in the row template.
+    instead, and every other column through "%s" (str).
     """
     size = columns[0].size if columns else 0
     if len(columns) != len(header) or any(c.shape != (size,) for c in columns):
         raise ValueError("csv_text needs one equal-length 1-D column per header field")
     special = [c.dtype.kind == "f" and not np.isfinite(c).all() for c in columns]
-    cells = ["%.17g" if c.dtype.kind == "f" and not sp else "%s" for c, sp in zip(columns, special)]
-    literals = [_constant_literal(c) for c in columns]
-    row = ",".join(cell if lit is None else lit for cell, lit in zip(cells, literals)) + "\n"
-    varying = [(c, sp) for c, sp, lit in zip(columns, special, literals) if lit is None]
+    row = ",".join("%.17g" if c.dtype.kind == "f" and not sp else "%s"
+                   for c, sp in zip(columns, special)) + "\n"
     parts = [",".join(header) + "\n"]
     for lo in range(0, size, CSV_BLOCK):
-        block = [(c[lo : lo + CSV_BLOCK].tolist(), sp) for c, sp in varying]
-        values = [map(fmt_float, col) if sp else col for col, sp in block]
-        parts.append((row * min(CSV_BLOCK, size - lo)) % tuple(chain.from_iterable(zip(*values))))
+        block = [c[lo : lo + CSV_BLOCK].tolist() for c in columns]
+        cells = [map(fmt_float, col) if sp else col for col, sp in zip(block, special)]
+        parts.append((row * len(block[0])) % tuple(chain.from_iterable(zip(*cells))))
     return "".join(parts)
 
 

@@ -160,8 +160,9 @@ class TestWWeight:
 
     def test_series_meets_table_at_the_switch(self):
         spec = lvalues._WSPEC
-        v0 = spec.origin + spec.step * lvalues._w_first()
-        assert spec.umin <= v0 < spec.umin + spec.step
+        v0 = spec.umin
+        # the table's nodes, all past v0, have z = 2 e^{v/2} >= 1
+        assert -2 * math.log(2) < v0 < -2 * math.log(2) + spec.step
         # the first point below the switch, then table points from v0 to one cell past it
         x = np.exp(-(v0 + np.array([-1e-9, 1e-9, spec.step / 2, spec.step])) / 2)
         for par in (0, 1):

@@ -74,31 +74,3 @@ def test_emit_chooses_the_format_by_content(tmp_path):
     path = tmp_path / "t.csv"
     assert emit((["n"], [np.arange(1, 3)]), str(path)) == "n\n1\n2\n" == path.read_text()
     assert emit({"a": 1.5}, None) == '{\n  "a": 1.5\n}\n'
-
-
-def test_constant_columns_print_as_literals_byte_for_byte():
-    """Constant columns go into the row template; -0.0 and 0.0 stay distinct, and a
-    constant string holding % is escaped there."""
-    size = CSV_BLOCK + 3
-    rng = np.random.default_rng(11)
-    zeros = np.zeros(size)
-    zeros[::7] = -0.0
-    columns = {
-        "q": np.full(size, 20011),
-        "j": np.arange(size),
-        "x": rng.standard_normal(size),
-        "zeros": zeros,
-        "negzero": np.full(size, -0.0),
-        "posinf": np.full(size, math.inf),
-        "nan": np.full(size, math.nan),
-        "third": np.full(size, 1 / 3),
-        "label": np.full(size, "50% of %s"),
-        "method": np.full(size, "afe"),
-    }
-    header = list(columns)
-    for names in (header, [h for h in header if h not in ("j", "x", "zeros")]):
-        cols = [columns[h] for h in names]
-        text = csv_text(names, cols)
-        assert text == reference_csv(names, cols)
-    assert text.endswith("\n20011,-0,Infinity,NaN,0.33333333333333331,50% of %s,afe\n")
-    assert csv_text(["z"], [np.array([0.0, -0.0, 0.0])]) == "z\n0\n-0\n0\n"
