@@ -6,8 +6,8 @@ Submodules:
                 a function of its cutoff, which sieves its own prime factors
     characters  character tables mod prime q, the group DFT and its direct
                 reference, the even/odd case table, the diagonal identity
-    lvalues     central L-values by Hurwitz oracle, smoothed sum, and AFE, each
-                over arrays (zeta(s, a) over an array of a, W over an array of x)
+    lvalues     central L-values by Hurwitz oracle, smoothed sum, and AFE for all
+                characters at once, one Euler-Maclaurin tail, W over an array of x
     moments     fractional moments; one per-character bundle of L, P and M
                 behind the twisted sums, the Holder chain and the P4 check
     contours    Perron weights and 1/Gamma on one Perron axis, fractional zeta

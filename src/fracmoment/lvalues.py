@@ -1,8 +1,9 @@
 """Three routes to Dirichlet L-values at the critical point.
 
 Routes 1 and 2 are one DFT each of the residue-class sums S_c = sum_{k >= 0} f(c + kq),
-f(u) = u^{-1/2} e^{-u/X}, summed to infinity by one kernel: ten terms of each
-class directly, then Euler-Maclaurin in steps of q with the exact integral.
+f(u) = u^{-1/2} e^{-u/X}: ten terms of each class directly, then the rest by
+_em_tail, the one Euler-Maclaurin tail sum_k u^{-s} e^{-u/X} over u0 + kq with
+its exact integral, which also ends zeta(s)'s main sum (q = 1, X = inf).
 
 Route 1 (oracle): X = inf, continued analytically, so S_c = q^{-1/2} zeta(1/2, c/q), the exact
 finite decomposition of L(1/2, chi); the reference everything else is compared against.
@@ -20,10 +21,10 @@ transform of Gamma(s + w/2)^2/Gamma(s)^2 with s = 1/4 + par/2, equals the
 Bessel-K integral (2/Gamma(s)^2) int_{x^-2}^inf t^{s-1} K_0(2 sqrt t) dt; it
 is read from one q-independent cumulative table per parity for x < 2, and for
 x >= 2 comes from K_0's power series integrated term by term.  K_0 is computed
-here in numpy (the scaled e^z K_0(z) by its power series, a trapezoid rule or
-its asymptotic series, each where it holds to about an ulp; the table's nodes
-all have z >= 1), once per node set for both parities, since K_0(2 sqrt t)
-does not depend on the parity.
+here in numpy at the table's nodes, which all have z >= 1 (the scaled e^z K_0(z)
+by a trapezoid rule or its asymptotic series, each where it holds to about an
+ulp), once per node set for both parities, since K_0(2 sqrt t) does not depend
+on the parity.
 
 All-character batches ride on the group DFT from the character engine and are
 computed on each call; only the q-independent W tables are kept between calls.
@@ -41,8 +42,9 @@ import numpy as np
 from .characters import CharacterTable, dft_all_characters
 from .errors import DomainError
 
-# B_2, B_4, ..., B_26 as floats; 13 correction terms push the Euler-Maclaurin
-# remainder far below double precision for the |Im s| ranges used here.
+# B_2, B_4, ..., B_26 as floats, the rows of _em_tail: zeta(s) takes all 13, which push
+# the remainder far below double precision for the |Im s| ranges used here; the
+# residue-class sums take 8 (B_2..B_16), and the smoothed error estimate reads the 9th.
 _BERN = (
     1.0 / 6,
     -1.0 / 30,
@@ -70,25 +72,48 @@ def _em_terms(im_s: float) -> int:
     return int(max(28, 1.3 * abs(im_s) + 24))
 
 
-def _em_tail(out: np.ndarray, s, Na) -> np.ndarray:
-    """Add the Euler-Maclaurin tail sum_{n >= Na} n^{-s} into the running main sum out.
+def _em_rows(rho: float, rows: int) -> np.ndarray:
+    """Row j - 1, j = 1..rows: b_ji = B_2j/(2j)! C(2j-1, i) rho^{2j-1-i} for i < 2 rows, so that
+    sum_i b_ji (s)_i w^i f(u) = -B_2j/(2j)! q^{2j-1} f^{(2j-1)}(u) for f(u) = u^{-s} e^{-u/X}, w = q/u,
+    rho = q/X (Leibniz's rule); at rho = 0 (X = inf) only i = 2j - 1 is left (comb = 0 past it)."""
+    n, i = np.arange(1, 2 * rows, 2)[:, None], np.arange(2 * rows)
+    comb = np.array([[math.comb(a, b) for b in range(2 * rows)] for a in range(1, 2 * rows, 2)])
+    return np.array(_BERN_FACT[:rows])[:, None] * comb * rho ** np.maximum(n - i, 0)
 
-    The in-place steps round exactly as bf * poch * fac and
-    poch * (s + 2k - 1) * (s + 2k) would, without their temporaries.
+
+def _em_poly(s, b: np.ndarray) -> list:
+    """[(s)_i b_i for i < len(b)], the coefficients of a correction polynomial in w; s a scalar or an array."""
+    poch, coef = 1.0, []
+    for i, bi in enumerate(b):
+        coef.append(bi * poch)
+        poch = poch * (s + i)
+    return coef
+
+
+def _em_tail(s, u0, q: float = 1.0, X: float = math.inf, rows: int = len(_BERN)):
+    """sum_{k >= 0} f(u0 + k q), f(u) = u^{-s} e^{-u/X}, by Euler-Maclaurin (DLMF 2.10.1): the integral,
+    f(u0)/2 and the B_2..B_2rows corrections f(u0) sum_i b_i(rho) (s)_i w^i, w = q/u0.
+
+    The integral is u0^{1-s}/((s - 1) q) at X = inf, continued analytically, and
+    (sqrt(pi X)/q) erfc(sqrt(u0/X)) at finite X, which holds for s = 1/2 only.
     """
-    ln = np.log(Na)
-    out += np.exp((1 - s) * ln) / (s - 1) + 0.5 * np.exp(-s * ln)
-    fac = np.exp(-s * ln) / Na
-    if not np.any(fac):  # every correction is 0 * poch, and poch may overflow first
+    r = u0 ** (1 - s)  # numpy takes the exact sqrt at s = 1/2; exp(log(u0)/2) would bias every class alike
+    f = r / u0
+    if math.isfinite(X):
+        f *= np.exp(-u0 / X)
+        out = math.sqrt(math.pi * X) / q * np.fromiter(map(math.erfc, np.sqrt(u0 / X).tolist()), float, u0.size)
+    else:  # (s - 1) q = -q/2 at s = 1/2 is exact: a rounded 2/q would bias every class alike
+        out = r / ((s - 1) * q)
+    if not np.any(f):  # every correction is 0 * (s)_i, and (s)_i may overflow first
         return out
-    poch = s
-    for k, bf in enumerate(_BERN_FACT, start=1):
-        term = bf * poch
-        term *= fac
-        out += term
-        fac /= Na * Na
-        poch = poch * (s + 2 * k - 1)
-        poch *= s + 2 * k
+    w, coef = q / u0, _em_poly(s, _em_rows(q / X, rows).sum(axis=0))
+    acc = coef[-1] * w
+    for c in coef[-2:0:-1]:
+        acc += c
+        acc *= w
+    acc += coef[0] + 0.5
+    acc *= f
+    out += acc
     return out
 
 
@@ -104,15 +129,14 @@ def zeta_progression(s0: complex, ds: complex, count: int) -> np.ndarray:
     s = s0 + np.arange(count) * ds
     if np.any(s == 1):
         raise DomainError("zeta(s) has a pole at s = 1")
-    # at a = 1 the tail starts at N = terms + 1, so N itself follows _em_terms
+    # the tail starts at N = terms + 1, so N itself follows _em_terms
     terms = _em_terms(float(np.max(np.abs(s.imag), initial=0.0))) - 1
     B = math.isqrt(count) + 1
     J = -(-count // B)
     logn = np.log(np.arange(1, terms + 1))
     rows = np.exp(-np.outer(s0 + np.arange(J) * B * ds, logn))
     cols = np.exp(-np.outer(logn, np.arange(B) * ds))
-    out = np.einsum("jn,nr->jr", rows, cols).reshape(-1)[:count]
-    return _em_tail(out, s, terms + 1.0)
+    return np.einsum("jn,nr->jr", rows, cols).reshape(-1)[:count] + _em_tail(s, terms + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,35 +169,26 @@ _WSPEC = WWeightSpec()
 AFE_QMAX = int(((1 << 25) + 1) * math.pi / math.exp(_WSPEC.umax / 2))
 
 
-# e^z K_0(z) by three methods (DLMF 10.31.2, 10.32.9, 10.40.2), each used where
-# it holds to about an ulp.  Below z = 1 the power series, whose two parts
-# cancel more as z grows (5e-15 at z = 2).  Up to z = 17 the trapezoid rule on
+# e^z K_0(z) for z >= 1 by two methods (DLMF 10.32.9, 10.40.2), each used where
+# it holds to about an ulp.  Up to z = 17 the trapezoid rule on
 # int_0^inf exp(-2 z sinh^2(u/2)) du at 20 nodes of step pi^2/(z + 40): its
 # discretization error is about e^{z - pi^2/step} = e^-40, and the integrand
 # is below e^-49 past the last node.  Past z = 17 the asymptotic series to 29
 # terms, whose first omitted term is below 4e-16 of the sum there.
-_K0_SERIES_BELOW, _K0_ASYMPTOTIC_FROM = 1.0, 17.0
-_I0_SERIES = np.array([1.0 / math.factorial(k) ** 2 for k in range(11)])  # 1/(k!)^2
-_H_SERIES = _I0_SERIES * np.array([math.fsum(1.0 / j for j in range(1, k + 1)) for k in range(11)])  # H_k/(k!)^2
+_K0_ASYMPTOTIC_FROM = 17.0
 _K0_ASYMPTOTIC = np.cumprod([1.0] + [-((2 * k - 1) ** 2) / (8.0 * k) for k in range(1, 29)])
 
 
 def _k0e(z: np.ndarray) -> np.ndarray:
-    """e^z K_0(z) for an array of z > 0."""
-    polyval = np.polynomial.polynomial.polyval
+    """e^z K_0(z) for an array of z >= 1; the table's nodes have z >= 2 e^{umin/2} = 1.0006."""
     out = np.empty_like(z)
-    small, large = z < _K0_SERIES_BELOW, z >= _K0_ASYMPTOTIC_FROM
-    mid = ~(small | large)
-    zs = z[small]
-    y = zs * zs / 4  # K_0 = sum_k y^k/(k!)^2 (H_k - log(z/2) - gamma)
-    k0 = polyval(y, _H_SERIES) - (np.log(zs / 2) + np.euler_gamma) * polyval(y, _I0_SERIES)
-    out[small] = k0 * np.exp(zs)
-    zm = z[mid][:, None]
+    large = z >= _K0_ASYMPTOTIC_FROM
+    zm = z[~large][:, None]
     step = np.pi**2 / (zm + 40.0)
     sh = np.sinh(step * np.arange(0.5, 10.0, 0.5))  # sinh(u/2) at the nodes u = step, ..., 19 step
-    out[mid] = step[:, 0] * (0.5 + np.exp(-2.0 * zm * sh * sh).sum(axis=1))
+    out[~large] = step[:, 0] * (0.5 + np.exp(-2.0 * zm * sh * sh).sum(axis=1))
     zl = z[large]
-    out[large] = np.sqrt(np.pi / (2.0 * zl)) * polyval(1.0 / zl, _K0_ASYMPTOTIC)
+    out[large] = np.sqrt(np.pi / (2.0 * zl)) * np.polynomial.polynomial.polyval(1.0 / zl, _K0_ASYMPTOTIC)
     return out
 
 
@@ -226,6 +241,11 @@ def clear_caches() -> None:
     _W_TABLES.clear()
 
 
+# K_0(2 sqrt T) = sum_k T^k/(k!)^2 (H_k - log(T)/2 - gamma) (DLMF 10.31.2)
+_I0_SERIES = np.array([1.0 / math.factorial(k) ** 2 for k in range(11)])  # 1/(k!)^2
+_H_SERIES = _I0_SERIES * np.array([math.fsum(1.0 / j for j in range(1, k + 1)) for k in range(11)])  # H_k/(k!)^2
+
+
 def _w_series(v: np.ndarray, s: float) -> np.ndarray:
     """W at v = log T, T = x^-2, from K_0's power series integrated term by term over [0, T]:
     1 - (2/Gamma(s)^2) sum_k T^{s+k} (H_k - gamma - v/2 + 1/(2(s + k))) / ((k!)^2 (s + k)),
@@ -270,37 +290,15 @@ def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
 _DIRECT = 10  # direct terms per class; at X = inf the first omitted (B_18) term is then 4e-18 f(u0)
 
 
-def _em_rows(rho: float) -> np.ndarray:
-    """Row j - 1, j = 1..9: the coefficients in w = q/u of -B_2j/(2j)! q^{2j-1} f^{(2j-1)}(u)/f(u)
-    for f(u) = u^{-1/2} e^{-u/X}; by Leibniz's rule B_2j/(2j)! C(2j-1, i) (1/2)_i rho^{2j-1-i}, rho = q/X,
-    so at rho = 0 (X = inf) only i = 2j - 1 is left (comb = 0 past it, where rho^(2j-1-i) is inf)."""
-    n, i = np.arange(1, 18, 2)[:, None], np.arange(18)
-    comb = np.array([[math.comb(a, b) for b in range(18)] for a in range(1, 18, 2)])
-    poch = np.cumprod(np.r_[1.0, i[1:] - 0.5])  # (1/2)_i
-    return np.array(_BERN_FACT[:9])[:, None] * comb * poch * rho ** np.maximum(n - i, 0)
-
-
 def _residue_sums(q: int, X: float) -> np.ndarray:
     """S_c = sum_{k >= 0} f(c + kq), f(u) = u^{-1/2} e^{-u/X}, for c = 1..q-1: k < _DIRECT
-    directly, the rest by Euler-Maclaurin in steps of q from u0 = c + _DIRECT q (DLMF 2.10.1),
-    in place on one array of u.  That is the integral (sqrt(pi X)/q) erfc(sqrt(u0/X)), continued
-    to -2 sqrt(u0)/q at X = inf where S_c = zeta(1/2, c/q)/sqrt(q), f(u0)/2 and the B_2..B_16 rows."""
+    directly, the rest by the B_2..B_16 _em_tail from u0 = c + _DIRECT q; at X = inf
+    S_c = zeta(1/2, c/q)/sqrt(q)."""
     u, out = np.arange(1.0, q), np.zeros(q - 1)
     for _ in range(_DIRECT):  # exact: u < 2^53; at X = inf, e^{-u/X} = 1 exactly
         out += np.exp(-u / X) / np.sqrt(u)
         u += q
-    if math.isfinite(X):
-        out += math.sqrt(math.pi * X) / q * np.fromiter(map(math.erfc, np.sqrt(u / X).tolist()), float, q - 1)
-    else:  # over q/2, which is exact: a rounded 2/q would bias every class alike
-        out -= np.sqrt(u) / (q / 2)
-    w, tail = q / u, np.zeros(q - 1)
-    for coef in np.trim_zeros(_em_rows(q / X)[:-1].sum(axis=0), "b")[::-1]:
-        tail *= w
-        tail += coef
-    tail += 0.5
-    tail *= np.exp(-u / X)
-    tail /= np.sqrt(u)
-    out += tail
+    out += _em_tail(0.5, u, q, X, 8)
     return out
 
 
@@ -403,7 +401,7 @@ def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarra
         # omitted (B_18) term: f(u0) < S_c times its row at w < 1/10, summed over
         # c as sum_c S_c = values[0] (every S_c > 0); log2(q) eps covers the FFT
         values = smoothed_values(table)
-        rem = np.polynomial.polynomial.polyval(1 / _DIRECT, _em_rows(q / q**1.25)[-1])
+        rem = np.polynomial.polynomial.polyval(1 / _DIRECT, _em_poly(0.5, _em_rows(q / q**1.25, 9)[-1]))
         err = smoothed_band(q) + (rem + math.log2(q) * np.finfo(float).eps) * values[0].real
     elif method == "afe":
         even, odd, err = _afe_batch(table, 1e-3)
