@@ -1,9 +1,9 @@
 """Exact Dirichlet-character arithmetic modulo a prime q.
 
 A character table stores the smallest primitive root g and the discrete-log
-table of (Z/qZ)*, so chi_j(a) = exp(2 pi i * j * dlog(a) / (q-1)) is computed
-on demand from one table of q-1 precomputed roots of unity.  Character values
-are never materialized as a q x q matrix.
+table of (Z/qZ)*, so chi_j(a) = exp(2 pi i * j * dlog(a) / (q-1)) is one entry
+of a table of q-1 precomputed roots of unity.  Character values are never
+materialized as a q x q matrix.
 
 Evaluating a coefficient sum over all characters at once is a DFT of length
 q-1 after permuting residues into the cyclic group generated by g; numpy's
@@ -80,13 +80,6 @@ class CharacterTable:
     @property
     def order(self) -> int:
         return self.q - 1
-
-    def chi(self, j: int, a: int) -> complex:
-        """chi_j(a); zero when q divides a."""
-        a = a % self.q
-        if a == 0:
-            return 0j
-        return complex(self.roots[(j * int(self.dlog[a])) % self.order])
 
 
 def build_table(q: int) -> CharacterTable:

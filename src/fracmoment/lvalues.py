@@ -332,6 +332,8 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     pair at -k, the diagonal at exponent 0.  Mapped back to residues
     v = g^k, the two DFTs then give
     2 sum_v S_v^{(par)} chi_j(v) = |L(1/2, chi_j)|^2 for chi_j of that parity.
+    The weights are two rows, W_par(q/(pi D))/sqrt(D) for D <= Dmax; the error
+    estimate bounds its pair count, sum 1/sqrt(mn), in closed form.
     Returns (even_squares, odd_squares, error_estimate).
     """
     q = table.q
@@ -339,23 +341,22 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     if Dmax < 1:
         raise DomainError("the AFE needs a finite xmin > 0 with q/(pi xmin) >= 1")
     Dmax = min(Dmax, int(q * math.exp(_WSPEC.umax / 2) / math.pi))
-    if Dmax > 1 << 25:  # the weight rows alone would take 3 * 8 * Dmax bytes
+    if Dmax > 1 << 25:  # the weight rows alone would take 2 * 8 * Dmax bytes
         raise DomainError(f"the AFE needs at most 2^25 products mn (q <= {AFE_QMAX}), got {Dmax}")
     size = 2 * (q - 1)
-    # rows: W_0(D)/sqrt(D), W_1(D)/sqrt(D), 1/sqrt(D), built in cache-sized
-    # blocks; a pair with q | mn has q | D and weight 0
-    wD = np.empty((3, Dmax))
-    for lo in range(0, Dmax, 1 << 17):
-        D = np.arange(lo + 1, min(lo + (1 << 17), Dmax) + 1)
-        block = wD[:, lo : lo + D.size]
-        block[2] = 1.0 / np.sqrt(D)
+    # rows: W_0(D)/sqrt(D), W_1(D)/sqrt(D), built in cache-sized blocks; a
+    # pair with q | mn has q | D and weight 0
+    wD = np.empty((2, Dmax))
+    for lo in range(0, Dmax, 1 << 15):
+        D = np.arange(lo + 1, min(lo + (1 << 15), Dmax) + 1)
+        inv = 1.0 / np.sqrt(D)
         for par in (0, 1):
-            block[par] = w_weight_many(q / (math.pi * D), par) * block[2]
+            wD[par, lo : lo + D.size] = w_weight_many(q / (math.pi * D), par) * inv
     wD[:, q - 1 :: q] = 0.0
     km = np.resize(table.dlog.astype(np.int32) + (q - 1), Dmax + 1)
     # for fixed n the m > n are one slice of km and one stride-n slice of wD;
     # short slices are pooled so each O(q) bincount covers at least 2(q - 1) pairs
-    A, pairsum, ks, ws, last = np.zeros((2, size)), 0.0, [], [], math.isqrt(Dmax)
+    A, ks, ws, last = np.zeros((2, size)), [], [], math.isqrt(Dmax)
     for n in range(1, last + 1):
         top = Dmax // n
         if n % q and top > n:  # q | n: weights 0, and dlog n = -1 would overrun k
@@ -365,19 +366,22 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
             k, w = (ks[0], ws[0]) if len(ks) == 1 else (np.concatenate(ks), np.concatenate(ws, axis=1))
             for par in (0, 1):
                 A[par] += np.bincount(k, weights=w[par], minlength=size)
-            pairsum += float(np.sum(w[2]))
             ks, ws = [], []
-    diag = wD[:, np.arange(1, last + 1) ** 2 - 1].sum(axis=1)
     S = A + np.roll(A[:, ::-1], 1, axis=1)
     S = S[:, : q - 1] + S[:, q - 1 :]
-    S[:, 0] += diag[:2]
+    S[:, 0] += wD[:, np.arange(1, last + 1) ** 2 - 1].sum(axis=1)
     coeffs = np.empty((2, q - 1))
     coeffs[:, table.powers - 1] = S
     outs = [2.0 * dft_all_characters(table, c.astype(complex)).real for c in coeffs]
     # each pair's W is off by at most the table residual and |chi| = 1, so the
-    # pair sum of 1/sqrt(mn) carries it to |L|^2; log2(q) eps covers the FFT
+    # sum of 1/sqrt(mn) over the pairs carries it to |L|^2; log2(q) eps covers
+    # the FFT.  That sum is bounded per n <= sqrt(Dmax): (n, n) adds 1/n, and the
+    # m > n with mn <= Dmax, counted twice, add n^{-1/2} sum_{n < m <= top} m^{-1/2}
+    # <= 2 (sqrt(top) - sqrt(n))/sqrt(n), top = Dmax // n
+    n = np.arange(1, last + 1)
+    pairs = float(np.sum(4.0 * (np.sqrt(Dmax // n) - np.sqrt(n)) / np.sqrt(n) + 1.0 / n))
     resid = max(_w_table(par)[1] for par in (0, 1))
-    err = 2.0 * (2.0 * pairsum + diag[2]) * (resid + math.log2(q) * np.finfo(float).eps)
+    err = 2.0 * pairs * (resid + math.log2(q) * np.finfo(float).eps)
     return outs[0], outs[1], err
 
 

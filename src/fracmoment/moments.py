@@ -117,15 +117,6 @@ def _residue_weights(q: int, coeffs: np.ndarray) -> np.ndarray:
     return fold_residues(q, coeffs[1:] / np.sqrt(n))
 
 
-def evaluate_polynomial_all(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
-    """sum_n c_n chi_j(n) n^{-1/2} for every j at once.
-
-    Coefficient support must stay below q (fold_residues refuses the rest);
-    the principal-character slot j = 0 is included in the output.
-    """
-    return dft_all_characters(table, _residue_weights(table.q, coeffs).astype(complex))
-
-
 def power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, list[int]]:
     """sum over non-principal chi of (|L|^2)^k, k in (0, 1], from the squares of all characters.
 

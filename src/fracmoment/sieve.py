@@ -90,25 +90,6 @@ def _mu_twisted(beta: float, count: int) -> list[float]:
     return ([1.0, -beta] + [0.0] * count)[:count]
 
 
-def divisor_coeff(alpha, n: int) -> float:
-    """d_alpha(n) = prod over p^e || n of prod_{i<e} (alpha+i)/(i+1), exact, rounded once.
-
-    n is factored by trial division, independently of the sieve behind the series.
-    """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    a, acc = _exact(alpha), Fraction(1)
-    m, p = int(n), 2
-    while m > 1:
-        if p * p > m:
-            p = m  # what is left is prime
-        i = 0
-        while m % p == 0:
-            m, acc, i = m // p, acc * (a + i) / (i + 1), i + 1
-        p += 1
-    return float(acc)
-
-
 def _multiplicative(local, cutoff: int, dtype=float) -> np.ndarray:
     """Dense f(n), n <= cutoff, of the multiplicative f with f(p^e) = local(p, e).
 

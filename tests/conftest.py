@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracmoment
-from fracmoment.characters import build_table
+from fracmoment.characters import build_table, dft_all_characters, fold_residues
+from fracmoment.errors import DomainError
 
 _TABLES: dict = {}
 
@@ -39,3 +41,41 @@ def run_python(code: str, *args: str, check: bool = True) -> subprocess.Complete
     src = str(Path(fracmoment.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=check)
+
+
+# References the program itself does not call: each reads the same tables or
+# identities as the program by another road.
+
+
+def chi(table, j: int, a: int) -> complex:
+    """chi_j(a) = e(j dlog a/(q - 1)) from the table's roots; zero when q divides a."""
+    a = a % table.q
+    if a == 0:
+        return 0j
+    return complex(table.roots[(j * int(table.dlog[a])) % table.order])
+
+
+def divisor_coeff(alpha, n: int) -> float:
+    """d_alpha(n) = prod over p^e || n of prod_{i<e} (alpha+i)/(i+1), exact, rounded once.
+
+    n is factored by trial division, independently of the sieve behind the series.
+    """
+    if n < 1:
+        raise DomainError(f"n must be a positive integer, got {n}")
+    a, acc = Fraction(alpha), Fraction(1)
+    m, p = int(n), 2
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
+        i = 0
+        while m % p == 0:
+            m, acc, i = m // p, acc * (a + i) / (i + 1), i + 1
+        p += 1
+    return float(acc)
+
+
+def evaluate_polynomial_all(table, coeffs: np.ndarray) -> np.ndarray:
+    """sum_n c_n chi_j(n) n^{-1/2} for every j, slot 0 principal, as one group DFT of
+    its own; fold_residues refuses support at n >= q."""
+    n = np.arange(1, coeffs.size)
+    return dft_all_characters(table, fold_residues(table.q, coeffs[1:] / np.sqrt(n)).astype(complex))

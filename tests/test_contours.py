@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import run_python
+from conftest import divisor_coeff, run_python
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,7 @@ from fracmoment.contours import (
     zeta_power_line,
 )
 from fracmoment.errors import ConvergenceError, DomainError
-from fracmoment.sieve import ShiftVector, divisor_coeff, divisor_series
+from fracmoment.sieve import ShiftVector, divisor_series
 
 
 class TestPerronWeight:

@@ -1,4 +1,11 @@
+import ast
+from pathlib import Path
+
+import fracmoment
 from conftest import run_python
+
+# the benchmark harness empties the W tables between commands; no command does
+REFERENCED_OUTSIDE_SRC = {"lvalues.clear_caches"}
 
 
 def test_no_scipy_module_loaded_by_import_or_afe_runs():
@@ -18,3 +25,37 @@ def test_no_scipy_module_loaded_by_import_or_afe_runs():
     assert run_python(code).stdout.strip() == (
         "{'import': [], 'verify afe --qmin 5 --qmax 13': (0, []), 'moments --q 1009 --method afe': (0, [])}"
     )
+
+
+def _public_definitions_unreferenced(src: Path) -> list[str]:
+    """module.name (module.Class.name for a method) of every public function, class and
+    method in src/ whose name no Name or attribute in src/ reads outside its own body."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    refs = [
+        (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unreferenced = []
+    for module, tree in trees.items():
+        defs = [(node, f"{module}.{node.name}") for node in tree.body if isinstance(node, kinds)]
+        defs += [
+            (node, f"{module}.{cls.name}.{node.name}")
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, kinds)
+        ]
+        for node, qualname in defs:
+            if node.name.startswith("_"):
+                continue
+            if not any(name == node.name and not (mod == module and node.lineno <= line <= node.end_lineno)
+                       for mod, line, name in refs):
+                unreferenced.append(qualname)
+    return unreferenced
+
+
+def test_every_public_definition_is_referenced_in_src():
+    # a name that only tests call belongs with the tests, as an independent reference
+    src = Path(fracmoment.__file__).resolve().parent
+    assert sorted(set(_public_definitions_unreferenced(src)) - REFERENCED_OUTSIDE_SRC) == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_python, table_for
+from conftest import chi, run_python, table_for
 from fracmoment import lvalues
 from fracmoment.characters import QMAX, build_table, is_prime
 from fracmoment.errors import DomainError
@@ -273,7 +273,7 @@ class TestOracle:
         values, _, err = lvalue_table(t, "oracle")
         hz = [mp.zeta(0.5, mp.mpf(a) / q) for a in range(1, q)]
         for j in range(q - 1):
-            want = sum(mp.mpc(t.chi(j, a)) * z for a, z in zip(range(1, q), hz)) / mp.sqrt(q)
+            want = sum(mp.mpc(chi(t, j, a)) * z for a, z in zip(range(1, q), hz)) / mp.sqrt(q)
             assert abs(values[j] - complex(want)) <= err, (q, j)
 
 
@@ -335,7 +335,8 @@ class TestAfe:
         assert abs(bad - want) > 1e-3
 
     def test_error_estimate_bounds_observed(self):
-        for q in [q for q in range(5, 62) if is_prime(q)] + [1009]:
+        # 5003: the AFE band of the benchmark's few_large_q workload
+        for q in [q for q in range(5, 62) if is_prime(q)] + [1009, 5003]:
             t = table_for(q)
             _, squares, err = lvalue_table(t, "afe")
             dev = np.max(np.abs(squares[1:] - np.abs(oracle_values(t)[1:]) ** 2))
@@ -398,14 +399,14 @@ class TestAfe:
         q = t.q
         Dmax = int(q / (math.pi * xmin))
         cap = int(q * math.exp(6.0) / math.pi)
-        chi = np.array([[t.chi(j, a) for a in range(q)] for j in range(q - 1)])
+        chis = np.array([[chi(t, j, a) for a in range(q)] for j in range(q - 1)])
         D = np.arange(1, Dmax + 1)
         W = [np.r_[0.0, w_weight_many(q / (math.pi * D), par) / np.sqrt(D)] for par in (0, 1)]
         sums = np.zeros((2, q - 1), dtype=complex)
         pairsum = 0.0
         for m in range(1, Dmax + 1):
             for n in range(1, Dmax // m + 1):
-                c = chi[:, m % q] * np.conj(chi[:, n % q])
+                c = chis[:, m % q] * np.conj(chis[:, n % q])
                 for par in (0, 1):
                     sums[par] += 2.0 * W[par][m * n] * c
                 if (m * n) % q and m * n <= cap:
@@ -421,9 +422,11 @@ class TestAfe:
         assert np.max(np.abs(sums.imag)) < 1e-12
         for par, got in ((0, even), (1, odd)):
             assert np.max(np.abs(got - sums[par].real)) < 1e-12, par
+        # the estimate's pair count is a closed-form bound on the exact pair sum,
+        # 1.39 times it at q = 5 and closer from there on
         resid = max(lvalues._W_TABLES[par][1] for par in (0, 1))
-        got_pairsum = err / (2.0 * (resid + math.log2(q) * np.finfo(float).eps))
-        assert got_pairsum == pytest.approx(pairsum, rel=1e-12)
+        count = err / (2.0 * (resid + math.log2(q) * np.finfo(float).eps))
+        assert pairsum <= count <= 1.4 * pairsum
 
     def test_peak_memory_q5003(self):
         # one process of its own, so the peak is this call's and no other test's
@@ -439,4 +442,6 @@ class TestAfe:
             "afe_squares(t)\n"
             "print(peak() - before)\n"
         )
-        assert int(run_python(code).stdout) < 50 * 1024
+        # two weight rows of 642,470 doubles peak at 22,768-22,832 KiB over 5 fresh
+        # processes; a third row (1/sqrt(D), once the pair count's) read 29,144-29,248
+        assert int(run_python(code).stdout) < 26 * 1024

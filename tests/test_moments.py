@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import table_for
+from conftest import chi, evaluate_polynomial_all, table_for
 from fracmoment.characters import is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import lvalue_table, oracle_values
@@ -16,7 +16,6 @@ from fracmoment.moments import (
     CharacterValues,
     MomentParams,
     character_values,
-    evaluate_polynomial_all,
     holder_chain_check,
     holder_exponents,
     moment_sum,
@@ -116,7 +115,7 @@ def _naive_polys(table, coeffs):
     out = np.empty(table.order, dtype=complex)
     for j in range(table.order):
         out[j] = sum(
-            coeffs[n] * table.chi(j, n) / math.sqrt(n)
+            coeffs[n] * chi(table, j, n) / math.sqrt(n)
             for n in range(1, coeffs.size)
             if coeffs[n] != 0
         )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import run_python
+from conftest import divisor_coeff, run_python
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from fracmoment.sieve import (
     ShiftVector,
     _smallest_prime_factors,
     dirichlet_convolve,
-    divisor_coeff,
     divisor_series,
     mobius_series,
     mollifier_coeffs,
