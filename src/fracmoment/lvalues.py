@@ -13,8 +13,10 @@ which approximates L(1/2, chi) with an O(q^{-1/8} log q) error.
 
 Route 3 (afe): the exact approximate-functional-equation identity
 |L(1/2, chi)|^2 = 2 sum_{m,n} chi(m) chibar(n) (mn)^{-1/2} W_par(q/(pi m n)),
-valid for primitive chi, summed up to mn = q e^6/pi, past which the W table
-reads exactly 0.  The pairs are binned by the exponent
+valid for primitive chi, summed up to mn = q e^{V/2}/pi ~ 13.5 q (V = 7.5), where
+W < 1.4e-37; the error estimate bounds the dropped tail by
+4 W_par(e^{-V/2}) + (2q/pi) J_par(V), J_par(V) = int_V^inf W_par(e^{-v/2}) e^{v/2} dv
+from the W table.  The pairs are binned by the exponent
 dlog m - dlog n of m/n in the cyclic group, with one bincount per block of
 pairs and no modular inverse.  The smooth cutoff W_par, the inverse Mellin
 transform of Gamma(s + w/2)^2/Gamma(s)^2 with s = 1/4 + par/2, equals the
@@ -165,8 +167,9 @@ class WWeightSpec:
 
 
 _WSPEC = WWeightSpec()
-# the largest q at which the AFE's Dmax = int(q e^{umax/2}/pi) (default xmin) is at most 2^25
-AFE_QMAX = int(((1 << 25) + 1) * math.pi / math.exp(_WSPEC.umax / 2))
+# the AFE's cut v = -2 log(q/(pi mn)) <= V, a grid point of the W table (cell 1777):
+# its products stop at mn = q e^{V/2}/pi, 1.36e7 < 2^24 at q = QMAX
+_AFE_V = 7.5
 
 
 # e^z K_0(z) for z >= 1 by two methods (DLMF 10.32.9, 10.40.2), each used where
@@ -223,22 +226,37 @@ def _w_build() -> list[tuple[np.ndarray, float]]:
     return tables
 
 
+def _w_tail(C: np.ndarray) -> tuple[float, float]:
+    """(F(V), J(V)) for one parity's table: F(V) = W(e^{-V/2}) and
+    J(V) = int_V^inf W(e^{-v/2}) e^{v/2} dv, each cell's cubic F times e^{v/2}
+    integrated by the table's Gauss rule; past umax F < 1e-340."""
+    h, k = _WSPEC.step, round((_AFE_V - _WSPEC.umin) / _WSPEC.step)
+    g, gw = np.polynomial.legendre.leggauss(_WSPEC.nodes)
+    t = (1 + g) / 2
+    v = _WSPEC.umin + h * (np.arange(k, C.shape[1])[:, None] + t)
+    F = np.polynomial.polynomial.polyval(t, C[:, k:])
+    return float(C[0, k]), float(np.sum(F * np.exp(v / 2) @ gw) * (h / 2))
+
+
 _W_TABLES: dict = {}
+_W_TAILS: dict = {}
 
 
 def _w_table(parity: int) -> tuple[np.ndarray, float]:
     """The (C, residual) of one parity; both are built by one _w_build() call
-    and kept read-only until clear_caches()."""
+    and kept read-only until clear_caches(), with the _w_tail of each in _W_TAILS."""
     if not _W_TABLES:
         for par, table in enumerate(_w_build()):
             table[0].setflags(write=False)
             _W_TABLES[par] = table
+            _W_TAILS[par] = _w_tail(table[0])
     return _W_TABLES[parity]
 
 
 def clear_caches() -> None:
     """Drop the W tables; the next lookup rebuilds them."""
     _W_TABLES.clear()
+    _W_TAILS.clear()
 
 
 # K_0(2 sqrt T) = sum_k T^k/(k!)^2 (H_k - log(T)/2 - gamma) (DLMF 10.31.2)
@@ -272,7 +290,7 @@ def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
         raise DomainError("W weight requires finite x > 0")
     if parity not in (0, 1):
         raise DomainError("parity must be 0 (even) or 1 (odd)")
-    C, _ = _w_table(parity)
+    C = _w_table(parity)[0]
     v = -2.0 * np.log(x)
     p = (v - _WSPEC.umin) / _WSPEC.step
     k = np.clip(p.astype(np.int64), 0, C.shape[1] - 1)
@@ -322,27 +340,31 @@ def smoothed_band(q: int) -> float:
     return 10.0 * q ** (-0.125) * math.log(q)
 
 
+def _afe_dmax(q: int, xmin: float) -> int:
+    """The AFE's largest product mn: q/(pi xmin), cut at q e^{V/2}/pi."""
+    Dmax = int(q / (math.pi * xmin)) if math.isfinite(xmin) and xmin > 0 else 0
+    if Dmax < 1:
+        raise DomainError("the AFE needs a finite xmin > 0 with q/(pi xmin) >= 1")
+    return min(Dmax, int(q * math.exp(_AFE_V / 2) / math.pi))
+
+
 def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarray, float]:
     """AFE double sums for both parities, all characters at once.
 
     Pairs (m, n) with q/(pi m n) >= xmin are folded onto the exponent group,
-    up to the D = mn past which q/(pi D) < e^{-umax/2} and the W table is
-    exactly 0:
+    up to the cut D = mn <= Dmax = q e^{V/2}/pi, past which W < 1.4e-37:
     m > n lands at k = dlog m - dlog n + (q - 1) of one bincount, the reversed
     pair at -k, the diagonal at exponent 0.  Mapped back to residues
     v = g^k, the two DFTs then give
     2 sum_v S_v^{(par)} chi_j(v) = |L(1/2, chi_j)|^2 for chi_j of that parity.
     The weights are two rows, W_par(q/(pi D))/sqrt(D) for D <= Dmax; the error
-    estimate bounds its pair count, sum 1/sqrt(mn), in closed form.
+    estimate bounds its pair count, sum 1/sqrt(mn), in closed form, and the
+    tail past the cut by 4 W_par(e^{-V/2}) + (2q/pi) J_par(V).  An xmin above
+    e^{-V/2} cuts earlier, and the estimate does not cover what that drops.
     Returns (even_squares, odd_squares, error_estimate).
     """
     q = table.q
-    Dmax = int(q / (math.pi * xmin)) if math.isfinite(xmin) and xmin > 0 else 0
-    if Dmax < 1:
-        raise DomainError("the AFE needs a finite xmin > 0 with q/(pi xmin) >= 1")
-    Dmax = min(Dmax, int(q * math.exp(_WSPEC.umax / 2) / math.pi))
-    if Dmax > 1 << 25:  # the weight rows alone would take 2 * 8 * Dmax bytes
-        raise DomainError(f"the AFE needs at most 2^25 products mn (q <= {AFE_QMAX}), got {Dmax}")
+    Dmax = _afe_dmax(q, xmin)
     size = 2 * (q - 1)
     # rows: W_0(D)/sqrt(D), W_1(D)/sqrt(D), built in cache-sized blocks; a
     # pair with q | mn has q | D and weight 0
@@ -353,23 +375,38 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
         for par in (0, 1):
             wD[par, lo : lo + D.size] = w_weight_many(q / (math.pi * D), par) * inv
     wD[:, q - 1 :: q] = 0.0
-    km = np.resize(table.dlog.astype(np.int32) + (q - 1), Dmax + 1)
-    # for fixed n the m > n are one slice of km and one stride-n slice of wD;
-    # short slices are pooled so each O(q) bincount covers at least 2(q - 1) pairs
-    A, ks, ws, last = np.zeros((2, size)), [], [], math.isqrt(Dmax)
+    # for fixed n the m > n are one slice of km and one stride-n slice of wD,
+    # copied into one pair of buffers of B pairs, cut where the buffers fill;
+    # each full buffer is one O(q) bincount per parity over at least 2(q - 1)
+    # pairs (and 4096, so a small q takes few calls), and no array but wD is
+    # Dmax long
+    A, B = np.zeros((2, size)), max(size, 1 << 12)
+    kbuf, wbuf, pos = np.empty(B, dtype=np.intp), np.empty((2, B)), 0
+    # dlog m + (q - 1) for m < q + B: any run of at most B consecutive m is one slice
+    km = np.resize(table.dlog + (q - 1), q + B)
+
+    def fold(count):
+        for par in (0, 1):
+            A[par] += np.bincount(kbuf[:count], weights=wbuf[par, :count], minlength=size)
+
+    last = math.isqrt(Dmax)
     for n in range(1, last + 1):
-        top = Dmax // n
-        if n % q and top > n:  # q | n: weights 0, and dlog n = -1 would overrun k
-            ks.append(km[n + 1 : top + 1] - int(table.dlog[n % q]))
-            ws.append(wD[:, n * (n + 1) - 1 : n * top : n])
-        if ks and (sum(map(len, ks)) >= size or n == last):
-            k, w = (ks[0], ws[0]) if len(ks) == 1 else (np.concatenate(ks), np.concatenate(ws, axis=1))
-            for par in (0, 1):
-                A[par] += np.bincount(k, weights=w[par], minlength=size)
-            ks, ws = [], []
+        if n % q == 0:  # weights 0, and dlog n = -1 would overrun k
+            continue
+        dn, m, top = table.dlog[n % q], n + 1, Dmax // n
+        while m <= top:
+            run = min(top + 1 - m, B - pos)
+            np.subtract(km[m % q : m % q + run], dn, out=kbuf[pos : pos + run])
+            wbuf[:, pos : pos + run] = wD[:, n * m - 1 : n * (m + run - 1) : n]
+            pos, m = pos + run, m + run
+            if pos == B:
+                fold(B)
+                pos = 0
+    fold(pos)
     S = A + np.roll(A[:, ::-1], 1, axis=1)
     S = S[:, : q - 1] + S[:, q - 1 :]
     S[:, 0] += wD[:, np.arange(1, last + 1) ** 2 - 1].sum(axis=1)
+    del wD, wbuf  # the largest arrays go before the FFTs
     coeffs = np.empty((2, q - 1))
     coeffs[:, table.powers - 1] = S
     outs = [2.0 * dft_all_characters(table, c.astype(complex)).real for c in coeffs]
@@ -381,7 +418,11 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     n = np.arange(1, last + 1)
     pairs = float(np.sum(4.0 * (np.sqrt(Dmax // n) - np.sqrt(n)) / np.sqrt(n) + 1.0 / n))
     resid = max(_w_table(par)[1] for par in (0, 1))
-    err = 2.0 * pairs * (resid + math.log2(q) * np.finfo(float).eps)
+    # the dropped pairs: |chi| = 1 and d(D) <= 2 sqrt(D) give 4 sum_{D > Dmax} W(q/(pi D));
+    # W falls in D and Dmax + 1 > D* = q e^{V/2}/pi, so that sum is at most
+    # W(e^{-V/2}) + int_{D*}^inf W(q/(pi D)) dD = F(V) + (q/(2 pi)) J(V)
+    tail = max(4.0 * F + 2.0 * q / math.pi * J for F, J in _W_TAILS.values())
+    err = 2.0 * pairs * (resid + math.log2(q) * np.finfo(float).eps) + tail
     return outs[0], outs[1], err
 
 

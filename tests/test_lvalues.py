@@ -14,7 +14,6 @@ from fracmoment import lvalues
 from fracmoment.characters import QMAX, build_table, is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import (
-    AFE_QMAX,
     _afe_batch,
     afe_squares,
     clear_caches,
@@ -343,12 +342,12 @@ class TestAfe:
             assert dev <= err < 1e-8, q
 
     def test_truncation_insensitive(self):
-        # both xmin lie above e^-6, where the W table ends, so each truncates
-        # at its own q/(pi xmin)
+        # both xmin lie above e^{-V/2} = 0.0235, the cut, so each truncates at
+        # its own q/(pi xmin)
         t = table_for(31)
-        a = afe_squares(t, xmin=5e-3)
-        b = afe_squares(t, xmin=1e-2)
-        assert np.max(np.abs(a[1:] - b[1:])) < 1e-8
+        a = afe_squares(t, xmin=0.03)
+        b = afe_squares(t, xmin=0.05)
+        assert 0 < np.max(np.abs(a[1:] - b[1:])) < 1e-8
 
     def test_conjugate_characters_same_square(self):
         t = table_for(11)
@@ -371,34 +370,65 @@ class TestAfe:
         with pytest.raises(DomainError):
             afe_squares(table_for(7), xmin)
 
-    def test_tiny_xmin_stops_at_the_table_end(self):
-        # products past q e^6/pi carry W = 0 exactly, so xmin = 1e-9 sums the
-        # same pairs as 1e-3
+    def test_tiny_xmin_stops_at_the_cut(self):
+        # products past the cut q e^{V/2}/pi are not summed, so xmin = 1e-9
+        # sums the same pairs as 1e-3
         t = table_for(7)
         assert np.array_equal(afe_squares(t, 1e-9), afe_squares(t, 1e-3))
 
-    def test_product_range_past_2_25_refused(self):
-        # q e^6/pi > 2^25 from q = 261297 on: refused before allocating the weights
-        t = build_table(261301)
-        with pytest.raises(DomainError, match="2\\^25"):
-            afe_squares(t, 1e-3)
+    def test_products_at_qmax_stay_below_2_24(self):
+        # the largest prime below QMAX, where Dmax = 999983 e^{3.75}/pi
+        assert lvalues._afe_dmax(999983, 1e-3) == 13534650 < 1 << 24
+        assert lvalues._afe_dmax(999983, 1e-9) == lvalues._afe_dmax(999983, 1e-3)
 
-    def test_afe_qmax_is_the_last_modulus_within_2_25(self):
-        # _afe_batch's Dmax at the default xmin, where the W-table cap binds
-        def dmax(q):
-            return min(int(q / (math.pi * 1e-3)), int(q * math.exp(lvalues._WSPEC.umax / 2) / math.pi))
-        assert dmax(AFE_QMAX) <= 1 << 25 < dmax(AFE_QMAX + 1)
-        assert AFE_QMAX == 261296
+    @pytest.mark.parametrize("q", [5, 31, 101, 1009])
+    def test_dropped_tail_within_its_bound(self, q):
+        # 2 sum chi(m) chibar(n) W_par(q/(pi mn))/sqrt(mn) over Dmax < mn <= q e^6/pi,
+        # where the W table ends: each pair m >= n binned at dlog m - dlog n
+        # mod q - 1, its reverse (m > n) at the negative, then one FFT per parity
+        t = table_for(q)
+        _, _, err = _afe_batch(t, 1e-3)
+        Dmax, cap = lvalues._afe_dmax(q, 1e-3), int(q * math.exp(6.0) / math.pi)
+        bins = np.zeros((2, q - 1))
+        for n in range(1, math.isqrt(cap) + 1):
+            m = np.arange(max(n, Dmax // n + 1), cap // n + 1)
+            m = m[(m * n) % q != 0]
+            D = m * n
+            k = (t.dlog[m % q] - t.dlog[n % q]) % (q - 1)
+            for par in (0, 1):
+                w = w_weight_many(q / (math.pi * D), par) / np.sqrt(D)
+                bins[par] += np.bincount(k, weights=w, minlength=q - 1)
+                bins[par] += np.bincount(-k % (q - 1), weights=np.where(m > n, w, 0.0), minlength=q - 1)
+        tails = [2.0 * np.fft.ifft(b) * (q - 1) for b in bins]
+        tail = np.abs(np.where(t.parity == 0, tails[0], tails[1]))[1:]
+        bound = max(4.0 * F + 2.0 * q / math.pi * J for F, J in lvalues._W_TAILS.values())
+        assert 0 < np.max(tail) <= bound <= err, q
+        assert bound <= 1e-30
+
+    def test_tail_integral_against_mpmath(self):
+        # J_par(V) = int_V^inf F(v) e^{v/2} dv = int_V^inf f(t) 2 (e^{t/2} - e^{V/2}) dt
+        # with f the v-density (2/Gamma(s)^2) e^{st} K_0(2 e^{t/2}) of W
+        V = lvalues._AFE_V
+        assert (V - lvalues._WSPEC.umin) / lvalues._WSPEC.step == 1777
+        lvalues._w_table(0)  # builds both parities' tables and tails
+        for par in (0, 1):
+            s = mp.mpf(1) / 4 + mp.mpf(par) / 2
+            f = lambda v: 2 / mp.gamma(s) ** 2 * mp.exp(s * v) * mp.besselk(0, 2 * mp.exp(v / 2))  # noqa: E731
+            J = mp.quad(lambda v: f(v) * 2 * (mp.exp(v / 2) - mp.exp(V / 2)), [V, V + 0.25, V + 0.5, V + 1, V + 2, 12])
+            F = mp.quad(f, [V, V + 0.25, V + 0.5, V + 1, V + 2, 12])
+            got_F, got_J = lvalues._W_TAILS[par]
+            assert got_F == pytest.approx(float(F), rel=1e-9), par
+            assert got_J == pytest.approx(float(J), rel=1e-9), par
 
     @staticmethod
     def _pair_loop(t, xmin):
         """2 sum_{mn <= Dmax} chi_j(m) chibar_j(n) W_par(q/(pi mn))/sqrt(mn) for every
         j and both parities over the whole range Dmax = q/(pi xmin), and sum
-        1/sqrt(mn) over the pairs with q not dividing mn up to the table end
-        q e^6/pi, which are the pairs the AFE evaluates."""
+        1/sqrt(mn) over the pairs with q not dividing mn up to the cut
+        q e^{V/2}/pi, which are the pairs the AFE evaluates."""
         q = t.q
         Dmax = int(q / (math.pi * xmin))
-        cap = int(q * math.exp(6.0) / math.pi)
+        cap = int(q * math.exp(lvalues._AFE_V / 2) / math.pi)
         chis = np.array([[chi(t, j, a) for a in range(q)] for j in range(q - 1)])
         D = np.arange(1, Dmax + 1)
         W = [np.r_[0.0, w_weight_many(q / (math.pi * D), par) / np.sqrt(D)] for par in (0, 1)]
@@ -442,6 +472,7 @@ class TestAfe:
             "afe_squares(t)\n"
             "print(peak() - before)\n"
         )
-        # two weight rows of 642,470 doubles peak at 22,768-22,832 KiB over 5 fresh
-        # processes; a third row (1/sqrt(D), once the pair count's) read 29,144-29,248
-        assert int(run_python(code).stdout) < 26 * 1024
+        # two weight rows of 67,715 doubles, cut at q e^{V/2}/pi, peak at
+        # 5,796-5,900 KiB over 5 fresh processes; rows to the table end,
+        # q e^6/pi (642,470 doubles), read 22,768-22,832
+        assert int(run_python(code).stdout) < 7 * 1024
