@@ -114,12 +114,7 @@ def _finish(report: dict, out) -> int:
 
 def _verify_convolution(s, nmax, tol) -> dict:
     checks = []
-    ss = _ints(s)
-    if min(ss) < 1:
-        raise DomainError(f"--s values must be positive integers, got {s!r}")
-    if nmax < 1:
-        raise DomainError(f"--nmax must be at least 1, got {nmax}")
-    for si in ss:
+    for si in _ints(s):
         d = sieve.divisor_series(Fraction(1, si), nmax)
         acc = d
         for _ in range(si - 1):
@@ -142,8 +137,6 @@ def _verify_exponents(trials, seed) -> dict:
 
 
 def _verify_orthogonality(qmax, tol) -> dict:
-    if not 3 <= qmax <= characters.QMAX:
-        raise DomainError(f"--qmax must lie in [3, {characters.QMAX}], got {qmax}")
     worst_full = 0.0
     worst_parity = 0.0
     for q in range(3, qmax + 1):
@@ -165,8 +158,6 @@ def _verify_orthogonality(qmax, tol) -> dict:
 
 
 def _verify_afe(qmin, qmax, tol) -> dict:
-    if qmax > characters.QMAX:
-        raise DomainError(f"--qmax must be at most {characters.QMAX}, got {qmax}")
     checks = []
     for q in range(max(qmin, 5), qmax + 1):
         if not characters.is_prime(q):
@@ -201,8 +192,6 @@ def _verify_smoothed(primes) -> dict:
 
 
 def _verify_diagonal(primes, pairs, seed, tol) -> dict:
-    if pairs < 1:
-        raise DomainError(f"--pairs must be at least 1, got {pairs}")
     rng = np.random.default_rng(seed)
     checks = []
     for q in _ints(primes):
@@ -353,19 +342,36 @@ SERIES = {
 }
 
 
+# The CLI's range refusals: flag -> (test, what its value must be), applied to
+# every registry flag of that name before any work starts.  The comma list
+# `convolution --s` passes when each of its integers does.
+_DOMAINS = {
+    "tol": (lambda v: math.isfinite(v) and v > 0, "finite and positive"),
+    "seed": (lambda v: v >= 0, "nonnegative"),  # np.random.default_rng raises a ValueError below 0
+    "pairs": (lambda v: v >= 1, "at least 1"),
+    "s": (lambda v: min(_ints(str(v))) >= 1, "positive integers"),
+    "nmax": (lambda v: 1 <= v <= sieve.SIEVE_CAP, f"in [1, {sieve.SIEVE_CAP}]"),
+    "qmax": (lambda v: 3 <= v <= characters.QMAX, f"in [3, {characters.QMAX}]"),
+}
+
+
+def _in_domain(flags: dict) -> dict:
+    """flags itself, once every value with a _DOMAINS entry passes its test (DomainError otherwise)."""
+    for flag, value in flags.items():
+        if flag in _DOMAINS and not _DOMAINS[flag][0](value):
+            raise DomainError(f"--{flag} must be {_DOMAINS[flag][1]}, got {value!r}")
+    return flags
+
+
 def verify_report(target: str, **params) -> dict:
     """Run one verify target on its registry defaults overridden by params.
 
     Returns the report: command, echoed params, the target's own fields and
-    its checks.  Raises DomainError for a tol that is not finite and
-    positive, a negative seed, or parameters that select no check.
+    its checks.  Raises DomainError for a flag outside its _DOMAINS entry or
+    parameters that select no check.
     """
     func, defaults = VERIFY_TARGETS[target]
-    kw = {**defaults, **params}
-    if "tol" in kw and not (math.isfinite(kw["tol"]) and kw["tol"] > 0):
-        raise DomainError(f"--tol must be finite and positive, got {kw['tol']}")
-    if kw.get("seed", 0) < 0:  # np.random.default_rng would raise a ValueError
-        raise DomainError(f"--seed must be nonnegative, got {kw['seed']}")
+    kw = _in_domain({**defaults, **params})
     report = {"command": f"verify {target}", "params": kw, **func(**kw)}
     if not report["checks"]:
         raise DomainError(f"verify {target}: these parameters select no check")
@@ -485,10 +491,8 @@ def cmd_contour(args) -> int:
 
 
 def cmd_dump_coeffs(args) -> int:
-    if not 1 <= args.nmax <= sieve.SIEVE_CAP:
-        raise DomainError(f"--nmax must be in [1, {sieve.SIEVE_CAP}], got {args.nmax}")
     func, flags = SERIES[args.series]
-    ser = func(*(getattr(args, flag) for flag in flags))
+    ser = func(*_in_domain({flag: getattr(args, flag) for flag in flags}).values())
     n, vals = np.arange(1, ser.size), ser[1:]
     if np.iscomplexobj(vals):
         content = ["n", "re", "im"], [n, vals.real, vals.imag]

@@ -35,6 +35,7 @@ lvalue_table hands out one route's values, squares and error estimate together.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -238,25 +239,17 @@ def _w_tail(C: np.ndarray) -> tuple[float, float]:
     return float(C[0, k]), float(np.sum(F * np.exp(v / 2) @ gw) * (h / 2))
 
 
-_W_TABLES: dict = {}
-_W_TAILS: dict = {}
+@functools.cache
+def _w_tables() -> tuple[tuple[np.ndarray, float, tuple[float, float]], ...]:
+    """(C, residual, (F(V), J(V))) for parity 0 and 1 from one _w_build() call,
+    C read-only, each with its _w_tail; kept until clear_caches()."""
+    tables = _w_build()
+    for C, _ in tables:
+        C.setflags(write=False)
+    return tuple((C, resid, _w_tail(C)) for C, resid in tables)
 
 
-def _w_table(parity: int) -> tuple[np.ndarray, float]:
-    """The (C, residual) of one parity; both are built by one _w_build() call
-    and kept read-only until clear_caches(), with the _w_tail of each in _W_TAILS."""
-    if not _W_TABLES:
-        for par, table in enumerate(_w_build()):
-            table[0].setflags(write=False)
-            _W_TABLES[par] = table
-            _W_TAILS[par] = _w_tail(table[0])
-    return _W_TABLES[parity]
-
-
-def clear_caches() -> None:
-    """Drop the W tables; the next lookup rebuilds them."""
-    _W_TABLES.clear()
-    _W_TAILS.clear()
+clear_caches = _w_tables.cache_clear  # drops the W tables; the next lookup rebuilds them
 
 
 # K_0(2 sqrt T) = sum_k T^k/(k!)^2 (H_k - log(T)/2 - gamma) (DLMF 10.31.2)
@@ -290,7 +283,7 @@ def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
         raise DomainError("W weight requires finite x > 0")
     if parity not in (0, 1):
         raise DomainError("parity must be 0 (even) or 1 (odd)")
-    C = _w_table(parity)[0]
+    C = _w_tables()[parity][0]
     v = -2.0 * np.log(x)
     p = (v - _WSPEC.umin) / _WSPEC.step
     k = np.clip(p.astype(np.int64), 0, C.shape[1] - 1)
@@ -417,11 +410,12 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     # <= 2 (sqrt(top) - sqrt(n))/sqrt(n), top = Dmax // n
     n = np.arange(1, last + 1)
     pairs = float(np.sum(4.0 * (np.sqrt(Dmax // n) - np.sqrt(n)) / np.sqrt(n) + 1.0 / n))
-    resid = max(_w_table(par)[1] for par in (0, 1))
+    tables = _w_tables()
+    resid = max(r for _, r, _ in tables)
     # the dropped pairs: |chi| = 1 and d(D) <= 2 sqrt(D) give 4 sum_{D > Dmax} W(q/(pi D));
     # W falls in D and Dmax + 1 > D* = q e^{V/2}/pi, so that sum is at most
     # W(e^{-V/2}) + int_{D*}^inf W(q/(pi D)) dD = F(V) + (q/(2 pi)) J(V)
-    tail = max(4.0 * F + 2.0 * q / math.pi * J for F, J in _W_TAILS.values())
+    tail = max(4.0 * F + 2.0 * q / math.pi * J for _, _, (F, J) in tables)
     err = 2.0 * pairs * (resid + math.log2(q) * np.finfo(float).eps) + tail
     return outs[0], outs[1], err
 

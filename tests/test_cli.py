@@ -10,7 +10,7 @@ import pytest
 from conftest import run_python
 
 from fracmoment import characters, contours, lvalues, moments, sieve
-from fracmoment.cli import SERIES, VERIFY_TARGETS, build_parser, main, parse_k
+from fracmoment.cli import _DOMAINS, SERIES, VERIFY_TARGETS, build_parser, main, parse_k
 from fracmoment.errors import DomainError
 
 README_EXAMPLES = [
@@ -379,6 +379,40 @@ _FUZZ_CASES = [pytest.param(command, flag, id=" ".join([*command, flag]))
                for command in _FUZZ_COMMANDS for flag in _flags(command)]
 _CHEAP = {"--q": "1009", "--qmax": "31", "--primes": "101", "--nmax": "100", "--levels": "1000,10000",
           "--sweep": "1e3,1e4", "--pairs": "2", "--trials": "2"}
+_MALFORMED = ("nan", "inf", "-inf", ",", "abc")
+_UNRULED = ("0", "-1", "-0", "3.5", "1e308", "1e-320")
+
+
+def _cheap(command: list) -> list:
+    """command with every flag of _CHEAP that it registers at its cheap value."""
+    return [*command, *(x for f, v in _CHEAP.items() if f in _flags(command) for x in (f, v))]
+
+
+def _refusal(argv: list, flag: str):
+    """"argparse" or "domain" where the parser or cli._DOMAINS refuses argv's value of --flag, else None."""
+    try:
+        value = getattr(build_parser().parse_args(argv), flag)
+    except SystemExit:
+        return "argparse"
+    try:
+        return "domain" if flag in _DOMAINS and not _DOMAINS[flag][0](value) else None
+    except DomainError:  # the comma-list parser _numbers refuses it first, which is no domain ruling
+        return None
+
+
+# The rulings for values that no domain refuses, at the codes they exit with: a gate
+# at --tol 1e308 cannot fail, and one at 1e-320 cannot pass; afe clamps --qmin to 5;
+# d_alpha, 1/Gamma, the beta shift and k take any such value; eta's drift exceeds
+# the tol at a zero or tiny w0 or shift
+_GATED = [t for t, (_, flags) in VERIFY_TARGETS.items() if "tol" in flags]
+_RULINGS = (
+    [(["verify", t], "--tol", tol, code) for t in _GATED for tol, code in (("1e308", 0), ("1e-320", 1))]
+    + [(["verify", "afe"], "--qmin", v, 0) for v in ("0", "-1")]
+    + [(["dump-coeffs", "--series", "dalpha"], "--alpha", v, 0) for v in ("0", "-1", "1e-320")]
+    + [(["verify", "hankel"], "--alphas", "1e-320", 0), (["verify", "pairshift"], "--beta", "1e-320", 0),
+       (["survey"], "--k", "1e-320", 0)]
+    + [(["verify", "eta"], flag, v, 1) for flag in ("--w0", "--shifts") for v in ("0", "-0", "1e-320")]
+)
 
 
 class TestExitCodes:
@@ -494,15 +528,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag", _FUZZ_CASES)
     def test_every_registered_flag_refuses_malformed_values(self, command, flag, capsys):
         # every flag at a cheap value, which alone must not be refused, or the property shows
-        # nothing; the malformed value comes last and overrides its flag's
-        base = [*command, *(x for f, v in _CHEAP.items() if f in _flags(command) for x in (f, v))]
+        # nothing; the value under test comes last and overrides its flag's.  A malformed
+        # value, or one the parser or _DOMAINS refuses, exits 2; any other exits cleanly
+        base = _cheap(command)
         assert run(base) in (0, 1), base
-        for value in ("nan", "inf", "-inf", ",", "abc"):
+        for value in (*_MALFORMED, *_UNRULED):
+            refused = _refusal([*base, flag, value], flag[2:])
+            capsys.readouterr()
             try:
                 code = run([*base, flag, value])
             except SystemExit as exc:
                 code = exc.code
-            assert code == 2, (flag, value)
+            err = capsys.readouterr().err
+            if value in _MALFORMED or refused:
+                assert code == 2, (flag, value)
+            else:
+                assert code in (0, 1) or (code == 2 and err.startswith("error: ")), (flag, value, code, err)
+            if refused == "domain":
+                assert err.startswith(f"error: {flag} "), (flag, value, err)
+
+    @pytest.mark.parametrize("command, flag, value, code", _RULINGS,
+                             ids=[" ".join([*c, f, v]) for c, f, v, _ in _RULINGS])
+    def test_unruled_values_keep_their_exit_codes(self, command, flag, value, code):
+        assert run([*_cheap(command), flag, value]) == code
 
     @pytest.mark.parametrize("argv", [
         ["verify", "eta", "--w0", "1e308"],

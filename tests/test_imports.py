@@ -4,9 +4,6 @@ from pathlib import Path
 import fracmoment
 from conftest import run_python
 
-# the benchmark harness empties the W tables between commands; no command does
-REFERENCED_OUTSIDE_SRC = {"lvalues.clear_caches"}
-
 
 def test_no_scipy_module_loaded_by_import_or_afe_runs():
     code = (
@@ -58,4 +55,18 @@ def _public_definitions_unreferenced(src: Path) -> list[str]:
 def test_every_public_definition_is_referenced_in_src():
     # a name that only tests call belongs with the tests, as an independent reference
     src = Path(fracmoment.__file__).resolve().parent
-    assert sorted(set(_public_definitions_unreferenced(src)) - REFERENCED_OUTSIDE_SRC) == []
+    assert _public_definitions_unreferenced(src) == []
+
+
+def test_no_cli_target_raises_domain_error_itself():
+    # the CLI's range refusals live in cli._DOMAINS, applied before any target runs
+    tree = ast.parse(Path(fracmoment.__file__).resolve().with_name("cli.py").read_text())
+    raising = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith(("_verify_", "cmd_"))
+        for raised in ast.walk(node)
+        if isinstance(raised, ast.Raise) and raised.exc is not None
+        and "DomainError" in {n.id for n in ast.walk(raised.exc) if isinstance(n, ast.Name)}
+    ]
+    assert raising == []

@@ -181,7 +181,7 @@ class TestWWeight:
         # the first point below the switch, then table points from v0 to one cell past it
         x = np.exp(-(v0 + np.array([-1e-9, 1e-9, spec.step / 2, spec.step])) / 2)
         for par in (0, 1):
-            C, resid = lvalues._w_table(par)
+            C, resid, _ = lvalues._w_tables()[par]
             series = lvalues._w_series(np.r_[v0, -2.0 * np.log(x)], 0.25 + par / 2)
             assert abs(series[0] - C[0, 0]) <= resid, par
             got = w_weight_many(x, par)
@@ -215,9 +215,9 @@ class TestWWeight:
         afe_squares(table_for(7))
         assert len(builds) == 1
         clear_caches()
-        assert not lvalues._W_TABLES
+        assert lvalues._w_tables.cache_info().currsize == 0
         w_weight_many(np.array([2.0]), 1)
-        assert len(builds) == 2 and sorted(lvalues._W_TABLES) == [0, 1]
+        assert len(builds) == 2 and len(lvalues._w_tables()) == 2
 
     def test_positive_x_required(self):
         for x, par in ((0.0, 0), (-1.0, 1), (math.nan, 0), (math.inf, 0)):
@@ -401,7 +401,7 @@ class TestAfe:
                 bins[par] += np.bincount(-k % (q - 1), weights=np.where(m > n, w, 0.0), minlength=q - 1)
         tails = [2.0 * np.fft.ifft(b) * (q - 1) for b in bins]
         tail = np.abs(np.where(t.parity == 0, tails[0], tails[1]))[1:]
-        bound = max(4.0 * F + 2.0 * q / math.pi * J for F, J in lvalues._W_TAILS.values())
+        bound = max(4.0 * F + 2.0 * q / math.pi * J for _, _, (F, J) in lvalues._w_tables())
         assert 0 < np.max(tail) <= bound <= err, q
         assert bound <= 1e-30
 
@@ -410,13 +410,12 @@ class TestAfe:
         # with f the v-density (2/Gamma(s)^2) e^{st} K_0(2 e^{t/2}) of W
         V = lvalues._AFE_V
         assert (V - lvalues._WSPEC.umin) / lvalues._WSPEC.step == 1777
-        lvalues._w_table(0)  # builds both parities' tables and tails
         for par in (0, 1):
             s = mp.mpf(1) / 4 + mp.mpf(par) / 2
             f = lambda v: 2 / mp.gamma(s) ** 2 * mp.exp(s * v) * mp.besselk(0, 2 * mp.exp(v / 2))  # noqa: E731
             J = mp.quad(lambda v: f(v) * 2 * (mp.exp(v / 2) - mp.exp(V / 2)), [V, V + 0.25, V + 0.5, V + 1, V + 2, 12])
             F = mp.quad(f, [V, V + 0.25, V + 0.5, V + 1, V + 2, 12])
-            got_F, got_J = lvalues._W_TAILS[par]
+            got_F, got_J = lvalues._w_tables()[par][2]
             assert got_F == pytest.approx(float(F), rel=1e-9), par
             assert got_J == pytest.approx(float(J), rel=1e-9), par
 
@@ -454,7 +453,7 @@ class TestAfe:
             assert np.max(np.abs(got - sums[par].real)) < 1e-12, par
         # the estimate's pair count is a closed-form bound on the exact pair sum,
         # 1.39 times it at q = 5 and closer from there on
-        resid = max(lvalues._W_TABLES[par][1] for par in (0, 1))
+        resid = max(r for _, r, _ in lvalues._w_tables())
         count = err / (2.0 * (resid + math.log2(q) * np.finfo(float).eps))
         assert pairsum <= count <= 1.4 * pairsum
 
