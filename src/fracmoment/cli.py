@@ -159,7 +159,7 @@ def _verify_orthogonality(qmax, tol) -> dict:
 
 def _verify_afe(qmin, qmax, tol) -> dict:
     checks = []
-    for q in range(max(qmin, 5), qmax + 1):
+    for q in range(max(qmin, 3), qmax + 1):
         if not characters.is_prime(q):
             continue
         table = characters.build_table(q)
@@ -480,10 +480,10 @@ def cmd_survey(args) -> int:
 def cmd_contour(args) -> int:
     report = _report_from_args(args.check, args)
     if args.sweep_out:
-        m, alpha, beta = (args.m, args.alpha, args.beta) if args.check == "pairshift" else contours.QUARTER
+        alpha, beta = (args.alpha, args.beta) if args.check == "pairshift" else contours.QUARTER[1:]
         ys, oracle, ratio = (np.array([r[f] for r in report["sweep_rows"]]) for f in ("y", "oracle", "ratio"))
-        # the y row reuses the report's numeric
-        value = np.array([math.nan if m == 2 else report["numeric"] if v == args.y
+        # the y row reuses the report's numeric; a report without one has none along the sweep either
+        value = np.array([math.nan if report["numeric"] is None else report["numeric"] if v == args.y
                           else contours.paired_shift_numeric(alpha, beta, v).real for v in ys.tolist()])
         if not _write((["y", "value", "oracle", "ratio"], [ys, value, oracle, ratio]), args.sweep_out, "sweep table"):
             return EXIT_IO

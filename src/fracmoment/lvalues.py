@@ -16,9 +16,11 @@ Route 3 (afe): the exact approximate-functional-equation identity
 valid for primitive chi, summed up to mn = q e^{V/2}/pi ~ 13.5 q (V = 7.5), where
 W < 1.4e-37; the error estimate bounds the dropped tail by
 4 W_par(e^{-V/2}) + (2q/pi) J_par(V), J_par(V) = int_V^inf W_par(e^{-v/2}) e^{v/2} dv
-from the W table.  The pairs are binned by the exponent
-dlog m - dlog n of m/n in the cyclic group, with one bincount per block of
-pairs and no modular inverse.  The smooth cutoff W_par, the inverse Mellin
+from the W table.  The pairs are binned by the exponent dlog m - dlog n of
+m/n in the cyclic group, with one bincount per block of pairs and no modular
+inverse.  Both parities ride one pass: one W lookup gives both weight rows,
+one DFT of S_0 + i S_1 both transforms, and only the last step reads which
+character has which parity.  The smooth cutoff W_par, the inverse Mellin
 transform of Gamma(s + w/2)^2/Gamma(s)^2 with s = 1/4 + par/2, equals the
 Bessel-K integral (2/Gamma(s)^2) int_{x^-2}^inf t^{s-1} K_0(2 sqrt t) dt; it
 is read from one q-independent cumulative table per parity for x < 2, and for
@@ -269,28 +271,28 @@ def _w_series(v: np.ndarray, s: float) -> np.ndarray:
     return 1.0 - 2.0 * np.exp(s * v - 2.0 * math.lgamma(s)) * acc
 
 
-def w_weight_many(x: np.ndarray, parity: int) -> np.ndarray:
-    """W_parity(x) = (1/2 pi i) int_(c) Gamma(s + w/2)^2/Gamma(s)^2 x^w dw/w, s = 1/4 + parity/2.
+def w_weight_many(x: np.ndarray) -> np.ndarray:
+    """[W_0(x), W_1(x)], W_par(x) = (1/2 pi i) int_(c) Gamma(s + w/2)^2/Gamma(s)^2 x^w dw/w, s = 1/4 + par/2.
 
     Since 2 K_0(2 sqrt t) has Mellin transform Gamma(u)^2, W(x) is
     (2/Gamma(s)^2) int_{x^-2}^inf t^{s-1} K_0(2 sqrt t) dt.  In v = -2 log x
     it is read from one q-independent table per parity on [umin, umax] by
-    cubic Hermite interpolation; past umax W is 0 (W < 1e-340), and below
-    umin (x > 1.9988) it comes from K_0's small-t series.
+    cubic Hermite interpolation, with one cell index for both; past umax W
+    is 0 (W < 1e-340), and below umin (x > 1.9988) it comes from K_0's
+    small-t series.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x) & (x > 0)):
         raise DomainError("W weight requires finite x > 0")
-    if parity not in (0, 1):
-        raise DomainError("parity must be 0 (even) or 1 (odd)")
-    C = _w_tables()[parity][0]
+    tables = _w_tables()
     v = -2.0 * np.log(x)
     p = (v - _WSPEC.umin) / _WSPEC.step
-    k = np.clip(p.astype(np.int64), 0, C.shape[1] - 1)
+    k = np.clip(p.astype(np.int64), 0, tables[0][0].shape[1] - 1)
     t = p - k
-    out = np.where(v > _WSPEC.umax, 0.0, C[0][k] + t * (C[1][k] + t * (C[2][k] + t * C[3][k])))
+    out = np.stack([np.where(v > _WSPEC.umax, 0.0, C[0][k] + t * (C[1][k] + t * (C[2][k] + t * C[3][k])))
+                    for C, _, _ in tables])
     series = v < _WSPEC.umin
-    out[series] = _w_series(v[series], 0.25 + parity / 2)
+    out[:, series] = [_w_series(v[series], s) for s in (0.25, 0.75)]
     return out
 
 
@@ -341,32 +343,31 @@ def _afe_dmax(q: int, xmin: float) -> int:
     return min(Dmax, int(q * math.exp(_AFE_V / 2) / math.pi))
 
 
-def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """AFE double sums for both parities, all characters at once.
+def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, float]:
+    """|L(1/2, chi_j)|^2 for every j by the AFE, and its error estimate.
 
     Pairs (m, n) with q/(pi m n) >= xmin are folded onto the exponent group,
     up to the cut D = mn <= Dmax = q e^{V/2}/pi, past which W < 1.4e-37:
     m > n lands at k = dlog m - dlog n + (q - 1) of one bincount, the reversed
-    pair at -k, the diagonal at exponent 0.  Mapped back to residues
-    v = g^k, the two DFTs then give
-    2 sum_v S_v^{(par)} chi_j(v) = |L(1/2, chi_j)|^2 for chi_j of that parity.
-    The weights are two rows, W_par(q/(pi D))/sqrt(D) for D <= Dmax; the error
-    estimate bounds its pair count, sum 1/sqrt(mn), in closed form, and the
-    tail past the cut by 4 W_par(e^{-V/2}) + (2q/pi) J_par(V).  An xmin above
+    pair at -k, the diagonal at exponent 0.  Both parities ride one pass:
+    the weights are two rows, W_par(q/(pi D))/sqrt(D) for D <= Dmax, from
+    one W lookup per block, and the exponent sums S_0, S_1 are even, so one
+    DFT of S_0 + i S_1 has 2 sum_v S_v^{(par)} chi_j(v) = |L(1/2, chi_j)|^2
+    as its real part for an even chi_j and as its imaginary part for an odd
+    one; the parity pick is the last step.  The error estimate bounds its
+    pair count, sum 1/sqrt(mn), in closed form, and the tail past the cut by 4 W_par(e^{-V/2}) + (2q/pi) J_par(V).  An xmin above
     e^{-V/2} cuts earlier, and the estimate does not cover what that drops.
-    Returns (even_squares, odd_squares, error_estimate).
+    Returns (squares, error_estimate).
     """
     q = table.q
     Dmax = _afe_dmax(q, xmin)
     size = 2 * (q - 1)
-    # rows: W_0(D)/sqrt(D), W_1(D)/sqrt(D), built in cache-sized blocks; a
-    # pair with q | mn has q | D and weight 0
+    # rows: W_0(D)/sqrt(D), W_1(D)/sqrt(D), built in cache-sized blocks of
+    # one lookup each; a pair with q | mn has q | D and weight 0
     wD = np.empty((2, Dmax))
     for lo in range(0, Dmax, 1 << 15):
         D = np.arange(lo + 1, min(lo + (1 << 15), Dmax) + 1)
-        inv = 1.0 / np.sqrt(D)
-        for par in (0, 1):
-            wD[par, lo : lo + D.size] = w_weight_many(q / (math.pi * D), par) * inv
+        wD[:, lo : lo + D.size] = w_weight_many(q / (math.pi * D)) * (1.0 / np.sqrt(D))
     wD[:, q - 1 :: q] = 0.0
     # for fixed n the m > n are one slice of km and one stride-n slice of wD,
     # copied into one pair of buffers of B pairs, cut where the buffers fill;
@@ -399,15 +400,17 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     S = A + np.roll(A[:, ::-1], 1, axis=1)
     S = S[:, : q - 1] + S[:, q - 1 :]
     S[:, 0] += wD[:, np.arange(1, last + 1) ** 2 - 1].sum(axis=1)
-    del wD, wbuf  # the largest arrays go before the FFTs
-    coeffs = np.empty((2, q - 1))
-    coeffs[:, table.powers - 1] = S
-    outs = [2.0 * dft_all_characters(table, c.astype(complex)).real for c in coeffs]
+    del wD, wbuf  # the largest arrays go before the FFT
+    coeffs = np.empty(q - 1, dtype=complex)
+    coeffs[table.powers - 1] = S[0] + 1j * S[1]
+    out = 2.0 * dft_all_characters(table, coeffs)
+    squares = np.where(table.parity == 0, out.real, out.imag)
     # each pair's W is off by at most the table residual and |chi| = 1, so the
     # sum of 1/sqrt(mn) over the pairs carries it to |L|^2; log2(q) eps covers
-    # the FFT.  That sum is bounded per n <= sqrt(Dmax): (n, n) adds 1/n, and the
-    # m > n with mn <= Dmax, counted twice, add n^{-1/2} sum_{n < m <= top} m^{-1/2}
-    # <= 2 (sqrt(top) - sqrt(n))/sqrt(n), top = Dmax // n
+    # the FFT of S_0 + i S_1, whose sum |S_0| + |S_1| stays below 0.1 of that
+    # pair sum at q <= 100003.  That sum is bounded per n <= sqrt(Dmax): (n, n)
+    # adds 1/n, and the m > n with mn <= Dmax, counted twice, add
+    # n^{-1/2} sum_{n < m <= top} m^{-1/2} <= 2 (sqrt(top) - sqrt(n))/sqrt(n), top = Dmax // n
     n = np.arange(1, last + 1)
     pairs = float(np.sum(4.0 * (np.sqrt(Dmax // n) - np.sqrt(n)) / np.sqrt(n) + 1.0 / n))
     tables = _w_tables()
@@ -417,13 +420,12 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, np.ndarr
     # W(e^{-V/2}) + int_{D*}^inf W(q/(pi D)) dD = F(V) + (q/(2 pi)) J(V)
     tail = max(4.0 * F + 2.0 * q / math.pi * J for _, _, (F, J) in tables)
     err = 2.0 * pairs * (resid + math.log2(q) * np.finfo(float).eps) + tail
-    return outs[0], outs[1], err
+    return squares, err
 
 
 def afe_squares(table: CharacterTable, xmin: float = 1e-3) -> np.ndarray:
-    """|L(1/2, chi_j)|^2 for every j from the AFE route, parity-matched."""
-    even, odd, _ = _afe_batch(table, xmin)
-    return np.where(table.parity == 0, even, odd)
+    """|L(1/2, chi_j)|^2 for every j from the AFE route."""
+    return _afe_batch(table, xmin)[0]
 
 
 def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarray], np.ndarray, float]:
@@ -443,8 +445,7 @@ def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarra
         rem = np.polynomial.polynomial.polyval(1 / _DIRECT, _em_poly(0.5, _em_rows(q / q**1.25, 9)[-1]))
         err = smoothed_band(q) + (rem + math.log2(q) * np.finfo(float).eps) * values[0].real
     elif method == "afe":
-        even, odd, err = _afe_batch(table, 1e-3)
-        return None, np.where(table.parity == 0, even, odd), err
+        return None, *_afe_batch(table, 1e-3)
     else:
         raise DomainError(f"unknown L-value method {method!r}")
     return values, np.abs(values) ** 2, err

@@ -130,18 +130,6 @@ class TestDft:
         slow = naive_character_sums(t, coeffs)
         assert np.max(np.abs(fast - slow)) < 1e-8
 
-    @given(q=st.sampled_from([3, 5, 17, 101, 1009]), seed=st.integers(0, 2**32 - 1),
-           picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
-    @settings(max_examples=30, deadline=None)
-    def test_naive_indices_are_rows_of_the_full_evaluation(self, q, seed, picks):
-        # unsorted, repeated and block-crossing indices read the same sums
-        t = table_for(q)
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal(q - 1) + 1j * rng.standard_normal(q - 1)
-        idx = [min(int(u * (q - 1)), q - 2) for u in picks]
-        full = naive_character_sums(t, coeffs)
-        assert np.array_equal(naive_character_sums(t, coeffs, idx), full[idx])
-
     def test_round_trip(self, rng):
         t = table_for(101)
         coeffs = rng.standard_normal(100) + 1j * rng.standard_normal(100)

@@ -67,6 +67,11 @@ class TestVerifyCommands:
         assert run(["verify", "orthogonality", "--qmax", "31", "--out", str(out)]) == 1
         assert [not c["pass"] for c in json.loads(out.read_text())["checks"]] == failing
 
+    def test_afe_checks_the_smallest_modulus(self, tmp_path):
+        out = tmp_path / "a.json"
+        assert run(["verify", "afe", "--qmin", "3", "--qmax", "3", "--out", str(out)]) == 0
+        assert [c["name"] for c in json.loads(out.read_text())["checks"]] == ["q=3 AFE vs oracle squares"]
+
     def test_exponents_gate(self):
         assert run(["verify", "exponents", "--trials", "5"]) == 0
 
@@ -358,6 +363,8 @@ class TestSweepExport:
         want = json.loads(out.read_text())["sweep_rows"]
         assert [(float(r[0]), float(r[2]), float(r[3])) for r in rows] == [
             (w["y"], w["oracle"], w["ratio"]) for w in want]
+        # the report has no m = 2 numeric, so neither has any row of the sweep
+        assert all(np.isnan(float(r[1])) for r in rows)
 
 
 def _flags(command: list) -> list:
@@ -401,7 +408,8 @@ def _refusal(argv: list, flag: str):
 
 
 # The rulings for values that no domain refuses, at the codes they exit with: a gate
-# at --tol 1e308 cannot fail, and one at 1e-320 cannot pass; afe clamps --qmin to 5;
+# at --tol 1e308 cannot fail, and one at 1e-320 cannot pass; afe starts at q = 3,
+# the smallest modulus with a table, whatever --qmin;
 # d_alpha, 1/Gamma, the beta shift and k take any such value; eta's drift exceeds
 # the tol at a zero or tiny w0 or shift
 _GATED = [t for t, (_, flags) in VERIFY_TARGETS.items() if "tol" in flags]

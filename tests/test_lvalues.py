@@ -104,7 +104,7 @@ class TestHurwitzZeta:
 
 class TestWWeight:
     def test_large_x_tends_to_one(self):
-        w0, w1 = (w_weight_many(np.array([1e6]), par)[0] for par in (0, 1))
+        w0, w1 = (w_weight_many(np.array([1e6]))[par][0] for par in (0, 1))
         assert w0 == pytest.approx(1.0, abs=1e-2)
         # frozen from an independent mpmath quadrature of the defining integral
         assert w0 == pytest.approx(0.990726061517, abs=1e-9)
@@ -112,10 +112,10 @@ class TestWWeight:
 
     def test_small_x_vanishes(self):
         for par in (0, 1):
-            assert w_weight_many(np.array([1e-6]), par)[0] == pytest.approx(0.0, abs=1e-6)
+            assert w_weight_many(np.array([1e-6]))[par][0] == pytest.approx(0.0, abs=1e-6)
 
     def test_transition_values_at_one(self):
-        w0, w1 = (w_weight_many(np.array([1.0]), par)[0] for par in (0, 1))
+        w0, w1 = (w_weight_many(np.array([1.0]))[par][0] for par in (0, 1))
         assert 0 < w0 < 1 and 0 < w1 < 1
         assert w0 != w1
         # frozen mpmath references
@@ -138,7 +138,7 @@ class TestWWeight:
         xs = [1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e12]
         with mp.workdps(15):
             for par in (0, 1):
-                for x, got in zip(xs, w_weight_many(np.array(xs), par)):
+                for x, got in zip(xs, w_weight_many(np.array(xs))[par]):
                     assert abs(got - float(self._mpmath_w(x, par))) < 1e-11, (x, par)
 
     # each mpmath quadrature takes up to 0.4 s, hence the few examples
@@ -148,7 +148,7 @@ class TestWWeight:
         x = math.exp(log_x)
         with mp.workdps(15):
             for par in (0, 1):
-                assert abs(w_weight_many(np.array([x]), par)[0] - float(self._mpmath_w(x, par))) < 1e-11, (x, par)
+                assert abs(w_weight_many(np.array([x]))[par][0] - float(self._mpmath_w(x, par))) < 1e-11, (x, par)
 
     # z in [1, 800], which covers z = 2 sqrt(t) over the table's v = log t in
     # [umin, 12], and the two methods' boundary at z = 17
@@ -184,7 +184,7 @@ class TestWWeight:
             C, resid, _ = lvalues._w_tables()[par]
             series = lvalues._w_series(np.r_[v0, -2.0 * np.log(x)], 0.25 + par / 2)
             assert abs(series[0] - C[0, 0]) <= resid, par
-            got = w_weight_many(x, par)
+            got = w_weight_many(x)[par]
             assert got[0] == series[1], par
             assert np.all(np.abs(got[1:] - series[2:]) <= resid), par
 
@@ -210,19 +210,18 @@ class TestWWeight:
         monkeypatch.setattr(lvalues, "_w_build", counted)
         clear_caches()
         for _ in range(3):
-            for par in (0, 1):
-                w_weight_many(np.array([0.5, 2.0]), par)
+            w_weight_many(np.array([0.5, 2.0]))
         afe_squares(table_for(7))
         assert len(builds) == 1
         clear_caches()
         assert lvalues._w_tables.cache_info().currsize == 0
-        w_weight_many(np.array([2.0]), 1)
+        w_weight_many(np.array([2.0]))
         assert len(builds) == 2 and len(lvalues._w_tables()) == 2
 
     def test_positive_x_required(self):
-        for x, par in ((0.0, 0), (-1.0, 1), (math.nan, 0), (math.inf, 0)):
+        for x in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
-                w_weight_many(np.array([x]), par)
+                w_weight_many(np.array([x]))
 
 
 class TestLValueTable:
@@ -327,15 +326,14 @@ class TestAfe:
         j = 3  # odd character
         assert t.parity[j] == 1
         good = lvalue_table(t, "afe")[1][j]
-        even, _, _ = _afe_batch(t, 1e-3)
-        bad = even[j]
+        bad = _afe_batch(dataclasses.replace(t, parity=1 - t.parity), 1e-3)[0][j]
         want = lvalue_table(t, "oracle")[1][j]
         assert abs(good - want) < 1e-6
         assert abs(bad - want) > 1e-3
 
     def test_error_estimate_bounds_observed(self):
         # 5003: the AFE band of the benchmark's few_large_q workload
-        for q in [q for q in range(5, 62) if is_prime(q)] + [1009, 5003]:
+        for q in [q for q in range(3, 62) if is_prime(q)] + [1009, 5003]:
             t = table_for(q)
             _, squares, err = lvalue_table(t, "afe")
             dev = np.max(np.abs(squares[1:] - np.abs(oracle_values(t)[1:]) ** 2))
@@ -387,7 +385,7 @@ class TestAfe:
         # where the W table ends: each pair m >= n binned at dlog m - dlog n
         # mod q - 1, its reverse (m > n) at the negative, then one FFT per parity
         t = table_for(q)
-        _, _, err = _afe_batch(t, 1e-3)
+        _, err = _afe_batch(t, 1e-3)
         Dmax, cap = lvalues._afe_dmax(q, 1e-3), int(q * math.exp(6.0) / math.pi)
         bins = np.zeros((2, q - 1))
         for n in range(1, math.isqrt(cap) + 1):
@@ -395,8 +393,7 @@ class TestAfe:
             m = m[(m * n) % q != 0]
             D = m * n
             k = (t.dlog[m % q] - t.dlog[n % q]) % (q - 1)
-            for par in (0, 1):
-                w = w_weight_many(q / (math.pi * D), par) / np.sqrt(D)
+            for par, w in enumerate(w_weight_many(q / (math.pi * D)) / np.sqrt(D)):
                 bins[par] += np.bincount(k, weights=w, minlength=q - 1)
                 bins[par] += np.bincount(-k % (q - 1), weights=np.where(m > n, w, 0.0), minlength=q - 1)
         tails = [2.0 * np.fft.ifft(b) * (q - 1) for b in bins]
@@ -430,7 +427,7 @@ class TestAfe:
         cap = int(q * math.exp(lvalues._AFE_V / 2) / math.pi)
         chis = np.array([[chi(t, j, a) for a in range(q)] for j in range(q - 1)])
         D = np.arange(1, Dmax + 1)
-        W = [np.r_[0.0, w_weight_many(q / (math.pi * D), par) / np.sqrt(D)] for par in (0, 1)]
+        W = [np.r_[0.0, w / np.sqrt(D)] for w in w_weight_many(q / (math.pi * D))]
         sums = np.zeros((2, q - 1), dtype=complex)
         pairsum = 0.0
         for m in range(1, Dmax + 1):
@@ -446,11 +443,10 @@ class TestAfe:
     @pytest.mark.parametrize("q", [5, 7, 11, 13])
     def test_pair_fold_matches_double_loop(self, q, xmin):
         t = table_for(q)
-        even, odd, err = _afe_batch(t, xmin)
+        squares, err = _afe_batch(t, xmin)
         sums, pairsum = self._pair_loop(t, xmin)
         assert np.max(np.abs(sums.imag)) < 1e-12
-        for par, got in ((0, even), (1, odd)):
-            assert np.max(np.abs(got - sums[par].real)) < 1e-12, par
+        assert np.max(np.abs(squares - np.where(t.parity == 0, sums[0].real, sums[1].real))) < 1e-12
         # the estimate's pair count is a closed-form bound on the exact pair sum,
         # 1.39 times it at q = 5 and closer from there on
         resid = max(r for _, r, _ in lvalues._w_tables())
