@@ -6,9 +6,9 @@ coefficients d_alpha(n) (the Dirichlet coefficients of zeta(s)^alpha), the
 Mobius function, log-weighted polynomial coefficients, mu-twisted mollifier
 coefficients with squared log weights, and complex-shifted convolution series.
 The multiplicative sequences come from one generator fed their Euler factors
-f(p^e), one list per sequence computed once per call, which sieves the smallest
-prime factors up to its own cutoff; the rest are Dirichlet convolutions of such
-pieces.
+f(p^e), one list per sequence computed once per call, which makes one strided
+pass over the multiples of each prime up to the square root of its cutoff; the
+rest are Dirichlet convolutions of such pieces.
 """
 
 from __future__ import annotations
@@ -26,30 +26,13 @@ from .errors import DomainError
 # series diverge; reject them at construction time.
 SHIFT_RE_MIN = -3.0 / 16.0
 
-# Largest cutoff of a multiplicative series: its smallest-prime-factor table
-# is then 40 MB of int32.
+# Largest cutoff of a multiplicative series: its cofactor table is then 40 MB
+# of int32.
 SIEVE_CAP = 10**7
 
-# Largest block of n that _multiplicative completes at once, bounding its
+# Largest run of n that _multiplicative scans or updates at once, bounding its
 # temporaries to a few MB whatever the cutoff.
 _BLOCK = 1 << 16
-
-
-def _smallest_prime_factors(limit: int) -> np.ndarray:
-    """int32 spf[n], the least prime dividing n, for 2 <= n <= limit.
-
-    spf[p] = p for prime p; spf[0] = 0 and spf[1] = 1 are sentinels.
-    """
-    if not 0 <= limit <= SIEVE_CAP:
-        raise DomainError(f"series cutoff must be in [0, {SIEVE_CAP}], got {limit}")
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    untouched = spf == 0
-    spf[untouched] = np.arange(limit + 1, dtype=np.int32)[untouched]
-    return spf
 
 
 @dataclass(frozen=True)
@@ -93,34 +76,51 @@ def _mu_twisted(beta: float, count: int) -> list[float]:
 def _multiplicative(local, cutoff: int, dtype=float) -> np.ndarray:
     """Dense f(n), n <= cutoff, of the multiplicative f with f(p^e) = local(p, e).
 
-    local(p, e) takes an int array of primes and one exponent e >= 1.  With
-    p = spf(n) and p^e || n, f(n) = f(p^e) f(n/p^e): prime powers come straight
-    from local, every other n in blocks [lo, hi) with hi <= 2 lo, so that
-    n/p^e <= n/2 < lo is final before its block starts.  Slot 0 is 0.
+    local(p, e) takes an int array of primes and one exponent e >= 1.  Dividing
+    every small prime p <= sqrt(cutoff) out of rest = n leaves rest[n] = 1 or
+    the one prime factor P > sqrt(cutoff) of n, so f starts at f(P) or 1; then
+    each small prime, largest first, multiplies f(p^e) into f[p::p] as the left
+    operand: f(n) = f(p1^e1) (f(p2^e2) (... f(P))) for p1 < p2 < ... < P.
+    Slot 0 is 0 and every zero is +0.
     """
-    spf = _smallest_prime_factors(cutoff)
-    f = np.zeros(cutoff + 1, dtype=dtype)
-    f[1:2] = 1
-    primes = np.flatnonzero(spf == np.arange(cutoff + 1, dtype=np.int32))[2:]
-    pk, k = primes, 1
-    while pk.size:  # the prime powers p^k <= cutoff, one exponent at a time
-        f[pk] = local(primes[: pk.size], k)
+    if not 0 <= cutoff <= SIEVE_CAP:
+        raise DomainError(f"series cutoff must be in [0, {SIEVE_CAP}], got {cutoff}")
+    root = math.isqrt(cutoff)
+    f = np.zeros(cutoff + 1, dtype=dtype)  # first, so the scratch arrays free above it on the heap
+    rest, small = np.arange(cutoff + 1, dtype=np.int32), []
+    for p in range(2, root + 1):
+        if rest[p] == p:  # no smaller prime divides p
+            small.append(p)
+            q = p
+            while q <= cutoff:
+                rest[q::q] //= p
+                q *= p
+    primes = np.concatenate([np.array(small, dtype=np.intp)] + [  # then the n > root with rest[n] = n
+        lo + np.flatnonzero(rest[lo : lo + _BLOCK] == np.arange(lo, min(lo + _BLOCK, cutoff + 1)))
+        for lo in range(root + 1, cutoff + 1, _BLOCK)])
+    powers, pk = [], primes  # powers[k - 1][i] = local(primes[i], k) while primes[i]^k <= cutoff
+    while pk.size:
+        powers.append(np.empty(pk.size, dtype=dtype))
+        powers[-1][:] = local(primes[: pk.size], len(powers))
         pk = pk * primes[: pk.size]
-        pk, k = pk[pk <= cutoff], k + 1
-    lo = 2
-    while lo <= cutoff:
-        hi = min(2 * lo, lo + _BLOCK, cutoff + 1)
-        n, p = np.arange(lo, hi, dtype=np.int32), spf[lo:hi]
-        pe = p.copy()  # grows to p^e || n
-        grow = np.flatnonzero(n // p % p == 0)
-        while grow.size:
-            pe[grow] *= p[grow]
-            grow = grow[n[grow] // pe[grow] % p[grow] == 0]
-        # n = p^e m with f(p^e) = 0 stays 0
-        keep = (pe != n) & (f[pe] != 0)
-        n, pe = n[keep], pe[keep]
-        f[n] = f[pe] * f[n // pe]
-        lo = hi
+        pk = pk[pk <= cutoff]
+    f[1 : root + 1] = 1  # f(rest[n]), which is f(1) for every n <= root
+    if powers:
+        f[primes[len(small) :]] = powers[0][len(small) :]
+    for lo in range(root + 1, cutoff + 1, _BLOCK):
+        f[lo : lo + _BLOCK] = f[rest[lo : lo + _BLOCK]]
+    del rest
+    for i in reversed(range(len(small))):
+        p, view = small[i], f[small[i] :: small[i]]  # view[m - 1] = f(p m)
+        own = [w[i] for w in powers if i < w.size]  # f(p), f(p^2), ...
+        for lo in range(0, view.size, _BLOCK):
+            loc, q = np.full(min(_BLOCK, view.size - lo), own[0]), p
+            for value in own[1:]:  # loc[t] = f(p^e) where p^(e-1) || m = lo + 1 + t
+                loc[-(lo + 1) % q :: q] = value
+                q *= p
+            block = view[lo : lo + _BLOCK]
+            np.multiply(loc, block, out=block)  # loc on the left: numpy's fused complex product is not commutative
+    f += 0.0  # -0 + 0 = +0
     return f
 
 
@@ -163,7 +163,7 @@ def _log_weighted(euler: list[float], A: int, x: float, power: int, cutoff: int)
     support = min(cutoff, int(math.floor(x)))
     head = _series(euler, support)[1:] * (np.log(x / np.arange(1, support + 1)) / math.log(x)) ** power
     base = np.zeros(cutoff + 1)
-    base[1 : support + 1] = head
+    base[1 : support + 1] = head + 0.0  # the weight is 0 at n = x, and -0 + 0 = +0
     out = base
     for _ in range(A - 1):
         out = dirichlet_convolve(out, base, cutoff)

@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,42 @@ def divisor_coeff(alpha, n: int) -> float:
             m, acc, i = m // p, acc * (a + i) / (i + 1), i + 1
         p += 1
     return float(acc)
+
+
+def primes_upto(N: int) -> list:
+    """The primes p <= N, by trial division."""
+    return [p for p in range(2, N + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@cache
+def _least_prime_powers(N: int) -> tuple:
+    """(p, e) for each n = 2..N, with p the least prime factor of n, found by trial division, and p^e || n."""
+    out = []
+    for n in range(2, N + 1):
+        p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        e = 1
+        while n % p ** (e + 1) == 0:
+            e += 1
+        out.append((p, e))
+    return tuple(out)
+
+
+def multiplicative_reference(local, N: int, dtype=float) -> np.ndarray:
+    """f(n) = f(p^e) f(n/p^e) for n <= N, p the least prime factor of n and f(p^e) = local(p, e)
+    the left operand, so f(n) = f(p1^e1) (f(p2^e2) (...)) in increasing primes; slot 0 is 0
+    and every zero +0.
+
+    Each product is a one-element numpy multiply: numpy's complex product is fused and
+    rounds its operands unevenly, so neither Python's complex product nor the swapped
+    order reproduces the series bit for bit.
+    """
+    f = np.zeros(N + 1, dtype=dtype)
+    f[1:2] = 1
+    for n, (p, e) in enumerate(_least_prime_powers(N), start=2):
+        f[n] = local(p, e)
+        if p**e < n:
+            f[n] = np.multiply(f[n : n + 1], f[n // p**e : n // p**e + 1])[0]
+    return f + 0.0
 
 
 def evaluate_polynomial_all(table, coeffs: np.ndarray) -> np.ndarray:

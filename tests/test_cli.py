@@ -234,7 +234,7 @@ class TestDumpCoeffs:
     @pytest.mark.parametrize("argv, n6", [
         (["sigma", "--shifts", "1e308"], "6,0,0"),
         (["rho", "--shifts", "1e308"], "6,0,0"),
-        (["psi", "--shifts", "1e308"], "6,1,-0"),  # mu(6)
+        (["psi", "--shifts", "1e308"], "6,1,0"),  # mu(6), its zero imaginary part +0
         (["psi", "--zshifts", "1e308"], "6,0.25,0"),  # d_{1/2}(6)
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_huge_shift_gives_its_limit_without_a_warning(self, argv, n6, tmp_path):
@@ -369,9 +369,13 @@ class TestSweepExport:
 
 def _flags(command: list) -> list:
     """The option strings `command` registers, bar -h and the output paths."""
-    parser = build_parser()
+    parser, value = build_parser(), False
     for word in command:
-        if not word.startswith("-"):
+        if value:  # the value of the flag before it
+            value = False
+        elif word.startswith("-"):  # a flag reads the next word, which names a parser only after --series
+            value = not isinstance(parser._option_string_actions.get(word), argparse._SubParsersAction)
+        else:
             parser = next(a.choices[word] for a in parser._actions
                           if isinstance(a, argparse._SubParsersAction) and word in a.choices)
     return [a.option_strings[0] for a in parser._actions
@@ -391,8 +395,8 @@ _UNRULED = ("0", "-1", "-0", "3.5", "1e308", "1e-320")
 
 
 def _cheap(command: list) -> list:
-    """command with every flag of _CHEAP that it registers at its cheap value."""
-    return [*command, *(x for f, v in _CHEAP.items() if f in _flags(command) for x in (f, v))]
+    """command with every flag of _CHEAP that it registers, and does not set, at its cheap value."""
+    return [*command, *(x for f, v in _CHEAP.items() if f in _flags(command) and f not in command for x in (f, v))]
 
 
 def _refusal(argv: list, flag: str):
@@ -409,13 +413,13 @@ def _refusal(argv: list, flag: str):
 
 # The rulings for values that no domain refuses, at the codes they exit with: a gate
 # at --tol 1e308 cannot fail, and one at 1e-320 cannot pass; afe starts at q = 3,
-# the smallest modulus with a table, whatever --qmin;
+# the smallest modulus with a table, whatever --qmin, and takes q = 3 alone at --qmax 3;
 # d_alpha, 1/Gamma, the beta shift and k take any such value; eta's drift exceeds
 # the tol at a zero or tiny w0 or shift
 _GATED = [t for t, (_, flags) in VERIFY_TARGETS.items() if "tol" in flags]
 _RULINGS = (
     [(["verify", t], "--tol", tol, code) for t in _GATED for tol, code in (("1e308", 0), ("1e-320", 1))]
-    + [(["verify", "afe"], "--qmin", v, 0) for v in ("0", "-1")]
+    + [(["verify", "afe"], "--qmin", v, 0) for v in ("0", "-1")] + [(["verify", "afe", "--qmax", "3"], "--qmin", "3", 0)]
     + [(["dump-coeffs", "--series", "dalpha"], "--alpha", v, 0) for v in ("0", "-1", "1e-320")]
     + [(["verify", "hankel"], "--alphas", "1e-320", 0), (["verify", "pairshift"], "--beta", "1e-320", 0),
        (["survey"], "--k", "1e-320", 0)]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import divisor_coeff, run_python
+from conftest import divisor_coeff, multiplicative_reference, primes_upto, run_python
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +11,6 @@ from fracmoment.errors import DomainError
 from fracmoment.sieve import (
     SIEVE_CAP,
     ShiftVector,
-    _smallest_prime_factors,
     dirichlet_convolve,
     divisor_series,
     mobius_series,
@@ -21,25 +20,21 @@ from fracmoment.sieve import (
 )
 
 
-class TestSmallestPrimeFactors:
-    def test_spf_invariant(self):
-        spf = _smallest_prime_factors(10**4)
-        assert spf.dtype == np.int32 and spf.size == 10**4 + 1
-        assert (spf[0], spf[1]) == (0, 1)
-        for n in range(2, 2000):
-            p = int(spf[n])
-            assert n % p == 0
-            assert all(n % d != 0 for d in range(2, p))
+SERIES = {
+    "dalpha": lambda N: divisor_series(Fraction(1, 2), N),
+    "mobius": mobius_series,
+    "sigma": lambda N: shifted_series("sigma", (0.25 + 0.5j,), 2, N),
+}
 
-    def test_cutoff_cap(self):
-        assert _smallest_prime_factors(0).tolist() == [0]
+
+class TestCutoff:
+    @pytest.mark.parametrize("series", SERIES.values(), ids=SERIES)
+    def test_cutoff_cap(self, series):
+        assert series(0).tolist() == [0]
+        assert series(1).tolist() == [0, 1]
         for bad in (-1, SIEVE_CAP + 1):
             with pytest.raises(DomainError):
-                _smallest_prime_factors(bad)
-        for series in (lambda N: divisor_series(Fraction(1, 2), N), mobius_series,
-                       lambda N: shifted_series("sigma", (0.0,), 1, N)):
-            with pytest.raises(DomainError):
-                series(SIEVE_CAP + 1)
+                series(bad)
 
 
 class TestDivisorCoeff:
@@ -58,14 +53,14 @@ class TestDivisorCoeff:
             divisor_coeff(Fraction(1, 2), 0)
 
     def test_series_matches_scalar(self):
-        # past 2^16 the series is completed in blocks of 2^16
+        # past 2^16 the primes are found, and each prime's multiples updated, in blocks of 2^16
         d = divisor_series(Fraction(1, 3), 3 << 16)
         for n in (1, 2, 8, 12, 60, 499, 1 << 16, 65537, 65539, 131071, 1 << 17, 131073, 3**10 * 3, 3 << 16):
             assert d[n] == pytest.approx(divisor_coeff(Fraction(1, 3), n), abs=1e-14)
 
     def test_series_peak_memory_1e6(self):
         # one process of its own, so the peak (VmHWM, KiB) is this call's; the
-        # float64 result is 7.6 MB and the int32 factor table 3.8 MB
+        # float64 result is 7.6 MB and the int32 cofactor table 3.8 MB
         code = (
             "from fracmoment.sieve import divisor_series\n"
             "def peak():\n"
@@ -76,6 +71,21 @@ class TestDivisorCoeff:
             "print(peak() - before)\n"
         )
         assert int(run_python(code).stdout) < 24 * 1024
+
+    def test_mobius_peak_memory_4e6(self):
+        # 30.5 MiB of float64 and 15.3 MiB of cofactors; the rest is the primes, their
+        # f(p), and temporaries of at most 2^16 entries (an unblocked first update, of
+        # 2 x 10^6 entries, and an unblocked prime scan read about 82 MiB)
+        code = (
+            "from fracmoment.sieve import mobius_series\n"
+            "def peak():\n"
+            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
+            "mobius_series(1000)\n"
+            "before = peak()\n"
+            "mobius_series(4 * 10**6)\n"
+            "print(peak() - before)\n"
+        )
+        assert int(run_python(code).stdout) < 72 * 1024
 
     def test_multiplicativity(self, rng):
         d = divisor_series(Fraction(1, 2), 10**4)
@@ -246,6 +256,57 @@ class TestShiftedSeries:
                 ShiftVector((0.3, bad))
 
 
+N_EXACT = 3000
+# series with a negative f(p^e) and zeros, which a product of the two can make -0
+ZERO_PRONE = {
+    "mobius": lambda: mobius_series(10**5),
+    "d_-1": lambda: divisor_series(-1, 10**4),
+    "d_-2": lambda: divisor_series(-2, 10**4),
+    "rho": lambda: shifted_series("rho", (0.3 - 1j,), 2, 10**4),
+    "rho at a huge shift": lambda: shifted_series("rho", (1e308,), 1, 100),
+    "psi": lambda: shifted_series("psi", ((0.1,), (0.2 + 1j,)), 1, 10**4),
+    "mollifier at y = 30": lambda: mollifier_coeffs(1, 1, 30.0, 100),
+}
+
+
+class TestBitExact:
+    """Every series equals f(p1^e1) (f(p2^e2) (...)) in increasing primes, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), 0, -1, 0.3, Fraction(5, 2)])
+    def test_divisor_series(self, alpha):
+        want = multiplicative_reference(lambda p, e: divisor_coeff(alpha, p**e), N_EXACT)
+        assert divisor_series(alpha, N_EXACT).tobytes() == want.tobytes()
+
+    def test_mobius_series(self):
+        want = multiplicative_reference(lambda p, e: -1.0 if e == 1 else 0.0, N_EXACT)
+        assert mobius_series(N_EXACT).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("A, B, y", [(1, 2, 30.0), (1, 1, 2310.0), (2, 3, 100.5)])
+    def test_mollifier(self, A, B, y):
+        # at n = y = 30 and 2310 the weight is 0 and mu(n) = -1
+        base = multiplicative_reference(lambda p, e: -1 / B if e == 1 else 0.0, N_EXACT)
+        n = np.arange(1, int(y) + 1)
+        head = np.zeros(N_EXACT + 1)
+        head[n] = base[n] * (np.log(y / n) / math.log(y)) ** 2 + 0.0
+        want = head
+        for _ in range(A - 1):
+            want = dirichlet_convolve(want, head, N_EXACT)
+        assert mollifier_coeffs(A, B, y, N_EXACT).tobytes() == (want * 0.5**A).tobytes()
+
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("mode, shifts", [("sigma", (0.25 + 0.5j, 0.1)), ("rho", (0.3 - 1j, 0.2 + 2j)),
+                                              ("psi", ((0.1 + 1j, 0.2), (0.3 - 0.5j,)))])
+    def test_shifted_series(self, mode, shifts, s):
+        # f(p^e) is read off the series; the products are what is checked
+        got = shifted_series(mode, shifts, s, N_EXACT)
+        assert got.tobytes() == multiplicative_reference(lambda p, e: got[p**e], N_EXACT, complex).tobytes()
+
+    @pytest.mark.parametrize("name", ZERO_PRONE)
+    def test_every_zero_is_positive(self, name):
+        values = ZERO_PRONE[name]().view(np.float64)  # a complex series as its real and imaginary parts
+        assert not np.signbit(values[values == 0]).any()
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -310,8 +371,7 @@ class TestProperties:
     def test_divisor_coeff_is_the_series_at_prime_powers(self, alpha):
         N = 2000
         d = divisor_series(alpha, N)
-        spf = _smallest_prime_factors(N)
-        for p in np.flatnonzero(spf == np.arange(N + 1))[2:].tolist():
+        for p in primes_upto(N):
             q = p
             while q <= N:
                 assert divisor_coeff(alpha, q) == d[q], (alpha, q)
