@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +67,6 @@ class CharacterTable:
         dlog:   dlog[a] = k with g^k = a (mod q), for 1 <= a < q; dlog[0] = -1
         powers: powers[k] = g^k mod q for 0 <= k < q-1 (inverse of dlog)
         parity: parity[j] = 0 if chi_j(-1) = 1 (even), 1 otherwise
-        roots:  roots[m] = exp(2 pi i m/(q-1))
     """
 
     q: int
@@ -74,11 +74,17 @@ class CharacterTable:
     dlog: np.ndarray
     powers: np.ndarray
     parity: np.ndarray
-    roots: np.ndarray
 
     @property
     def order(self) -> int:
         return self.q - 1
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """roots[m] = exp(2 pi i m/(q-1)), built on first read: only the quadratic reference reads it."""
+        roots = np.exp(2j * math.pi * np.arange(self.order) / self.order)
+        roots.setflags(write=False)
+        return roots
 
 
 def build_table(q: int) -> CharacterTable:
@@ -111,10 +117,9 @@ def build_table(q: int) -> CharacterTable:
     dlog[powers] = np.arange(n, dtype=np.int64)
     # chi_j(-1) = exp(2 pi i j dlog(-1)/n) with dlog(-1) = n/2, so parity is j mod 2
     parity = (np.arange(n) % 2).astype(np.int8)
-    roots = np.exp(2j * math.pi * np.arange(n) / n)
-    for arr in (powers, dlog, parity, roots):
+    for arr in (powers, dlog, parity):
         arr.setflags(write=False)
-    return CharacterTable(q=q, g=g, dlog=dlog, powers=powers, parity=parity, roots=roots)
+    return CharacterTable(q=q, g=g, dlog=dlog, powers=powers, parity=parity)
 
 
 def _csum(values: np.ndarray) -> complex:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import characters, contours, lvalues, moments, sieve
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .reporting import emit
 
 EXIT_PASS = 0
@@ -590,9 +590,6 @@ def main(argv=None) -> int:
     except (OverflowError, FloatingPointError) as exc:
         print(f"error: a value too large for a double: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
     print(f"done in {time.perf_counter() - t0:.2f}s")
     return code
 

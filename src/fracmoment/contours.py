@@ -5,8 +5,8 @@ divisor-sum oracle:
 
 * the Perron weights (1/2 pi i) int x^w w^{-m} dw for m = 2, 3,
 * Hankel's integral (1/2 pi i) int_(c) e^w w^{-alpha} dw = 1/Gamma(alpha),
-* fractional powers of zeta on the principal branch, with continuity
-  tracking along a homotopy from the real ray,
+* fractional powers of zeta on the branch continued from the real ray, which is the
+  principal one right of Re s = 1.1 and a principal log of (s - 1) zeta(s) near the pole,
 * the paired-shift double integral
   (1/2 pi i)^2 iint zeta^beta(1 + z1 + z2) y^{z1+z2} (z1 z2)^{-alpha} dz
   on the saddle lines Re z = c/log y, whose exact expansion is a weighted divisor
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .lvalues import zeta_progression
 from .sieve import ShiftVector, divisor_series, shifted_series
 
@@ -116,58 +116,41 @@ def hankel_recip_gamma(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _step_logs(to: np.ndarray, frm: np.ndarray) -> np.ndarray:
-    """Principal log(to/frm) per step of a branch-tracked walk.  Summed step
-    logs follow the branch only while each step turns zeta well under pi, so a
-    step past pi/4 (a grid too coarse to see which way zeta wound) is refused."""
-    steps = np.log(to / frm)
-    turn = np.abs(steps.imag).max(initial=0.0)
-    if turn > math.pi / 4:
-        raise ConvergenceError(f"zeta turns by {turn:.3g} rad in one step (> pi/4): branch not tracked")
-    return steps
-
-
-def _tracked_logs(zv: np.ndarray, anchor: int) -> np.ndarray:
-    """log zeta along a walk of zeta values, continued from the principal log at
-    zv[anchor] by the cumulative step logs on each side of it."""
-    logs = np.empty(zv.size, dtype=complex)
-    logs[anchor] = np.log(zv[anchor])
-    logs[anchor + 1 :] = logs[anchor] + np.cumsum(_step_logs(zv[anchor + 1 :], zv[anchor:-1]))
-    logs[:anchor] = (logs[anchor] + np.cumsum(_step_logs(zv[:anchor], zv[1 : anchor + 1])[::-1]))[::-1]
-    return logs
+# The principal log of zeta is the branch continued from the real ray s > 1 in two regions.  Right of
+# Re s = _PRINCIPAL_FROM, log zeta(s) = sum_p sum_k p^{-ks}/k gives |Im log zeta(s)| <= log zeta(Re s)
+# <= log zeta(1.1) = 2.36 < pi (Titchmarsh, ch. 1).  On the disc |s - 1| < _POLE_DISC, Re((s - 1) zeta(s))
+# is harmonic and at least 1/2 on the circle (1/2 at s = 0), so the principal Log((s - 1) zeta(s)) is
+# continuous there and log zeta(s) = Log((s - 1) zeta(s)) - Log(s - 1), whose only cut is the real s <= 1.
+_PRINCIPAL_FROM, _POLE_DISC = 1.1, 1.0
 
 
 def zeta_frac_power(alpha: float, s: complex) -> complex:
-    """zeta(s)^alpha on the principal branch continued from the real ray.
+    """zeta(s)^alpha on the branch continued from the real ray s > 1.
 
-    On Re s >= 2, |zeta(s) - 1| <= zeta(2) - 1 < 1, so the principal log is
-    the continued branch there and no walk is needed.  Left of that line zeta
-    is evaluated on the progression from s to 2 + i Im s, in steps of at most
-    a quarter of the walk's distance to the pole, and the log is tracked back
-    from that end to s.  Real s on (1/2, 1] is refused: the only
-    continuation paths cross the pole from one side or the other, so the
-    branch there is genuinely ambiguous.
+    Right of Re s = _PRINCIPAL_FROM it is the principal power; on the disc |s - 1| < _POLE_DISC it is
+    exp(alpha (Log((s - 1) zeta(s)) - Log(s - 1))).  Real s <= 1 is refused: the only continuation
+    paths cross the pole from one side or the other, so the branch there is genuinely ambiguous.  So is
+    every other s left of Re s = _PRINCIPAL_FROM and off the disc, where neither bound fixes the branch.
     """
     s = complex(s)
-    if s == 1:
-        raise DomainError("zeta has a pole at s = 1")
-    if s.real <= 0.5:
-        raise DomainError("require Re s > 1/2")
     if s.imag == 0 and s.real <= 1:
         raise DomainError("real s <= 1: branch ambiguous across the pole")
-    count, ds = 1, 0.0
-    if s.real < 2:
-        dist = max(abs(s.imag) if s.real <= 1 else abs(s - 1), 1e-4)
-        count = max(8, int((2 - s.real) / min(0.02, dist / 4)) + 2)
-        ds = (2 - s.real) / (count - 1)
-    logs = _tracked_logs(zeta_progression(s, ds, count), count - 1)
-    return complex(np.exp(alpha * logs[0]))
+    if s.real >= _PRINCIPAL_FROM:
+        log = np.log(zeta_progression(s, 0, 1)[0])
+    elif abs(s - 1) < _POLE_DISC:
+        log = np.log((s - 1) * zeta_progression(s, 0, 1)[0]) - np.log(s - 1)
+    else:
+        raise DomainError(f"s = {s} is left of Re s = {_PRINCIPAL_FROM} and off the disc |s - 1| < "
+                          f"{_POLE_DISC}: no bound fixes the branch of log zeta there")
+    return complex(np.exp(alpha * log))
 
 
 def zeta_power_line(beta: float, s0: complex, ds: complex, count: int) -> np.ndarray:
-    """zeta^beta at s0 + k ds for k < count, branch-tracked from the midpoint,
-    where zeta is (nearly) real positive on the symmetric lines used."""
-    return np.exp(beta * _tracked_logs(zeta_progression(s0, ds, count), count // 2))
+    """zeta^beta at s0 + k ds for k < count, on the principal branch, which the line must keep right of
+    Re s = _PRINCIPAL_FROM."""
+    if min((s0 + k * ds).real for k in (0, count - 1)) < _PRINCIPAL_FROM:
+        raise DomainError(f"the line from s = {s0} in steps {ds} reaches left of Re s = {_PRINCIPAL_FROM}")
+    return np.exp(beta * np.log(zeta_progression(s0, ds, count)))
 
 
 # ---------------------------------------------------------------------------

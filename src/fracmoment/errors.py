@@ -3,7 +3,3 @@
 
 class DomainError(ValueError):
     """An argument is outside the domain an operation is defined on."""
-
-
-class ConvergenceError(RuntimeError):
-    """A truncated sum or quadrature cannot meet its accuracy contract."""

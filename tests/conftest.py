@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -117,3 +118,28 @@ def evaluate_polynomial_all(table, coeffs: np.ndarray) -> np.ndarray:
     its own; fold_residues refuses support at n >= q."""
     n = np.arange(1, coeffs.size)
     return dft_all_characters(table, fold_residues(table.q, coeffs[1:] / np.sqrt(n)).astype(complex))
+
+
+def walk_log_zeta(s: complex) -> complex:
+    """log zeta(s) continued from the real ray s > 1 by a walk, at 30 digits: mpmath's principal log
+    at 1.1 + i Im s, where the Euler product keeps |Im log zeta| <= log zeta(1.1) < pi, plus the
+    principal log of each step's ratio zeta(s_{k+1})/zeta(s_k) along the horizontal segment to s.
+
+    Near the pole zeta ~ 1/(s - 1) turns by about the step over the distance to it, so a step is a
+    tenth of that distance (at most 0.02), and each must turn zeta by under 0.5 rad for the summed
+    logs to follow the branch.
+    """
+    with mp.workdps(30):
+        target = mp.mpc(s)
+        at = mp.mpc(1.1, target.imag)
+        zeta = mp.zeta(at)
+        log = mp.log(zeta)
+        while at != target:
+            gap = abs(target - at)
+            h = min(0.1 * abs(at - 1), 0.02)
+            at = target if gap <= h else at + h * (target - at) / gap
+            nxt = mp.zeta(at)
+            step = mp.log(nxt / zeta)
+            assert abs(step.imag) < 0.5, f"zeta turns by {step.imag} rad in one step at {at}"
+            log, zeta = log + step, nxt
+        return complex(log)

@@ -3,11 +3,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import divisor_coeff, run_python
+from conftest import divisor_coeff, run_python, walk_log_zeta
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracmoment.contours import (
+    _POLE_DISC,
+    _PRINCIPAL_FROM,
     QUARTER,
     _self_convolve,
     eta_stability,
@@ -20,7 +22,7 @@ from fracmoment.contours import (
     zeta_frac_power,
     zeta_power_line,
 )
-from fracmoment.errors import ConvergenceError, DomainError
+from fracmoment.errors import DomainError
 from fracmoment.sieve import ShiftVector, divisor_series
 
 
@@ -100,7 +102,7 @@ class TestZetaFracPower:
         assert abs((a * b).imag) < 1e-12
 
     def test_alpha_one_reduces_to_zeta(self):
-        for s in (2.0, 1.5, 1.2 + 0.7j, 0.8 + 2.0j):
+        for s in (2.0, 1.5, 1.2 + 0.7j, 0.8 + 0.5j):
             assert abs(zeta_frac_power(1.0, s) - complex(mp.zeta(s))) < 1e-10
 
     @pytest.mark.parametrize("s", [2.0, 1.1, 1 + 0.01j])
@@ -111,22 +113,39 @@ class TestZetaFracPower:
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
     @given(alpha=st.floats(-1.0, 1.0),
-           s=st.tuples(st.floats(1.25, 3.0), st.floats(-40.0, 40.0)).map(lambda p: complex(*p)))
+           s=st.tuples(st.floats(1.1, 3.0), st.floats(-40.0, 40.0)).map(lambda p: complex(*p)))
     @settings(max_examples=100, deadline=None)
-    @example(alpha=0.25, s=0.8 + 2j)
-    @example(alpha=0.25, s=0.6 + 5j)
-    @example(alpha=0.25, s=0.55 + 10j)
     @example(alpha=0.25, s=1 + 0.01j)
     @example(alpha=0.25, s=1.001)
-    def test_matches_principal_power_where_zeta_has_positive_real_part(self, alpha, s):
+    def test_matches_principal_power_right_of_1_1(self, alpha, s):
         # on Re s > 1 the continued log is the Euler product's, |Im log zeta(s)| <= log zeta(Re s),
-        # under pi/2 from Re s = 1.25 on, so there mpmath's principal power is an independent
-        # oracle; the examples left of that line are points where the continued branch is principal too
+        # under pi from Re s = 1.1 on, so there mpmath's principal power is an independent oracle;
+        # the two examples lie on the disc, where zeta ~ 1/(s - 1) keeps |arg zeta| < pi/2, so there too
         with mp.workdps(30):
-            zeta = mp.zeta(s)
-            assume(zeta.real > 0)
-            want = complex(mp.exp(alpha * mp.log(zeta)))
+            want = complex(mp.exp(alpha * mp.log(mp.zeta(s))))
         assert abs(zeta_frac_power(alpha, s) - want) < 1e-13 * abs(want)
+
+    @given(alpha=st.floats(-1.0, 1.0), r=st.floats(1e-3, 0.999), theta=st.floats(-math.pi, math.pi))
+    @settings(max_examples=25, deadline=None)
+    @example(alpha=0.25, r=0.5, theta=math.pi - 2e-3)  # 1e-3 above the cut at s = 1/2
+    @example(alpha=-0.75, r=0.9, theta=-math.pi + 1e-3)  # 9e-4 below the cut at s = 0.1
+    @example(alpha=1.0, r=0.999, theta=3.0)  # Re s = 0.011, next to the circle's minimum at s = 0
+    @example(alpha=0.5, r=1e-3, theta=1.5)  # near the pole, Re s < 1
+    @example(alpha=0.25, r=0.3, theta=-0.01)  # Re s = 1.3, where the principal log is taken
+    def test_matches_the_walk_on_the_disc(self, alpha, r, theta):
+        s = 1 + r * complex(math.cos(theta), math.sin(theta))
+        assume(s.imag != 0)
+        with mp.workdps(30):
+            want = complex(mp.exp(alpha * mp.mpc(walk_log_zeta(s))))
+        assert abs(zeta_frac_power(alpha, s) - want) < 1e-13 * abs(want)
+
+    def test_regions_are_where_the_principal_branch_is_proven(self):
+        # right of _PRINCIPAL_FROM, |Im log zeta| <= log zeta(Re s) must stay under pi; on the disc,
+        # Re((s - 1) zeta(s)) is harmonic, so its minimum is on the circle: 1/2, at s = 0
+        with mp.workdps(20):
+            assert mp.log(mp.zeta(_PRINCIPAL_FROM)) < mp.pi
+            circle = [1 + _POLE_DISC * mp.expjpi(mp.mpf(k) / 500) for k in range(1000)]
+            assert min(mp.re((s - 1) * mp.zeta(s)) for s in circle) >= 0.5
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -136,9 +155,14 @@ class TestZetaFracPower:
         with pytest.raises(DomainError):
             zeta_frac_power(0.5, 0.8)  # real, left of the pole: ambiguous branch
 
-    def test_branch_jump_refused(self):
-        # zeta turns by 2.03 rad between t = 14 and 14.5, past its first zero
-        with pytest.raises(ConvergenceError):
+    @pytest.mark.parametrize("s", [0.8 + 2j, 0.6 + 5j, 0.55 + 10j])
+    def test_strip_above_the_disc_refused(self, s):
+        with pytest.raises(DomainError):
+            zeta_frac_power(0.25, s)
+
+    def test_line_left_of_1_1_refused(self):
+        # Re s = 0.6: zeta turns by 2.03 rad between t = 14 and 14.5, past its first zero at 1/2 + 14.13i
+        with pytest.raises(DomainError):
             zeta_power_line(0.25, 0.6 + 13.5j, 0.5j, 4)
 
 

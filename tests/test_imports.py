@@ -116,3 +116,18 @@ def test_no_cli_target_raises_domain_error_itself():
         and "DomainError" in {n.id for n in ast.walk(raised.exc) if isinstance(n, ast.Name)}
     ]
     assert raising == []
+
+
+def test_every_error_class_is_raised_in_src():
+    # an exception type that nothing raises leaves handlers for a failure that cannot happen
+    src = Path(fracmoment.__file__).resolve().parent
+    errors = {node.name for node in ast.parse((src / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)}
+    raised = {
+        exc.id if isinstance(exc, ast.Name) else exc.attr
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for exc in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+        if isinstance(exc, (ast.Name, ast.Attribute))
+    }
+    assert errors and errors <= raised
