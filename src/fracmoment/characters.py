@@ -6,10 +6,12 @@ of a table of q-1 precomputed roots of unity.  Character values are never
 materialized as a q x q matrix.
 
 Evaluating a coefficient sum over all characters at once is a DFT of length
-q-1 after permuting residues into the cyclic group generated by g; numpy's
-pocketfft handles the non-power-of-two (often prime) lengths via Bluestein's
-reduction, giving the O(q log q) fast path.  A direct evaluation is kept as
-the quadratic-time reference: characters come in blocks of 16, since
+n = q-1 after permuting residues into the cyclic group generated by g.  Where
+the largest prime factor p of n has p^2 > n, numpy's pocketfft would take all
+of n through Bluestein's reduction, at several times a smooth length's cost;
+there the DFT splits as (n/p) x p (Good 1958; Thomas 1963), so Bluestein runs
+only on rows of length p.  A direct evaluation is kept as the quadratic-time
+reference: characters come in blocks of 16, since
 chi_{j0 + t}(g^m) = chi_t(g^m) chi_{j0}(g^m), so one gather of exact roots and
 one matrix-vector product against the first 16 characters serve a block.
 Since chi_j(g^k) = chi_k(g^j), the same reference also sums characters at
@@ -86,12 +88,32 @@ class CharacterTable:
         roots.setflags(write=False)
         return roots
 
+    @cached_property
+    def good_thomas(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Good-Thomas index maps (gather, crt) of the group DFT, built on first read;
+        None where one FFT of length n = q-1 runs.
 
-def build_table(q: int) -> CharacterTable:
-    """Character table for prime q, 3 <= q <= 10^6, smallest primitive root."""
-    if q < 3 or q > QMAX or not is_prime(q):
-        raise DomainError(f"modulus must be a prime in [3, {QMAX}], got {q}")
-    n = q - 1
+        n = n1 n2 splits off n2 = p, the largest prime factor of n, exactly where
+        pocketfft may choose Bluestein: n >= 50 and p^2 > n, so p divides n once
+        and n1 = n/p >= 2 (n is even) is coprime to it.  gather[k1, k2] =
+        powers[(k1 n2 + k2 n1) % n] - 1, and crt[j1, j2] = j with j = j1 (mod n1)
+        and j = j2 (mod n2).
+        """
+        n = self.order
+        n2 = _prime_factors(n)[-1]
+        if n < 50 or n2 * n2 <= n:
+            return None
+        n1 = n // n2
+        k1, k2 = np.arange(n1)[:, None], np.arange(n2)
+        gather = (self.powers - 1)[(k1 * n2 + k2 * n1) % n]
+        crt = (k1 * (n2 * pow(n2, -1, n1)) + k2 * (n1 * pow(n1, -1, n2))) % n
+        for arr in (gather, crt):
+            arr.setflags(write=False)
+        return gather, crt
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 2, ascending, by trial division."""
     fac = []
     m, d = n, 2
     while d * d <= m:
@@ -102,6 +124,15 @@ def build_table(q: int) -> CharacterTable:
         d += 1
     if m > 1:
         fac.append(m)
+    return fac
+
+
+def build_table(q: int) -> CharacterTable:
+    """Character table for prime q, 3 <= q <= 10^6, smallest primitive root."""
+    if q < 3 or q > QMAX or not is_prime(q):
+        raise DomainError(f"modulus must be a prime in [3, {QMAX}], got {q}")
+    n = q - 1
+    fac = _prime_factors(n)
     g = 0
     for cand in range(2, q):
         if all(pow(cand, n // p, q) != 1 for p in fac):
@@ -141,12 +172,15 @@ def dft_all_characters(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
     """out[j] = sum_{a=1}^{q-1} coeffs[a-1] chi_j(a) for every j at once.
 
     Permutes coefficients to the cyclic group (index m with a = g^m) and runs
-    one inverse FFT of length q-1; matches the naive evaluation to ~1e-13.
+    one inverse FFT of length q-1, or its Good-Thomas split (see
+    CharacterTable.good_thomas); matches the naive evaluation to ~1e-13.
     """
     n = table.order
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (n,):
         raise DomainError(f"coefficient array must have length q-1 = {n}, got {coeffs.shape}")
+    if (maps := table.good_thomas) is not None:
+        return _split_dft(np.fft.ifft, coeffs, *maps)
     b = coeffs[table.powers - 1]
     return np.fft.ifft(b) * n
 
@@ -157,10 +191,23 @@ def inverse_dft_all_characters(table: CharacterTable, char_sums: np.ndarray) -> 
     char_sums = np.asarray(char_sums)
     if char_sums.shape != (n,):
         raise DomainError(f"character-sum array must have length q-1 = {n}")
+    if (maps := table.good_thomas) is not None:
+        return _split_dft(np.fft.fft, char_sums, *maps[::-1])
     b = np.fft.fft(char_sums) / n
     coeffs = np.empty(n, dtype=complex)
     coeffs[table.powers - 1] = b
     return coeffs
+
+
+def _split_dft(fft, x: np.ndarray, gather: np.ndarray, scatter: np.ndarray) -> np.ndarray:
+    """out[scatter] = the two-dimensional fft of x[gather], unscaled for np.fft.ifft
+    and scaled by 1/n for np.fft.fft: rows (the prime length) first, then the
+    columns in place in the rows' buffer."""
+    a = fft(x[gather], axis=1, norm="forward")
+    fft(a, axis=0, norm="forward", out=a)
+    out = np.empty(x.size, dtype=complex)
+    out[scatter] = a
+    return out
 
 
 _NAIVE_BLOCK = 16

@@ -131,6 +131,8 @@ def zeta_progression(s0: complex, ds: complex, count: int) -> np.ndarray:
     exps, B ~ sqrt(count), replace terms full-length exps.
     """
     s0, ds = complex(s0), complex(ds)
+    if not np.isfinite([s0, ds]).all():
+        raise DomainError(f"zeta needs a finite progression, got s0 = {s0}, ds = {ds}")
     s = s0 + np.arange(count) * ds
     if np.any(s == 1):
         raise DomainError("zeta(s) has a pole at s = 1")

@@ -142,6 +142,57 @@ class TestDft:
             dft_all_characters(t, np.ones(9, dtype=complex))
 
 
+def _fft_bound(c: np.ndarray) -> float:
+    """log2(n) eps sum |c|, the rounding a length-n FFT may add to each output."""
+    return np.log2(c.size) * np.finfo(float).eps * float(np.sum(np.abs(c)))
+
+
+class TestGoodThomasSplit:
+    # q - 1 = 2^12 3, 2^16 and 2^6 3^2 5^2 7: pocketfft runs them without Bluestein
+    @pytest.mark.parametrize("q", [12289, 65537, 100801])
+    def test_smooth_lengths_keep_one_fft_bit_for_bit(self, q, rng):
+        t = build_table(q)
+        n = q - 1
+        assert t.good_thomas is None
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(dft_all_characters(t, c), np.fft.ifft(c[t.powers - 1]) * n)
+        back = np.empty(n, dtype=complex)
+        back[t.powers - 1] = np.fft.fft(c) / n
+        assert np.array_equal(inverse_dft_all_characters(t, c), back)
+
+    def test_short_lengths_stay_unsplit(self):
+        # pocketfft takes no Bluestein below length 50: 46 = 2 23 stays one FFT, 58 = 2 29 splits
+        assert table_for(47).good_thomas is None
+        assert table_for(59).good_thomas is not None
+
+    @pytest.mark.parametrize("q,n1,p", [(7013, 4, 1753), (10007, 2, 5003), (100237, 12, 8353),
+                                        (999983, 158, 6329)])
+    def test_split_lengths_match_one_fft(self, q, n1, p, rng):
+        t = build_table(q)
+        n = q - 1
+        gather, crt = t.good_thomas
+        assert gather.shape == crt.shape == (n1, p)
+        assert np.array_equal(np.sort(crt, axis=None), np.arange(n))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        fast = dft_all_characters(t, c)
+        assert np.max(np.abs(fast - np.fft.ifft(c[t.powers - 1]) * n)) < _fft_bound(c)
+        # a real input, as the oracle and smoothed routes pass
+        r = c.real.copy()
+        assert np.max(np.abs(dft_all_characters(t, r) - np.fft.ifft(r[t.powers - 1]) * n)) < _fft_bound(r)
+        assert np.max(np.abs(inverse_dft_all_characters(t, fast) - c)) < _fft_bound(c)
+
+    def test_naive_agrees_at_every_prime_below_2000(self, rng):
+        split = 0
+        for q in filter(is_prime, range(3, 2000)):
+            t = build_table(q)
+            split += t.good_thomas is not None
+            c = rng.standard_normal(q - 1) + 1j * rng.standard_normal(q - 1)
+            fast = dft_all_characters(t, c)
+            assert np.max(np.abs(fast - naive_character_sums(t, c))) < _fft_bound(c), q
+            assert np.max(np.abs(inverse_dft_all_characters(t, fast) - c)) < _fft_bound(c), q
+        assert 0 < split < 302  # both sides of the rule are covered
+
+
 class TestDiagonalDecomposition:
     def test_single_diagonal_pair(self):
         t = table_for(7)

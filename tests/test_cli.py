@@ -151,6 +151,22 @@ class TestMomentsCommand:
     def test_bad_k_exits_2(self):
         assert run(["moments", "--q", "101", "--k", "3/2"]) == 2
 
+    def test_largest_modulus_moments_peak_memory(self, tmp_path):
+        # q - 1 = 158 x 6329: the Good-Thomas split runs Bluestein only on rows of
+        # length 6329; one Bluestein transform of length 999,982 lifted the peak
+        # to 193 MiB over 3 fresh processes, the split reads 98 MiB on each
+        code = (
+            "import sys\n"
+            "from fracmoment.cli import main\n"
+            "def peak():\n"
+            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
+            "before = peak()\n"
+            "assert main(['moments', '--q', '999983', '--out', sys.argv[1]]) == 0\n"
+            "print(peak() - before)\n"
+        )
+        out = run_python(code, str(tmp_path / "m.json"))
+        assert int(out.stdout.splitlines()[-1]) < 115 * 1024
+
 
 class TestHolderCommand:
     def test_schema_and_gate(self, tmp_path):

@@ -155,6 +155,12 @@ class TestZetaFracPower:
         with pytest.raises(DomainError):
             zeta_frac_power(0.5, 0.8)  # real, left of the pole: ambiguous branch
 
+    @pytest.mark.parametrize("s", [math.inf, complex(2, math.inf)])
+    def test_infinite_s_refused(self, s):
+        # at s = inf the Euler-Maclaurin tail read nan; at s = 2 + inf j sizing it overflowed
+        with pytest.raises(DomainError):
+            zeta_frac_power(0.5, s)
+
     @pytest.mark.parametrize("s", [0.8 + 2j, 0.6 + 5j, 0.55 + 10j])
     def test_strip_above_the_disc_refused(self, s):
         with pytest.raises(DomainError):
