@@ -5,10 +5,13 @@ table of (Z/qZ)*, so chi_j(a) = exp(2 pi i * j * dlog(a) / (q-1)) is one entry
 of a table of q-1 precomputed roots of unity.  Character values are never
 materialized as a q x q matrix.
 
-Evaluating a coefficient sum over all characters at once is a DFT of length
-n = q-1 after permuting residues into the cyclic group generated by g.  Where
-the largest prime factor p of n has p^2 > n, numpy's pocketfft would take all
-of n through Bluestein's reduction, at several times a smooth length's cost;
+Every all-character array is in exponent order: slot m holds the coefficient
+of a = g^m, in the DFT's input, in the inverse's output and in the direct
+reference, and `fold_residues` is the one place that lays a sequence indexed
+by n onto the group, at slot dlog[n].  Evaluating a coefficient sum over all
+characters at once is then one DFT of length n = q-1.  Where the largest
+prime factor p of n has p^2 > n, numpy's pocketfft would take all of n
+through Bluestein's reduction, at several times a smooth length's cost;
 there the DFT splits as (n/p) x p (Good 1958; Thomas 1963), so Bluestein runs
 only on rows of length p.  A direct evaluation is kept as the quadratic-time
 reference: characters come in blocks of 16, since
@@ -91,13 +94,13 @@ class CharacterTable:
     @cached_property
     def good_thomas(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Good-Thomas index maps (gather, crt) of the group DFT, built on first read;
-        None where one FFT of length n = q-1 runs.
+        None where one FFT of length n = q-1 runs.  Both depend on n alone.
 
         n = n1 n2 splits off n2 = p, the largest prime factor of n, exactly where
         pocketfft may choose Bluestein: n >= 50 and p^2 > n, so p divides n once
         and n1 = n/p >= 2 (n is even) is coprime to it.  gather[k1, k2] =
-        powers[(k1 n2 + k2 n1) % n] - 1, and crt[j1, j2] = j with j = j1 (mod n1)
-        and j = j2 (mod n2).
+        (k1 n2 + k2 n1) % n, and crt[j1, j2] = j with j = j1 (mod n1) and
+        j = j2 (mod n2).
         """
         n = self.order
         n2 = _prime_factors(n)[-1]
@@ -105,7 +108,7 @@ class CharacterTable:
             return None
         n1 = n // n2
         k1, k2 = np.arange(n1)[:, None], np.arange(n2)
-        gather = (self.powers - 1)[(k1 * n2 + k2 * n1) % n]
+        gather = (k1 * n2 + k2 * n1) % n
         crt = (k1 * (n2 * pow(n2, -1, n1)) + k2 * (n1 * pow(n1, -1, n2))) % n
         for arr in (gather, crt):
             arr.setflags(write=False)
@@ -169,10 +172,9 @@ def parity_sum_expected(q: int, parity: str, a: int | np.ndarray) -> np.ndarray:
 
 
 def dft_all_characters(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
-    """out[j] = sum_{a=1}^{q-1} coeffs[a-1] chi_j(a) for every j at once.
+    """out[j] = sum_m coeffs[m] chi_j(g^m) for every j at once, coeffs in exponent order.
 
-    Permutes coefficients to the cyclic group (index m with a = g^m) and runs
-    one inverse FFT of length q-1, or its Good-Thomas split (see
+    One unscaled inverse FFT of length q-1, or its Good-Thomas split (see
     CharacterTable.good_thomas); matches the naive evaluation to ~1e-13.
     """
     n = table.order
@@ -180,33 +182,23 @@ def dft_all_characters(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
     if coeffs.shape != (n,):
         raise DomainError(f"coefficient array must have length q-1 = {n}, got {coeffs.shape}")
     if (maps := table.good_thomas) is not None:
-        return _split_dft(np.fft.ifft, coeffs, *maps)
-    b = coeffs[table.powers - 1]
-    return np.fft.ifft(b) * n
+        return _split_dft(coeffs, *maps)
+    return np.fft.ifft(coeffs) * n
 
 
 def inverse_dft_all_characters(table: CharacterTable, char_sums: np.ndarray) -> np.ndarray:
-    """Recover residue coefficients from the full vector of character sums."""
-    n = table.order
-    char_sums = np.asarray(char_sums)
-    if char_sums.shape != (n,):
-        raise DomainError(f"character-sum array must have length q-1 = {n}")
-    if (maps := table.good_thomas) is not None:
-        return _split_dft(np.fft.fft, char_sums, *maps[::-1])
-    b = np.fft.fft(char_sums) / n
-    coeffs = np.empty(n, dtype=complex)
-    coeffs[table.powers - 1] = b
-    return coeffs
+    """Recover the exponent-order coefficients from the full vector of character sums:
+    conj(DFT(conj z))/(q-1)."""
+    return np.conj(dft_all_characters(table, np.conj(char_sums))) / table.order
 
 
-def _split_dft(fft, x: np.ndarray, gather: np.ndarray, scatter: np.ndarray) -> np.ndarray:
-    """out[scatter] = the two-dimensional fft of x[gather], unscaled for np.fft.ifft
-    and scaled by 1/n for np.fft.fft: rows (the prime length) first, then the
-    columns in place in the rows' buffer."""
-    a = fft(x[gather], axis=1, norm="forward")
-    fft(a, axis=0, norm="forward", out=a)
+def _split_dft(x: np.ndarray, gather: np.ndarray, crt: np.ndarray) -> np.ndarray:
+    """out[crt] = the unscaled two-dimensional inverse FFT of x[gather]: rows (the
+    prime length) first, then the columns in place in the rows' buffer."""
+    a = np.fft.ifft(x[gather], axis=1, norm="forward")
+    np.fft.ifft(a, axis=0, norm="forward", out=a)
     out = np.empty(x.size, dtype=complex)
-    out[scatter] = a
+    out[crt] = a
     return out
 
 
@@ -214,11 +206,11 @@ _NAIVE_BLOCK = 16
 
 
 def naive_character_sums(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
-    """Direct evaluation of sum_a coeffs[a-1] chi_j(a), 16 characters at a time.
+    """Direct evaluation of sum_m coeffs[m] chi_j(g^m), 16 characters at a time.
 
     Quadratic-time reference for dft_all_characters, built from the table's
-    roots without any FFT: with a = g^m and j = j0 + t, t < 16,
-    chi_j(a) = roots[(t m) % n] roots[(j0 m) % n], so each block j0 (a
+    roots without any FFT: with j = j0 + t, t < 16,
+    chi_j(g^m) = roots[(t m) % n] roots[(j0 m) % n], so each block j0 (a
     multiple of 16) is one gather and one product with the 16 x n matrix of
     the first 16 characters.
 
@@ -232,28 +224,29 @@ def naive_character_sums(table: CharacterTable, coeffs: np.ndarray) -> np.ndarra
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (n,):
         raise DomainError(f"coefficient array must have length q-1 = {n}")
-    b = coeffs[table.powers - 1]
     m = np.arange(n, dtype=np.int64)
     first = table.roots[np.outer(np.arange(_NAIVE_BLOCK), m) % n]
     blocks = range(0, n, _NAIVE_BLOCK)
     sums = np.empty((len(blocks), _NAIVE_BLOCK), dtype=complex)
     for i, j0 in enumerate(blocks):
-        sums[i] = first @ (table.roots[(j0 * m) % n] * b)
+        sums[i] = first @ (table.roots[(j0 * m) % n] * coeffs)
     return sums.reshape(-1)[:n]
 
 
-def fold_residues(q: int, values: np.ndarray) -> np.ndarray:
-    """Lay out an array indexed by n = 1..len as residues 1..q-1 mod q,
-    zero-padded to length q-1.
+def fold_residues(table: CharacterTable, values: np.ndarray) -> np.ndarray:
+    """Lay out an array indexed by n = 1..len on the group in exponent order:
+    the value at n goes to slot dlog[n], and every other slot is zero.
 
     The support must lie below q, where each n is its own residue; this is
     the one place that refuses support at n >= q.
     """
+    q = table.q
     values = np.asarray(values)
     if np.any(values[q - 1 :] != 0):
         raise DomainError(f"coefficient support must be < q = {q}")
+    values = values[: q - 1]
     out = np.zeros(q - 1, dtype=np.result_type(values.dtype, np.float64))
-    out[: values.size] += values[: q - 1]  # 0 + v, so a -0.0 lands as 0.0
+    out[table.dlog[1 : values.size + 1]] += values  # 0 + v, so a -0.0 lands as 0.0
     return out
 
 
@@ -273,16 +266,18 @@ def diagonal_decomposition_check(
     lhs = sum over all characters of (sum_m c_m chi(m)) (sum_n e_n chibar(n));
     rhs = phi(q) * sum over pairs m = n (mod q), both coprime to q, of c_m e_n.
     Both sides are computed independently; arrays are indexed by n starting
-    at 1 and must be supported below q.
+    at 1 and must be supported below q.  scale = phi(q) ||c||_2 ||e||_2 bounds
+    both |lhs| (Cauchy-Schwarz and Parseval) and |rhs| (Cauchy-Schwarz), so
+    diff/scale reads a relative error of the identity itself.
     """
     q = table.q
     c = np.asarray(c, dtype=complex)
     e = np.asarray(e, dtype=complex)
-    fc = fold_residues(q, c)
-    fe = fold_residues(q, e)
+    fc = fold_residues(table, c)
+    fe = fold_residues(table, e)
     A = dft_all_characters(table, fc)
     Bbar = np.conj(dft_all_characters(table, np.conj(fe)))
     lhs = _csum(A * Bbar)
     rhs = complex(q - 1) * _csum(fc * fe)
-    scale = float((q - 1) * np.sum(np.abs(fc)) * np.sum(np.abs(fe)))
+    scale = float((q - 1) * np.linalg.norm(fc) * np.linalg.norm(fe))
     return DiagonalReport(lhs=lhs, rhs=rhs, diff=abs(lhs - rhs), scale=max(scale, 1.0))

@@ -144,11 +144,11 @@ def _verify_orthogonality(qmax, tol) -> dict:
             continue
         table = characters.build_table(q)
         # chi_j(g^k) = chi_k(g^j): the sum over the characters j that c selects, at a = g^k, is entry k of
-        # the naive sums of the coefficients c(dlog a); the parity bits are read at the exponent j = dlog a
-        k, a = table.dlog[1:], table.powers
+        # the naive sums of the exponent-order coefficients c_j, so the parity bits are the coefficients
+        j, a = np.arange(q - 1), table.powers
         full = characters.naive_character_sums(table, np.ones(q - 1))
         worst_full = max(worst_full, float(np.abs(full - np.where(a == 1, q - 1, 0)).max()))
-        for parity, sel in (("even", (table.parity[k] == 0) & (k != 0)), ("odd", table.parity[k] == 1)):
+        for parity, sel in (("even", (table.parity == 0) & (j != 0)), ("odd", table.parity == 1)):
             got = characters.naive_character_sums(table, sel)
             worst_parity = max(worst_parity, float(np.abs(got - characters.parity_sum_expected(q, parity, a)).max()))
     return {"checks": [

@@ -30,8 +30,10 @@ by a trapezoid rule or its asymptotic series, each where it holds to about an
 ulp), once per node set for both parities, since K_0(2 sqrt t) does not depend
 on the parity.
 
-All-character batches ride on the group DFT from the character engine and are
-computed on each call; only the q-independent W tables are kept between calls.
+All-character batches ride on the group DFT from the character engine, in its
+exponent order: the class sums are evaluated at c = g^m and the AFE's exponent
+sums are indexed by m already, so neither is permuted.  They are computed on
+each call; only the q-independent W tables are kept between calls.
 lvalue_table hands out one route's values, squares and error estimate together.
 """
 
@@ -305,11 +307,12 @@ def w_weight_many(x: np.ndarray) -> np.ndarray:
 _DIRECT = 10  # direct terms per class; at X = inf the first omitted (B_18) term is then 4e-18 f(u0)
 
 
-def _residue_sums(q: int, X: float) -> np.ndarray:
-    """S_c = sum_{k >= 0} f(c + kq), f(u) = u^{-1/2} e^{-u/X}, for c = 1..q-1: k < _DIRECT
-    directly, the rest by the B_2..B_16 _em_tail from u0 = c + _DIRECT q; at X = inf
-    S_c = zeta(1/2, c/q)/sqrt(q)."""
-    u, out = np.arange(1.0, q), np.zeros(q - 1)
+def _residue_sums(table: CharacterTable, X: float) -> np.ndarray:
+    """S_c = sum_{k >= 0} f(c + kq), f(u) = u^{-1/2} e^{-u/X}, in exponent order: slot m
+    holds the class c = g^m.  k < _DIRECT directly, the rest by the B_2..B_16 _em_tail
+    from u0 = c + _DIRECT q; at X = inf S_c = zeta(1/2, c/q)/sqrt(q)."""
+    q = table.q
+    u, out = table.powers.astype(float), np.zeros(q - 1)
     for _ in range(_DIRECT):  # exact: u < 2^53; at X = inf, e^{-u/X} = 1 exactly
         out += np.exp(-u / X) / np.sqrt(u)
         u += q
@@ -323,13 +326,13 @@ def oracle_values(table: CharacterTable) -> np.ndarray:
 
     Slot 0 carries the principal-character value zeta(1/2)(1 - q^{-1/2}).
     """
-    return dft_all_characters(table, _residue_sums(table.q, math.inf))
+    return dft_all_characters(table, _residue_sums(table, math.inf))
 
 
 def smoothed_values(table: CharacterTable) -> np.ndarray:
     """Smoothed sums sum_{m >= 1} chi_j(m) m^{-1/2} e^{-m/X}, X = q^{5/4}, for all j,
     as one DFT of the residue-class sums S_c."""
-    return dft_all_characters(table, _residue_sums(table.q, table.q**1.25))
+    return dft_all_characters(table, _residue_sums(table, table.q**1.25))
 
 
 def smoothed_band(q: int) -> float:
@@ -352,9 +355,9 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, float]:
     up to the cut D = mn <= Dmax = q e^{V/2}/pi, past which W < 1.4e-37:
     m > n lands at k = dlog m - dlog n + (q - 1) of one bincount, the reversed
     pair at -k, the diagonal at exponent 0.  Both parities ride one pass:
-    the weights are two rows, W_par(q/(pi D))/sqrt(D) for D <= Dmax, from
+    the weights are two rows, 2 W_par(q/(pi D))/sqrt(D) for D <= Dmax, from
     one W lookup per block, and the exponent sums S_0, S_1 are even, so one
-    DFT of S_0 + i S_1 has 2 sum_v S_v^{(par)} chi_j(v) = |L(1/2, chi_j)|^2
+    DFT of S_0 + i S_1 has sum_v S_v^{(par)} chi_j(v) = |L(1/2, chi_j)|^2
     as its real part for an even chi_j and as its imaginary part for an odd
     one; the parity pick is the last step.  The error estimate bounds its
     pair count, sum 1/sqrt(mn), in closed form, and the tail past the cut by 4 W_par(e^{-V/2}) + (2q/pi) J_par(V).  An xmin above
@@ -364,12 +367,13 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, float]:
     q = table.q
     Dmax = _afe_dmax(q, xmin)
     size = 2 * (q - 1)
-    # rows: W_0(D)/sqrt(D), W_1(D)/sqrt(D), built in cache-sized blocks of
-    # one lookup each; a pair with q | mn has q | D and weight 0
+    # rows: 2 W_0(D)/sqrt(D), 2 W_1(D)/sqrt(D), the identity's factor 2 included,
+    # built in cache-sized blocks of one lookup each; a pair with q | mn has
+    # q | D and weight 0
     wD = np.empty((2, Dmax))
     for lo in range(0, Dmax, 1 << 15):
         D = np.arange(lo + 1, min(lo + (1 << 15), Dmax) + 1)
-        wD[:, lo : lo + D.size] = w_weight_many(q / (math.pi * D)) * (1.0 / np.sqrt(D))
+        wD[:, lo : lo + D.size] = w_weight_many(q / (math.pi * D)) * (2.0 / np.sqrt(D))
     wD[:, q - 1 :: q] = 0.0
     # for fixed n the m > n are one slice of km and one stride-n slice of wD,
     # copied into one pair of buffers of B pairs, cut where the buffers fill;
@@ -403,13 +407,11 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, float]:
     S = S[:, : q - 1] + S[:, q - 1 :]
     S[:, 0] += wD[:, np.arange(1, last + 1) ** 2 - 1].sum(axis=1)
     del wD, wbuf  # the largest arrays go before the FFT
-    coeffs = np.empty(q - 1, dtype=complex)
-    coeffs[table.powers - 1] = S[0] + 1j * S[1]
-    out = 2.0 * dft_all_characters(table, coeffs)
+    out = dft_all_characters(table, S[0] + 1j * S[1])
     squares = np.where(table.parity == 0, out.real, out.imag)
     # each pair's W is off by at most the table residual and |chi| = 1, so the
     # sum of 1/sqrt(mn) over the pairs carries it to |L|^2; log2(q) eps covers
-    # the FFT of S_0 + i S_1, whose sum |S_0| + |S_1| stays below 0.1 of that
+    # the FFT of S_0 + i S_1, whose sum |S_0| + |S_1| stays below 0.2 of that
     # pair sum at q <= 100003.  That sum is bounded per n <= sqrt(Dmax): (n, n)
     # adds 1/n, and the m > n with mn <= Dmax, counted twice, add
     # n^{-1/2} sum_{n < m <= top} m^{-1/2} <= 2 (sqrt(top) - sqrt(n))/sqrt(n), top = Dmax // n

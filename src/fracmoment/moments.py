@@ -16,7 +16,8 @@ the diagonal bound for sum |P|^{4r}, and the Holder/Cauchy chain
     |S_l| <= M_k(q)^{1/(2(2-k))} (sum |P|^{4r})^{1/(2(2-k))} S_u^{(1-k)/(2-k)}.
 
 `character_values` evaluates L, |L|^2, P and M for all characters once (one
-`lvalue_table` call, and one group DFT of P + iM for both polynomials) into a frozen
+`lvalue_table` call, and one group DFT of P + iM for both polynomials, whose
+coefficients `fold_residues` lays onto the group in exponent order) into a frozen
 `CharacterValues`; `holder_chain_check` and `p4_bound_check` are plain
 functions of it, and `power_sum` is the moment alone, from the squares |L|^2.
 Per-character powers are taken on the evaluated polynomial values, never by
@@ -111,10 +112,10 @@ def mollifier_series(params: MomentParams) -> np.ndarray:
     return mollifier_coeffs(1, params.s, params.y, cutoff)
 
 
-def _residue_weights(q: int, coeffs: np.ndarray) -> np.ndarray:
-    """c_n n^{-1/2} laid out on the residues 1..q-1 (fold_residues refuses support >= q)."""
+def _residue_weights(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
+    """c_n n^{-1/2} laid out on the group in exponent order (fold_residues refuses support >= q)."""
     n = np.arange(1, coeffs.size)
-    return fold_residues(q, coeffs[1:] / np.sqrt(n))
+    return fold_residues(table, coeffs[1:] / np.sqrt(n))
 
 
 def power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, list[int]]:
@@ -169,9 +170,8 @@ def character_values(params: MomentParams, table: CharacterTable, method: str = 
     if method not in ("oracle", "smoothed"):
         raise DomainError("twisted sums need complex L-values: method 'oracle' or 'smoothed'")
     L, sq, err = lvalue_table(table, method)
-    q = table.q
-    Z = dft_all_characters(table, _residue_weights(q, polynomial_series(params))
-                           + 1j * _residue_weights(q, mollifier_series(params)))
+    Z = dft_all_characters(table, _residue_weights(table, polynomial_series(params))
+                           + 1j * _residue_weights(table, mollifier_series(params)))
     Zbar = np.conj(np.roll(Z[::-1], 1))  # conj Z_{-j}
     P = (Z + Zbar) / 2
     p4 = exact_sum(np.abs(P[1:]) ** (4 * params.r))

@@ -117,7 +117,7 @@ def evaluate_polynomial_all(table, coeffs: np.ndarray) -> np.ndarray:
     """sum_n c_n chi_j(n) n^{-1/2} for every j, slot 0 principal, as one group DFT of
     its own; fold_residues refuses support at n >= q."""
     n = np.arange(1, coeffs.size)
-    return dft_all_characters(table, fold_residues(table.q, coeffs[1:] / np.sqrt(n)).astype(complex))
+    return dft_all_characters(table, fold_residues(table, coeffs[1:] / np.sqrt(n)).astype(complex))
 
 
 def walk_log_zeta(s: complex) -> complex:

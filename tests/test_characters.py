@@ -1,5 +1,7 @@
 
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from fracmoment.characters import (
     build_table,
     dft_all_characters,
     diagonal_decomposition_check,
+    fold_residues,
     inverse_dft_all_characters,
     is_prime,
     parity_sum_expected,
@@ -155,10 +158,8 @@ class TestGoodThomasSplit:
         n = q - 1
         assert t.good_thomas is None
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.array_equal(dft_all_characters(t, c), np.fft.ifft(c[t.powers - 1]) * n)
-        back = np.empty(n, dtype=complex)
-        back[t.powers - 1] = np.fft.fft(c) / n
-        assert np.array_equal(inverse_dft_all_characters(t, c), back)
+        assert np.array_equal(dft_all_characters(t, c), np.fft.ifft(c) * n)
+        assert np.array_equal(inverse_dft_all_characters(t, c), np.conj(np.fft.ifft(np.conj(c)) * n) / n)
 
     def test_short_lengths_stay_unsplit(self):
         # pocketfft takes no Bluestein below length 50: 46 = 2 23 stays one FFT, 58 = 2 29 splits
@@ -175,10 +176,10 @@ class TestGoodThomasSplit:
         assert np.array_equal(np.sort(crt, axis=None), np.arange(n))
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         fast = dft_all_characters(t, c)
-        assert np.max(np.abs(fast - np.fft.ifft(c[t.powers - 1]) * n)) < _fft_bound(c)
+        assert np.max(np.abs(fast - np.fft.ifft(c) * n)) < _fft_bound(c)
         # a real input, as the oracle and smoothed routes pass
         r = c.real.copy()
-        assert np.max(np.abs(dft_all_characters(t, r) - np.fft.ifft(r[t.powers - 1]) * n)) < _fft_bound(r)
+        assert np.max(np.abs(dft_all_characters(t, r) - np.fft.ifft(r) * n)) < _fft_bound(r)
         assert np.max(np.abs(inverse_dft_all_characters(t, fast) - c)) < _fft_bound(c)
 
     def test_naive_agrees_at_every_prime_below_2000(self, rng):
@@ -191,6 +192,41 @@ class TestGoodThomasSplit:
             assert np.max(np.abs(fast - naive_character_sums(t, c))) < _fft_bound(c), q
             assert np.max(np.abs(inverse_dft_all_characters(t, fast) - c)) < _fft_bound(c), q
         assert 0 < split < 302  # both sides of the rule are covered
+
+
+class TestExponentOrder:
+    # n = 100 keeps one FFT; n = 10006 = 2 5003 splits
+    @pytest.mark.parametrize("q", [101, 10007])
+    def test_transforms_read_no_residue_map(self, q, rng):
+        # every all-character array is in exponent order, so another permutation in the
+        # table's powers and dlog leaves each transform's bits as they are
+        t = build_table(q)
+        powers = rng.permutation(np.arange(1, q))
+        dlog = np.full(q, -1)
+        dlog[powers] = np.arange(q - 1)
+        other = dataclasses.replace(t, powers=powers, dlog=dlog)
+        c = rng.standard_normal(q - 1) + 1j * rng.standard_normal(q - 1)
+        for transform in (dft_all_characters, inverse_dft_all_characters, naive_character_sums):
+            assert np.array_equal(transform(other, c), transform(t, c)), transform.__name__
+
+    @given(q=st.sampled_from([p for p in range(3, 200) if is_prime(p)]), data=st.data(), is_complex=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_fold_residues_against_chi(self, q, data, is_complex):
+        t = table_for(q)
+        pairs = np.array(data.draw(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                                            max_size=q - 1)), dtype=float).reshape(-1, 2)
+        v = pairs[:, 0] + 1j * pairs[:, 1] if is_complex else pairs[:, 0]
+        got = dft_all_characters(t, fold_residues(t, v))
+        want = [sum(v[n - 1] * chi(t, j, n) for n in range(1, v.size + 1)) for j in range(q - 1)]
+        assert np.max(np.abs(got - want)) <= 4 * q * np.finfo(float).eps * np.sum(np.abs(v))
+
+    def test_fold_residues_lands_negative_zero_as_zero_and_refuses_support_at_q(self):
+        t = table_for(7)
+        out = fold_residues(t, np.array([-0.0, -0.0, 2.0]))
+        assert out[t.dlog[3]] == 2.0 and not np.signbit(out).any()
+        assert np.array_equal(fold_residues(t, np.r_[np.ones(6), np.zeros(3)]), np.ones(6))
+        with pytest.raises(DomainError):
+            fold_residues(t, np.r_[np.zeros(6), 1.0])
 
 
 class TestDiagonalDecomposition:

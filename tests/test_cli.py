@@ -48,6 +48,15 @@ class TestVerifyCommands:
     def test_orthogonality_gate(self):
         assert run(["verify", "orthogonality", "--qmax", "31"]) == 0
 
+    def test_diagonal_catches_a_scaled_dft(self, monkeypatch, tmp_path):
+        # each transform off by 1 + 1e-6 moves lhs by 2e-6 of itself; the gate's scale
+        # phi(q) ||c||_2 ||e||_2 bounds |lhs| and |rhs|, so every prime's check reads the fault
+        dft = characters.dft_all_characters
+        monkeypatch.setattr(characters, "dft_all_characters", lambda t, c: dft(t, c) * (1 + 1e-6))
+        out = tmp_path / "d.json"
+        assert run(["verify", "diagonal", "--out", str(out)]) == 1
+        assert [c["pass"] for c in json.loads(out.read_text())["checks"]] == [False] * 3
+
     @pytest.mark.parametrize("fault, failing", [
         ("parity", [False, True]),  # chi_1 counted as even: both parity sums move by |chi_1(a)| = 1
         ("root", [True, True]),  # roots[1] off the unit circle by 1e-6

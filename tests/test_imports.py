@@ -118,6 +118,31 @@ def test_no_cli_target_raises_domain_error_itself():
     assert raising == []
 
 
+def test_character_transforms_read_exponent_order_only():
+    # fold_residues lays residues onto the group once; nothing in src/ maps a residue a to
+    # slot a - 1, and the transforms read no residue map of the table
+    src = Path(fracmoment.__file__).resolve().parent
+    minus_one = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and getattr(node.left, "attr", getattr(node.left, "id", None)) == "powers"
+        and isinstance(node.right, ast.Constant) and node.right.value == 1
+    ]
+    transforms = ("dft_all_characters", "inverse_dft_all_characters", "naive_character_sums", "_split_dft",
+                  "good_thomas")
+    tree = ast.parse((src / "characters.py").read_text())
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    reads = [
+        f"{name}.{node.attr}"
+        for name in transforms
+        for node in ast.walk(defs[name])
+        if isinstance(node, ast.Attribute) and node.attr in ("powers", "dlog")
+    ]
+    assert minus_one == [] and reads == []
+
+
 def test_every_error_class_is_raised_in_src():
     # an exception type that nothing raises leaves handlers for a failure that cannot happen
     src = Path(fracmoment.__file__).resolve().parent
