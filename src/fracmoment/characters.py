@@ -34,32 +34,18 @@ from .util import exact_sum
 
 QMAX = 10**6
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the q <= 10^6 range used here."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether n is prime, by _prime_factors' trial division; DomainError for n > QMAX."""
+    if n > QMAX:
+        raise DomainError(f"is_prime decides n <= {QMAX} only, got {n}")
+    return _prime_factors(n) == [n]
+
+
+def check_modulus(q: int) -> None:
+    """The one modulus rule: q must be a prime in [3, QMAX] (DomainError otherwise)."""
+    if q < 3 or q > QMAX or not is_prime(q):
+        raise DomainError(f"modulus must be a prime in [3, {QMAX}], got {q}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +102,7 @@ class CharacterTable:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 2, ascending, by trial division."""
+    """The distinct prime factors of n, ascending, by trial division; [] for n < 2."""
     fac = []
     m, d = n, 2
     while d * d <= m:
@@ -131,9 +117,8 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def build_table(q: int) -> CharacterTable:
-    """Character table for prime q, 3 <= q <= 10^6, smallest primitive root."""
-    if q < 3 or q > QMAX or not is_prime(q):
-        raise DomainError(f"modulus must be a prime in [3, {QMAX}], got {q}")
+    """Character table for a modulus q that passes check_modulus, smallest primitive root."""
+    check_modulus(q)
     n = q - 1
     fac = _prime_factors(n)
     g = 0

@@ -139,9 +139,7 @@ def _verify_exponents(trials, seed) -> dict:
 def _verify_orthogonality(qmax, tol) -> dict:
     worst_full = 0.0
     worst_parity = 0.0
-    for q in range(3, qmax + 1):
-        if not characters.is_prime(q):
-            continue
+    for q in filter(characters.is_prime, range(3, qmax + 1)):
         table = characters.build_table(q)
         # chi_j(g^k) = chi_k(g^j): the sum over the characters j that c selects, at a = g^k, is entry k of
         # the naive sums of the exponent-order coefficients c_j, so the parity bits are the coefficients
@@ -159,9 +157,7 @@ def _verify_orthogonality(qmax, tol) -> dict:
 
 def _verify_afe(qmin, qmax, tol) -> dict:
     checks = []
-    for q in range(max(qmin, 3), qmax + 1):
-        if not characters.is_prime(q):
-            continue
+    for q in filter(characters.is_prime, range(max(qmin, 3), qmax + 1)):
         table = characters.build_table(q)
         sq = np.abs(lvalues.oracle_values(table)) ** 2
         afe = lvalues.afe_squares(table)

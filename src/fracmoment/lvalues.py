@@ -13,8 +13,8 @@ which approximates L(1/2, chi) with an O(q^{-1/8} log q) error.
 
 Route 3 (afe): the exact approximate-functional-equation identity
 |L(1/2, chi)|^2 = 2 sum_{m,n} chi(m) chibar(n) (mn)^{-1/2} W_par(q/(pi m n)),
-valid for primitive chi, summed up to mn = q e^{V/2}/pi ~ 13.5 q (V = 7.5), where
-W < 1.4e-37; the error estimate bounds the dropped tail by
+valid for primitive chi, summed up to the one cut mn = q e^{V/2}/pi ~ 13.5 q
+(V = 7.5), where W < 1.4e-37; the error estimate bounds the dropped tail by
 4 W_par(e^{-V/2}) + (2q/pi) J_par(V), J_par(V) = int_V^inf W_par(e^{-v/2}) e^{v/2} dv
 from the W table.  The pairs are binned by the exponent dlog m - dlog n of
 m/n in the cyclic group, with one bincount per block of pairs and no modular
@@ -340,19 +340,16 @@ def smoothed_band(q: int) -> float:
     return 10.0 * q ** (-0.125) * math.log(q)
 
 
-def _afe_dmax(q: int, xmin: float) -> int:
-    """The AFE's largest product mn: q/(pi xmin), cut at q e^{V/2}/pi."""
-    Dmax = int(q / (math.pi * xmin)) if math.isfinite(xmin) and xmin > 0 else 0
-    if Dmax < 1:
-        raise DomainError("the AFE needs a finite xmin > 0 with q/(pi xmin) >= 1")
-    return min(Dmax, int(q * math.exp(_AFE_V / 2) / math.pi))
+def _afe_dmax(q: int) -> int:
+    """The AFE's largest product mn, the cut q e^{V/2}/pi."""
+    return int(q * math.exp(_AFE_V / 2) / math.pi)
 
 
-def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, float]:
+def _afe_batch(table: CharacterTable) -> tuple[np.ndarray, float]:
     """|L(1/2, chi_j)|^2 for every j by the AFE, and its error estimate.
 
-    Pairs (m, n) with q/(pi m n) >= xmin are folded onto the exponent group,
-    up to the cut D = mn <= Dmax = q e^{V/2}/pi, past which W < 1.4e-37:
+    Pairs (m, n) are folded onto the exponent group up to the cut
+    D = mn <= Dmax = q e^{V/2}/pi, past which W < 1.4e-37:
     m > n lands at k = dlog m - dlog n + (q - 1) of one bincount, the reversed
     pair at -k, the diagonal at exponent 0.  Both parities ride one pass:
     the weights are two rows, 2 W_par(q/(pi D))/sqrt(D) for D <= Dmax, from
@@ -360,12 +357,11 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, float]:
     DFT of S_0 + i S_1 has sum_v S_v^{(par)} chi_j(v) = |L(1/2, chi_j)|^2
     as its real part for an even chi_j and as its imaginary part for an odd
     one; the parity pick is the last step.  The error estimate bounds its
-    pair count, sum 1/sqrt(mn), in closed form, and the tail past the cut by 4 W_par(e^{-V/2}) + (2q/pi) J_par(V).  An xmin above
-    e^{-V/2} cuts earlier, and the estimate does not cover what that drops.
-    Returns (squares, error_estimate).
+    pair count, sum 1/sqrt(mn), in closed form, and the tail past the cut by
+    4 W_par(e^{-V/2}) + (2q/pi) J_par(V).  Returns (squares, error_estimate).
     """
     q = table.q
-    Dmax = _afe_dmax(q, xmin)
+    Dmax = _afe_dmax(q)
     size = 2 * (q - 1)
     # rows: 2 W_0(D)/sqrt(D), 2 W_1(D)/sqrt(D), the identity's factor 2 included,
     # built in cache-sized blocks of one lookup each; a pair with q | mn has
@@ -428,8 +424,12 @@ def _afe_batch(table: CharacterTable, xmin: float) -> tuple[np.ndarray, float]:
 
 
 def afe_squares(table: CharacterTable, xmin: float = 1e-3) -> np.ndarray:
-    """|L(1/2, chi_j)|^2 for every j from the AFE route."""
-    return _afe_batch(table, xmin)[0]
+    """|L(1/2, chi_j)|^2 for every j from the AFE route.  xmin is validated only: every xmin
+    in (0, e^{-V/2}] gives the sum to the cut, and a larger one, which would drop pairs the
+    error estimate does not cover, is refused."""
+    if not 0 < xmin <= math.exp(-_AFE_V / 2):
+        raise DomainError(f"the AFE needs 0 < xmin <= e^(-V/2) = {math.exp(-_AFE_V / 2):.4g}, got {xmin}")
+    return _afe_batch(table)[0]
 
 
 def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarray], np.ndarray, float]:
@@ -449,7 +449,7 @@ def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarra
         rem = np.polynomial.polynomial.polyval(1 / _DIRECT, _em_poly(0.5, _em_rows(q / q**1.25, 9)[-1]))
         err = smoothed_band(q) + (rem + math.log2(q) * np.finfo(float).eps) * values[0].real
     elif method == "afe":
-        return None, *_afe_batch(table, 1e-3)
+        return None, *_afe_batch(table)
     else:
         raise DomainError(f"unknown L-value method {method!r}")
     return values, np.abs(values) ** 2, err

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .characters import CharacterTable, build_table, dft_all_characters, fold_residues, is_prime
+from .characters import CharacterTable, build_table, check_modulus, dft_all_characters, fold_residues
 from .errors import DomainError
 from .lvalues import lvalue_table
 from .sieve import mollifier_coeffs, weighted_poly_coeffs
@@ -44,7 +44,7 @@ SQUARE_FLOOR = 1e-30  # |L|^2 floor before taking fractional powers
 
 @dataclass(frozen=True)
 class MomentParams:
-    """Parameter bundle (q, k = r/s, x = y^a) with the support checks baked in.
+    """Parameter bundle (q, k = r/s, x = y^a) with the support checks baked in (q by check_modulus).
 
     The asymptotic regime x^{4s} <= q^{1/20} is unreachable for x > 1 at any
     computable q; regime_ok records whether it holds, and reports carry the
@@ -58,8 +58,7 @@ class MomentParams:
     a: float
 
     def __post_init__(self):
-        if not is_prime(self.q):
-            raise DomainError(f"q must be prime, got {self.q}")
+        check_modulus(self.q)
         if self.r < 1 or self.s < 1 or math.gcd(self.r, self.s) != 1 or self.r >= self.s:
             raise DomainError("need k = r/s in lowest terms with 0 < r < s")
         if not (math.isfinite(self.y) and math.isfinite(self.a)):
@@ -74,8 +73,7 @@ class MomentParams:
     @classmethod
     def make(cls, q: int, r: int = 1, s: int = 2, a: float = 4.0, y: Optional[float] = None):
         """Default bundle: y = q^{1/(4 a s)} clamped to >= 2 (y = 2 when a < 1, which is refused)."""
-        if q < 2:  # q^{1/(4as)} below is complex for q < 0
-            raise DomainError(f"q must be prime, got {q}")
+        check_modulus(q)  # first: q^{1/(4as)} below is complex for q < 0
         if y is None:
             y = max(2.0, q ** (1.0 / (4.0 * a * s))) if a >= 1 else 2.0
         return cls(q=q, r=r, s=s, y=float(y), a=float(a))

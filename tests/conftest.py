@@ -77,6 +77,16 @@ def divisor_coeff(alpha, n: int) -> float:
     return float(acc)
 
 
+def prime_sieve(N: int) -> np.ndarray:
+    """is_prime[n] for n <= N by the sieve of Eratosthenes."""
+    sieve = np.ones(N + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return sieve
+
+
 def primes_upto(N: int) -> list:
     """The primes p <= N, by trial division."""
     return [p for p in range(2, N + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]

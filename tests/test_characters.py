@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chi, table_for
+from conftest import chi, prime_sieve, table_for
 from fracmoment.characters import (
     QMAX,
     build_table,
@@ -267,3 +267,16 @@ class TestDiagonalDecomposition:
 def test_is_prime_basics():
     assert is_prime(2) and is_prime(3) and is_prime(10007) and is_prime(100003)
     assert not is_prime(1) and not is_prime(91) and not is_prime(100001)
+    # Carmichael numbers, 997^2, and composites and primes next to QMAX
+    assert not any(map(is_prime, (561, 1105, 1729, 41041, 825265, 994009, 999981, QMAX)))
+    assert is_prime(999979) and is_prime(999983)
+
+
+def test_is_prime_matches_a_sieve():
+    N = 10**5
+    assert [is_prime(n) for n in range(-3, N + 1)] == [False] * 3 + prime_sieve(N).tolist()
+
+
+def test_is_prime_refuses_past_qmax():
+    with pytest.raises(DomainError):
+        is_prime(QMAX + 1)

@@ -149,6 +149,20 @@ class TestMomentsCommand:
     def test_composite_modulus_exits_2(self):
         assert run(["moments", "--q", "4"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--q", "4"],
+        ["moments", "--q", "2"],
+        ["moments", "--q", "1000003"],
+        ["moments", "--q", "99999999999999999999999"],
+        ["holder", "--q", "4"],
+        ["survey", "--primes", "4"],
+        ["verify", "dft", "--q", "4"],
+    ], ids=" ".join)
+    def test_bad_modulus_exits_2_with_the_one_rule(self, argv, capsys):
+        # every entry point refuses by characters.check_modulus, with its message
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: modulus must be a prime in [3, {characters.QMAX}], got {argv[-1]}\n"
+
     def test_small_moment(self, tmp_path):
         out = tmp_path / "m.json"
         assert run(["moments", "--q", "101", "--k", "1/2", "--out", str(out)]) == 0

@@ -99,9 +99,23 @@ def _defaults_no_src_call_passes(src: Path) -> list[str]:
 
 def test_every_default_is_passed_by_some_src_call():
     # an option only tests set belongs with the tests; main(argv) is the entry point, and
-    # afe_squares(xmin) stays while the benchmark's fault injection calls it with xmin
+    # afe_squares(xmin) stays while the benchmark's fault injection calls it with xmin,
+    # which it now validates only: V alone decides where the AFE stops
     src = Path(fracmoment.__file__).resolve().parent
     assert _defaults_no_src_call_passes(src) == ["cli.main(argv)", "lvalues.afe_squares(xmin)"]
+
+
+def test_only_afe_squares_takes_xmin():
+    # the AFE's cut is V's alone; afe_squares keeps xmin only to refuse one above the cut
+    src = Path(fracmoment.__file__).resolve().parent
+    takers = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and "xmin" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert takers == ["lvalues.afe_squares"]
 
 
 def test_no_cli_target_raises_domain_error_itself():

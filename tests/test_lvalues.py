@@ -330,7 +330,7 @@ class TestAfe:
         j = 3  # odd character
         assert t.parity[j] == 1
         good = lvalue_table(t, "afe")[1][j]
-        bad = _afe_batch(dataclasses.replace(t, parity=1 - t.parity), 1e-3)[0][j]
+        bad = _afe_batch(dataclasses.replace(t, parity=1 - t.parity))[0][j]
         want = lvalue_table(t, "oracle")[1][j]
         assert abs(good - want) < 1e-6
         assert abs(bad - want) > 1e-3
@@ -343,13 +343,14 @@ class TestAfe:
             dev = np.max(np.abs(squares[1:] - np.abs(oracle_values(t)[1:]) ** 2))
             assert dev <= err < 1e-8, q
 
-    def test_truncation_insensitive(self):
-        # both xmin lie above e^{-V/2} = 0.0235, the cut, so each truncates at
-        # its own q/(pi xmin)
+    def test_xmin_above_the_cut_refused(self):
+        # an xmin above e^{-V/2} = 0.0235 would stop short of the cut and drop
+        # pairs the error estimate does not cover; the cut itself is accepted
         t = table_for(31)
-        a = afe_squares(t, xmin=0.03)
-        b = afe_squares(t, xmin=0.05)
-        assert 0 < np.max(np.abs(a[1:] - b[1:])) < 1e-8
+        for xmin in (0.03, 0.05):
+            with pytest.raises(DomainError):
+                afe_squares(t, xmin=xmin)
+        assert afe_squares(t, xmin=math.exp(-lvalues._AFE_V / 2)).tobytes() == afe_squares(t).tobytes()
 
     def test_conjugate_characters_same_square(self):
         t = table_for(11)
@@ -368,7 +369,7 @@ class TestAfe:
 
     @pytest.mark.parametrize("xmin", [0.0, -1e-3, math.nan, math.inf, 5.0])
     def test_malformed_xmin_rejected(self, xmin):
-        # at q = 7, xmin = 5 leaves no pair: q/(pi xmin) < 1
+        # 5 lies above the cut e^{-V/2}, the others outside (0, inf)
         with pytest.raises(DomainError):
             afe_squares(table_for(7), xmin)
 
@@ -378,10 +379,15 @@ class TestAfe:
         t = table_for(7)
         assert np.array_equal(afe_squares(t, 1e-9), afe_squares(t, 1e-3))
 
+    @pytest.mark.parametrize("xmin", [1e-310, 5e-324])
+    def test_subnormal_xmin_stops_at_the_cut(self, xmin):
+        # q/(pi xmin) is inf here, and the sum still runs to the cut
+        t = table_for(7)
+        assert afe_squares(t, xmin).tobytes() == afe_squares(t).tobytes()
+
     def test_products_at_qmax_stay_below_2_24(self):
         # the largest prime below QMAX, where Dmax = 999983 e^{3.75}/pi
-        assert lvalues._afe_dmax(999983, 1e-3) == 13534650 < 1 << 24
-        assert lvalues._afe_dmax(999983, 1e-9) == lvalues._afe_dmax(999983, 1e-3)
+        assert lvalues._afe_dmax(999983) == 13534650 < 1 << 24
 
     @pytest.mark.parametrize("q", [5, 31, 101, 1009])
     def test_dropped_tail_within_its_bound(self, q):
@@ -389,8 +395,8 @@ class TestAfe:
         # where the W table ends: each pair m >= n binned at dlog m - dlog n
         # mod q - 1, its reverse (m > n) at the negative, then one FFT per parity
         t = table_for(q)
-        _, err = _afe_batch(t, 1e-3)
-        Dmax, cap = lvalues._afe_dmax(q, 1e-3), int(q * math.exp(6.0) / math.pi)
+        _, err = _afe_batch(t)
+        Dmax, cap = lvalues._afe_dmax(q), int(q * math.exp(6.0) / math.pi)
         bins = np.zeros((2, q - 1))
         for n in range(1, math.isqrt(cap) + 1):
             m = np.arange(max(n, Dmax // n + 1), cap // n + 1)
@@ -443,11 +449,12 @@ class TestAfe:
                     pairsum += 1.0 / math.sqrt(m * n)
         return sums, pairsum
 
-    @pytest.mark.parametrize("xmin", [1e-3, 0.05])
+    # the reference sums to q/(pi xmin) = 318 q, past the cut
+    @pytest.mark.parametrize("xmin", [1e-3])
     @pytest.mark.parametrize("q", [5, 7, 11, 13])
     def test_pair_fold_matches_double_loop(self, q, xmin):
         t = table_for(q)
-        squares, err = _afe_batch(t, xmin)
+        squares, err = _afe_batch(t)
         sums, pairsum = self._pair_loop(t, xmin)
         assert np.max(np.abs(sums.imag)) < 1e-12
         assert np.max(np.abs(squares - np.where(t.parity == 0, sums[0].real, sums[1].real))) < 1e-12
