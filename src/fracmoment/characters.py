@@ -14,9 +14,9 @@ prime factor p of n has p^2 > n, numpy's pocketfft would take all of n
 through Bluestein's reduction, at several times a smooth length's cost;
 there the DFT splits as (n/p) x p (Good 1958; Thomas 1963), so Bluestein runs
 only on rows of length p.  A direct evaluation is kept as the quadratic-time
-reference: characters come in blocks of 16, since
-chi_{j0 + t}(g^m) = chi_t(g^m) chi_{j0}(g^m), so one gather of exact roots and
-one matrix-vector product against the first 16 characters serve a block.
+reference: characters come in blocks of 64, since
+chi_{j0 + t}(g^m) = chi_t(g^m) chi_{j0}(g^m), so all the blocks together are
+one matrix product of gathered roots, taken over slices of m.
 Since chi_j(g^k) = chi_k(g^j), the same reference also sums characters at
 every residue, as the orthogonality check does against `parity_sum_expected`.
 """
@@ -72,8 +72,25 @@ class CharacterTable:
 
     @cached_property
     def roots(self) -> np.ndarray:
-        """roots[m] = exp(2 pi i m/(q-1)), built on first read: only the quadratic reference reads it."""
-        roots = np.exp(2j * math.pi * np.arange(self.order) / self.order)
+        """roots[m] = exp(2 pi i m/n), n = q-1, built on first read: only the quadratic
+        reference reads it.
+
+        On the grid of the D-th roots, D = lcm(n, 4), cos and sin (one complex exp)
+        are evaluated at 2 pi k/D for k <= D/8 only, and e(1/4 - k/D) = i conj(e(k/D))
+        fills the rest of the first quadrant; the n-th roots take every (D/n)-th
+        point of it.  The second quadrant is -conj of the first, mirrored about n/4,
+        and the lower half conj of the upper, mirrored about n/2, so
+        roots[n - m] = conj(roots[m]), roots[n/2 - m] = -conj(roots[m]) and, when
+        4 | n, roots[n/4] = i hold exactly.
+        """
+        n = self.order
+        step = 1 if n % 4 == 0 else 2
+        quarter, eighth = n * step // 4, n * step // 8
+        octant = np.exp((2j * math.pi / (n * step)) * np.arange(eighth + 1))
+        first = np.concatenate((octant, 1j * np.conj(octant[quarter - eighth - 1 :: -1])))[::step]
+        half = n // 2
+        upper = np.concatenate((first, -np.conj(first[half - first.size :: -1])))
+        roots = np.concatenate((upper, np.conj(upper[half - 1 : 0 : -1])))
         roots.setflags(write=False)
         return roots
 
@@ -187,35 +204,43 @@ def _split_dft(x: np.ndarray, gather: np.ndarray, crt: np.ndarray) -> np.ndarray
     return out
 
 
-_NAIVE_BLOCK = 16
+_NAIVE_BLOCK = 64
+# cells of the two gathered factors of one slice of m: bounds the reference's working set
+_NAIVE_CELLS = 1 << 16
 
 
 def naive_character_sums(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
-    """Direct evaluation of sum_m coeffs[m] chi_j(g^m), 16 characters at a time.
+    """Direct evaluation of sum_m coeffs[m] chi_j(g^m), 64 characters at a time.
 
     Quadratic-time reference for dft_all_characters, built from the table's
-    roots without any FFT: with j = j0 + t, t < 16,
-    chi_j(g^m) = roots[(t m) % n] roots[(j0 m) % n], so each block j0 (a
-    multiple of 16) is one gather and one product with the 16 x n matrix of
-    the first 16 characters.
-
-    The product goes through BLAS.  At q = 7013 on 2 vCPUs, a fresh process
-    took 0.044-0.055 s (first call) and 0.045-0.053 s (second) with
-    OpenBLAS's default 2 threads, and 0.058-0.097 s for either with
-    OPENBLAS_NUM_THREADS=1.  With one core held by another process, the
-    default threads took 0.09-0.23 s and one thread 0.068 s.
+    roots without any FFT: with j = j0 + t, t < 64 and j0 a multiple of 64,
+    chi_j(g^m) = roots[(j0 m) % n] roots[(t m) % n], so the sums, as an
+    (n/64) x 64 matrix, are G F with G[j0, m] = roots[(j0 m) % n] coeffs[m]
+    and F[m, t] = roots[(t m) % n].  The product runs through BLAS over slices
+    of m, each sized so that its slices of G and F hold about _NAIVE_CELLS
+    cells together; below n = 64 it is one product with the n x n table.
     """
     n = table.order
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (n,):
         raise DomainError(f"coefficient array must have length q-1 = {n}")
-    m = np.arange(n, dtype=np.int64)
-    first = table.roots[np.outer(np.arange(_NAIVE_BLOCK), m) % n]
-    blocks = range(0, n, _NAIVE_BLOCK)
-    sums = np.empty((len(blocks), _NAIVE_BLOCK), dtype=complex)
-    for i, j0 in enumerate(blocks):
-        sums[i] = first @ (table.roots[(j0 * m) % n] * coeffs)
+    roots = table.roots
+    t = np.arange(min(n, _NAIVE_BLOCK))
+    if n < _NAIVE_BLOCK:
+        return roots[_mod(t[:, None] * t, n)] @ coeffs
+    j0 = np.arange(0, n, _NAIVE_BLOCK)[:, None]
+    span = _NAIVE_CELLS // (j0.size + t.size)
+    sums = np.zeros((j0.size, t.size), dtype=complex)
+    for lo in range(0, n, span):
+        m = np.arange(lo, min(lo + span, n))
+        sums += (roots[_mod(j0 * m, n)] * coeffs[lo : lo + span]) @ roots[_mod(m[:, None] * t, n)]
     return sums.reshape(-1)[:n]
+
+
+def _mod(k: np.ndarray, n: int) -> np.ndarray:
+    """k % n for k >= 0, in place: numpy divides by a scalar faster than it takes its remainder."""
+    k -= k // n * n
+    return k
 
 
 def fold_residues(table: CharacterTable, values: np.ndarray) -> np.ndarray:

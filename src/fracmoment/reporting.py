@@ -76,20 +76,40 @@ def csv_text(header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
     Each block is one % of a row template over the block's cells.  A float
     column prints through "%.17g", which is f"{x:.17g}" for every finite
     double; a float column holding a NaN or inf prints through fmt_float
-    instead, and every other column through "%s" (str).
+    instead, and every other column through "%s" (str).  A column whose cells
+    all have the same bits is formatted once, into the template as a literal
+    (with % doubled), so each row's % formats only the varying cells.
     """
     size = columns[0].size if columns else 0
     if len(columns) != len(header) or any(c.shape != (size,) for c in columns):
         raise ValueError("csv_text needs one equal-length 1-D column per header field")
     special = [c.dtype.kind == "f" and not np.isfinite(c).all() for c in columns]
-    row = ",".join("%.17g" if c.dtype.kind == "f" and not sp else "%s"
-                   for c, sp in zip(columns, special)) + "\n"
+    fields, varying = [], []
+    for c, sp in zip(columns, special):
+        fmt = "%.17g" if c.dtype.kind == "f" and not sp else "%s"
+        if size and _constant(c):
+            first = c[:1].tolist()[0]
+            fields.append((fmt_float(first) if sp else fmt % first).replace("%", "%%"))
+        else:
+            fields.append(fmt)
+            varying.append((c, sp))
+    row = ",".join(fields) + "\n"
     parts = [",".join(header) + "\n"]
     for lo in range(0, size, CSV_BLOCK):
-        block = [c[lo : lo + CSV_BLOCK].tolist() for c in columns]
-        cells = [map(fmt_float, col) if sp else col for col, sp in zip(block, special)]
-        parts.append((row * len(block[0])) % tuple(chain.from_iterable(zip(*cells))))
+        block = [(c[lo : lo + CSV_BLOCK].tolist(), sp) for c, sp in varying]
+        cells = [map(fmt_float, col) if sp else col for col, sp in block]
+        parts.append((row * min(CSV_BLOCK, size - lo)) % tuple(chain.from_iterable(zip(*cells))))
     return "".join(parts)
+
+
+def _constant(column: np.ndarray) -> bool:
+    """Whether every cell of a nonempty column has the bits of the first: 0.0 and -0.0
+    differ, and NaNs of one payload agree.  An object column counts as varying."""
+    if column.dtype.hasobject:
+        return False
+    word = math.gcd(column.itemsize, 8)
+    bits = np.ascontiguousarray(column).view(f"u{word}").reshape(column.size, -1)
+    return bool((bits == bits[0]).all())
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -58,6 +58,19 @@ def chi(table, j: int, a: int) -> complex:
     return complex(table.roots[(j * int(table.dlog[a])) % table.order])
 
 
+def direct_character_sums(table, coeffs) -> np.ndarray:
+    """sum_m coeffs[m] chi_j(g^m) for every j, each character value one root gathered
+    directly, roots[(j m) % n], and each sum of the rounded products correctly rounded."""
+    n = table.order
+    m = np.arange(n)
+    c = np.asarray(coeffs, dtype=complex)
+    out = np.empty(n, dtype=complex)
+    for j in range(n):
+        terms = c * table.roots[(j * m) % n]
+        out[j] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return out
+
+
 def divisor_coeff(alpha, n: int) -> float:
     """d_alpha(n) = prod over p^e || n of prod_{i<e} (alpha+i)/(i+1), exact, rounded once.
 

@@ -1,13 +1,16 @@
 
 
 import dataclasses
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chi, prime_sieve, table_for
+from conftest import chi, direct_character_sums, prime_sieve, table_for
+from fracmoment import characters
 from fracmoment.characters import (
     QMAX,
     build_table,
@@ -192,6 +195,76 @@ class TestGoodThomasSplit:
             assert np.max(np.abs(fast - naive_character_sums(t, c))) < _fft_bound(c), q
             assert np.max(np.abs(inverse_dft_all_characters(t, fast) - c)) < _fft_bound(c), q
         assert 0 < split < 302  # both sides of the rule are covered
+
+
+class TestRootTable:
+    # n = q - 1 is 2, 4, 6, 0, 4, 2 and 2 mod 8
+    @pytest.mark.parametrize("q", [3, 5, 7, 17, 7013, 7019, 100003])
+    def test_reflections_are_exact(self, q):
+        r = build_table(q).roots
+        n = q - 1
+        assert r[0] == 1 and r[n // 2] == -1
+        if n % 4 == 0:
+            assert r[n // 4] == 1j
+        # bit for bit, off the points a reflection fixes, where only the sign of a zero could differ
+        m = np.arange(1, n)
+        m = m[m != n // 2]
+        assert np.array_equal(r[n - m].view(np.uint64), np.conj(r[m]).view(np.uint64))
+        m = np.arange(n // 2 + 1)
+        m = m[2 * m != n // 2]
+        assert np.array_equal(r[n // 2 - m].view(np.uint64), (-np.conj(r[m])).view(np.uint64))
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 17, 7013, 7019])
+    def test_every_root_within_eps_of_exp(self, q):
+        # cos and sin are evaluated at angles below pi/4 only; np.exp over all of the
+        # circle erred by 1.5e-15 at n = 7012
+        r = build_table(q).roots
+        n = q - 1
+        with mp.workdps(30):
+            err = max(abs(mp.mpc(complex(r[m])) - mp.expjpi(mp.mpf(2 * m) / n)) for m in range(n))
+        assert err <= 2.0**-52
+
+
+def _direct_bound(c: np.ndarray) -> float:
+    """(n + 13) u sum |c|, u = 2^-53, to first order in u: any order of adding the n
+    terms rounds n - 1 times, each time by at most u sum |term|; the kernel's two
+    complex products per term and the reference's one each err by under sqrt(5) u;
+    roots[a] roots[b] against roots[(a + b) % n] carries three root errors, each
+    under 2^-52 = 2u (TestRootTable); and the reference rounds each sum once."""
+    return (c.size + 13) * 2.0**-53 * float(np.sum(np.abs(c)))
+
+
+class TestNaiveCharacterSums:
+    # n = 2 and 4 take the one product below 64; 66 leaves a ragged last block; 192 and
+    # 256 are whole blocks; 1008 is ragged and takes two slices of m
+    @pytest.mark.parametrize("q", [3, 5, 67, 193, 257, 1009])
+    @pytest.mark.parametrize("cells", [None, 1 << 10], ids=["default-slices", "many-slices"])
+    def test_against_one_rounding_definition(self, q, cells, rng, monkeypatch):
+        if cells is not None:  # many slices of m
+            monkeypatch.setattr(characters, "_NAIVE_CELLS", cells)
+        t = table_for(q)
+        c = rng.standard_normal(q - 1) + 1j * rng.standard_normal(q - 1)
+        for coeffs in (c, c.real.copy()):
+            got = naive_character_sums(t, coeffs)
+            assert got.shape == (q - 1,)
+            assert np.max(np.abs(got - direct_character_sums(t, coeffs))) <= _direct_bound(coeffs)
+
+    def test_working_set_is_one_slice(self, rng):
+        t = table_for(10007)
+        n = t.order
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        t.roots  # built on first read, outside the trace
+        tracemalloc.start()
+        try:
+            naive_character_sums(t, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per cell of a slice: one gathered root and its product with the coefficients
+        # (16 B each), the int64 exponent and the temporary of its reduction mod n (8 B
+        # each); O(n): the sums, one slice's product and the result
+        bound = characters._NAIVE_CELLS * 48 + 8 * 16 * n
+        assert peak < bound < 64 * 16 * n
 
 
 class TestExponentOrder:

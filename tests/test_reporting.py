@@ -1,4 +1,5 @@
 import math
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -74,3 +75,27 @@ def test_emit_chooses_the_format_by_content(tmp_path):
     path = tmp_path / "t.csv"
     assert emit((["n"], [np.arange(1, 3)]), str(path)) == "n\n1\n2\n" == path.read_text()
     assert emit({"a": 1.5}, None) == '{\n  "a": 1.5\n}\n'
+
+
+@pytest.mark.parametrize("size", [1, 2, CSV_BLOCK + 1])
+def test_constant_columns_print_as_every_row_would(size):
+    """A constant column goes into the row template once; its literal must read as each
+    row's cell would, a % in it included, and 0.0 next to -0.0 is not constant."""
+    rng = np.random.default_rng(size)
+    zeros = np.where(np.arange(size) % 2 == 1, -0.0, 0.0)
+    header = ["q", "j", "method", "nan", "negzero", "zeros", "err", "word"]
+    columns = [np.full(size, 20011), np.arange(size), np.full(size, "afe"), np.full(size, math.nan),
+               np.full(size, -0.0), zeros, np.full(size, 1 / 3), np.full(size, "100%s%%")]
+    diff = first_difference(csv_text(header, columns), reference_csv(header, columns))
+    assert diff is None
+    floats = rng.standard_normal(size)
+    diff = first_difference(csv_text(header[:2], [columns[0], floats]), reference_csv(header[:2], [columns[0], floats]))
+    assert diff is None
+
+
+def first_difference(text: str, want: str):
+    """None when text == want, else the first line where they differ: pytest's report
+    of a failed comparison of two long strings takes minutes."""
+    if text == want:
+        return None
+    return next((i, a, b) for i, (a, b) in enumerate(zip_longest(text.split("\n"), want.split("\n")), 1) if a != b)
