@@ -158,17 +158,13 @@ def build_table(q: int) -> CharacterTable:
     return CharacterTable(q=q, g=g, dlog=dlog, powers=powers, parity=parity)
 
 
-def _csum(values: np.ndarray) -> complex:
-    """Correctly rounded complex sum (exact_sum of the real and imaginary parts)."""
-    return complex(exact_sum(values.real), exact_sum(values.imag))
-
-
-def parity_sum_expected(q: int, parity: str, a: int | np.ndarray) -> np.ndarray:
-    """Case table for the even/odd primitive character sums at prime q, at one
-    residue a or elementwise over an array of residues."""
+def parity_sum_expected(q: int, parity: int, a: int | np.ndarray) -> np.ndarray:
+    """Case table for the even (parity 0) or odd (parity 1) primitive character
+    sums at prime q, at one residue a or elementwise over an array of residues;
+    parity is CharacterTable.parity's bit."""
     a = np.asarray(a) % q
     half = (q - 1) / 2
-    if parity == "even":
+    if parity == 0:
         return np.where((a == 1) | (a == q - 1), half - 1, -1.0)
     return np.where(a == 1, half, np.where(a == q - 1, -half, 0.0))
 
@@ -287,7 +283,7 @@ def diagonal_decomposition_check(
     fe = fold_residues(table, e)
     A = dft_all_characters(table, fc)
     Bbar = np.conj(dft_all_characters(table, np.conj(fe)))
-    lhs = _csum(A * Bbar)
-    rhs = complex(q - 1) * _csum(fc * fe)
+    lhs = exact_sum(A * Bbar)
+    rhs = complex(q - 1) * exact_sum(fc * fe)
     scale = float((q - 1) * np.linalg.norm(fc) * np.linalg.norm(fe))
     return DiagonalReport(lhs=lhs, rhs=rhs, diff=abs(lhs - rhs), scale=max(scale, 1.0))

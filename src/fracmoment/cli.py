@@ -146,7 +146,7 @@ def _verify_orthogonality(qmax, tol) -> dict:
         j, a = np.arange(q - 1), table.powers
         full = characters.naive_character_sums(table, np.ones(q - 1))
         worst_full = max(worst_full, float(np.abs(full - np.where(a == 1, q - 1, 0)).max()))
-        for parity, sel in (("even", (table.parity == 0) & (j != 0)), ("odd", table.parity == 1)):
+        for parity, sel in ((0, (table.parity == 0) & (j != 0)), (1, table.parity == 1)):
             got = characters.naive_character_sums(table, sel)
             worst_parity = max(worst_parity, float(np.abs(got - characters.parity_sum_expected(q, parity, a)).max()))
     return {"checks": [
@@ -331,9 +331,9 @@ SERIES = {
     "mobius": (lambda n: sieve.mobius_series(n), {"nmax": 100}),
     "weighted": (lambda A, B, x, n: sieve.weighted_poly_coeffs(A, B, x, n), {"A": 1, "B": 2, "x": 10.0, "nmax": 100}),
     "mollifier": (lambda A, B, y, n: sieve.mollifier_coeffs(A, B, y, n), {"A": 1, "B": 2, "y": 10.0, "nmax": 100}),
-    "sigma": (lambda s, w, n: sieve.shifted_series("sigma", _shifts(w), s, n), {"s": 1, "shifts": "0", "nmax": 100}),
-    "rho": (lambda s, w, n: sieve.shifted_series("rho", _shifts(w), s, n), {"s": 1, "shifts": "0", "nmax": 100}),
-    "psi": (lambda s, w, z, n: sieve.shifted_series("psi", (_shifts(w), _shifts(z)), s, n),
+    "sigma": (lambda s, w, n: sieve.shifted_series(_shifts(w), None, s, n), {"s": 1, "shifts": "0", "nmax": 100}),
+    "rho": (lambda s, w, n: sieve.shifted_series(None, _shifts(w), s, n), {"s": 1, "shifts": "0", "nmax": 100}),
+    "psi": (lambda s, w, z, n: sieve.shifted_series(_shifts(w), _shifts(z), s, n),
             {"s": 1, "shifts": "0", "zshifts": "0", "nmax": 100}),
 }
 

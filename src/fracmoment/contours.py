@@ -303,7 +303,7 @@ def eta_stability(s_param: int, w0: complex, shifts: ShiftVector, levels: Sequen
     if len(set(levels)) < 2 or levels[0] < 1:
         raise DomainError(f"need at least two distinct cutoff levels, each at least 1; got {levels}")
     Nmax = levels[-1]
-    series = shifted_series("sigma", shifts, s_param, Nmax)
+    series = shifted_series(shifts, None, s_param, Nmax)
     n = np.arange(1, Nmax + 1)
     weighted = series[1:] * np.exp(-(1 + w0) * np.log(n))
     partial = np.cumsum(weighted)

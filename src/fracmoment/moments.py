@@ -232,7 +232,7 @@ def holder_chain_check(values: CharacterValues) -> HolderReport:
     r, s, k = values.params.r, values.params.s, values.params.k
     e1, e2, e3 = (float(e) for e in holder_exponents(k))
     t = (L * np.conj(P) ** (2 * s) * np.abs(M) ** (2 * (s - r)))[1:]
-    sl = complex(exact_sum(t.real), exact_sum(t.imag))
+    sl = exact_sum(t)
     mk = power_sum(sq, k)[0]
     p4 = values.p4
     su = exact_sum((sq * np.abs(P) ** (4 * s) * np.abs(M) ** (2 * (2 * s - r)))[1:])

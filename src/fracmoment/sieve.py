@@ -198,42 +198,31 @@ def mollifier_coeffs(A: int, B: int, y: float, cutoff: int) -> np.ndarray:
     return _log_weighted(_mu_twisted(1 / B, cutoff.bit_length()), A, y, 2, cutoff) * 0.5**A
 
 
-def shifted_series(mode: str, shifts, s_param: int, cutoff: int) -> np.ndarray:
+def shifted_series(ws: ShiftVector | None, zs: ShiftVector | None, s_param: int, cutoff: int) -> np.ndarray:
     """Complex convolution series over ordered factorizations.
 
-    mode "sigma": factors d_{1/2s}(n_i) n_i^{-w_i}.
-    mode "rho":   factors d_{1/s}(n_i) mu(n_i) n_i^{-z_i}.
-    mode "psi":   shifts is a pair (w_vec, z_vec); sigma-type factors for the
-                  w shifts followed by rho-type factors for the z shifts.
+    One factor d_{1/2s}(n_i) n_i^{-w_i} per shift w_i of ws (sigma), then one
+    factor d_{1/s}(n_i) mu(n_i) n_i^{-z_i} per shift z_i of zs (rho); psi takes
+    both.  Either vector may be None, but not both.
 
     Every factor is multiplicative, so the series is too: its local factor at
     p^e is the Cauchy product in e of the factors' local factors.
     """
     if s_param < 1:
         raise DomainError("s parameter must be a positive integer")
-
-    def vector(sv):
-        # past Re w = 1100 every p^{-w} is 0 in double, its true limit; the cap keeps -w j log p finite
-        shifts = map(complex, (sv if isinstance(sv, ShiftVector) else ShiftVector(tuple(sv))).shifts)
-        return [complex(min(w.real, 1100.0), w.imag) for w in shifts]
-
-    if mode == "psi":
-        if not (isinstance(shifts, (tuple, list)) and len(shifts) == 2):
-            raise DomainError("psi mode requires a pair of shift vectors")
-        ws, zs = (vector(sv) for sv in shifts)
-    elif mode in ("sigma", "rho"):
-        ws, zs = (vector(shifts), ()) if mode == "sigma" else ((), vector(shifts))
-    else:
-        raise DomainError(f"unknown shifted-series mode {mode!r}")
+    if ws is None and zs is None:
+        raise DomainError("a shifted series needs a w or a z shift vector")
     count = cutoff.bit_length()
     sigma, rho = _euler_coeffs(Fraction(1, 2 * s_param), count), _mu_twisted(1 / s_param, count)
-    specs = [(sigma, w) for w in ws] + [(rho, z) for z in zs]
+    # past Re w = 1100 every p^{-w} is 0 in double, its true limit; the cap keeps -w j log p finite
+    specs = [(coef, complex(min(w.real, 1100.0), w.imag))
+             for coef, sv in ((sigma, ws), (rho, zs)) if sv is not None for w in map(complex, sv.shifts)]
 
     def local(p, e):
         logp = np.log(p)
         acc = [np.ones(p.size, dtype=complex)] + [0] * e  # coefficients of p^0 .. p^e
         for coef, shift in specs:
-            fac = [c * np.exp(-complex(shift) * j * logp) for j, c in enumerate(coef[: e + 1])]
+            fac = [c * np.exp(-shift * j * logp) for j, c in enumerate(coef[: e + 1])]
             acc = [sum(acc[i] * fac[j - i] for i in range(j + 1)) for j in range(e + 1)]
         return acc[e]
 

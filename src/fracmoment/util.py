@@ -1,4 +1,4 @@
-"""One shared helper: the correctly rounded sum of a float64 array (moment and character sums)."""
+"""One shared helper: the correctly rounded sum of a float64 or complex array (moment and character sums)."""
 
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ _FSUM_BELOW = 512
 _BIN_TERMS = 1 << 26
 
 
-def exact_sum(values) -> float:
+def exact_sum(values) -> float | complex:
     """The correctly rounded sum of a 1-D float64 array: math.fsum's bits at numpy speed.
+    A complex array gives complex(exact_sum(real part), exact_sum(imaginary part)).
 
     Each x = m 2^e (np.frexp, 1/2 <= |m| < 1) splits its 53-bit mantissa
     m 2^53 exactly into floor(m 2^27) 2^26 and a remainder below 2^26; one
@@ -25,6 +26,8 @@ def exact_sum(values) -> float:
     reach 2^1023 go to math.fsum, so every input on which fsum raises still
     raises from fsum.
     """
+    if np.iscomplexobj(values):
+        return complex(exact_sum(np.real(values)), exact_sum(np.imag(values)))
     if len(values) < _FSUM_BELOW:
         return math.fsum(values)
     x = np.asarray(values, dtype=np.float64)

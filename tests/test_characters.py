@@ -103,13 +103,14 @@ class TestChiValue:
 
 class TestParityRestrictedSum:
     def test_expected_helper(self):
-        assert parity_sum_expected(7, "even", 6) == 2.0
-        assert parity_sum_expected(7, "odd", 1) == 3.0
-        assert parity_sum_expected(7, "odd", 3) == 0.0
+        # parity is CharacterTable.parity's bit: 0 even, 1 odd
+        assert parity_sum_expected(7, 0, 6) == 2.0
+        assert parity_sum_expected(7, 1, 1) == 3.0
+        assert parity_sum_expected(7, 1, 3) == 0.0
         # an array of residues, past q too, reads the scalar calls elementwise
         for q in (3, 7, 101):
             a = np.arange(1, 2 * q)
-            for parity in ("even", "odd"):
+            for parity in (0, 1):
                 want = [parity_sum_expected(q, parity, int(r)) for r in a]
                 assert np.array_equal(parity_sum_expected(q, parity, a), want)
 

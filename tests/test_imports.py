@@ -118,6 +118,19 @@ def test_only_afe_squares_takes_xmin():
     assert takers == ["lvalues.afe_squares"]
 
 
+def test_no_function_takes_a_mode():
+    # arguments say what a function builds, as shifted_series' two shift vectors do; no mode string restates them
+    src = Path(fracmoment.__file__).resolve().parent
+    takers = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and "mode" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert takers == []
+
+
 def test_no_cli_target_raises_domain_error_itself():
     # the CLI's range refusals live in cli._DOMAINS, applied before any target runs
     tree = ast.parse(Path(fracmoment.__file__).resolve().with_name("cli.py").read_text())

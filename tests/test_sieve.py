@@ -23,7 +23,7 @@ from fracmoment.sieve import (
 SERIES = {
     "dalpha": lambda N: divisor_series(Fraction(1, 2), N),
     "mobius": mobius_series,
-    "sigma": lambda N: shifted_series("sigma", (0.25 + 0.5j,), 2, N),
+    "sigma": lambda N: shifted_series(ShiftVector((0.25 + 0.5j,)), None, 2, N),
 }
 
 
@@ -208,41 +208,41 @@ class TestMollifier:
 
 class TestShiftedSeries:
     def test_sigma_zero_shift_is_plain(self):
-        s = shifted_series("sigma", ShiftVector((0.0,)), 1, 50)
+        s = shifted_series(ShiftVector((0.0,)), None, 1, 50)
         d = divisor_series(Fraction(1, 2), 50)
         np.testing.assert_allclose(s, d.astype(complex), atol=0)
         assert s[7] == 0.5
 
     def test_rho_zero_shift(self):
-        s = shifted_series("rho", ShiftVector((0.0,)), 1, 10)
+        s = shifted_series(None, ShiftVector((0.0,)), 1, 10)
         assert s[2] == -1.0
 
     def test_sigma_two_shifts(self):
         # two ordered factorizations 2 = 2*1 = 1*2, each d_{1/2}(2) * 2^{-1}
-        s = shifted_series("sigma", ShiftVector((1.0, 1.0)), 1, 10)
+        s = shifted_series(ShiftVector((1.0, 1.0)), None, 1, 10)
         assert s[2] == pytest.approx(0.5, rel=1e-14)
 
     def test_zero_shift_matches_unshifted_convolution(self):
-        s = shifted_series("sigma", ShiftVector((0.0, 0.0)), 2, 200)
+        s = shifted_series(ShiftVector((0.0, 0.0)), None, 2, 200)
         d = divisor_series(Fraction(1, 4), 200)
         conv = dirichlet_convolve(d, d, 200)
         np.testing.assert_allclose(s, conv.astype(complex), atol=1e-14)
 
     def test_multiplicative(self):
-        s = shifted_series("sigma", ShiftVector((0.25 + 0.5j, 0.1)), 2, 100)
+        s = shifted_series(ShiftVector((0.25 + 0.5j, 0.1)), None, 2, 100)
         for m, n in ((2, 3), (4, 9), (5, 12)):
             assert s[m * n] == pytest.approx(s[m] * s[n], rel=1e-12)
 
-    def test_psi_needs_two_vectors(self):
-        with pytest.raises(DomainError):
-            shifted_series("psi", ShiftVector((0.0,)), 1, 10)
+    def test_needs_a_shift_vector(self):
+        with pytest.raises(DomainError, match="needs a w or a z shift vector"):
+            shifted_series(None, None, 1, 10)
 
     def test_psi_combines_sigma_and_rho(self):
         w = ShiftVector((0.0,))
         z = ShiftVector((0.0,))
-        psi = shifted_series("psi", (w, z), 1, 50)
-        sig = shifted_series("sigma", w, 1, 50)
-        rho = shifted_series("rho", z, 1, 50)
+        psi = shifted_series(w, z, 1, 50)
+        sig = shifted_series(w, None, 1, 50)
+        rho = shifted_series(None, z, 1, 50)
         conv = dirichlet_convolve(sig, rho, 50)
         np.testing.assert_allclose(psi, conv, atol=1e-14)
 
@@ -262,9 +262,9 @@ ZERO_PRONE = {
     "mobius": lambda: mobius_series(10**5),
     "d_-1": lambda: divisor_series(-1, 10**4),
     "d_-2": lambda: divisor_series(-2, 10**4),
-    "rho": lambda: shifted_series("rho", (0.3 - 1j,), 2, 10**4),
-    "rho at a huge shift": lambda: shifted_series("rho", (1e308,), 1, 100),
-    "psi": lambda: shifted_series("psi", ((0.1,), (0.2 + 1j,)), 1, 10**4),
+    "rho": lambda: shifted_series(None, ShiftVector((0.3 - 1j,)), 2, 10**4),
+    "rho at a huge shift": lambda: shifted_series(None, ShiftVector((1e308,)), 1, 100),
+    "psi": lambda: shifted_series(ShiftVector((0.1,)), ShiftVector((0.2 + 1j,)), 1, 10**4),
     "mollifier at y = 30": lambda: mollifier_coeffs(1, 1, 30.0, 100),
 }
 
@@ -294,11 +294,13 @@ class TestBitExact:
         assert mollifier_coeffs(A, B, y, N_EXACT).tobytes() == (want * 0.5**A).tobytes()
 
     @pytest.mark.parametrize("s", [2, 3])
-    @pytest.mark.parametrize("mode, shifts", [("sigma", (0.25 + 0.5j, 0.1)), ("rho", (0.3 - 1j, 0.2 + 2j)),
-                                              ("psi", ((0.1 + 1j, 0.2), (0.3 - 0.5j,)))])
-    def test_shifted_series(self, mode, shifts, s):
+    @pytest.mark.parametrize("ws, zs", [(ShiftVector((0.25 + 0.5j, 0.1)), None),
+                                        (None, ShiftVector((0.3 - 1j, 0.2 + 2j))),
+                                        (ShiftVector((0.1 + 1j, 0.2)), ShiftVector((0.3 - 0.5j,)))],
+                             ids=["sigma", "rho", "psi"])
+    def test_shifted_series(self, ws, zs, s):
         # f(p^e) is read off the series; the products are what is checked
-        got = shifted_series(mode, shifts, s, N_EXACT)
+        got = shifted_series(ws, zs, s, N_EXACT)
         assert got.tobytes() == multiplicative_reference(lambda p, e: got[p**e], N_EXACT, complex).tobytes()
 
     @pytest.mark.parametrize("name", ZERO_PRONE)
@@ -331,14 +333,10 @@ def _reference_factor(alpha, shift, twist, N):
     return d
 
 
-def _reference_shifted(mode, shifts, s, N):
+def _reference_shifted(ws, zs, s, N):
     """The shifted series as a chain of Dirichlet convolutions of its factors."""
-    if mode == "psi":
-        specs = [(Fraction(1, 2 * s), w, False) for w in shifts[0]]
-        specs += [(Fraction(1, s), z, True) for z in shifts[1]]
-    else:
-        alpha = Fraction(1, 2 * s) if mode == "sigma" else Fraction(1, s)
-        specs = [(alpha, w, mode == "rho") for w in shifts]
+    specs = [(Fraction(1, 2 * s), w, False) for w in (ws.shifts if ws else ())]
+    specs += [(Fraction(1, s), z, True) for z in (zs.shifts if zs else ())]
     out = _reference_factor(*specs[0], N)
     for spec in specs[1:]:
         out = dirichlet_convolve(out, _reference_factor(*spec, N), N)
@@ -351,10 +349,11 @@ def shifted_args(draw):
     s = draw(st.integers(1, 3))
     if mode == "psi":
         k = draw(st.integers(1, 3))
-        shifts = tuple(draw(st.lists(shift_values, min_size=n, max_size=n)) for n in (k, 4 - k))
+        ws, zs = (ShiftVector(tuple(draw(st.lists(shift_values, min_size=n, max_size=n)))) for n in (k, 4 - k))
     else:
-        shifts = draw(st.lists(shift_values, min_size=1, max_size=4))
-    return mode, shifts, s
+        shifts = ShiftVector(tuple(draw(st.lists(shift_values, min_size=1, max_size=4))))
+        ws, zs = (shifts, None) if mode == "sigma" else (None, shifts)
+    return ws, zs, s
 
 
 class TestProperties:

@@ -64,6 +64,12 @@ class TestExactSum:
             with pytest.raises(want):
                 exact_sum(x)
 
+    @pytest.mark.parametrize("n", [_FSUM_BELOW - 1, 4 * _FSUM_BELOW])
+    def test_complex_sums_each_part(self, n):
+        z = sample(n, 5, 300.0, "mixed") + 1j * sample(n, 6, 300.0, "cancel")
+        got = exact_sum(z)
+        assert (got.real.hex(), got.imag.hex()) == (math.fsum(z.real).hex(), math.fsum(z.imag).hex())
+
     def test_non_finite_terms(self):
         x = np.ones(2 * _FSUM_BELOW)
         x[7] = math.inf
