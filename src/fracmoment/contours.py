@@ -124,33 +124,28 @@ def hankel_recip_gamma(alpha: float) -> float:
 _PRINCIPAL_FROM, _POLE_DISC = 1.1, 1.0
 
 
-def zeta_frac_power(alpha: float, s: complex) -> complex:
-    """zeta(s)^alpha on the branch continued from the real ray s > 1.
+def zeta_power_line(beta: float, s0: complex, ds: complex = 0, count: int = 1) -> np.ndarray:
+    """zeta^beta at s_k = s0 + k ds for k < count, on the branch continued from the real ray s > 1.
 
     Right of Re s = _PRINCIPAL_FROM it is the principal power; on the disc |s - 1| < _POLE_DISC it is
-    exp(alpha (Log((s - 1) zeta(s)) - Log(s - 1))).  Real s <= 1 is refused: the only continuation
-    paths cross the pole from one side or the other, so the branch there is genuinely ambiguous.  So is
-    every other s left of Re s = _PRINCIPAL_FROM and off the disc, where neither bound fixes the branch.
+    exp(beta (Log((s - 1) zeta(s)) - Log(s - 1))).  The whole line is refused if any point is a real
+    s <= 1, where the only continuation paths cross the pole from one side or the other and the branch
+    is genuinely ambiguous, or lies left of Re s = _PRINCIPAL_FROM and off the disc, where neither bound
+    fixes it.
     """
-    s = complex(s)
-    if s.imag == 0 and s.real <= 1:
+    s0, ds = complex(s0), complex(ds)
+    s = s0 + np.arange(count) * ds
+    left = s.real < _PRINCIPAL_FROM
+    u = s[left] - 1
+    if ((u.imag == 0) & (u.real <= 0)).any():
         raise DomainError("real s <= 1: branch ambiguous across the pole")
-    if s.real >= _PRINCIPAL_FROM:
-        log = np.log(zeta_progression(s, 0, 1)[0])
-    elif abs(s - 1) < _POLE_DISC:
-        log = np.log((s - 1) * zeta_progression(s, 0, 1)[0]) - np.log(s - 1)
-    else:
-        raise DomainError(f"s = {s} is left of Re s = {_PRINCIPAL_FROM} and off the disc |s - 1| < "
-                          f"{_POLE_DISC}: no bound fixes the branch of log zeta there")
-    return complex(np.exp(alpha * log))
-
-
-def zeta_power_line(beta: float, s0: complex, ds: complex, count: int) -> np.ndarray:
-    """zeta^beta at s0 + k ds for k < count, on the principal branch, which the line must keep right of
-    Re s = _PRINCIPAL_FROM."""
-    if min((s0 + k * ds).real for k in (0, count - 1)) < _PRINCIPAL_FROM:
-        raise DomainError(f"the line from s = {s0} in steps {ds} reaches left of Re s = {_PRINCIPAL_FROM}")
-    return np.exp(beta * np.log(zeta_progression(s0, ds, count)))
+    if (abs(u) >= _POLE_DISC).any():
+        raise DomainError(f"the line from s = {s0} in steps {ds} reaches left of Re s = {_PRINCIPAL_FROM} "
+                          f"off the disc |s - 1| < {_POLE_DISC}: no bound fixes the branch of log zeta there")
+    zeta = zeta_progression(s0, ds, count)
+    log = np.log(zeta)
+    log[left] = np.log(u * zeta[left]) - np.log(u)
+    return np.exp(beta * log)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +304,7 @@ def eta_stability(s_param: int, w0: complex, shifts: ShiftVector, levels: Sequen
     partial = np.cumsum(weighted)
     denom = 1 + 0j
     for w in shifts.shifts:
-        denom *= zeta_frac_power(1.0 / (2 * s_param), 1 + w0 + complex(w))
+        denom *= zeta_power_line(1.0 / (2 * s_param), 1 + w0 + complex(w))[0]
     estimates = tuple(complex(partial[N - 1] / denom) for N in levels)
     drift = max(abs(estimates[i + 1] - estimates[i]) for i in range(len(estimates) - 1))
     return EtaStabilityReport(estimates=estimates, drift=drift)

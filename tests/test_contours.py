@@ -7,6 +7,7 @@ from conftest import divisor_coeff, run_python, walk_log_zeta
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fracmoment import contours
 from fracmoment.contours import (
     _POLE_DISC,
     _PRINCIPAL_FROM,
@@ -19,10 +20,10 @@ from fracmoment.contours import (
     paired_shift_oracle,
     perron_weight,
     perron_weight_closed_form,
-    zeta_frac_power,
     zeta_power_line,
 )
 from fracmoment.errors import DomainError
+from fracmoment.lvalues import zeta_progression
 from fracmoment.sieve import ShiftVector, divisor_series
 
 
@@ -87,29 +88,29 @@ class TestHankel:
 class TestZetaFracPower:
     def test_square_at_two(self):
         want = float(mp.zeta(2)) ** 2
-        assert zeta_frac_power(2.0, 2.0).real == pytest.approx(want, rel=1e-10)
-        assert zeta_frac_power(2.0, 2.0).real == pytest.approx(2.705808084277845, rel=1e-10)
+        assert zeta_power_line(2.0, 2.0)[0].real == pytest.approx(want, rel=1e-10)
+        assert zeta_power_line(2.0, 2.0)[0].real == pytest.approx(2.705808084277845, rel=1e-10)
 
     def test_quarter_power_near_pole(self):
         z = 1e-3
-        val = zeta_frac_power(0.25, 1 + z)
+        val = zeta_power_line(0.25, 1 + z)[0]
         assert abs(val * z**0.25 - 1) < 1e-2
 
     def test_reciprocal_root_consistency(self):
-        a = zeta_frac_power(0.5, 2.0)
-        b = zeta_frac_power(-0.5, 2.0)
+        a = zeta_power_line(0.5, 2.0)[0]
+        b = zeta_power_line(-0.5, 2.0)[0]
         assert (a * b).real == pytest.approx(1.0, rel=1e-10)
         assert abs((a * b).imag) < 1e-12
 
     def test_alpha_one_reduces_to_zeta(self):
         for s in (2.0, 1.5, 1.2 + 0.7j, 0.8 + 0.5j):
-            assert abs(zeta_frac_power(1.0, s) - complex(mp.zeta(s))) < 1e-10
+            assert abs(zeta_power_line(1.0, s)[0] - complex(mp.zeta(s))) < 1e-10
 
     @pytest.mark.parametrize("s", [2.0, 1.1, 1 + 0.01j])
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1 / 3, 2 / 3), (0.25, 0.25)])
     def test_power_addition(self, s, a, b):
-        lhs = zeta_frac_power(a, s) * zeta_frac_power(b, s)
-        rhs = zeta_frac_power(a + b, s)
+        lhs = zeta_power_line(a, s)[0] * zeta_power_line(b, s)[0]
+        rhs = zeta_power_line(a + b, s)[0]
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
     @given(alpha=st.floats(-1.0, 1.0),
@@ -123,7 +124,7 @@ class TestZetaFracPower:
         # the two examples lie on the disc, where zeta ~ 1/(s - 1) keeps |arg zeta| < pi/2, so there too
         with mp.workdps(30):
             want = complex(mp.exp(alpha * mp.log(mp.zeta(s))))
-        assert abs(zeta_frac_power(alpha, s) - want) < 1e-13 * abs(want)
+        assert abs(zeta_power_line(alpha, s)[0] - want) < 1e-13 * abs(want)
 
     @given(alpha=st.floats(-1.0, 1.0), r=st.floats(1e-3, 0.999), theta=st.floats(-math.pi, math.pi))
     @settings(max_examples=25, deadline=None)
@@ -137,7 +138,7 @@ class TestZetaFracPower:
         assume(s.imag != 0)
         with mp.workdps(30):
             want = complex(mp.exp(alpha * mp.mpc(walk_log_zeta(s))))
-        assert abs(zeta_frac_power(alpha, s) - want) < 1e-13 * abs(want)
+        assert abs(zeta_power_line(alpha, s)[0] - want) < 1e-13 * abs(want)
 
     def test_regions_are_where_the_principal_branch_is_proven(self):
         # right of _PRINCIPAL_FROM, |Im log zeta| <= log zeta(Re s) must stay under pi; on the disc,
@@ -149,27 +150,66 @@ class TestZetaFracPower:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            zeta_frac_power(0.5, 1.0)
+            zeta_power_line(0.5, 1.0)
         with pytest.raises(DomainError):
-            zeta_frac_power(0.5, 0.3)
+            zeta_power_line(0.5, 0.3)
         with pytest.raises(DomainError):
-            zeta_frac_power(0.5, 0.8)  # real, left of the pole: ambiguous branch
+            zeta_power_line(0.5, 0.8)  # real, left of the pole: ambiguous branch
 
     @pytest.mark.parametrize("s", [math.inf, complex(2, math.inf)])
     def test_infinite_s_refused(self, s):
         # at s = inf the Euler-Maclaurin tail read nan; at s = 2 + inf j sizing it overflowed
         with pytest.raises(DomainError):
-            zeta_frac_power(0.5, s)
+            zeta_power_line(0.5, s)
 
     @pytest.mark.parametrize("s", [0.8 + 2j, 0.6 + 5j, 0.55 + 10j])
     def test_strip_above_the_disc_refused(self, s):
         with pytest.raises(DomainError):
-            zeta_frac_power(0.25, s)
+            zeta_power_line(0.25, s)
 
     def test_line_left_of_1_1_refused(self):
-        # Re s = 0.6: zeta turns by 2.03 rad between t = 14 and 14.5, past its first zero at 1/2 + 14.13i
+        # Re s = 0.6, off the disc: zeta turns by 2.03 rad between t = 14 and 14.5, past its first zero
+        # at 1/2 + 14.13i
         with pytest.raises(DomainError):
             zeta_power_line(0.25, 0.6 + 13.5j, 0.5j, 4)
+
+    @pytest.mark.parametrize("beta", [0.25, -0.75])
+    def test_line_through_both_regions(self, beta):
+        # Re s from 0.95 to 1.5: the first three points lie on the disc left of _PRINCIPAL_FROM, the rest
+        # right of it, where mpmath's principal power is the oracle
+        s0, ds, count = 0.95 + 0.2j, 0.05, 12
+        got = zeta_power_line(beta, s0, ds, count)
+        for k in range(count):
+            s = s0 + k * ds
+            with mp.workdps(30):
+                log = mp.log(mp.zeta(s)) if s.real >= _PRINCIPAL_FROM else mp.mpc(walk_log_zeta(s))
+                want = complex(mp.exp(beta * log))
+            assert abs(got[k] - want) < 1e-13 * abs(want), s
+
+    @pytest.mark.parametrize("s", [1.1, 1.1 + 0.3j, 1.1 - 0.99j, 1.5 + 0.5j, 1.9 + 0.4j, 1.99 + 0.05j])
+    def test_branch_formulas_agree_where_the_regions_overlap(self, s):
+        # right of _PRINCIPAL_FROM on the disc both formulas hold, so which one a point takes at the seam
+        # Re s = _PRINCIPAL_FROM moves no more than rounding
+        assert s.real >= _PRINCIPAL_FROM and abs(s - 1) < _POLE_DISC
+        zeta = zeta_progression(s, 0, 1)[0]
+        principal, disc = np.log(zeta), np.log((s - 1) * zeta) - np.log(s - 1)
+        assert abs(principal - disc) < 1e-15 * abs(principal)
+
+    @pytest.mark.parametrize("s0,ds,count", [
+        (0.9 + 0.75j, -0.25j, 4),  # on the disc down to the real s = 0.9
+        (2.0 + 0.5j, -0.1, 20),  # right of 1.1 and on the disc down to 0.2 + 0.5j, then 0.1 + 0.5j off it
+    ])
+    def test_line_with_one_bad_point_refused_whole(self, s0, ds, count, monkeypatch):
+        # without its last point the line is accepted; with it, the line is refused before any zeta is
+        # summed, so no point of it is returned
+        assert np.isfinite(zeta_power_line(0.25, s0, ds, count - 1)).all()
+
+        def no_zeta(*args):
+            raise AssertionError("zeta summed on a refused line")
+
+        monkeypatch.setattr(contours, "zeta_progression", no_zeta)
+        with pytest.raises(DomainError):
+            zeta_power_line(0.25, s0, ds, count)
 
 
 class TestPairedShift:

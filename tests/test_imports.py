@@ -145,6 +145,21 @@ def test_no_cli_target_raises_domain_error_itself():
     assert raising == []
 
 
+def test_only_zeta_power_line_reads_the_branch_regions():
+    # one evaluator decides which region, and so which formula for log zeta, each point takes;
+    # a read anywhere else, in a function or at module level, is a second region rule
+    src = Path(fracmoment.__file__).resolve().parent
+    readers = [
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in sorted(src.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+        and getattr(node, "id", getattr(node, "attr", None)) in ("_PRINCIPAL_FROM", "_POLE_DISC")
+    ]
+    assert set(readers) == {"contours.zeta_power_line"}
+
+
 def test_character_transforms_read_exponent_order_only():
     # fold_residues lays residues onto the group once; nothing in src/ maps a residue a to
     # slot a - 1, and the transforms read no residue map of the table
