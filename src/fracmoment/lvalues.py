@@ -313,8 +313,8 @@ def _residue_sums(table: CharacterTable, X: float) -> np.ndarray:
     from u0 = c + _DIRECT q; at X = inf S_c = zeta(1/2, c/q)/sqrt(q)."""
     q = table.q
     u, out = table.powers.astype(float), np.zeros(q - 1)
-    for _ in range(_DIRECT):  # exact: u < 2^53; at X = inf, e^{-u/X} = 1 exactly
-        out += np.exp(-u / X) / np.sqrt(u)
+    for _ in range(_DIRECT):  # exact: u < 2^53; at X = inf, e^{-u/X} = 1, so it is left out
+        out += 1 / np.sqrt(u) if X == math.inf else np.exp(-u / X) / np.sqrt(u)
         u += q
     out += _em_tail(0.5, u, q, X, 8)
     return out

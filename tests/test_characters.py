@@ -268,6 +268,17 @@ class TestNaiveCharacterSums:
         assert peak < bound < 64 * 16 * n
 
 
+def _assert_fold_matches_chi_sums(q, v):
+    """The DFT of v folded onto the group against the direct sums of v(n) chi_j(n), within
+    4 q eps sum|v| of rounding and q 2^-1074 of underflow (each product may round to a
+    subnormal one unit away, and a sum of subnormals has no relative error to bound)."""
+    t = table_for(q)
+    got = dft_all_characters(t, fold_residues(t, v))
+    want = [sum(v[n - 1] * chi(t, j, n) for n in range(1, v.size + 1)) for j in range(q - 1)]
+    tiny = np.finfo(float).smallest_subnormal
+    assert np.max(np.abs(got - want)) <= 4 * q * np.finfo(float).eps * np.sum(np.abs(v)) + q * tiny
+
+
 class TestExponentOrder:
     # n = 100 keeps one FFT; n = 10006 = 2 5003 splits
     @pytest.mark.parametrize("q", [101, 10007])
@@ -286,13 +297,16 @@ class TestExponentOrder:
     @given(q=st.sampled_from([p for p in range(3, 200) if is_prime(p)]), data=st.data(), is_complex=st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_fold_residues_against_chi(self, q, data, is_complex):
-        t = table_for(q)
         pairs = np.array(data.draw(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
                                             max_size=q - 1)), dtype=float).reshape(-1, 2)
-        v = pairs[:, 0] + 1j * pairs[:, 1] if is_complex else pairs[:, 0]
-        got = dft_all_characters(t, fold_residues(t, v))
-        want = [sum(v[n - 1] * chi(t, j, n) for n in range(1, v.size + 1)) for j in range(q - 1)]
-        assert np.max(np.abs(got - want)) <= 4 * q * np.finfo(float).eps * np.sum(np.abs(v))
+        _assert_fold_matches_chi_sums(q, pairs[:, 0] + 1j * pairs[:, 1] if is_complex else pairs[:, 0])
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 101, 199])
+    @pytest.mark.parametrize("v", [[5e-324], [5e-324, 5e-324]])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_fold_residues_against_chi_on_subnormals(self, q, v, dtype):
+        # the DFT and the chi sums round these products a subnormal apart, where the eps term is 0
+        _assert_fold_matches_chi_sums(q, np.array(v, dtype=dtype))
 
     def test_fold_residues_lands_negative_zero_as_zero_and_refuses_support_at_q(self):
         t = table_for(7)

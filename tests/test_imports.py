@@ -198,3 +198,20 @@ def test_every_error_class_is_raised_in_src():
         if isinstance(exc, (ast.Name, ast.Attribute))
     }
     assert errors and errors <= raised
+
+
+def test_one_exact_float_cell_and_no_row_template():
+    # reporting.fmt_float is the one definition of a float cell: no other code in src/
+    # spells the 17-digit format, and reporting formats nothing with %, so csv_text
+    # builds no row template; its cells come from numpy and, where unproven, fmt_float
+    src = Path(fracmoment.__file__).resolve().parent
+    spelled, percent = [], []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value:
+                    spelled.append(where)
+                if path.stem == "reporting" and isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                    percent.append(f"{where}:{node.lineno}")
+    assert set(spelled) == {"reporting.fmt_float"} and percent == []
