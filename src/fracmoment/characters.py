@@ -214,7 +214,7 @@ def naive_character_sums(table: CharacterTable, coeffs: np.ndarray) -> np.ndarra
     (n/64) x 64 matrix, are G F with G[j0, m] = roots[(j0 m) % n] coeffs[m]
     and F[m, t] = roots[(t m) % n].  The product runs through BLAS over slices
     of m, each sized so that its slices of G and F hold about _NAIVE_CELLS
-    cells together; below n = 64 it is one product with the n x n table.
+    cells together.
     """
     n = table.order
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -222,8 +222,6 @@ def naive_character_sums(table: CharacterTable, coeffs: np.ndarray) -> np.ndarra
         raise DomainError(f"coefficient array must have length q-1 = {n}")
     roots = table.roots
     t = np.arange(min(n, _NAIVE_BLOCK))
-    if n < _NAIVE_BLOCK:
-        return roots[_mod(t[:, None] * t, n)] @ coeffs
     j0 = np.arange(0, n, _NAIVE_BLOCK)[:, None]
     span = _NAIVE_CELLS // (j0.size + t.size)
     sums = np.zeros((j0.size, t.size), dtype=complex)

@@ -159,8 +159,8 @@ def _verify_afe(qmin, qmax, tol) -> dict:
     checks = []
     for q in filter(characters.is_prime, range(max(qmin, 3), qmax + 1)):
         table = characters.build_table(q)
-        sq = np.abs(lvalues.oracle_values(table)) ** 2
-        afe = lvalues.afe_squares(table)
+        sq = lvalues.lvalue_table(table, "oracle")[1]
+        afe = lvalues.afe_squares(table)  # the seam perfbench's selftest patches to inject a wrong AFE
         dev = float(np.max(np.abs(afe[1:] - sq[1:])))
         checks.append(_check(f"q={q} AFE vs oracle squares", dev, tol))
     return {"checks": checks}
@@ -171,7 +171,8 @@ def _verify_smoothed(primes) -> dict:
     maxima = {}
     for q in _ints(primes):
         table = characters.build_table(q)
-        d = np.abs(lvalues.smoothed_values(table)[1:] - lvalues.oracle_values(table)[1:])
+        oracle = lvalues.lvalue_table(table, "oracle")[0]
+        d = np.abs(lvalues.lvalue_table(table, "smoothed")[0][1:] - oracle[1:])
         bound = lvalues.smoothed_band(q)
         maxima[q] = float(d.max())
         checks.append(_check(f"q={q} smoothed-sum error under 10 q^-1/8 log q = {bound:.3f}", maxima[q], bound))
@@ -386,7 +387,7 @@ def _report_from_args(target: str, args) -> dict:
 
 def _params_from_args(args) -> moments.MomentParams:
     k = parse_k(args.k)
-    return moments.MomentParams.make(args.q, r=k.numerator, s=k.denominator, a=args.a, y=args.y)
+    return moments.MomentParams(args.q, r=k.numerator, s=k.denominator, y=args.y, a=args.a)
 
 
 def _moment_report(command: str, params: moments.MomentParams, method: str, **fields) -> dict:
@@ -517,17 +518,17 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=lambda a: _finish(_report_from_args(a.target, a), a.out))
 
     pm = sub.add_parser("moments", help="compute the fractional moment M_k(q)")
-    _moment_args(pm)
+    _moment_args(pm, lvalues.ROUTES)
     pm.set_defaults(func=cmd_moments)
 
     ph = sub.add_parser("holder", help="evaluate the Holder chain report")
-    _moment_args(ph)
+    _moment_args(ph, lvalues.COMPLEX_ROUTES)
     ph.set_defaults(func=cmd_holder)
 
     ps = sub.add_parser("survey", help="scaling survey of M_k(q)/phi(q) over primes")
     ps.add_argument("--k", default="1/2")
     ps.add_argument("--primes", default="1009,10007")
-    ps.add_argument("--method", default="oracle", choices=("oracle", "afe", "smoothed"))
+    ps.add_argument("--method", default="oracle", choices=tuple(lvalues.ROUTES))
     ps.add_argument("--format", default="csv", choices=("csv", "json"))
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_survey)
@@ -564,12 +565,12 @@ def _target_parser(subparsers, name: str, flags: dict) -> argparse.ArgumentParse
     return p
 
 
-def _moment_args(p: argparse.ArgumentParser) -> None:
+def _moment_args(p: argparse.ArgumentParser, routes) -> None:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", default="1/2")
     p.add_argument("--a", type=float, default=4.0)
     p.add_argument("--y", type=float, default=None)
-    p.add_argument("--method", default="oracle", choices=("oracle", "smoothed", "afe"))
+    p.add_argument("--method", default="oracle", choices=tuple(routes))
     p.add_argument("--lvalues-out", default=None,
                    help="CSV of per-character L-values (q, j, parity, ReL, ImL, Lsq, method, err)")
     p.add_argument("--out", default=None)

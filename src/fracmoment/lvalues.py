@@ -34,7 +34,8 @@ All-character batches ride on the group DFT from the character engine, in its
 exponent order: the class sums are evaluated at c = g^m and the AFE's exponent
 sums are indexed by m already, so neither is permuted.  They are computed on
 each call; only the q-independent W tables are kept between calls.
-lvalue_table hands out one route's values, squares and error estimate together.
+lvalue_table hands out one route's values, squares and error estimate together,
+and ROUTES is the one list of the routes' names.
 """
 
 from __future__ import annotations
@@ -432,24 +433,32 @@ def afe_squares(table: CharacterTable, xmin: float = 1e-3) -> np.ndarray:
     return _afe_batch(table)[0]
 
 
-def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarray], np.ndarray, float]:
-    """(L(1/2, chi_j), |L(1/2, chi_j)|^2, error estimate) for every j by one route.
+def _oracle_table(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, float]:
+    values = oracle_values(table)
+    return values, np.abs(values) ** 2, max(1e-12, math.sqrt(table.q) * 1e-13)
 
-    method is 'oracle', 'smoothed' or 'afe'; the afe route yields squares
-    only, so its values are None.  Slot 0 is the principal character.
-    """
+
+def _smoothed_table(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, float]:
+    # f is completely monotone, so each S_c's remainder is at most the first
+    # omitted (B_18) term: f(u0) < S_c times its row at w < 1/10, summed over
+    # c as sum_c S_c = values[0] (every S_c > 0); log2(q) eps covers the FFT
     q = table.q
-    if method == "oracle":
-        values, err = oracle_values(table), max(1e-12, math.sqrt(q) * 1e-13)
-    elif method == "smoothed":
-        # f is completely monotone, so each S_c's remainder is at most the first
-        # omitted (B_18) term: f(u0) < S_c times its row at w < 1/10, summed over
-        # c as sum_c S_c = values[0] (every S_c > 0); log2(q) eps covers the FFT
-        values = smoothed_values(table)
-        rem = np.polynomial.polynomial.polyval(1 / _DIRECT, _em_poly(0.5, _em_rows(q / q**1.25, 9)[-1]))
-        err = smoothed_band(q) + (rem + math.log2(q) * np.finfo(float).eps) * values[0].real
-    elif method == "afe":
-        return None, *_afe_batch(table)
-    else:
-        raise DomainError(f"unknown L-value method {method!r}")
+    values = smoothed_values(table)
+    rem = np.polynomial.polynomial.polyval(1 / _DIRECT, _em_poly(0.5, _em_rows(q / q**1.25, 9)[-1]))
+    err = smoothed_band(q) + (rem + math.log2(q) * np.finfo(float).eps) * values[0].real
     return values, np.abs(values) ** 2, err
+
+
+# The one list of routes, in the order the CLI offers them: name -> (its table, whether
+# it gives the complex values L(1/2, chi)); the afe route gives the squares only.
+ROUTES = {"oracle": (_oracle_table, True), "smoothed": (_smoothed_table, True),
+          "afe": (lambda table: (None, *_afe_batch(table)), False)}
+COMPLEX_ROUTES = tuple(name for name, (_, gives_values) in ROUTES.items() if gives_values)
+
+
+def lvalue_table(table: CharacterTable, method: str) -> tuple[Optional[np.ndarray], np.ndarray, float]:
+    """(L(1/2, chi_j), |L(1/2, chi_j)|^2, error estimate) for every j by one route of ROUTES; slot 0 is
+    the principal character, and a route outside COMPLEX_ROUTES yields squares only, its values None."""
+    if method not in ROUTES:
+        raise DomainError(f"unknown L-value method {method!r}")
+    return ROUTES[method][0](table)

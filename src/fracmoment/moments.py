@@ -35,7 +35,7 @@ import numpy as np
 
 from .characters import CharacterTable, build_table, check_modulus, dft_all_characters, fold_residues
 from .errors import DomainError
-from .lvalues import lvalue_table
+from .lvalues import COMPLEX_ROUTES, lvalue_table
 from .sieve import mollifier_coeffs, weighted_poly_coeffs
 from .util import exact_sum
 
@@ -44,7 +44,8 @@ SQUARE_FLOOR = 1e-30  # |L|^2 floor before taking fractional powers
 
 @dataclass(frozen=True)
 class MomentParams:
-    """Parameter bundle (q, k = r/s, x = y^a) with the support checks baked in (q by check_modulus).
+    """Parameter bundle (q, k = r/s, x = y^a) with the support checks baked in (q by check_modulus);
+    y defaults to q^{1/(4as)}, clamped to >= 2, and y and a are stored as floats.
 
     The asymptotic regime x^{4s} <= q^{1/20} is unreachable for x > 1 at any
     computable q; regime_ok records whether it holds, and reports carry the
@@ -52,13 +53,17 @@ class MomentParams:
     """
 
     q: int
-    r: int
-    s: int
-    y: float
-    a: float
+    r: int = 1
+    s: int = 2
+    y: Optional[float] = None
+    a: float = 4.0
 
     def __post_init__(self):
-        check_modulus(self.q)
+        check_modulus(self.q)  # first: q^{1/(4as)} below is complex for q < 0
+        if self.y is None:  # y = 2 when a < 1, which is refused below
+            object.__setattr__(self, "y", max(2.0, self.q ** (1.0 / (4.0 * self.a * self.s))) if self.a >= 1 else 2.0)
+        object.__setattr__(self, "y", float(self.y))
+        object.__setattr__(self, "a", float(self.a))
         if self.r < 1 or self.s < 1 or math.gcd(self.r, self.s) != 1 or self.r >= self.s:
             raise DomainError("need k = r/s in lowest terms with 0 < r < s")
         if not (math.isfinite(self.y) and math.isfinite(self.a)):
@@ -69,14 +74,6 @@ class MomentParams:
             self.x ** (4 * self.s)  # regime_ok's power; the largest one any check takes
         except OverflowError:
             raise DomainError(f"x^(4s) = (y^a)^{4 * self.s} overflows at y = {self.y}, a = {self.a}") from None
-
-    @classmethod
-    def make(cls, q: int, r: int = 1, s: int = 2, a: float = 4.0, y: Optional[float] = None):
-        """Default bundle: y = q^{1/(4 a s)} clamped to >= 2 (y = 2 when a < 1, which is refused)."""
-        check_modulus(q)  # first: q^{1/(4as)} below is complex for q < 0
-        if y is None:
-            y = max(2.0, q ** (1.0 / (4.0 * a * s))) if a >= 1 else 2.0
-        return cls(q=q, r=r, s=s, y=float(y), a=float(a))
 
     @property
     def x(self) -> float:
@@ -132,13 +129,6 @@ def power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, list
     return exact_sum(contrib), contrib, floored
 
 
-def moment_sum(
-    table: CharacterTable, k: Fraction, method: str = "oracle"
-) -> tuple[float, np.ndarray, list[int]]:
-    """power_sum of the squares |L(1/2, chi)|^2 from one lvalue_table route."""
-    return power_sum(lvalue_table(table, method)[1], k)
-
-
 @dataclass(frozen=True)
 class CharacterValues:
     """L(1/2, chi), |L|^2, P(chi) and M(chi) over all characters (slot 0 principal),
@@ -165,8 +155,8 @@ def character_values(params: MomentParams, table: CharacterTable, method: str = 
     """
     if table.q != params.q:
         raise DomainError("table modulus does not match params")
-    if method not in ("oracle", "smoothed"):
-        raise DomainError("twisted sums need complex L-values: method 'oracle' or 'smoothed'")
+    if method not in COMPLEX_ROUTES:
+        raise DomainError("twisted sums need complex L-values: method " + " or ".join(map(repr, COMPLEX_ROUTES)))
     L, sq, err = lvalue_table(table, method)
     Z = dft_all_characters(table, _residue_weights(table, polynomial_series(params))
                            + 1j * _residue_weights(table, mollifier_series(params)))
@@ -259,7 +249,7 @@ def scaling_survey(k: Fraction, primes: Sequence[int], method: str = "oracle") -
     k = Fraction(k)
     rows = []
     for q in (int(q) for q in primes):
-        per_phi = moment_sum(build_table(q), k, method)[0] / (q - 1)
+        per_phi = power_sum(lvalue_table(build_table(q), method)[1], k)[0] / (q - 1)
         target = math.log(q) ** float(k * k)
         ratio = per_phi / target
         rows.append(SurveyRow(q=q, moment_over_phi=per_phi, logq_pow_k2=target, ratio=ratio,

@@ -17,6 +17,7 @@ fmt_float, so fmt_float stays the one definition of a float cell.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import tempfile
@@ -57,14 +58,13 @@ def json_dumps(obj: Any, indent: int = 0) -> str:
         return json_dumps({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, Fraction):
         return json_dumps(f"{obj.numerator}/{obj.denominator}", indent)
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+    if isinstance(obj, str):  # every control character escaped, all other text as is
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            f'{inner}"{k}": {json_dumps(v, indent + 2)}' for k, v in obj.items()
+            f"{inner}{json_dumps(str(k))}: {json_dumps(v, indent + 2)}" for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import re
 import shlex
 from collections import Counter
 from pathlib import Path
@@ -47,6 +48,12 @@ class TestVerifyCommands:
 
     def test_orthogonality_gate(self):
         assert run(["verify", "orthogonality", "--qmax", "31"]) == 0
+
+    def test_a_control_character_in_a_flag_writes_a_report_that_parses(self, tmp_path):
+        # int() takes "101\t", and the report echoes the flag as given
+        out = tmp_path / "d.json"
+        assert run(["verify", "diagonal", "--primes", "101\t", "--pairs", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"]["primes"] == "101\t"
 
     def test_diagonal_catches_a_scaled_dft(self, monkeypatch, tmp_path):
         # each transform off by 1 + 1e-6 moves lhs by 2e-6 of itself; the gate's scale
@@ -226,6 +233,14 @@ class TestHolderCommand:
         assert run(["holder", "--q", "1009", "--y", "5"]) == 2  # x^2 = 5^8 > 1009
         assert capsys.readouterr().err == "error: diagonal regime requires x^{2r} < q\n"
 
+    def test_afe_route_is_refused_at_the_parser(self, monkeypatch, capsys):
+        # the AFE gives |L|^2 only, and the twisted sums need L itself
+        monkeypatch.setattr(characters, "build_table", None)  # any run past the parser would raise TypeError
+        with pytest.raises(SystemExit) as exc:
+            run(["holder", "--q", "1009", "--method", "afe"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'afe'" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -244,6 +259,14 @@ class TestSurveyCommand:
         assert text.splitlines()[0] == "q,moment_over_phi,logq_pow_k2,ratio"
         assert len(text.splitlines()) == 3
         assert a.read_bytes() == b.read_bytes()
+
+    def test_lists_the_routes_as_moments_does(self, capsys):
+        listed = []
+        for command in ("moments", "survey"):
+            with pytest.raises(SystemExit):
+                run([command, "--help"])
+            listed.append(re.search(r"--method (\{[^}]*\})", capsys.readouterr().out).group(1))
+        assert listed == ["{" + ",".join(lvalues.ROUTES) + "}"] * 2
 
 
 class TestDumpCoeffs:

@@ -1,7 +1,9 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import fracmoment
+from fracmoment import lvalues
 from conftest import run_python
 
 
@@ -215,3 +217,37 @@ def test_one_exact_float_cell_and_no_row_template():
                 if path.stem == "reporting" and isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
                     percent.append(f"{where}:{node.lineno}")
     assert set(spelled) == {"reporting.fmt_float"} and percent == []
+
+
+def test_lvalue_table_is_the_one_way_to_lvalues():
+    # outside lvalues, src/ reaches the routes only through lvalue_table; afe_squares stays as the
+    # seam where perfbench's selftest injects a wrong AFE, and verify afe alone reads it
+    src = Path(fracmoment.__file__).resolve().parent
+    entries = ("oracle_values", "smoothed_values", "_afe_batch", "afe_squares")
+    readers = [
+        (f"{path.stem}.{getattr(top, 'name', '<module>')}", name)
+        for path in sorted(src.glob("*.py")) if path.stem != "lvalues"
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        for name in [getattr(node, "id", getattr(node, "attr", None))]
+        + [alias.name for alias in getattr(node, "names", []) if isinstance(node, ast.ImportFrom)]
+        if name in entries
+    ]
+    assert readers == [("cli._verify_afe", "afe_squares")]
+
+
+def test_route_names_are_declared_once():
+    # lvalues.ROUTES names each route once; everything else reads that declaration, so no
+    # other module holds a tuple, list or set of two or more route names (one alone may be
+    # another word, as the contour sweep's "oracle" column is), and lvalues spells each once
+    src = Path(fracmoment.__file__).resolve().parent
+    routes = set(lvalues.ROUTES)
+    lists, spelled = [], Counter()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in routes and path.stem == "lvalues":
+                spelled[node.value] += 1
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and path.stem != "lvalues" and sum(
+                    isinstance(e, ast.Constant) and e.value in routes for e in node.elts) >= 2:
+                lists.append(f"{path.name}:{node.lineno}")
+    assert lists == [] and spelled == dict.fromkeys(routes, 1)

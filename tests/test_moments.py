@@ -18,30 +18,40 @@ from fracmoment.moments import (
     character_values,
     holder_chain_check,
     holder_exponents,
-    moment_sum,
     mollifier_series,
     p4_bound_check,
     polynomial_series,
+    power_sum,
     scaling_survey,
 )
 
 
 class TestMomentParams:
     def test_default_bundle(self):
-        p = MomentParams.make(1009)
+        p = MomentParams(1009)
         assert p.y == 2.0 and p.a == 4.0 and p.x == 16.0
         assert not p.regime_ok
 
+    def test_the_constructor_fills_in_y_and_stores_floats(self):
+        assert [f.name for f in dataclasses.fields(MomentParams)] == ["q", "r", "s", "y", "a"]
+        p = MomentParams(100003, 1, 2, None, 1)
+        assert p.y == 100003 ** (1 / 8) > 2 and (type(p.y), type(p.a)) == (float, float)
+        p = MomentParams(1009, y=3)
+        assert p.y == 3.0 and type(p.y) is float
+        assert not hasattr(MomentParams, "make")
+        with pytest.raises(DomainError, match="need y > 1 and a >= 1"):
+            MomentParams(1009, a=0.5)  # y defaults to 2 there, so a is what is refused
+
     def test_validation(self):
         with pytest.raises(DomainError):
-            MomentParams.make(1000)  # composite
+            MomentParams(1000)  # composite
         with pytest.raises(DomainError):
-            MomentParams.make(1009, r=2, s=4)  # not reduced
+            MomentParams(1009, r=2, s=4)  # not reduced
         with pytest.raises(DomainError):
-            MomentParams.make(1009, r=3, s=2)  # k > 1
+            MomentParams(1009, r=3, s=2)  # k > 1
         for q in (-5, -7, 0):
             with pytest.raises(DomainError):
-                MomentParams.make(q)  # q^{1/(4as)} would be complex or 0
+                MomentParams(q)  # q^{1/(4as)} would be complex or 0
         for y, a in ((math.nan, 4.0), (math.inf, 4.0), (2.0, math.nan), (2.0, math.inf), (1e300, 4.0)):
             with pytest.raises(DomainError):
                 MomentParams(q=1009, r=1, s=2, y=y, a=a)  # non-finite, or y^a overflows
@@ -79,7 +89,7 @@ class TestEvaluatePolynomial:
 class TestMomentK:
     def test_q5_half_moment_is_sum_of_roots(self):
         t = table_for(5)
-        value, contributions, _ = moment_sum(t, MomentParams.make(5).k)
+        value, contributions, _ = power_sum(lvalue_table(t, "oracle")[1], MomentParams(5).k)
         sq = lvalue_table(t, "oracle")[1]
         want = math.fsum(math.sqrt(sq[j]) for j in (1, 2, 3))
         assert value == pytest.approx(want, rel=1e-12)
@@ -88,27 +98,27 @@ class TestMomentK:
 
     def test_k_one_equals_square_sum(self):
         t = table_for(101)
-        value, _, _ = moment_sum(t, Fraction(1, 1))
+        value, _, _ = power_sum(lvalue_table(t, "oracle")[1], Fraction(1, 1))
         want = float(np.sum(np.abs(oracle_values(t)[1:]) ** 2))
         assert value == pytest.approx(want, rel=1e-12)
 
     def test_oracle_vs_afe(self):
         t = table_for(5)
-        k = MomentParams.make(5).k
-        a = moment_sum(t, k, "oracle")[0]
-        b = moment_sum(t, k, "afe")[0]
+        k = MomentParams(5).k
+        a = power_sum(lvalue_table(t, "oracle")[1], k)[0]
+        b = power_sum(lvalue_table(t, "afe")[1], k)[0]
         assert a == pytest.approx(b, abs=1e-5)
 
     def test_oracle_vs_afe_q1009(self):
         t = table_for(1009)
-        k = MomentParams.make(1009).k
-        a = moment_sum(t, k, "oracle")[0]
-        b = moment_sum(t, k, "afe")[0]
+        k = MomentParams(1009).k
+        a = power_sum(lvalue_table(t, "oracle")[1], k)[0]
+        b = power_sum(lvalue_table(t, "afe")[1], k)[0]
         assert a == pytest.approx(b, rel=1e-4)
 
     def test_bad_k_rejected(self):
         with pytest.raises(DomainError):
-            moment_sum(table_for(5), Fraction(3, 2))
+            power_sum(lvalue_table(table_for(5), "oracle")[1], Fraction(3, 2))
 
 
 def _naive_polys(table, coeffs):
@@ -185,14 +195,14 @@ class TestP4Bound:
         assert rep.holds
 
     def test_default_bundle_q1009(self):
-        params = MomentParams.make(1009)
+        params = MomentParams(1009)
         rep = p4_bound_check(character_values(params, table_for(1009)))
         assert rep.holds
         assert rep.rhs > 0
 
     def test_p4_is_one_field_both_checks_read(self):
         assert "p4" in {f.name for f in dataclasses.fields(CharacterValues)}
-        values = character_values(MomentParams.make(1009), table_for(1009))
+        values = character_values(MomentParams(1009), table_for(1009))
         assert holder_chain_check(values).p4 == p4_bound_check(values).lhs == values.p4
 
     def test_diagonal_regime_required(self):
@@ -208,7 +218,7 @@ class TestHolderChain:
             assert e1 + e2 + e3 == 1
 
     def test_chain_q1009_default(self):
-        params = MomentParams.make(1009)
+        params = MomentParams(1009)
         rep = chain(params, table_for(1009))
         assert rep.holds
         assert rep.slack >= -1e-9 * rep.f1 * rep.f2 * rep.f3

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import zip_longest
 
@@ -13,11 +14,9 @@ from fracmoment.reporting import CSV_BLOCK, csv_text, emit, fmt_float
 
 
 def reference_csv(header, columns):
-    """Row-wise formatter: one Python list per row, each cell by its type."""
+    """Row-wise formatter: one Python list per row, each cell by its type (a bool as str prints it)."""
 
     def cell(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
         if isinstance(v, float):
             return fmt_float(v)
         if hasattr(v, "item"):
@@ -76,6 +75,13 @@ def test_columns_of_unequal_length_are_refused():
         csv_text(["a", "b"], [np.arange(3)])
 
 
+def test_json_strings_escape_every_control_character():
+    text = "".join(map(chr, range(0x20))) + '"\\' + "\u00e9\u2028"
+    doc = reporting.json_dumps({text: [text]})
+    assert json.loads(doc) == {text: [text]}
+    assert reporting.json_dumps('a"b\\c\nd\u00e9\u2028') == '"a\\"b\\\\c\\nd\u00e9\u2028"'  # as before
+
+
 def test_emit_chooses_the_format_by_content(tmp_path):
     path = tmp_path / "t.csv"
     assert emit((["n"], [np.arange(1, 3)]), str(path)) == "n\n1\n2\n" == path.read_text()
@@ -88,9 +94,10 @@ def test_constant_columns_print_as_every_row_would(size):
     row's cell would, a % in it included, and 0.0 next to -0.0 is not constant."""
     rng = np.random.default_rng(size)
     zeros = np.where(np.arange(size) % 2 == 1, -0.0, 0.0)
-    header = ["q", "j", "method", "nan", "negzero", "zeros", "err", "word"]
+    header = ["q", "j", "method", "nan", "negzero", "zeros", "err", "word", "odd", "on"]
     columns = [np.full(size, 20011), np.arange(size), np.full(size, "afe"), np.full(size, math.nan),
-               np.full(size, -0.0), zeros, np.full(size, 1 / 3), np.full(size, "100%s%%")]
+               np.full(size, -0.0), zeros, np.full(size, 1 / 3), np.full(size, "100%s%%"),
+               np.arange(size) % 2 == 1, np.full(size, True)]
     diff = first_difference(csv_text(header, columns), reference_csv(header, columns))
     assert diff is None
     floats = rng.standard_normal(size)
