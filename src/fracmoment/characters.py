@@ -17,8 +17,9 @@ only on rows of length p.  A direct evaluation is kept as the quadratic-time
 reference: characters come in blocks of 64, since
 chi_{j0 + t}(g^m) = chi_t(g^m) chi_{j0}(g^m), so all the blocks together are
 one matrix product of gathered roots, taken over slices of m.
-Since chi_j(g^k) = chi_k(g^j), the same reference also sums characters at
-every residue, as the orthogonality check does against `parity_sum_expected`.
+Since chi_j(g^k) = chi_k(g^j), the same reference also sums characters at every
+residue, as the orthogonality check does against `parity_sum_expected`.  Error
+estimates and tests read the DFT's rounding from one model, `dft_rounding`.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def dft_all_characters(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
     """out[j] = sum_m coeffs[m] chi_j(g^m) for every j at once, coeffs in exponent order.
 
     One unscaled inverse FFT of length q-1, or its Good-Thomas split (see
-    CharacterTable.good_thomas); matches the naive evaluation to ~1e-13.
+    CharacterTable.good_thomas); each output is off by at most dft_rounding(table, coeffs).
     """
     n = table.order
     coeffs = np.asarray(coeffs)
@@ -188,6 +189,15 @@ def inverse_dft_all_characters(table: CharacterTable, char_sums: np.ndarray) -> 
     """Recover the exponent-order coefficients from the full vector of character sums:
     conj(DFT(conj z))/(q-1)."""
     return np.conj(dft_all_characters(table, np.conj(char_sums))) / table.order
+
+
+def dft_rounding(table: CharacterTable, coeffs: np.ndarray) -> float:
+    """log2(n) eps sum|coeffs| + n 2^-1074, n = q-1: the bound on each output's absolute rounding
+    error in dft_all_characters(table, coeffs); the inverse's is this over n.  The eps term has the
+    form of Higham's bound for radix-2 Cooley-Tukey (Accuracy and Stability of Numerical Algorithms,
+    2002, section 24.1); for pocketfft's mixed radices and the Bluestein rows of the Good-Thomas split
+    it is a model that tests check.  The second term covers products that round to subnormals."""
+    return math.log2(table.order) * np.finfo(float).eps * float(np.sum(np.abs(coeffs))) + table.order * 2.0**-1074
 
 
 def _split_dft(x: np.ndarray, gather: np.ndarray, crt: np.ndarray) -> np.ndarray:

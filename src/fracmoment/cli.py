@@ -279,7 +279,7 @@ def _verify_quarter(y, sweep, tol) -> dict:
 def _verify_eta(s, w0, shifts, levels, tol) -> dict:
     rep = contours.eta_stability(s, complex(w0), _shifts(shifts), _ints(levels))
     return {
-        "estimates": [complex(e) for e in rep.estimates],
+        "estimates": rep.estimates,
         "checks": [_check("drift between successive cutoffs", rep.drift, tol)],
     }
 
@@ -440,7 +440,7 @@ def cmd_holder(args) -> int:
     report = _moment_report(
         "holder", params, args.method,
         moment=rep.moment,
-        s_lower={"re": rep.s_l.real, "im": rep.s_l.imag},
+        s_lower=rep.s_l,
         s_upper=rep.s_u,
         p4={"lhs": p4.lhs, "rhs": p4.rhs},
         holder={"f1": rep.f1, "f2": rep.f2, "f3": rep.f3, "slack": rep.slack, "pass": rep.holds},

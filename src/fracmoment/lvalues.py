@@ -33,9 +33,10 @@ on the parity.
 All-character batches ride on the group DFT from the character engine, in its
 exponent order: the class sums are evaluated at c = g^m and the AFE's exponent
 sums are indexed by m already, so neither is permuted.  They are computed on
-each call; only the q-independent W tables are kept between calls.
-lvalue_table hands out one route's values, squares and error estimate together,
-and ROUTES is the one list of the routes' names.
+each call; only the q-independent W tables are kept between calls.  The smoothed
+and AFE estimates bound the DFT by characters.dft_rounding, log2(q - 1) eps sum|input|
++ (q - 1) 2^-1074.  lvalue_table hands out one route's values, squares and error
+estimate together, and ROUTES maps each route's name to its one function.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .characters import CharacterTable, dft_all_characters
+from .characters import CharacterTable, dft_all_characters, dft_rounding
 from .errors import DomainError
 
 # B_2, B_4, ..., B_26 as floats, the rows of _em_tail: zeta(s) takes all 13, which push
@@ -321,21 +322,6 @@ def _residue_sums(table: CharacterTable, X: float) -> np.ndarray:
     return out
 
 
-def oracle_values(table: CharacterTable) -> np.ndarray:
-    """L(1/2, chi_j) = q^{-1/2} sum_c chi_j(c) zeta(1/2, c/q) for every j, as one
-    DFT of the residue-class sums at X = inf.
-
-    Slot 0 carries the principal-character value zeta(1/2)(1 - q^{-1/2}).
-    """
-    return dft_all_characters(table, _residue_sums(table, math.inf))
-
-
-def smoothed_values(table: CharacterTable) -> np.ndarray:
-    """Smoothed sums sum_{m >= 1} chi_j(m) m^{-1/2} e^{-m/X}, X = q^{5/4}, for all j,
-    as one DFT of the residue-class sums S_c."""
-    return dft_all_characters(table, _residue_sums(table, table.q**1.25))
-
-
 def smoothed_band(q: int) -> float:
     """10 q^{-1/8} log q: the bound checked on |smoothed sum - L|, and the main part of its error estimate."""
     return 10.0 * q ** (-0.125) * math.log(q)
@@ -357,9 +343,9 @@ def _afe_batch(table: CharacterTable) -> tuple[np.ndarray, float]:
     one W lookup per block, and the exponent sums S_0, S_1 are even, so one
     DFT of S_0 + i S_1 has sum_v S_v^{(par)} chi_j(v) = |L(1/2, chi_j)|^2
     as its real part for an even chi_j and as its imaginary part for an odd
-    one; the parity pick is the last step.  The error estimate bounds its
-    pair count, sum 1/sqrt(mn), in closed form, and the tail past the cut by
-    4 W_par(e^{-V/2}) + (2q/pi) J_par(V).  Returns (squares, error_estimate).
+    one; the parity pick is the last step.  The error estimate bounds its pair count,
+    sum 1/sqrt(mn), in closed form, the DFT by dft_rounding of S_0 + i S_1, and the
+    tail past the cut by 4 W_par(e^{-V/2}) + (2q/pi) J_par(V).  Returns (squares, error_estimate).
     """
     q = table.q
     Dmax = _afe_dmax(q)
@@ -404,13 +390,12 @@ def _afe_batch(table: CharacterTable) -> tuple[np.ndarray, float]:
     S = S[:, : q - 1] + S[:, q - 1 :]
     S[:, 0] += wD[:, np.arange(1, last + 1) ** 2 - 1].sum(axis=1)
     del wD, wbuf  # the largest arrays go before the FFT
-    out = dft_all_characters(table, S[0] + 1j * S[1])
+    coeffs = S[0] + 1j * S[1]
+    out = dft_all_characters(table, coeffs)
     squares = np.where(table.parity == 0, out.real, out.imag)
-    # each pair's W is off by at most the table residual and |chi| = 1, so the
-    # sum of 1/sqrt(mn) over the pairs carries it to |L|^2; log2(q) eps covers
-    # the FFT of S_0 + i S_1, whose sum |S_0| + |S_1| stays below 0.2 of that
-    # pair sum at q <= 100003.  That sum is bounded per n <= sqrt(Dmax): (n, n)
-    # adds 1/n, and the m > n with mn <= Dmax, counted twice, add
+    # each pair's W is off by at most the table residual and |chi| = 1, so the sum of
+    # 1/sqrt(mn) over the pairs carries it to |L|^2.  That sum is bounded per
+    # n <= sqrt(Dmax): (n, n) adds 1/n, and the m > n with mn <= Dmax, counted twice, add
     # n^{-1/2} sum_{n < m <= top} m^{-1/2} <= 2 (sqrt(top) - sqrt(n))/sqrt(n), top = Dmax // n
     n = np.arange(1, last + 1)
     pairs = float(np.sum(4.0 * (np.sqrt(Dmax // n) - np.sqrt(n)) / np.sqrt(n) + 1.0 / n))
@@ -420,7 +405,7 @@ def _afe_batch(table: CharacterTable) -> tuple[np.ndarray, float]:
     # W falls in D and Dmax + 1 > D* = q e^{V/2}/pi, so that sum is at most
     # W(e^{-V/2}) + int_{D*}^inf W(q/(pi D)) dD = F(V) + (q/(2 pi)) J(V)
     tail = max(4.0 * F + 2.0 * q / math.pi * J for _, _, (F, J) in tables)
-    err = 2.0 * pairs * (resid + math.log2(q) * np.finfo(float).eps) + tail
+    err = 2.0 * pairs * resid + dft_rounding(table, coeffs) + tail
     return squares, err
 
 
@@ -434,18 +419,23 @@ def afe_squares(table: CharacterTable, xmin: float = 1e-3) -> np.ndarray:
 
 
 def _oracle_table(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, float]:
-    values = oracle_values(table)
+    """L(1/2, chi_j) = q^{-1/2} sum_c chi_j(c) zeta(1/2, c/q) for every j, as one DFT of the
+    residue-class sums at X = inf, with their squares and error estimate.  Slot 0 carries
+    the principal-character value zeta(1/2)(1 - q^{-1/2})."""
+    values = dft_all_characters(table, _residue_sums(table, math.inf))
     return values, np.abs(values) ** 2, max(1e-12, math.sqrt(table.q) * 1e-13)
 
 
 def _smoothed_table(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, float]:
-    # f is completely monotone, so each S_c's remainder is at most the first
-    # omitted (B_18) term: f(u0) < S_c times its row at w < 1/10, summed over
-    # c as sum_c S_c = values[0] (every S_c > 0); log2(q) eps covers the FFT
+    """Smoothed sums sum_{m >= 1} chi_j(m) m^{-1/2} e^{-m/X}, X = q^{5/4}, for all j, as one
+    DFT of the residue-class sums S_c, with their squares and error estimate.  f is completely
+    monotone, so each S_c's remainder is at most the first omitted (B_18) term: f(u0) < S_c
+    times its row at w < 1/10, summed over c as sum S = values[0] (every S_c > 0)."""
     q = table.q
-    values = smoothed_values(table)
+    S = _residue_sums(table, q**1.25)
+    values = dft_all_characters(table, S)
     rem = np.polynomial.polynomial.polyval(1 / _DIRECT, _em_poly(0.5, _em_rows(q / q**1.25, 9)[-1]))
-    err = smoothed_band(q) + (rem + math.log2(q) * np.finfo(float).eps) * values[0].real
+    err = smoothed_band(q) + rem * values[0].real + dft_rounding(table, S)
     return values, np.abs(values) ** 2, err
 
 

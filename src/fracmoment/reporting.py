@@ -325,11 +325,11 @@ def _float_cells(x: np.ndarray) -> list[np.ndarray]:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write text to path atomically (temp file in the same directory + replace)."""
+    """Write text to path as UTF-8, atomically (temp file in the same directory + replace)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fracmoment-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

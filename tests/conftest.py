@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import fracmoment
-from fracmoment.characters import build_table, dft_all_characters, fold_residues
+from fracmoment.characters import (
+    build_table,
+    dft_all_characters,
+    dft_rounding,
+    fold_residues,
+    inverse_dft_all_characters,
+)
 from fracmoment.errors import DomainError
 
 _TABLES: dict = {}
@@ -56,6 +62,27 @@ def chi(table, j: int, a: int) -> complex:
     if a == 0:
         return 0j
     return complex(table.roots[(j * int(table.dlog[a])) % table.order])
+
+
+def assert_within_dft_rounding(label: str, cases) -> None:
+    """Each (table, coeffs, name) of cases: every output of dft_all_characters(table, coeffs)
+    within dft_rounding(table, coeffs), and of the inverse within that over n, against np.fft
+    in clongdouble (eps 1.1e-19, with room for every double's products); the worst ratio of
+    each direction is echoed after the run."""
+    worst = {"forward": (0.0, ""), "inverse": (0.0, "")}
+    for table, coeffs, name in cases:
+        n, c = table.order, np.asarray(coeffs)
+        exact = np.fft.ifft(c.astype(np.clongdouble)) * n
+        # a real input's inverse transform is the conjugate of its forward one over n
+        back = np.conj(exact) / n if np.isrealobj(c) else np.fft.fft(c.astype(np.clongdouble)) / n
+        bound = dft_rounding(table, c)
+        errors = (np.abs(dft_all_characters(table, c) - exact), np.abs(inverse_dft_all_characters(table, c) - back) * n)
+        for kind, err in zip(worst, errors):
+            worst[kind] = max(worst[kind], (float(np.max(err)) / bound, f"q={table.q} {name}"))
+    line = ", ".join(f"{kind} {r:.3f} at {where}" for kind, (r, where) in worst.items())
+    ok = max(r for r, _ in worst.values()) <= 1
+    ACCEPTANCE_LINES.append(f"[{'PASS' if ok else 'FAIL'}] dft_rounding over {label}: worst {line}")
+    assert ok, line
 
 
 def direct_character_sums(table, coeffs) -> np.ndarray:

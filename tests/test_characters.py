@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chi, direct_character_sums, prime_sieve, table_for
+from conftest import assert_within_dft_rounding, chi, direct_character_sums, prime_sieve, table_for
 from fracmoment import characters
 from fracmoment.characters import (
     QMAX,
     build_table,
     dft_all_characters,
+    dft_rounding,
     diagonal_decomposition_check,
     fold_residues,
     inverse_dft_all_characters,
@@ -149,11 +150,6 @@ class TestDft:
             dft_all_characters(t, np.ones(9, dtype=complex))
 
 
-def _fft_bound(c: np.ndarray) -> float:
-    """log2(n) eps sum |c|, the rounding a length-n FFT may add to each output."""
-    return np.log2(c.size) * np.finfo(float).eps * float(np.sum(np.abs(c)))
-
-
 class TestGoodThomasSplit:
     # q - 1 = 2^12 3, 2^16 and 2^6 3^2 5^2 7: pocketfft runs them without Bluestein
     @pytest.mark.parametrize("q", [12289, 65537, 100801])
@@ -180,11 +176,11 @@ class TestGoodThomasSplit:
         assert np.array_equal(np.sort(crt, axis=None), np.arange(n))
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         fast = dft_all_characters(t, c)
-        assert np.max(np.abs(fast - np.fft.ifft(c) * n)) < _fft_bound(c)
+        assert np.max(np.abs(fast - np.fft.ifft(c) * n)) < dft_rounding(t, c)
         # a real input, as the oracle and smoothed routes pass
         r = c.real.copy()
-        assert np.max(np.abs(dft_all_characters(t, r) - np.fft.ifft(r) * n)) < _fft_bound(r)
-        assert np.max(np.abs(inverse_dft_all_characters(t, fast) - c)) < _fft_bound(c)
+        assert np.max(np.abs(dft_all_characters(t, r) - np.fft.ifft(r) * n)) < dft_rounding(t, r)
+        assert np.max(np.abs(inverse_dft_all_characters(t, fast) - c)) < dft_rounding(t, c)
 
     def test_naive_agrees_at_every_prime_below_2000(self, rng):
         split = 0
@@ -193,9 +189,31 @@ class TestGoodThomasSplit:
             split += t.good_thomas is not None
             c = rng.standard_normal(q - 1) + 1j * rng.standard_normal(q - 1)
             fast = dft_all_characters(t, c)
-            assert np.max(np.abs(fast - naive_character_sums(t, c))) < _fft_bound(c), q
-            assert np.max(np.abs(inverse_dft_all_characters(t, fast) - c)) < _fft_bound(c), q
+            assert np.max(np.abs(fast - naive_character_sums(t, c))) < dft_rounding(t, c), q
+            assert np.max(np.abs(inverse_dft_all_characters(t, fast) - c)) < dft_rounding(t, c), q
         assert 0 < split < 302  # both sides of the rule are covered
+
+
+class TestDftRounding:
+    def test_bounds_every_output_against_long_double(self, rng):
+        # every prime below 2000 and the four split lengths; normal, wide (1e-320 to 1e300)
+        # and subnormal folded inputs, real and complex.  A long-double FFT takes 0.1 s at
+        # 100237 and 1 s at 999983, so those take the wide inputs only, and 999983 the real one
+        def cases():
+            for q in [*filter(is_prime, range(3, 2000)), 7013, 10007, 100237, 999983]:
+                t = table_for(q) if q < 2000 else build_table(q)
+                n = t.order
+                wide = 10.0 ** rng.uniform(-320, 300, n)
+                sub = rng.integers(-1000, 1000, (2, rng.integers(1, n + 1))) * 5e-324
+                inputs = {"wide": wide * np.exp(2j * np.pi * rng.random(n)),
+                          "normal": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                          "subnormal fold": fold_residues(t, sub[0] + 1j * sub[1])}
+                for name, c in inputs.items() if q < 10**5 else [("wide", inputs["wide"])]:
+                    if q != 999983:
+                        yield t, c, name
+                    yield t, c.real.copy(), f"{name}, real"
+
+        assert_within_dft_rounding("random inputs", cases())
 
 
 class TestRootTable:
@@ -270,13 +288,15 @@ class TestNaiveCharacterSums:
 
 def _assert_fold_matches_chi_sums(q, v):
     """The DFT of v folded onto the group against the direct sums of v(n) chi_j(n), within
-    4 q eps sum|v| of rounding and q 2^-1074 of underflow (each product may round to a
-    subnormal one unit away, and a sum of subnormals has no relative error to bound)."""
+    the DFT's dft_rounding plus the direct sums' own rounding: each of q - 1 products has a
+    root 2u off (TestRootTable) and rounds once, and the running sum rounds q - 2 times, at
+    most (q + 2) eps sum|v| together.  Products that round to subnormals are left to the
+    model's (q - 1) 2^-1074 term."""
     t = table_for(q)
-    got = dft_all_characters(t, fold_residues(t, v))
+    folded = fold_residues(t, v)
+    got = dft_all_characters(t, folded)
     want = [sum(v[n - 1] * chi(t, j, n) for n in range(1, v.size + 1)) for j in range(q - 1)]
-    tiny = np.finfo(float).smallest_subnormal
-    assert np.max(np.abs(got - want)) <= 4 * q * np.finfo(float).eps * np.sum(np.abs(v)) + q * tiny
+    assert np.max(np.abs(got - want)) <= dft_rounding(t, folded) + (q + 2) * np.finfo(float).eps * np.sum(np.abs(v))
 
 
 class TestExponentOrder:

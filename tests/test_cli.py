@@ -382,8 +382,8 @@ class TestLValueExport:
     @pytest.mark.parametrize("command", ["moments", "holder"])
     def test_one_oracle_evaluation_serves_report_and_csv(self, command, tmp_path, monkeypatch):
         calls = []
-        oracle = lvalues.oracle_values
-        monkeypatch.setattr(lvalues, "oracle_values", lambda t: calls.append(t.q) or oracle(t))
+        sums = lvalues._residue_sums
+        monkeypatch.setattr(lvalues, "_residue_sums", lambda t, X: calls.append(t.q) or sums(t, X))
         assert run([command, "--q", "1009", "--out", str(tmp_path / "r.json"),
                     "--lvalues-out", str(tmp_path / "lv.csv")]) == 0
         assert calls == [1009]

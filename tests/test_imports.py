@@ -223,7 +223,7 @@ def test_lvalue_table_is_the_one_way_to_lvalues():
     # outside lvalues, src/ reaches the routes only through lvalue_table; afe_squares stays as the
     # seam where perfbench's selftest injects a wrong AFE, and verify afe alone reads it
     src = Path(fracmoment.__file__).resolve().parent
-    entries = ("oracle_values", "smoothed_values", "_afe_batch", "afe_squares")
+    entries = ("_oracle_table", "_smoothed_table", "_afe_batch", "afe_squares")
     readers = [
         (f"{path.stem}.{getattr(top, 'name', '<module>')}", name)
         for path in sorted(src.glob("*.py")) if path.stem != "lvalues"
@@ -234,6 +234,21 @@ def test_lvalue_table_is_the_one_way_to_lvalues():
         if name in entries
     ]
     assert readers == [("cli._verify_afe", "afe_squares")]
+
+
+def test_dft_rounding_is_the_one_reader_of_eps():
+    # characters.dft_rounding is the one rounding model: no other code in src/ reads
+    # finfo(...).eps to build a tolerance of its own
+    src = Path(fracmoment.__file__).resolve().parent
+    readers = [
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in sorted(src.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "eps" and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "attr", getattr(node.value.func, "id", None)) == "finfo"
+    ]
+    assert readers == ["characters.dft_rounding"]
 
 
 def test_route_names_are_declared_once():

@@ -10,17 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chi, run_python, table_for
+from conftest import assert_within_dft_rounding, chi, run_python, table_for
 from fracmoment import lvalues
-from fracmoment.characters import QMAX, build_table, is_prime
+from fracmoment.characters import QMAX, build_table, dft_rounding, is_prime
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import (
     _afe_batch,
     afe_squares,
     clear_caches,
     lvalue_table,
-    oracle_values,
-    smoothed_values,
     w_weight_many,
     zeta_progression,
 )
@@ -244,10 +242,35 @@ class TestLValueTable:
     def test_mutating_a_returned_array_leaves_later_sums_unchanged(self):
         t = table_for(101)
         before, _, _ = power_sum(lvalue_table(t, "oracle")[1], Fraction(1, 2))
-        for arr in (oracle_values(t), smoothed_values(t)):
+        for arr in (lvalue_table(t, method)[0] for method in ("oracle", "smoothed")):
             arr[1:] *= 2
         after, _, _ = power_sum(lvalue_table(t, "oracle")[1], Fraction(1, 2))
         assert after == before
+
+
+class TestDftRounding:
+    def test_bounds_the_dft_of_each_routes_input(self, monkeypatch):
+        # the oracle's and the smoothed route's class sums and the AFE's S_0 + i S_1, which
+        # _afe_batch hands to dft_rounding, against a long-double DFT
+        seen = []
+        monkeypatch.setattr(lvalues, "dft_rounding", lambda t, c: seen.append(c) or dft_rounding(t, c))
+
+        def cases():
+            for q in (101, 1009, 7013, 10007, 100237):
+                t = build_table(q)
+                _afe_batch(t)
+                yield t, lvalues._residue_sums(t, math.inf), "oracle"
+                yield t, lvalues._residue_sums(t, q**1.25), "smoothed"
+                yield t, seen[-1], "afe"
+
+        assert_within_dft_rounding("the routes' inputs", cases())
+
+    # the oracle's estimate is still a constant, max(1e-12, sqrt(q) 1e-13); it must at least
+    # hold the model's rounding of the oracle's own DFT
+    @pytest.mark.parametrize("q", [3, 5, 101, 10007, 100003, 999983])
+    def test_oracle_constant_covers_its_dft(self, q):
+        t = table_for(q) if q < 10**5 else build_table(q)
+        assert lvalue_table(t, "oracle")[2] >= dft_rounding(t, lvalues._residue_sums(t, math.inf))
 
 
 class TestOracle:
@@ -281,8 +304,8 @@ class TestOracle:
 class TestSmoothed:
     def test_within_error_bound_q101(self):
         t = table_for(101)
-        L = oracle_values(t)
-        S = smoothed_values(t)
+        L = lvalue_table(t, "oracle")[0]
+        S = lvalue_table(t, "smoothed")[0]
         bound = 10.0 * 101 ** (-0.125) * math.log(101)
         assert np.max(np.abs(S[1:] - L[1:])) <= bound
 
@@ -290,7 +313,7 @@ class TestSmoothed:
         for q in [q for q in range(5, 62) if is_prime(q)] + [1009]:
             t = table_for(q)
             values, _, err = lvalue_table(t, "smoothed")
-            assert np.max(np.abs(values[1:] - oracle_values(t)[1:])) <= err, q
+            assert np.max(np.abs(values[1:] - lvalue_table(t, "oracle")[0][1:])) <= err, q
 
     # rho = q^{-1/4}, and with it each Euler-Maclaurin correction, is largest at q = 3 and 5;
     # the B_16 row alone adds 1.6e-14 of S_c at q = 3, and the first omitted row 2.5e-15
@@ -317,7 +340,7 @@ class TestAfe:
 
     def test_q61_full_sweep(self):
         t = table_for(61)
-        sq = np.abs(oracle_values(t)) ** 2
+        sq = np.abs(lvalue_table(t, "oracle")[0]) ** 2
         afe = afe_squares(t)
         assert np.max(np.abs(afe[1:] - sq[1:])) < 1e-6
 
@@ -340,7 +363,7 @@ class TestAfe:
         for q in [q for q in range(3, 62) if is_prime(q)] + [1009, 5003]:
             t = table_for(q)
             _, squares, err = lvalue_table(t, "afe")
-            dev = np.max(np.abs(squares[1:] - np.abs(oracle_values(t)[1:]) ** 2))
+            dev = np.max(np.abs(squares[1:] - np.abs(lvalue_table(t, "oracle")[0][1:]) ** 2))
             assert dev <= err < 1e-8, q
 
     def test_xmin_above_the_cut_refused(self):
@@ -355,7 +378,7 @@ class TestAfe:
     def test_conjugate_characters_same_square(self):
         t = table_for(11)
         for method in ("oracle", "smoothed"):
-            vals = oracle_values(t) if method == "oracle" else smoothed_values(t)
+            vals = lvalue_table(t, method)[0]
             for j in range(1, 10):
                 assert abs(vals[j]) ** 2 == pytest.approx(abs(vals[10 - j]) ** 2, abs=1e-9)
         afe = afe_squares(t)
@@ -452,7 +475,9 @@ class TestAfe:
     # the reference sums to q/(pi xmin) = 318 q, past the cut
     @pytest.mark.parametrize("xmin", [1e-3])
     @pytest.mark.parametrize("q", [5, 7, 11, 13])
-    def test_pair_fold_matches_double_loop(self, q, xmin):
+    def test_pair_fold_matches_double_loop(self, q, xmin, monkeypatch):
+        # with the DFT's term at 0 the estimate is 2 pairs resid plus a tail below 1e-30
+        monkeypatch.setattr(lvalues, "dft_rounding", lambda table, coeffs: 0.0)
         t = table_for(q)
         squares, err = _afe_batch(t)
         sums, pairsum = self._pair_loop(t, xmin)
@@ -461,7 +486,7 @@ class TestAfe:
         # the estimate's pair count is a closed-form bound on the exact pair sum,
         # 1.39 times it at q = 5 and closer from there on
         resid = max(r for _, r, _ in lvalues._w_tables())
-        count = err / (2.0 * (resid + math.log2(q) * np.finfo(float).eps))
+        count = err / (2.0 * resid)
         assert pairsum <= count <= 1.4 * pairsum
 
     def test_peak_memory_q5003(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import chi, evaluate_polynomial_all, table_for
 from fracmoment.characters import is_prime
 from fracmoment.errors import DomainError
-from fracmoment.lvalues import lvalue_table, oracle_values
+from fracmoment.lvalues import lvalue_table
 from fracmoment.moments import (
     CharacterValues,
     MomentParams,
@@ -99,7 +99,7 @@ class TestMomentK:
     def test_k_one_equals_square_sum(self):
         t = table_for(101)
         value, _, _ = power_sum(lvalue_table(t, "oracle")[1], Fraction(1, 1))
-        want = float(np.sum(np.abs(oracle_values(t)[1:]) ** 2))
+        want = float(np.sum(np.abs(lvalue_table(t, "oracle")[0][1:]) ** 2))
         assert value == pytest.approx(want, rel=1e-12)
 
     def test_oracle_vs_afe(self):
@@ -148,7 +148,7 @@ class TestTwistedSums:
     def test_s_lower_matches_naive_triple_loop(self, setup_1009):
         params, table = setup_1009
         got = chain(params, table).s_l
-        L = oracle_values(table)
+        L = lvalue_table(table, "oracle")[0]
         P = _naive_polys(table, polynomial_series(params))
         M = _naive_polys(table, mollifier_series(params))
         want = sum(
@@ -160,7 +160,7 @@ class TestTwistedSums:
         params, table = setup_1009
         got = chain(params, table).s_u
         assert got >= 0
-        L = oracle_values(table)
+        L = lvalue_table(table, "oracle")[0]
         P = _naive_polys(table, polynomial_series(params))
         M = _naive_polys(table, mollifier_series(params))
         want = sum(
@@ -180,7 +180,7 @@ class TestTwistedSums:
         eps = 1e-9
         params = MomentParams(q=q, r=1, s=2, y=1 + eps, a=1.0)
         got = chain(params, table).s_l
-        want = 0.25 * sum(oracle_values(table)[1:])  # |M|^2 = (1/2)^2, P = 1
+        want = 0.25 * sum(lvalue_table(table, "oracle")[0][1:])  # |M|^2 = (1/2)^2, P = 1
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
@@ -243,7 +243,7 @@ class TestBundleProperty:
         params = MomentParams(q=q, r=r, s=s, y=q ** (u / (2 * r * a)), a=a)
         table = table_for(q)
         rep = chain(params, table)
-        L = oracle_values(table)[1:]
+        L = lvalue_table(table, "oracle")[0][1:]
         P = _naive_polys(table, polynomial_series(params))[1:]
         M = _naive_polys(table, mollifier_series(params))[1:]
         terms = L * np.conj(P) ** (2 * s) * np.abs(M) ** (2 * (s - r))

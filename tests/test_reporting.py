@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from fracmoment import reporting
 from fracmoment.characters import build_table
 from fracmoment.lvalues import lvalue_table
@@ -80,6 +81,25 @@ def test_json_strings_escape_every_control_character():
     doc = reporting.json_dumps({text: [text]})
     assert json.loads(doc) == {text: [text]}
     assert reporting.json_dumps('a"b\\c\nd\u00e9\u2028') == '"a\\"b\\\\c\\nd\u00e9\u2028"'  # as before
+
+
+def test_reports_are_written_as_utf8_in_any_locale(tmp_path, monkeypatch):
+    # int() reads full-width digits and json_dumps writes non-ASCII text as is, so a report
+    # may echo it; an ASCII locale without UTF-8 mode must still get the UTF-8 bytes.  The
+    # digits are built in the child, since an ASCII locale would mangle them in its argv
+    wide = "".join(chr(0xFF10 + int(d)) for d in "101")
+    code = ("import sys\nfrom fracmoment import cli\n"
+            "wide = ''.join(chr(0xFF10 + int(d)) for d in '101')\n"
+            "argv = ['verify', 'diagonal', '--primes', '101,' + wide, '--pairs', '1', '--out', sys.argv[1]]\n"
+            "sys.exit(cli.main(argv))\n")
+    out = {}
+    for locale, utf8_mode in (("POSIX", "0"), ("C.UTF-8", "1")):
+        monkeypatch.setenv("LC_ALL", locale)
+        monkeypatch.setenv("PYTHONUTF8", utf8_mode)
+        path = tmp_path / f"{locale}.json"
+        assert run_python(code, str(path), check=False).returncode == 0, locale
+        out[locale] = path.read_bytes()
+    assert out["POSIX"] == out["C.UTF-8"] and f"101,{wide}".encode() in out["POSIX"]
 
 
 def test_emit_chooses_the_format_by_content(tmp_path):
