@@ -182,7 +182,7 @@ def dft_all_characters(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
         raise DomainError(f"coefficient array must have length q-1 = {n}, got {coeffs.shape}")
     if (maps := table.good_thomas) is not None:
         return _split_dft(coeffs, *maps)
-    return np.fft.ifft(coeffs) * n
+    return np.fft.ifft(coeffs, norm="forward")
 
 
 def inverse_dft_all_characters(table: CharacterTable, char_sums: np.ndarray) -> np.ndarray:

@@ -279,7 +279,7 @@ class EtaStabilityReport:
     drift: float
 
 
-@np.errstate(over="raise")  # n^{-(1 + w0)} at w0 ~ 1e308 raises FloatingPointError, not a warning
+@np.errstate(over="raise")  # at w0 ~ 1e308 zeta's term table at 1 + w0 + w raises FloatingPointError, not a warning
 def eta_stability(s_param: int, w0: complex, shifts: ShiftVector, levels: Sequence[int]) -> EtaStabilityReport:
     """Estimate eta = [sum_{n<=N} sigma_shifts(n) n^{-(1+w0)}] / prod_i
     zeta^{1/2s}(1 + w0 + w_i) at a ladder of cutoffs N.
@@ -298,10 +298,11 @@ def eta_stability(s_param: int, w0: complex, shifts: ShiftVector, levels: Sequen
     if len(set(levels)) < 2 or levels[0] < 1:
         raise DomainError(f"need at least two distinct cutoff levels, each at least 1; got {levels}")
     Nmax = levels[-1]
-    series = shifted_series(shifts, None, s_param, Nmax)
-    n = np.arange(1, Nmax + 1)
-    weighted = series[1:] * np.exp(-(1 + w0) * np.log(n))
-    partial = np.cumsum(weighted)
+    # n^{-(1+w0)} is completely multiplicative: it moves every shift by 1 + w0
+    moved = tuple(complex(w) + 1 + w0 for w in shifts.shifts)
+    if not all(map(cmath.isfinite, moved)):
+        raise OverflowError(f"1 + w0 + w is past the largest double at w0 = {w0}, shifts {shifts.shifts}")
+    partial = np.cumsum(shifted_series(ShiftVector(moved), None, s_param, Nmax)[1:])
     denom = 1 + 0j
     for w in shifts.shifts:
         denom *= zeta_power_line(1.0 / (2 * s_param), 1 + w0 + complex(w))[0]

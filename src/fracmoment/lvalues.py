@@ -70,6 +70,8 @@ _BERN = (
     8553103.0 / 6,
 )
 _BERN_FACT = tuple(b / math.factorial(2 * k) for k, b in enumerate(_BERN, start=1))
+# C(2j - 1, i) at row j - 1 and column i < 2 len(_BERN), which _em_rows slices
+_EM_COMB = np.array([[math.comb(a, b) for b in range(2 * len(_BERN))] for a in range(1, 2 * len(_BERN), 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +88,7 @@ def _em_rows(rho: float, rows: int) -> np.ndarray:
     sum_i b_ji (s)_i w^i f(u) = -B_2j/(2j)! q^{2j-1} f^{(2j-1)}(u) for f(u) = u^{-s} e^{-u/X}, w = q/u,
     rho = q/X (Leibniz's rule); at rho = 0 (X = inf) only i = 2j - 1 is left (comb = 0 past it)."""
     n, i = np.arange(1, 2 * rows, 2)[:, None], np.arange(2 * rows)
-    comb = np.array([[math.comb(a, b) for b in range(2 * rows)] for a in range(1, 2 * rows, 2)])
-    return np.array(_BERN_FACT[:rows])[:, None] * comb * rho ** np.maximum(n - i, 0)
+    return np.array(_BERN_FACT[:rows])[:, None] * _EM_COMB[:rows, : 2 * rows] * rho ** np.maximum(n - i, 0)
 
 
 def _em_poly(s, b: np.ndarray) -> list:

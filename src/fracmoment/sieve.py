@@ -76,7 +76,9 @@ def _mu_twisted(beta: float, count: int) -> list[float]:
 def _multiplicative(local, cutoff: int, dtype=float) -> np.ndarray:
     """Dense f(n), n <= cutoff, of the multiplicative f with f(p^e) = local(p, e).
 
-    local(p, e) takes an int array of primes and one exponent e >= 1.  Dividing
+    local(p, e) takes an int array of primes and one exponent e >= 1; it is called once for each
+    e = 1, 2, ..., in that order, with p the primes whose p^e <= cutoff, so each p is a prefix
+    of the last and p.size never grows.  Dividing
     every small prime p <= sqrt(cutoff) out of rest = n leaves rest[n] = 1 or
     the one prime factor P > sqrt(cutoff) of n, so f starts at f(P) or 1; then
     each small prime, largest first, multiplies f(p^e) into f[p::p] as the left
@@ -206,7 +208,8 @@ def shifted_series(ws: ShiftVector | None, zs: ShiftVector | None, s_param: int,
     both.  Either vector may be None, but not both.
 
     Every factor is multiplicative, so the series is too: its local factor at
-    p^e is the Cauchy product in e of the factors' local factors.
+    p^e is the Cauchy product in e of the factors' local factors.  When every
+    shift is real, so is every local factor, and the series is sieved in float64.
     """
     if s_param < 1:
         raise DomainError("s parameter must be a positive integer")
@@ -217,13 +220,23 @@ def shifted_series(ws: ShiftVector | None, zs: ShiftVector | None, s_param: int,
     # past Re w = 1100 every p^{-w} is 0 in double, its true limit; the cap keeps -w j log p finite
     specs = [(coef, complex(min(w.real, 1100.0), w.imag))
              for coef, sv in ((sigma, ws), (rho, zs)) if sv is not None for w in map(complex, sv.shifts)]
+    real = all(shift.imag == 0 for _, shift in specs)
+    # fac[k][j] is the k-th factor's coefficient of p^j and acc[k][j] that of the first k factors'
+    # product, whose degrees past 0 start as the int 0 each sum starts from
+    fac, acc = [[] for _ in specs], [[] for _ in range(len(specs) + 1)]
 
     def local(p, e):
+        # e rises by one per call on ever shorter p, so the lower degrees are kept, cut to p, and
+        # degree e costs e + 1 products per factor
+        for row in fac + acc:
+            row[:] = [a[: p.size] if isinstance(a, np.ndarray) else a for a in row]
         logp = np.log(p)
-        acc = [np.ones(p.size, dtype=complex)] + [0] * e  # coefficients of p^0 .. p^e
-        for coef, shift in specs:
-            fac = [c * np.exp(-shift * j * logp) for j, c in enumerate(coef[: e + 1])]
-            acc = [sum(acc[i] * fac[j - i] for i in range(j + 1)) for j in range(e + 1)]
-        return acc[e]
+        for d in range(len(acc[0]), e + 1):
+            acc[0].append(np.ones(p.size, dtype=complex) if d == 0 else 0)
+            for k, (coef, shift) in enumerate(specs):
+                fac[k].append(coef[d] * np.exp(-shift * d * logp))
+                acc[k + 1].append(sum(acc[k][i] * fac[k][d - i] for i in range(d + 1)))
+        return acc[-1][e].real if real else acc[-1][e]
 
-    return _multiplicative(local, cutoff, complex)
+    # a real factor's imaginary parts are signed zeros, so each float product is the complex one's real part
+    return _multiplicative(local, cutoff, float if real else complex).astype(complex, copy=False)

@@ -163,6 +163,27 @@ def multiplicative_reference(local, N: int, dtype=float) -> np.ndarray:
     return f + 0.0
 
 
+def shifted_local_reference(ws, zs, s: int):
+    """local(p, e) for multiplicative_reference: f(p^e) of shifted_series(ws, zs, s, N), the Cauchy
+    product in e of one factor d_{1/2s}(p^j) p^{-j w} per w of ws and one (1, -1/s, 0, ...)[j] p^{-j z}
+    per z of zs, every degree up to e rebuilt at each call, in complex on one-element arrays as the
+    series' own products are.  Re w is capped at 1100, past which every p^{-w} is 0 in double."""
+    specs = [(lambda j: divisor_coeff(Fraction(1, 2 * s), 2**j), w) for w in (ws.shifts if ws else ())]
+    specs += [(lambda j: (1.0, -1 / s, 0.0)[min(j, 2)], z) for z in (zs.shifts if zs else ())]
+
+    @cache
+    def local(p: int, e: int) -> complex:
+        logp = np.log(np.array([p]))
+        acc = [np.ones(1, dtype=complex)] + [0] * e
+        for coef, w in specs:
+            w = complex(min(complex(w).real, 1100.0), complex(w).imag)
+            fac = [coef(j) * np.exp(-w * j * logp) for j in range(e + 1)]
+            acc = [sum(acc[i] * fac[j - i] for i in range(j + 1)) for j in range(e + 1)]
+        return acc[e][0]
+
+    return local
+
+
 def evaluate_polynomial_all(table, coeffs: np.ndarray) -> np.ndarray:
     """sum_n c_n chi_j(n) n^{-1/2} for every j, slot 0 principal, as one group DFT of
     its own; fold_residues refuses support at n >= q."""

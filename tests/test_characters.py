@@ -158,8 +158,8 @@ class TestGoodThomasSplit:
         n = q - 1
         assert t.good_thomas is None
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.array_equal(dft_all_characters(t, c), np.fft.ifft(c) * n)
-        assert np.array_equal(inverse_dft_all_characters(t, c), np.conj(np.fft.ifft(np.conj(c)) * n) / n)
+        assert np.array_equal(dft_all_characters(t, c), np.fft.ifft(c, norm="forward"))
+        assert np.array_equal(inverse_dft_all_characters(t, c), np.conj(np.fft.ifft(np.conj(c), norm="forward")) / n)
 
     def test_short_lengths_stay_unsplit(self):
         # pocketfft takes no Bluestein below length 50: 46 = 2 23 stays one FFT, 58 = 2 29 splits

@@ -24,7 +24,7 @@ from fracmoment.contours import (
 )
 from fracmoment.errors import DomainError
 from fracmoment.lvalues import zeta_progression
-from fracmoment.sieve import ShiftVector, divisor_series
+from fracmoment.sieve import ShiftVector, divisor_series, shifted_series
 
 
 class TestPerronWeight:
@@ -383,6 +383,38 @@ class TestEtaStability:
         rep = eta_stability(1, 5.0, ShiftVector((5.0,)), [10**3, 10**4])
         assert rep.drift < 1e-6
         assert abs(rep.estimates[-1] - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_matches_the_directly_weighted_sum(self, s):
+        # n^{-(1+w0)} applied to the unweighted series term by term
+        w0, shifts, levels = 0.3 + 0.2j, ShiftVector((0.1 + 1j, 0.05)), (1000, 30000)
+        n = np.arange(1, levels[-1] + 1)
+        partial = np.cumsum(shifted_series(shifts, None, s, levels[-1])[1:] * np.exp(-(1 + w0) * np.log(n)))
+        denom = np.prod([zeta_power_line(1 / (2 * s), 1 + w0 + w)[0] for w in shifts.shifts])
+        got = eta_stability(s, w0, shifts, levels).estimates
+        for N, est in zip(levels, got):
+            assert abs(est - partial[N - 1] / denom) <= 1e-13 * abs(est)
+
+    def test_readme_example_peak_memory(self):
+        # one process of its own, VmHWM in KiB as in test_m2_oracle_peak_memory: the 10^6 cutoff
+        # rises 36 MiB with n^{-(1+w0)} in the shifts, and 57 MiB when the terms are weighted one
+        # by one through per-n arange, log and exp temporaries
+        code = (
+            "from fracmoment.contours import eta_stability\n"
+            "from fracmoment.sieve import ShiftVector\n"
+            "def peak():\n"
+            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
+            "eta_stability(1, 0.5, ShiftVector((0.3,)), [10, 100])\n"
+            "before = peak()\n"
+            "eta_stability(1, 0.5, ShiftVector((0.3,)), [10**5, 10**6])\n"
+            "print(peak() - before)\n"
+        )
+        assert int(run_python(code).stdout) < 48 * 1024
+
+    def test_overflowing_moved_shift_is_an_overflow(self):
+        # finite w0 and w whose 1 + w0 + w is past the largest double: an overflow, not a bad shift
+        with pytest.raises(OverflowError):
+            eta_stability(1, 1.7e308, ShiftVector((1e308,)), [10, 100])
 
     def test_non_finite_input_rejected(self):
         for bad in (math.nan, math.inf, complex(0.5, math.nan)):

@@ -266,3 +266,14 @@ def test_route_names_are_declared_once():
                     isinstance(e, ast.Constant) and e.value in routes for e in node.elts) >= 2:
                 lists.append(f"{path.name}:{node.lineno}")
     assert lists == [] and spelled == dict.fromkeys(routes, 1)
+
+
+def test_eta_stability_weights_no_term_itself():
+    # n^{-(1+w0)} is completely multiplicative, so it rides in the shifts of the series; a per-n
+    # exp, log or arange in eta_stability would weight the terms a second way
+    src = Path(fracmoment.__file__).resolve().parent
+    tree = ast.parse((src / "contours.py").read_text())
+    eta = next(node for node in tree.body if getattr(node, "name", None) == "eta_stability")
+    calls = [node.func.attr for node in ast.walk(eta) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", None) == "np"]
+    assert not {"exp", "log", "arange"} & set(calls), calls

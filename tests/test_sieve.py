@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import divisor_coeff, multiplicative_reference, primes_upto, run_python
+from conftest import divisor_coeff, multiplicative_reference, primes_upto, run_python, shifted_local_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracmoment import sieve
 from fracmoment.errors import DomainError
 from fracmoment.sieve import (
     SIEVE_CAP,
@@ -302,6 +303,24 @@ class TestBitExact:
         # f(p^e) is read off the series; the products are what is checked
         got = shifted_series(ws, zs, s, N_EXACT)
         assert got.tobytes() == multiplicative_reference(lambda p, e: got[p**e], N_EXACT, complex).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data(), st.integers(1, 3), st.integers(0, 3000))
+    def test_shifted_series_is_the_per_degree_cauchy_product(self, data, s, N):
+        # the float path for real shifts and the kept lower degrees against every degree rebuilt in complex
+        real = st.builds(complex, st.one_of(st.floats(-0.18, 1.0), st.just(1e308)), st.sampled_from([0.0, -0.0]))
+        values = data.draw(st.sampled_from([real, st.one_of(real, shift_values)]))  # all real, or mixed
+        shifts = data.draw(st.lists(values, min_size=1, max_size=3))
+        k = data.draw(st.integers(0, len(shifts)))  # the first k are sigma's, the rest rho's
+        ws, zs = (ShiftVector(tuple(v)) if v else None for v in (shifts[:k], shifts[k:]))
+        want = multiplicative_reference(shifted_local_reference(ws, zs, s), N, complex)
+        assert shifted_series(ws, zs, s, N).tobytes() == want.tobytes()
+
+    def test_local_is_asked_for_rising_degrees_on_shrinking_primes(self):
+        calls = []
+        sieve._multiplicative(lambda p, e: calls.append((e, p.copy())) or 1.0, 10**4)
+        assert [e for e, _ in calls] == list(range(1, 14))  # 2^13 <= 10^4 < 2^14
+        assert all(b.size <= a.size and np.array_equal(a[: b.size], b) for (_, a), (_, b) in zip(calls, calls[1:]))
 
     @pytest.mark.parametrize("name", ZERO_PRONE)
     def test_every_zero_is_positive(self, name):
