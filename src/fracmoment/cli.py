@@ -59,16 +59,8 @@ def _numbers(text: str, kind) -> list:
     return out
 
 
-def _floats(text: str) -> list[float]:
-    return _numbers(text, float)
-
-
-def _ints(text: str) -> list[int]:
-    return _numbers(text, int)
-
-
 def _shifts(text: str) -> sieve.ShiftVector:
-    return sieve.ShiftVector(tuple(complex(v) for v in _floats(text)))
+    return sieve.ShiftVector(tuple(complex(v) for v in _numbers(text, float)))
 
 
 def _check(name: str, value, tol=None, ok=None) -> dict:
@@ -114,7 +106,7 @@ def _finish(report: dict, out) -> int:
 
 def _verify_convolution(s, nmax, tol) -> dict:
     checks = []
-    for si in _ints(s):
+    for si in _numbers(s, int):
         d = sieve.divisor_series(Fraction(1, si), nmax)
         acc = d
         for _ in range(si - 1):
@@ -169,7 +161,7 @@ def _verify_afe(qmin, qmax, tol) -> dict:
 def _verify_smoothed(primes) -> dict:
     checks = []
     maxima = {}
-    for q in _ints(primes):
+    for q in _numbers(primes, int):
         table = characters.build_table(q)
         oracle = lvalues.lvalue_table(table, "oracle")[0]
         d = np.abs(lvalues.lvalue_table(table, "smoothed")[0][1:] - oracle[1:])
@@ -191,7 +183,7 @@ def _verify_smoothed(primes) -> dict:
 def _verify_diagonal(primes, pairs, seed, tol) -> dict:
     rng = np.random.default_rng(seed)
     checks = []
-    for q in _ints(primes):
+    for q in _numbers(primes, int):
         table = characters.build_table(q)
         worst = 0.0
         for _ in range(pairs):
@@ -218,7 +210,7 @@ def _verify_perron(tol) -> dict:
 
 def _verify_hankel(alphas, tol) -> dict:
     checks = []
-    for alpha in _floats(alphas):
+    for alpha in _numbers(alphas, float):
         got = contours.hankel_recip_gamma(alpha)
         try:
             want = 1.0 / math.gamma(alpha)
@@ -252,7 +244,7 @@ def _paired_shift(triple, y, sweep, tol):
     Returns the report, the fields both targets write (their checks start with
     numeric vs oracle when there is a numeric value) and the ratio band.
     """
-    rep = contours.paired_shift_check(*triple, y, sweep=_floats(sweep))
+    rep = contours.paired_shift_check(*triple, y, sweep=_numbers(sweep, float))
     ratios = [r for _, _, r in rep.sweep_rows]
     return rep, {
         "numeric": rep.numeric,
@@ -277,7 +269,7 @@ def _verify_quarter(y, sweep, tol) -> dict:
 
 
 def _verify_eta(s, w0, shifts, levels, tol) -> dict:
-    rep = contours.eta_stability(s, complex(w0), _shifts(shifts), _ints(levels))
+    rep = contours.eta_stability(s, complex(w0), _shifts(shifts), _numbers(levels, int))
     return {
         "estimates": rep.estimates,
         "checks": [_check("drift between successive cutoffs", rep.drift, tol)],
@@ -332,9 +324,12 @@ SERIES = {
     "mobius": (lambda n: sieve.mobius_series(n), {"nmax": 100}),
     "weighted": (lambda A, B, x, n: sieve.weighted_poly_coeffs(A, B, x, n), {"A": 1, "B": 2, "x": 10.0, "nmax": 100}),
     "mollifier": (lambda A, B, y, n: sieve.mollifier_coeffs(A, B, y, n), {"A": 1, "B": 2, "y": 10.0, "nmax": 100}),
-    "sigma": (lambda s, w, n: sieve.shifted_series(_shifts(w), None, s, n), {"s": 1, "shifts": "0", "nmax": 100}),
-    "rho": (lambda s, w, n: sieve.shifted_series(None, _shifts(w), s, n), {"s": 1, "shifts": "0", "nmax": 100}),
-    "psi": (lambda s, w, z, n: sieve.shifted_series(_shifts(w), _shifts(z), s, n),
+    # the shifts are real, so the shifted series come in float64; as complex they keep the n,re,im columns
+    "sigma": (lambda s, w, n: sieve.shifted_series(_shifts(w), None, s, n).astype(complex),
+              {"s": 1, "shifts": "0", "nmax": 100}),
+    "rho": (lambda s, w, n: sieve.shifted_series(None, _shifts(w), s, n).astype(complex),
+            {"s": 1, "shifts": "0", "nmax": 100}),
+    "psi": (lambda s, w, z, n: sieve.shifted_series(_shifts(w), _shifts(z), s, n).astype(complex),
             {"s": 1, "shifts": "0", "zshifts": "0", "nmax": 100}),
 }
 
@@ -346,7 +341,7 @@ _DOMAINS = {
     "tol": (lambda v: math.isfinite(v) and v > 0, "finite and positive"),
     "seed": (lambda v: v >= 0, "nonnegative"),  # np.random.default_rng raises a ValueError below 0
     "pairs": (lambda v: v >= 1, "at least 1"),
-    "s": (lambda v: min(_ints(str(v))) >= 1, "positive integers"),
+    "s": (lambda v: min(_numbers(str(v), int)) >= 1, "positive integers"),
     "nmax": (lambda v: 1 <= v <= sieve.SIEVE_CAP, f"in [1, {sieve.SIEVE_CAP}]"),
     "qmax": (lambda v: 3 <= v <= characters.QMAX, f"in [3, {characters.QMAX}]"),
 }
@@ -455,7 +450,7 @@ def cmd_holder(args) -> int:
 
 def cmd_survey(args) -> int:
     k = parse_k(args.k)
-    rows = moments.scaling_survey(k, _ints(args.primes), args.method)
+    rows = moments.scaling_survey(k, _numbers(args.primes, int), args.method)
     all_ok = all(r.band_ok for r in rows)
     if args.format == "csv":
         header = ["q", "moment_over_phi", "logq_pow_k2", "ratio"]

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lvalues import zeta_progression
-from .sieve import ShiftVector, divisor_series, shifted_series
+from .sieve import SIEVE_CAP, ShiftVector, divisor_series, shifted_series
 
 # ---------------------------------------------------------------------------
 # The Perron axis: Perron weights and 1/Gamma
@@ -231,11 +231,12 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
     and tabulate the oracle over the sweep.
 
     Each distinct y is expanded once, from one divisor series sieved to the
-    largest y; m = 2 past M2_ORACLE_YMAX is refused before it is sieved, and an
-    oracle or sweep ratio that underflows below a normal double after.  The
-    numeric path is run only for m = 1 (a genuine 2-D quadrature); the m = 2
-    numeric is not implemented yet, and the oracle alone is reported.  y and
-    every sweep value must exceed 2: the m = 1 numeric at v sums zeta up to
+    largest y; a y past the oracle's limit (M2_ORACLE_YMAX for m = 2, the
+    sieve's cap for m = 1) is refused before it is sieved, and an oracle or
+    sweep ratio that underflows below a normal double after.  The numeric
+    path is run only for m = 1 (a genuine 2-D quadrature); the m = 2 numeric
+    is not implemented yet, and the oracle alone is reported.  y and every
+    sweep value must exceed 2: the m = 1 numeric at v sums zeta up to
     |Im s| = 1016/log v, whose Euler-Maclaurin tables grow without bound as v
     nears 1.
     gamma = 2 m alpha + m^2 beta - 2 m is the log-power the integral grows at.
@@ -251,8 +252,9 @@ def paired_shift_check(m: int, alpha: float, beta: float, y: float, sweep: Seque
         raise DomainError("require beta > 0")
     if min([y, *sweep]) <= 2:
         raise DomainError(f"y and the sweep values must exceed 2; got y = {y:g} and sweep {sweep}")
-    if m == 2 and max([y, *sweep]) > M2_ORACLE_YMAX:
-        raise DomainError(f"m = 2 oracle limited to y <= {M2_ORACLE_YMAX}")
+    ymax = M2_ORACLE_YMAX if m == 2 else SIEVE_CAP + 1  # m = 1 sieves d_beta to ceil(y) - 1
+    if max([y, *sweep]) > ymax:
+        raise DomainError(f"m = {m} oracle limited to y <= {ymax}")
     gamma = 2 * m * alpha + m * m * beta - 2 * m
     d = divisor_series(beta, math.ceil(max([y, *sweep])) - 1)
     oracle = {v: paired_shift_oracle(m, alpha, d, v) for v in dict.fromkeys([y, *sweep])}

@@ -201,7 +201,7 @@ def mollifier_coeffs(A: int, B: int, y: float, cutoff: int) -> np.ndarray:
 
 
 def shifted_series(ws: ShiftVector | None, zs: ShiftVector | None, s_param: int, cutoff: int) -> np.ndarray:
-    """Complex convolution series over ordered factorizations.
+    """Convolution series over ordered factorizations.
 
     One factor d_{1/2s}(n_i) n_i^{-w_i} per shift w_i of ws (sigma), then one
     factor d_{1/s}(n_i) mu(n_i) n_i^{-z_i} per shift z_i of zs (rho); psi takes
@@ -209,7 +209,8 @@ def shifted_series(ws: ShiftVector | None, zs: ShiftVector | None, s_param: int,
 
     Every factor is multiplicative, so the series is too: its local factor at
     p^e is the Cauchy product in e of the factors' local factors.  When every
-    shift is real, so is every local factor, and the series is sieved in float64.
+    shift is real, so is every local factor, and the series is sieved and
+    returned in float64; otherwise it is complex.
     """
     if s_param < 1:
         raise DomainError("s parameter must be a positive integer")
@@ -239,4 +240,4 @@ def shifted_series(ws: ShiftVector | None, zs: ShiftVector | None, s_param: int,
         return acc[-1][e].real if real else acc[-1][e]
 
     # a real factor's imaginary parts are signed zeros, so each float product is the complex one's real part
-    return _multiplicative(local, cutoff, float if real else complex).astype(complex, copy=False)
+    return _multiplicative(local, cutoff, float if real else complex)

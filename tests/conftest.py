@@ -46,10 +46,31 @@ def rng():
 
 
 def run_python(code: str, *args: str, check: bool = True) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports this fracmoment, with text output captured."""
+    """Run code in a fresh interpreter that imports this fracmoment, with text output captured;
+    with check, a nonzero exit raises an AssertionError that carries the child's stderr."""
     src = str(Path(fracmoment.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=check)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    if check and out.returncode:
+        raise AssertionError(f"child exited {out.returncode}:\n{out.stderr}")
+    return out
+
+
+def peak_rise_kib(setup: str, call: str, *argv: str) -> int:
+    """How far call lifts the peak resident set, in KiB, after setup (imports and warm-up).
+
+    Both run in a fresh interpreter of their own (run_python, argv its sys.argv[1:]), so the
+    peak is this call's and no other test's.  The peak is VmHWM from /proc/self/status, read
+    after setup and after call; not ru_maxrss, which in a child starts at the parent's RSS at
+    exec, so after a large test it would read 0.  The rise is the last line of stdout, so a
+    call that prints first (a CLI command) still works.
+    """
+    code = (
+        "def peak():\n"
+        "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
+        f"{setup}\nbefore = peak()\n{call}\nprint(peak() - before)\n"
+    )
+    return int(run_python(code, *argv).stdout.splitlines()[-1])
 
 
 # References the program itself does not call: each reads the same tables or

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_python
+from conftest import peak_rise_kib, run_python
 
 from fracmoment import characters, contours, lvalues, moments, sieve
 from fracmoment.cli import _DOMAINS, SERIES, VERIFY_TARGETS, build_parser, main, parse_k
@@ -145,11 +145,18 @@ class TestPairShiftCommand:
         assert run(["verify", "pairshift", "--alpha", "26"]) == 0
 
 
-    @pytest.mark.parametrize("argv", [["--y", "3001"], ["--y", "100", "--sweep", "5000"]])
+    @pytest.mark.parametrize("argv", [
+        ["pairshift", "--m", "2", "--y", "3001"], ["pairshift", "--m", "2", "--y", "100", "--sweep", "5000"],
+        ["quarter", "--y", "1e30"], ["pairshift", "--y", "100", "--sweep", "2e7"],
+    ])
     def test_m2_past_the_oracle_limit_exits_before_any_series(self, argv, monkeypatch, capsys):
+        # m = 2 stops at its oracle's limit, m = 1 where its series would pass the sieve's cap,
+        # and either says so in y
         monkeypatch.setattr(contours, "divisor_series", None)  # any oracle would raise TypeError
-        assert run(["verify", "pairshift", "--m", "2", *argv]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert run(["verify", *argv]) == 2
+        err = capsys.readouterr().err
+        limit = contours.M2_ORACLE_YMAX if "--m" in argv else sieve.SIEVE_CAP + 1
+        assert err.startswith("error: ") and f"y <= {limit}" in err and len(err.rstrip()) < 80, err
 
 
 class TestMomentsCommand:
@@ -185,17 +192,8 @@ class TestMomentsCommand:
         # q - 1 = 158 x 6329: the Good-Thomas split runs Bluestein only on rows of
         # length 6329; one Bluestein transform of length 999,982 lifted the peak
         # to 193 MiB over 3 fresh processes, the split reads 98 MiB on each
-        code = (
-            "import sys\n"
-            "from fracmoment.cli import main\n"
-            "def peak():\n"
-            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
-            "before = peak()\n"
-            "assert main(['moments', '--q', '999983', '--out', sys.argv[1]]) == 0\n"
-            "print(peak() - before)\n"
-        )
-        out = run_python(code, str(tmp_path / "m.json"))
-        assert int(out.stdout.splitlines()[-1]) < 115 * 1024
+        call = "assert main(['moments', '--q', '999983', '--out', sys.argv[1]]) == 0"
+        assert peak_rise_kib("import sys\nfrom fracmoment.cli import main", call, str(tmp_path / "m.json")) < 115 * 1024
 
 
 class TestHolderCommand:
@@ -345,18 +343,8 @@ class TestDumpCoeffs:
         assert listed == {f"--{flag}" for flag in SERIES[name][1]} | {"--out", "-h", "--help"}
 
     def test_million_term_dump_peak_memory(self, tmp_path):
-        # one process of its own, so the peak is this dump's and no other test's
-        code = (
-            "import sys\n"
-            "from fracmoment.cli import main\n"
-            "def peak():\n"
-            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
-            "before = peak()\n"
-            "assert main(['dump-coeffs', '--series', 'dalpha', '--nmax', '1000000', '--out', sys.argv[1]]) == 0\n"
-            "print(peak() - before)\n"
-        )
-        out = run_python(code, str(tmp_path / "d.csv"))
-        assert int(out.stdout.splitlines()[-1]) < 120 * 1024
+        call = "assert main(['dump-coeffs', '--series', 'dalpha', '--nmax', '1000000', '--out', sys.argv[1]]) == 0"
+        assert peak_rise_kib("import sys\nfrom fracmoment.cli import main", call, str(tmp_path / "d.csv")) < 120 * 1024
         assert (tmp_path / "d.csv").read_text().count("\n") == 1 + 10**6
 
 

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import divisor_coeff, run_python, walk_log_zeta
+from conftest import divisor_coeff, peak_rise_kib, walk_log_zeta
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -310,22 +310,14 @@ class TestPairedShift:
             paired_shift_check(m, alpha, 1.0, y, sweep)
 
     def test_m2_oracle_peak_memory(self):
-        # one process of its own, so the peak is this call's and no other test's
-        # the peak is VmHWM, in KiB: a child's ru_maxrss starts at its parent's
-        # RSS at exec, so after a large test it would read 0
-        code = (
+        setup = (
             "from fracmoment.contours import M2_ORACLE_YMAX, paired_shift_oracle\n"
             "from fracmoment.sieve import divisor_series\n"
-            "def peak():\n"
-            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
             "d = divisor_series(1.0, M2_ORACLE_YMAX - 1)\n"
-            "paired_shift_oracle(2, 3.0, d, 20.0)\n"
-            "before = peak()\n"
-            "paired_shift_oracle(2, 3.0, d, 500.0)\n"
-            "paired_shift_oracle(2, 3.0, d, M2_ORACLE_YMAX)\n"
-            "print(peak() - before)\n"
+            "paired_shift_oracle(2, 3.0, d, 20.0)"
         )
-        assert int(run_python(code).stdout) < 20 * 1024
+        call = "paired_shift_oracle(2, 3.0, d, 500.0)\npaired_shift_oracle(2, 3.0, d, M2_ORACLE_YMAX)"
+        assert peak_rise_kib(setup, call) < 20 * 1024
 
     def test_m2_has_no_numeric_path(self):
         rep = paired_shift_check(2, 3.0, 1.0, 100.0)
@@ -396,20 +388,14 @@ class TestEtaStability:
             assert abs(est - partial[N - 1] / denom) <= 1e-13 * abs(est)
 
     def test_readme_example_peak_memory(self):
-        # one process of its own, VmHWM in KiB as in test_m2_oracle_peak_memory: the 10^6 cutoff
-        # rises 36 MiB with n^{-(1+w0)} in the shifts, and 57 MiB when the terms are weighted one
-        # by one through per-n arange, log and exp temporaries
-        code = (
+        # the 10^6 cutoff rises 36 MiB with n^{-(1+w0)} in the shifts, and 57 MiB when the
+        # terms are weighted one by one through per-n arange, log and exp temporaries
+        setup = (
             "from fracmoment.contours import eta_stability\n"
             "from fracmoment.sieve import ShiftVector\n"
-            "def peak():\n"
-            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
-            "eta_stability(1, 0.5, ShiftVector((0.3,)), [10, 100])\n"
-            "before = peak()\n"
-            "eta_stability(1, 0.5, ShiftVector((0.3,)), [10**5, 10**6])\n"
-            "print(peak() - before)\n"
+            "eta_stability(1, 0.5, ShiftVector((0.3,)), [10, 100])"
         )
-        assert int(run_python(code).stdout) < 48 * 1024
+        assert peak_rise_kib(setup, "eta_stability(1, 0.5, ShiftVector((0.3,)), [10**5, 10**6])") < 48 * 1024
 
     def test_overflowing_moved_shift_is_an_overflow(self):
         # finite w0 and w whose 1 + w0 + w is past the largest double: an overflow, not a bad shift

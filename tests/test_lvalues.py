@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_within_dft_rounding, chi, run_python, table_for
+from conftest import assert_within_dft_rounding, chi, peak_rise_kib, table_for
 from fracmoment import lvalues
 from fracmoment.characters import QMAX, build_table, dft_rounding, is_prime
 from fracmoment.errors import DomainError
@@ -490,20 +490,9 @@ class TestAfe:
         assert pairsum <= count <= 1.4 * pairsum
 
     def test_peak_memory_q5003(self):
-        # one process of its own, so the peak is this call's and no other test's
-        # the peak is VmHWM, in KiB: a child's ru_maxrss starts at its parent's
-        # RSS at exec, so inside a large test process it would read 0
-        code = (
-            "from fracmoment.characters import build_table\n"
-            "from fracmoment.lvalues import afe_squares\n"
-            "def peak():\n"
-            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
-            "t = build_table(5003)\n"
-            "before = peak()\n"
-            "afe_squares(t)\n"
-            "print(peak() - before)\n"
-        )
+        setup = ("from fracmoment.characters import build_table\nfrom fracmoment.lvalues import afe_squares\n"
+                 "t = build_table(5003)")
         # two weight rows of 67,715 doubles, cut at q e^{V/2}/pi, peak at
         # 5,796-5,900 KiB over 5 fresh processes; rows to the table end,
         # q e^6/pi (642,470 doubles), read 22,768-22,832
-        assert int(run_python(code).stdout) < 7 * 1024
+        assert peak_rise_kib(setup, "afe_squares(t)") < 7 * 1024

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import divisor_coeff, multiplicative_reference, primes_upto, run_python, shifted_local_reference
+from conftest import divisor_coeff, multiplicative_reference, peak_rise_kib, primes_upto, shifted_local_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -60,33 +60,16 @@ class TestDivisorCoeff:
             assert d[n] == pytest.approx(divisor_coeff(Fraction(1, 3), n), abs=1e-14)
 
     def test_series_peak_memory_1e6(self):
-        # one process of its own, so the peak (VmHWM, KiB) is this call's; the
-        # float64 result is 7.6 MB and the int32 cofactor table 3.8 MB
-        code = (
-            "from fracmoment.sieve import divisor_series\n"
-            "def peak():\n"
-            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
-            "divisor_series(0.5, 1000)\n"
-            "before = peak()\n"
-            "divisor_series(0.5, 10**6)\n"
-            "print(peak() - before)\n"
-        )
-        assert int(run_python(code).stdout) < 24 * 1024
+        # the float64 result is 7.6 MB and the int32 cofactor table 3.8 MB
+        setup = "from fracmoment.sieve import divisor_series\ndivisor_series(0.5, 1000)"
+        assert peak_rise_kib(setup, "divisor_series(0.5, 10**6)") < 24 * 1024
 
     def test_mobius_peak_memory_4e6(self):
         # 30.5 MiB of float64 and 15.3 MiB of cofactors; the rest is the primes, their
         # f(p), and temporaries of at most 2^16 entries (an unblocked first update, of
         # 2 x 10^6 entries, and an unblocked prime scan read about 82 MiB)
-        code = (
-            "from fracmoment.sieve import mobius_series\n"
-            "def peak():\n"
-            "    return int(next(r for r in open('/proc/self/status') if r.startswith('VmHWM')).split()[1])\n"
-            "mobius_series(1000)\n"
-            "before = peak()\n"
-            "mobius_series(4 * 10**6)\n"
-            "print(peak() - before)\n"
-        )
-        assert int(run_python(code).stdout) < 72 * 1024
+        setup = "from fracmoment.sieve import mobius_series\nmobius_series(1000)"
+        assert peak_rise_kib(setup, "mobius_series(4 * 10**6)") < 72 * 1024
 
     def test_multiplicativity(self, rng):
         d = divisor_series(Fraction(1, 2), 10**4)
@@ -314,7 +297,7 @@ class TestBitExact:
         k = data.draw(st.integers(0, len(shifts)))  # the first k are sigma's, the rest rho's
         ws, zs = (ShiftVector(tuple(v)) if v else None for v in (shifts[:k], shifts[k:]))
         want = multiplicative_reference(shifted_local_reference(ws, zs, s), N, complex)
-        assert shifted_series(ws, zs, s, N).tobytes() == want.tobytes()
+        assert shifted_series(ws, zs, s, N).astype(complex).tobytes() == want.tobytes()
 
     def test_local_is_asked_for_rising_degrees_on_shrinking_primes(self):
         calls = []
