@@ -8,7 +8,7 @@ coefficients with squared log weights, and complex-shifted convolution series.
 The multiplicative sequences come from one generator fed their Euler factors
 f(p^e), one list per sequence computed once per call, which makes one strided
 pass over the multiples of each prime up to the square root of its cutoff; the
-rest are Dirichlet convolutions of such pieces.
+rest are Dirichlet convolutions and powers of such pieces.
 """
 
 from __future__ import annotations
@@ -159,6 +159,18 @@ def dirichlet_convolve(f: np.ndarray, g: np.ndarray, cutoff: int) -> np.ndarray:
     return out
 
 
+def dirichlet_power(f: np.ndarray, k: int, cutoff: int) -> np.ndarray:
+    """k-fold Dirichlet power f * ... * f, n <= cutoff, k >= 1, by squaring: f^k = (f^{k//2})^2 f^{k%2}, in at most
+    2 log2 k convolutions (k = 2, 3 give the left fold's bits); a coefficient past the largest double raises."""
+    out = f[: cutoff + 1]
+    with np.errstate(over="raise"):
+        for bit in bin(k)[3:]:
+            out = dirichlet_convolve(out, out, cutoff)
+            if bit == "1":
+                out = dirichlet_convolve(out, f, cutoff)
+    return out
+
+
 def _log_weighted(euler: list[float], A: int, x: float, power: int, cutoff: int) -> np.ndarray:
     """A-fold Dirichlet power of f(n) log^power(x/n)/log^power(x) on n <= floor(x),
     for the multiplicative f with f(p^e) = euler[e]."""
@@ -166,10 +178,7 @@ def _log_weighted(euler: list[float], A: int, x: float, power: int, cutoff: int)
     head = _series(euler, support)[1:] * (np.log(x / np.arange(1, support + 1)) / math.log(x)) ** power
     base = np.zeros(cutoff + 1)
     base[1 : support + 1] = head + 0.0  # the weight is 0 at n = x, and -0 + 0 = +0
-    out = base
-    for _ in range(A - 1):
-        out = dirichlet_convolve(out, base, cutoff)
-    return out
+    return dirichlet_power(base, A, cutoff)
 
 
 def _check_weights(A: int, B: int, name: str, x: float) -> None:

@@ -5,14 +5,14 @@ fd-level capture would otherwise swallow them for passing tests); stated
 runtime budgets are asserted inside the tests.
 
 Criteria 1-4, 6-8 and the exponent half of 9 take their values from the
-checks of the matching `fracmoment verify` target (`verify_report`), so the
-gate and the CLI compute each quantity once.  Two criteria keep their own
-code: criterion 5 gates the absolute diff while `verify diagonal` gates
-diff/scale, and criterion 10 draws its accuracy and timing inputs from one
-shared rng.
+checks of the matching `fracmoment verify` target (`verify_report`), and
+criterion 11 its rows from `moments.scaling_survey`, which `fracmoment survey`
+prints, so the gate and the CLI compute each quantity once.  Two criteria
+keep their own code: criterion 5 gates the absolute diff while `verify
+diagonal` gates diff/scale, and criterion 10 draws its accuracy and timing
+inputs from one shared rng.
 """
 
-import math
 import time
 from fractions import Fraction
 
@@ -28,8 +28,7 @@ from fracmoment.characters import (
     naive_character_sums,
 )
 from fracmoment.cli import verify_report
-from fracmoment.lvalues import lvalue_table
-from fracmoment.moments import MomentParams, character_values, holder_chain_check, power_sum
+from fracmoment.moments import MomentParams, character_values, holder_chain_check, scaling_survey
 
 
 def report(line: str, ok: bool) -> None:
@@ -195,16 +194,9 @@ def test_criterion_10_dft_accuracy_and_speed():
 
 
 def test_criterion_11_scaling_sanity_band():
-    rows = []
-    ok = True
-    for q in (1009, 10007, 100003):
-        table = table_for(q)
-        value, _, _ = power_sum(lvalue_table(table, "oracle")[1], Fraction(1, 2))
-        ratio = value / (q - 1) / math.log(q) ** 0.25
-        rows.append((q, ratio))
-        ok = ok and 0.1 <= ratio <= 10.0
-    trend = ", ".join(f"q={q}: {r:.4f}" for q, r in rows)
+    rows = scaling_survey(Fraction(1, 2), (1009, 10007, 100003))
+    trend = ", ".join(f"q={r.q}: {r.ratio:.4f}" for r in rows)
     report(
         f"criterion 11: sanity band M_1/2(q)/phi(q)/(log q)^0.25 in [0.1, 10] ({trend})",
-        ok,
+        all(r.band_ok for r in rows),
     )

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import re
 import shlex
+import signal
 from collections import Counter
 from pathlib import Path
 
@@ -442,7 +443,28 @@ _FUZZ_CASES = [pytest.param(command, flag, id=" ".join([*command, flag]))
 _CHEAP = {"--q": "1009", "--qmax": "31", "--primes": "101", "--nmax": "100", "--levels": "1000,10000",
           "--sweep": "1e3,1e4", "--pairs": "2", "--trials": "2"}
 _MALFORMED = ("nan", "inf", "-inf", ",", "abc")
-_UNRULED = ("0", "-1", "-0", "3.5", "1e308", "1e-320")
+_BIG = "100000000000000000000"  # 10^20: a count of passes, factors or draws this large must not run 10^20 times
+_UNRULED = ("0", "-1", "-0", "3.5", "1e308", "1e-320", _BIG)
+_FUZZ_BUDGET_S = 10  # per command run, in process, through signal.alarm
+
+
+class _OverBudget(BaseException):
+    """Raised by the alarm; a BaseException, so no handler in the program swallows it."""
+
+
+def _run_in_budget(argv: list):
+    """run(argv), or its SystemExit code, within _FUZZ_BUDGET_S seconds (_OverBudget past it)."""
+    def expire(signum, frame):
+        raise _OverBudget(f"{' '.join(argv)} ran past {_FUZZ_BUDGET_S} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(_FUZZ_BUDGET_S)
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _cheap(command: list) -> list:
@@ -466,7 +488,9 @@ def _refusal(argv: list, flag: str):
 # at --tol 1e308 cannot fail, and one at 1e-320 cannot pass; afe starts at q = 3,
 # the smallest modulus with a table, whatever --qmin, and takes q = 3 alone at --qmax 3;
 # d_alpha, 1/Gamma, the beta shift and k take any such value; eta's drift exceeds
-# the tol at a zero or tiny w0 or shift
+# the tol at a zero or tiny w0 or shift.  The last rows pin the counts that once ran
+# without end at 10^20: the s-fold and A-fold powers take log2 of them, and the
+# trials and pairs are refused by their budgets in _DOMAINS
 _GATED = [t for t, (_, flags) in VERIFY_TARGETS.items() if "tol" in flags]
 _RULINGS = (
     [(["verify", t], "--tol", tol, code) for t in _GATED for tol, code in (("1e308", 0), ("1e-320", 1))]
@@ -475,6 +499,9 @@ _RULINGS = (
     + [(["verify", "hankel"], "--alphas", "1e-320", 0), (["verify", "pairshift"], "--beta", "1e-320", 0),
        (["survey"], "--k", "1e-320", 0)]
     + [(["verify", "eta"], flag, v, 1) for flag in ("--w0", "--shifts") for v in ("0", "-0", "1e-320")]
+    + [(["verify", "convolution"], "--s", _BIG, 0), (["dump-coeffs", "--series", "weighted"], "--A", _BIG, 0),
+       (["dump-coeffs", "--series", "mollifier"], "--A", _BIG, 0), (["verify", "exponents"], "--trials", _BIG, 2),
+       (["verify", "diagonal"], "--pairs", _BIG, 2)]
 )
 
 
@@ -592,16 +619,14 @@ class TestExitCodes:
     def test_every_registered_flag_refuses_malformed_values(self, command, flag, capsys):
         # every flag at a cheap value, which alone must not be refused, or the property shows
         # nothing; the value under test comes last and overrides its flag's.  A malformed
-        # value, or one the parser or _DOMAINS refuses, exits 2; any other exits cleanly
+        # value, or one the parser or _DOMAINS refuses, exits 2; any other exits cleanly.  Each
+        # run has the same time budget, so a value that sets off an endless loop fails here
         base = _cheap(command)
-        assert run(base) in (0, 1), base
+        assert _run_in_budget(base) in (0, 1), base
         for value in (*_MALFORMED, *_UNRULED):
             refused = _refusal([*base, flag, value], flag[2:])
             capsys.readouterr()
-            try:
-                code = run([*base, flag, value])
-            except SystemExit as exc:
-                code = exc.code
+            code = _run_in_budget([*base, flag, value])
             err = capsys.readouterr().err
             if value in _MALFORMED or refused:
                 assert code == 2, (flag, value)
@@ -613,11 +638,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag, value, code", _RULINGS,
                              ids=[" ".join([*c, f, v]) for c, f, v, _ in _RULINGS])
     def test_unruled_values_keep_their_exit_codes(self, command, flag, value, code):
-        assert run([*_cheap(command), flag, value]) == code
+        assert _run_in_budget([*_cheap(command), flag, value]) == code
 
     @pytest.mark.parametrize("argv", [
         ["verify", "eta", "--w0", "1e308"],
         ["verify", "pairshift", "--alpha", "1e300"],
+        ["dump-coeffs", "--series", "weighted", "--A", "1" + "0" * 60],  # the A-fold power passes 1e308 at n = 64
     ], ids=" ".join)
     def test_overflow_stderr_starts_with_error(self, argv):
         # a fresh interpreter, where nothing captures numpy's RuntimeWarnings

@@ -279,3 +279,14 @@ def test_one_peak_probe_and_one_parse_of_src():
     parses = [node.lineno for node in ast.walk(tests["test_imports"]) if isinstance(node, ast.Call)
               and getattr(node.func, "attr", None) == "parse" and getattr(node.func.value, "id", None) == "ast"]
     assert probes == [] and len(parses) == 1, (probes, parses)
+
+
+def test_dirichlet_power_is_the_one_k_fold_power():
+    # sieve.dirichlet_power is the one k-fold power, by squaring; a convolution called anywhere else
+    # in src/ is a second power loop, as the s-fold and A-fold loops of verify convolution and the
+    # log-weighted coefficients once were
+    callers = _top_level_readers(
+        lambda module, node: isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dirichlet_convolve"
+    )
+    assert set(callers) == {"sieve.dirichlet_power"}, callers

@@ -13,6 +13,7 @@ from fracmoment.sieve import (
     SIEVE_CAP,
     ShiftVector,
     dirichlet_convolve,
+    dirichlet_power,
     divisor_series,
     mobius_series,
     mollifier_coeffs,
@@ -26,6 +27,15 @@ SERIES = {
     "mobius": mobius_series,
     "sigma": lambda N: shifted_series(ShiftVector((0.25 + 0.5j,)), None, 2, N),
 }
+
+
+def left_fold(f, k, N):
+    """The k-fold Dirichlet power of f as ((f * f) * f) ..., one convolution per factor: the reference
+    that sieve.dirichlet_power's squares must match."""
+    out = f
+    for _ in range(k - 1):
+        out = dirichlet_convolve(out, f, N)
+    return out
 
 
 class TestCutoff:
@@ -109,11 +119,40 @@ class TestConvolution:
     @pytest.mark.parametrize("s", [2, 3, 5])
     def test_sfold_identity_small(self, s):
         N = 2000
-        d = divisor_series(Fraction(1, s), N)
-        acc = d
-        for _ in range(s - 1):
-            acc = dirichlet_convolve(acc, d, N)
+        acc = left_fold(divisor_series(Fraction(1, s), N), s, N)
         assert np.max(np.abs(acc[1:] - 1.0)) < 1e-10
+
+    @pytest.fixture
+    def signed(self, rng):
+        return np.concatenate([[0.0], rng.standard_normal(3000)])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_power_is_the_left_fold_below_4(self, k, signed):
+        for f in (signed, divisor_series(Fraction(1, 3), 3000)):
+            assert dirichlet_power(f, k, 3000).tobytes() == left_fold(f, k, 3000).tobytes()
+
+    @pytest.mark.parametrize("k", [4, 5, 7, 8, 13])
+    def test_power_within_rounding_of_the_left_fold(self, k, signed):
+        # from 4 on the squares associate the products another way.  A convolution rounds each of its
+        # terms at most tau(n) times, and either route takes at most k - 1 convolutions, so each lies
+        # within gamma_{(k-1) T} |f|^{*k}(n) of the exact power, T the largest tau(n) for n <= N, and
+        # the two within twice that; eps = 2u covers gamma_m = m u/(1 - m u)
+        N = 3000
+        tau = np.zeros(N + 1, dtype=int)
+        for d in range(1, N + 1):
+            tau[d::d] += 1
+        T = tau.max()
+        for f in (signed, divisor_series(Fraction(1, 5), N), mobius_series(N)):
+            bound = 2 * (k - 1) * T * np.finfo(float).eps * left_fold(np.abs(f), k, N)
+            assert np.all(np.abs(dirichlet_power(f, k, N) - left_fold(f, k, N)) <= bound)
+
+    def test_power_refuses_a_double_overflow(self):
+        f = np.zeros(11)
+        f[1], f[2] = 1.0, 1e200
+        with pytest.raises(FloatingPointError):
+            dirichlet_power(f, 2, 10)
+        with pytest.raises(FloatingPointError):  # d_2^k = d_2k, and d_2k(4) = k (2k + 1) is 2e400 here
+            dirichlet_power(divisor_series(2, 10), 10**200, 10)
 
     @pytest.mark.parametrize("a,b", [(Fraction(1, 2), Fraction(1, 2)),
                                      (Fraction(1, 3), Fraction(2, 3)),
@@ -148,11 +187,7 @@ class TestWeightedPoly:
         # as x -> infinity the weights tend to 1 and the A-fold convolution of
         # d_{1/B} remains; since the factor logs sum to log n, the deviation is
         # log n / log x = 1/e to first order at x = n^e (1e-3 needs e ~ 1000)
-        d = divisor_series(Fraction(1, B), n)
-        acc = d
-        for _ in range(A - 1):
-            acc = dirichlet_convolve(acc, d, n)
-        limit = acc[n]
+        limit = left_fold(divisor_series(Fraction(1, B), n), A, n)[n]
         rel = {}
         for exp in (10, 20, 40):
             w = weighted_poly_coeffs(A, B, float(n) ** exp, n)
@@ -272,9 +307,7 @@ class TestBitExact:
         n = np.arange(1, int(y) + 1)
         head = np.zeros(N_EXACT + 1)
         head[n] = base[n] * (np.log(y / n) / math.log(y)) ** 2 + 0.0
-        want = head
-        for _ in range(A - 1):
-            want = dirichlet_convolve(want, head, N_EXACT)
+        want = left_fold(head, A, N_EXACT)
         assert mollifier_coeffs(A, B, y, N_EXACT).tobytes() == (want * 0.5**A).tobytes()
 
     @pytest.mark.parametrize("s", [2, 3])
