@@ -375,17 +375,6 @@ def _report_from_args(target: str, args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _params_from_args(args) -> moments.MomentParams:
-    k = parse_k(args.k)
-    return moments.MomentParams(args.q, r=k.numerator, s=k.denominator, y=args.y, a=args.a)
-
-
-def _moment_report(command: str, params: moments.MomentParams, method: str, **fields) -> dict:
-    """The command and its resolved parameter bundle, then the command's own fields."""
-    echo = {"q": params.q, "r": params.r, "s": params.s, "x": params.x, "y": params.y, "a": params.a, "method": method}
-    return {"command": command, "params": echo, **fields}
-
-
 def _write_lvalues(args, table, values, squares, err) -> bool:
     """Write --lvalues-out, if given, as the per-character CSV of one lvalue_table
     result (q, j, parity, ReL, ImL, Lsq, method, err); False once a write error is reported."""
@@ -401,25 +390,20 @@ def _write_lvalues(args, table, values, squares, err) -> bool:
 
 
 def cmd_moments(args) -> int:
-    params = _params_from_args(args)
-    table = characters.build_table(params.q)
+    k = parse_k(args.k)
+    table = characters.build_table(args.q)
     values, squares, err = lvalues.lvalue_table(table, args.method)
-    value, _, floored = moments.power_sum(squares, params.k)
+    value, _, floored = moments.power_sum(squares, k)
     if not _write_lvalues(args, table, values, squares, err):
         return EXIT_IO
-    report = _moment_report(
-        "moments", params, args.method,
-        moment=value,
-        moment_over_phi=value / (params.q - 1),
-        floored_characters=floored,
-        regime_flag=params.regime_ok,
-        checks=[],
-    )
+    report = {"command": "moments", "params": {"q": args.q, "k": k, "method": args.method}, "moment": value,
+              "moment_over_phi": value / (args.q - 1), "floored_characters": floored, "checks": []}
     return _finish(report, args.out)
 
 
 def cmd_holder(args) -> int:
-    params = _params_from_args(args)
+    k = parse_k(args.k)
+    params = moments.MomentParams(args.q, r=k.numerator, s=k.denominator, y=args.y, a=args.a)
     params.diagonal_length()  # refuses x^{2r} >= q, so nothing is built outside the P4 check's regime
     table = characters.build_table(params.q)
     values = moments.character_values(params, table, args.method)
@@ -427,19 +411,21 @@ def cmd_holder(args) -> int:
         return EXIT_IO
     rep = moments.holder_chain_check(values)
     p4 = moments.p4_bound_check(values)
-    report = _moment_report(
-        "holder", params, args.method,
-        moment=rep.moment,
-        s_lower=rep.s_l,
-        s_upper=rep.s_u,
-        p4={"lhs": p4.lhs, "rhs": p4.rhs},
-        holder={"f1": rep.f1, "f2": rep.f2, "f3": rep.f3, "slack": rep.slack, "pass": rep.holds},
-        regime_flag=params.regime_ok,
-        checks=[
+    report = {
+        "command": "holder",
+        "params": {"q": params.q, "r": params.r, "s": params.s, "x": params.x, "y": params.y, "a": params.a,
+                   "method": args.method},
+        "moment": rep.moment,
+        "s_lower": rep.s_l,
+        "s_upper": rep.s_u,
+        "p4": {"lhs": p4.lhs, "rhs": p4.rhs},
+        "holder": {"f1": rep.f1, "f2": rep.f2, "f3": rep.f3, "slack": rep.slack, "pass": rep.holds},
+        "regime_flag": params.regime_ok,
+        "checks": [
             _check("holder chain slack nonnegative", rep.slack, ok=rep.holds),
             _check("diagonal p4 bound", p4.ratio, ok=p4.holds),
         ],
-    )
+    }
     return _finish(report, args.out)
 
 
@@ -513,6 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("holder", help="evaluate the Holder chain report")
     _moment_args(ph, lvalues.COMPLEX_ROUTES)
+    ph.add_argument("--a", type=float, default=4.0)
+    ph.add_argument("--y", type=float, default=None)
     ph.set_defaults(func=cmd_holder)
 
     ps = sub.add_parser("survey", help="scaling survey of M_k(q)/phi(q) over primes")
@@ -558,8 +546,6 @@ def _target_parser(subparsers, name: str, flags: dict) -> argparse.ArgumentParse
 def _moment_args(p: argparse.ArgumentParser, routes) -> None:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", default="1/2")
-    p.add_argument("--a", type=float, default=4.0)
-    p.add_argument("--y", type=float, default=None)
     p.add_argument("--method", default="oracle", choices=tuple(routes))
     p.add_argument("--lvalues-out", default=None,
                    help="CSV of per-character L-values (q, j, parity, ReL, ImL, Lsq, method, err)")

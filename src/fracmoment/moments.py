@@ -47,9 +47,8 @@ class MomentParams:
     """Parameter bundle (q, k = r/s, x = y^a) with the support checks baked in (q by check_modulus);
     y defaults to q^{1/(4as)}, clamped to >= 2, and y and a are stored as floats.
 
-    The asymptotic regime x^{4s} <= q^{1/20} is unreachable for x > 1 at any
-    computable q; regime_ok records whether it holds, and reports carry the
-    flag rather than enforcing it.
+    The asymptotic regime x^{4s} <= q^{1/20} is x <= q^{1/(80 s)}, 1.044 at q = 1009 and s = 2, which
+    the default y >= 2 never meets; regime_ok records whether it holds, and reports carry the flag.
     """
 
     q: int
@@ -71,9 +70,9 @@ class MomentParams:
         if self.y <= 1 or self.a < 1:
             raise DomainError("need y > 1 and a >= 1")
         try:
-            self.x ** (4 * self.s)  # regime_ok's power; the largest one any check takes
+            self.x
         except OverflowError:
-            raise DomainError(f"x^(4s) = (y^a)^{4 * self.s} overflows at y = {self.y}, a = {self.a}") from None
+            raise DomainError(f"x = y^a overflows at y = {self.y}, a = {self.a}") from None
 
     @property
     def x(self) -> float:
@@ -85,11 +84,14 @@ class MomentParams:
 
     @property
     def regime_ok(self) -> bool:
-        return self.x ** (4 * self.s) <= self.q ** (1 / 20)
+        return 4 * self.s * math.log(self.x) <= math.log(self.q) / 20  # in logs, where x^{4s} cannot overflow
 
     def diagonal_length(self) -> float:
         """x^{2r}, the length of the diagonal P4 sum; DomainError outside x^{2r} < q."""
-        xpow = self.x ** (2 * self.r)
+        try:
+            xpow = self.x ** (2 * self.r)
+        except OverflowError:  # past the largest double, so far past q
+            xpow = math.inf
         if xpow >= self.q:
             raise DomainError("diagonal regime requires x^{2r} < q")
         return xpow
@@ -116,8 +118,9 @@ def _residue_weights(table: CharacterTable, coeffs: np.ndarray) -> np.ndarray:
 def power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, list[int]]:
     """sum over non-principal chi of (|L|^2)^k, k in (0, 1], from the squares of all characters.
 
-    Fractional powers go through exp(k log |L|^2) with |L|^2 floored at
-    1e-30; floored characters (numerically vanishing L) are flagged.
+    Each contribution is np.power of |L|^2, floored at 1e-30, to float(k): the
+    square itself at k = 1 and its correctly rounded square root at k = 1/2.
+    Floored characters (numerically vanishing L) are flagged.
     Returns (value, per-character contributions, floored character indices).
     """
     k = Fraction(k)
@@ -125,7 +128,7 @@ def power_sum(squares: np.ndarray, k: Fraction) -> tuple[float, np.ndarray, list
         raise DomainError(f"k must lie in (0, 1], got {k}")
     sq = squares[1:]
     floored = [int(j) for j in (np.nonzero(sq < SQUARE_FLOOR)[0] + 1)]
-    contrib = np.exp(float(k) * np.log(np.maximum(sq, SQUARE_FLOOR)))
+    contrib = np.power(np.maximum(sq, SQUARE_FLOOR), float(k))
     return exact_sum(contrib), contrib, floored
 
 
@@ -216,19 +219,24 @@ def holder_chain_check(values: CharacterValues) -> HolderReport:
 
     All four sums read the same per-character L, P, M values, so the
     inequality is exact arithmetic and any slack below -1e-9 * F1 F2 F3
-    indicates a bug rather than a tolerance issue.
+    indicates a bug rather than a tolerance issue.  A power that overflows raises FloatingPointError,
+    and a bound that is not a positive normal double (S_u underflows at large s) raises DomainError.
     """
     L, sq, P, M = values.L, values.sq, values.P, values.M
     r, s, k = values.params.r, values.params.s, values.params.k
     e1, e2, e3 = (float(e) for e in holder_exponents(k))
-    t = (L * np.conj(P) ** (2 * s) * np.abs(M) ** (2 * (s - r)))[1:]
-    sl = exact_sum(t)
+    with np.errstate(over="raise"):
+        sl = exact_sum((L * np.conj(P) ** (2 * s) * np.abs(M) ** (2 * (s - r)))[1:])
+        su = exact_sum((sq * np.abs(P) ** (4 * s) * np.abs(M) ** (2 * (2 * s - r)))[1:])
     mk = power_sum(sq, k)[0]
     p4 = values.p4
-    su = exact_sum((sq * np.abs(P) ** (4 * s) * np.abs(M) ** (2 * (2 * s - r)))[1:])
     f1, f2, f3 = mk**e1, p4**e2, su**e3
-    slack = f1 * f2 * f3 - abs(sl)
-    return HolderReport(sl, mk, p4, su, f1, f2, f3, slack, holds=slack >= -1e-9 * f1 * f2 * f3)
+    bound = f1 * f2 * f3
+    if not 2.0**-1022 <= bound < math.inf:  # the positive normal doubles
+        raise DomainError(f"Holder bound F1 F2 F3 = {bound!r} at k = {k} is not a positive normal double, "
+                          "so its slack would prove nothing")
+    slack = bound - abs(sl)
+    return HolderReport(sl, mk, p4, su, f1, f2, f3, slack, holds=slack >= -1e-9 * bound)
 
 
 @dataclass

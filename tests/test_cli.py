@@ -26,6 +26,15 @@ def run(args):
     return main(args)
 
 
+def _help_flags(command: list, capsys) -> set:
+    """The option strings `command --help` lists, once it exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--help"])
+    assert exc.value.code == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("-")]
+    return {tok.rstrip(",") for line in lines for tok in line if tok.startswith("-")}
+
+
 class TestParseK:
     def test_literal(self):
         from fractions import Fraction
@@ -182,9 +191,30 @@ class TestMomentsCommand:
         out = tmp_path / "m.json"
         assert run(["moments", "--q", "101", "--k", "1/2", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["params"]["q"] == 101
+        assert doc["params"] == {"q": 101, "k": "1/2", "method": "oracle"}
         assert doc["moment"] > 0
-        assert doc["regime_flag"] is False
+        assert list(doc) == ["command", "params", "moment", "moment_over_phi", "floored_characters", "checks", "pass"]
+
+    @pytest.mark.parametrize("q", [1009, 10007])
+    @pytest.mark.parametrize("method", lvalues.ROUTES)
+    def test_agrees_with_survey_bit_for_bit(self, q, method, tmp_path):
+        # M_k(q) from q, k and the route alone: small k, whose s once overflowed the Holder
+        # bundle's x^{4s}, and k = 1, the second moment, run as survey runs them
+        for k in ("1/2", "1/64", "1/1000000", "1"):
+            m, sv = tmp_path / "m.json", tmp_path / "s.json"
+            assert run(["moments", "--q", str(q), "--k", k, "--method", method, "--out", str(m)]) == 0
+            assert run(["survey", "--primes", str(q), "--k", k, "--method", method, "--format", "json",
+                        "--out", str(sv)]) in (0, 1)
+            got, want = json.loads(m.read_text()), json.loads(sv.read_text())
+            assert (got["params"]["k"], got["moment_over_phi"]) == (want["params"]["k"],
+                                                                    want["rows"][0]["moment_over_phi"]), k
+
+    @pytest.mark.parametrize("command, flags", [
+        ("moments", {"--q", "--k", "--method", "--lvalues-out", "--out"}),
+        ("holder", {"--q", "--k", "--a", "--y", "--method", "--lvalues-out", "--out"}),
+    ])
+    def test_help_lists_only_the_flags_it_reads(self, command, flags, capsys):
+        assert _help_flags([command], capsys) == flags | {"-h", "--help"}
 
     def test_bad_k_exits_2(self):
         assert run(["moments", "--q", "101", "--k", "3/2"]) == 2
@@ -208,6 +238,17 @@ class TestHolderCommand:
         assert set(doc["holder"]) == {"f1", "f2", "f3", "slack", "pass"}
         assert "regime_flag" in doc and "moment" in doc
         assert doc["holder"]["pass"] is True
+
+    def test_small_k_runs_while_its_chain_is_representable(self, tmp_path, capsys):
+        # at k = 1/64, (y^a)^{4s} = 16^256 passes a double, yet every sum of the chain is a normal double;
+        # at k = 1/1000, |M|^{2(2s - r)} = 2^-3998 underflows, so S_u = 0 and the slack would prove nothing
+        out = tmp_path / "h.json"
+        assert run(["holder", "--q", "1009", "--k", "1/64", "--out", str(out)]) == 0
+        assert [c["pass"] for c in json.loads(out.read_text())["checks"]] == [True, True]
+        capsys.readouterr()
+        assert run(["holder", "--q", "1009", "--k", "1/1000"]) == 2
+        assert capsys.readouterr().err == ("error: Holder bound F1 F2 F3 = 0.0 at k = 1/1000 is not a positive "
+                                           "normal double, so its slack would prove nothing\n")
 
     def test_small_q_with_adjusted_y(self, tmp_path):
         # the default y = 2 bundle violates the diagonal regime at q = 101;
@@ -336,11 +377,7 @@ class TestDumpCoeffs:
 
     @pytest.mark.parametrize("name", SERIES)
     def test_help_lists_only_the_series_flags(self, name, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["dump-coeffs", "--series", name, "--help"])
-        assert exc.value.code == 0
-        lines = [line.split() for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("-")]
-        listed = {tok.rstrip(",") for line in lines for tok in line if tok.startswith("-")}
+        listed = _help_flags(["dump-coeffs", "--series", name], capsys)
         assert listed == {f"--{flag}" for flag in SERIES[name][1]} | {"--out", "-h", "--help"}
 
     def test_million_term_dump_peak_memory(self, tmp_path):
@@ -563,11 +600,8 @@ class TestExitCodes:
         ["holder", "--q", "1009", "--a", "nan"],
         ["holder", "--q", "1009", "--a", "inf"],
         ["holder", "--q", "1009", "--y", "1e300"],
-        ["moments", "--q", "1009", "--a", "nan"],
-        ["moments", "--q", "1009", "--y", "inf"],
         ["dump-coeffs", "--series", "weighted", "--x", "nan"],
         ["dump-coeffs", "--series", "mollifier", "--y", "inf"],
-        ["moments", "--q", "1009", "--a", "0"],
         ["verify", "pairshift", "--y", "nan"],
         ["verify", "pairshift", "--y", "inf"],
         ["verify", "pairshift", "--sweep", "nan,1e4"],
@@ -604,7 +638,6 @@ class TestExitCodes:
         ["verify", "afe", "--qmin", "5", "--qmax", "1000004"],
         ["verify", "pairshift", "--alpha", "100", "--y", "2.01", "--sweep", "2.01"],
         ["verify", "eta", "--w0", "0.1", "--shifts", "0.05", "--levels", "1000,10000"],
-        ["moments", "--q", "1009", "--k", "1"],
         ["holder", "--q", "1009", "--k", "1"],
         ["verify", "exponents", "--seed", "-1"],
         ["verify", "diagonal", "--primes", "101", "--seed", "-1"],
@@ -658,6 +691,8 @@ class TestExitCodes:
         ["verify", "smoothed", "--tol", "1"],
         ["contour", "--check", "hankel", "--sweep-out", "f.csv"],
         ["verify", "hankel", "--arm", "25"],
+        ["moments", "--q", "1009", "--a", "2"],
+        ["moments", "--q", "1009", "--y", "3"],
     ])
     def test_flag_the_target_does_not_read_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:

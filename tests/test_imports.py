@@ -290,3 +290,13 @@ def test_dirichlet_power_is_the_one_k_fold_power():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dirichlet_convolve"
     )
     assert set(callers) == {"sieve.dirichlet_power"}, callers
+
+
+def test_only_holder_builds_the_moment_bundle():
+    # MomentParams bundles the Holder chain's cutoffs x = y^a; M_k(q) reads q, k and the route alone, so a
+    # bundle built anywhere else would take --y and --a that change no number it reports
+    builders = _top_level_readers(
+        lambda module, node: isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "MomentParams"
+    )
+    assert builders == ["cli.cmd_holder"], builders

@@ -32,6 +32,16 @@ class TestMomentParams:
         assert p.y == 2.0 and p.a == 4.0 and p.x == 16.0
         assert not p.regime_ok
 
+    def test_regime_compares_in_logs(self):
+        # x^{4s} <= q^{1/20} is x <= q^{1/(80 s)}: 1.044 at q = 1009 and s = 2; at s = 64 the
+        # default x^{4s} = 16^256 passes a double, and the bundle stands with the flag off
+        assert MomentParams(1009, y=1.001, a=1.0).regime_ok
+        assert not MomentParams(1009, y=1.05, a=1.0).regime_ok
+        assert not MomentParams(1009, r=1, s=64).regime_ok
+        # x^{2r} = 16^1998 passes a double, so it is outside the diagonal regime, not an overflow
+        with pytest.raises(DomainError, match="diagonal regime requires"):
+            MomentParams(1009, r=999, s=1000).diagonal_length()
+
     def test_the_constructor_fills_in_y_and_stores_floats(self):
         assert [f.name for f in dataclasses.fields(MomentParams)] == ["q", "r", "s", "y", "a"]
         p = MomentParams(100003, 1, 2, None, 1)
@@ -119,6 +129,14 @@ class TestMomentK:
     def test_bad_k_rejected(self):
         with pytest.raises(DomainError):
             power_sum(lvalue_table(table_for(5), "oracle")[1], Fraction(3, 2))
+
+    def test_one_power_keeps_the_square_and_its_root(self):
+        # np.power of the floored square: at k = 1 the square itself, at k = 1/2 numpy's correctly
+        # rounded sqrt, bit for bit, where exp(k log x) moves the last bit of many
+        sq = lvalue_table(table_for(1009), "oracle")[1]
+        floored = np.maximum(sq[1:], 1e-30)
+        assert np.array_equal(power_sum(sq, Fraction(1))[1], floored)
+        assert np.array_equal(power_sum(sq, Fraction(1, 2))[1], np.sqrt(floored))
 
 
 def _naive_polys(table, coeffs):
